@@ -19,6 +19,7 @@ any of them through :class:`ModelParams`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParamError
@@ -93,8 +94,8 @@ class ModelParams:
             if name not in ("rho", "k_max", "p8")
         }
         for name, value in rates.items():
-            if not value > 0:
-                raise InvalidParamError(f"rate {name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParamError(f"rate {name} must be positive and finite, got {value}")
         if not 0 < self.rho <= 1:
             raise InvalidParamError(f"rho must be in (0, 1], got {self.rho}")
         if not 0 <= self.p8 <= 1:

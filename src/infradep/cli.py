@@ -31,7 +31,7 @@ from .errors import (
 from .export import export_dot, export_results_json, graph_summary
 from .montecarlo import estimate_occupancy, estimate_time_to, simulate, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
-from .statespace import build_reachability_graph, eliminate_vanishing
+from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
 from .validate import validate_model
 
 EXIT_OK = 0
@@ -150,6 +150,8 @@ def _load_model(args):
                 f"builtin parameters: {sorted(fields)}"
             )
         if "k_max" in overrides:
+            if not overrides["k_max"].is_integer():
+                raise UsageError(f"--set k_max: {overrides['k_max']!r} is not an integer")
             overrides["k_max"] = int(overrides["k_max"])
         params = replace(params, **overrides)
         return catalog.builtin_model(source, params)
@@ -421,6 +423,10 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        try:
+            state_limit()
+        except InvalidArgError as e:  # a malformed setting, not a numeric failure
+            raise UsageError(e.message) from None
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

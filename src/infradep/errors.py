@@ -64,14 +64,13 @@ class NotErgodicError(InfradepError):
 
 
 class NoConvergenceError(InfradepError):
-    """An iterative solver did not reach the requested residual."""
+    """A solver did not reach the requested residual (or its system is singular)."""
 
     code = "NO_CONVERGENCE"
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class UnreachableTargetError(InfradepError):

@@ -1,9 +1,9 @@
 """Exact numerical measures on a CTMC.
 
-Production paths are sparse and iterative: steady state by power iteration
-on the uniformized chain, transients by uniformization with stable Poisson
-weighting, absorption times by a sparse linear solve.  Dense counterparts
-live in the test suite as oracles.
+Production paths are sparse: steady state by a direct LU solve of the
+balance equations on the terminal strongly-connected component, transients
+by uniformization with stable Poisson weighting, absorption times by a
+sparse linear solve.  Dense counterparts live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .statespace import Ctmc
 class SolverOptions:
     steady_tol: float = 1e-10  # residual bound for ||pi Q||_inf
     poisson_tail: float = 1e-9  # Poisson mass allowed to be discarded
-    max_iterations: int = 1_000_000
     uniformization_rate: float | None = None  # None: 1.05 * max exit rate
 
 
@@ -66,35 +65,29 @@ class MeasureResult:
 
 def terminal_sccs(ctmc: Ctmc) -> list[np.ndarray]:
     """Strongly-connected components with no outgoing rate, by state index."""
-    n = ctmc.n
-    adj = (ctmc.generator > 0).astype(np.int8)
+    adj = ctmc.generator > 0
     ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
+    coo = adj.tocoo()
+    leaving = labels[coo.row] != labels[coo.col]
     has_exit = np.zeros(ncomp, dtype=bool)
-    coo = ctmc.generator.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v > 0 and labels[i] != labels[j]:
-            has_exit[labels[i]] = True
-    return [np.flatnonzero(labels == c) for c in range(ncomp) if not has_exit[c]]
+    has_exit[labels[coo.row[leaving]]] = True
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
 
 def _reachable_from(ctmc: Ctmc, sources: np.ndarray, forward: bool = True) -> np.ndarray:
-    adj = (ctmc.generator > 0).astype(np.int8)
-    if not forward:
-        adj = adj.T
-    adj = adj.tocsr()
-    seen = np.zeros(ctmc.n, dtype=bool)
-    seen[sources] = True
-    frontier = list(sources)
-    indptr, indices = adj.indptr, adj.indices
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(j)
-        frontier = nxt
-    return seen
+    """States reachable from ``sources`` (or, backwards, that reach them)."""
+    n = ctmc.n
+    coo = (ctmc.generator > 0).tocoo()
+    src, dst = (coo.row, coo.col) if forward else (coo.col, coo.row)
+    sources = np.asarray(sources, dtype=src.dtype)
+    # A virtual super-source (index n) with an edge to every source.
+    rows = np.concatenate([src, np.full(len(sources), n, dtype=src.dtype)])
+    cols = np.concatenate([dst, sources])
+    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n + 1, n + 1))
+    order = csgraph.breadth_first_order(adj, n, directed=True, return_predecessors=False)
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[order] = True
+    return seen[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +99,9 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
 
     Requires a unique terminal strongly-connected component (an
     irreducible chain is the special case where it covers every state);
-    the stationary distribution is computed on that component by power
-    iteration on the uniformized chain and is zero elsewhere.
+    the stationary distribution is computed on that component by a sparse
+    LU solve and is zero elsewhere.  A residual ``||pi Q||_inf`` above
+    ``steady_tol``, or a singular system, raises ``NoConvergenceError``.
     """
     terms = terminal_sccs(ctmc)
     if len(terms) != 1:
@@ -116,48 +110,41 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
             "steady state is not unique"
         )
     scc = terms[0]
-    n = ctmc.n
     sub = ctmc.generator[np.ix_(scc, scc)].tocsr()
 
-    pi_sub, iterations, residual = _power_iteration(sub, options)
-    pi = np.zeros(n)
+    pi_sub = _solve_balance(sub)
+    residual = float(np.abs(pi_sub @ sub).max())
+    if not residual <= options.steady_tol:  # also catches a NaN residual
+        raise NoConvergenceError(
+            f"steady-state residual {residual:.3e} above {options.steady_tol}",
+            residual=residual,
+        )
+    pi = np.zeros(ctmc.n)
     pi[scc] = pi_sub
     return Distribution(
         pi,
         math.inf,
-        metadata={
-            "iterations": iterations,
-            "residual": residual,
-            "terminal_scc_size": int(len(scc)),
-        },
+        metadata={"residual": residual, "terminal_scc_size": int(len(scc))},
     )
 
 
-def _power_iteration(q: sp.csr_matrix, options: SolverOptions):
+def _solve_balance(q: sp.csr_matrix) -> np.ndarray:
+    """Normalised solution of pi Q = 0 on an irreducible generator.
+
+    The last balance equation is redundant: drop it, pin the last state's
+    weight to 1, solve the rest with a sparse LU factorisation, normalise.
+    """
     m = q.shape[0]
     if m == 1:
-        return np.ones(1), 0, 0.0
-    rates = -q.diagonal()
-    lam = float(rates.max()) * 1.05
-    if lam <= 0:  # no transitions inside the component
-        return np.full(m, 1.0 / m), 0, 0.0
-    p = sp.eye(m, format="csr") + q / lam
-    pi = np.full(m, 1.0 / m)
-    check_every = 32
-    residual = math.inf
-    for it in range(0, options.max_iterations, check_every):
-        for _ in range(check_every):
-            pi = pi @ p
-        pi = pi / pi.sum()
-        residual = float(np.abs(pi @ q).max())
-        if residual <= options.steady_tol:
-            return pi, it + check_every, residual
-    raise NoConvergenceError(
-        f"steady-state residual {residual:.3e} above {options.steady_tol} "
-        f"after {options.max_iterations} iterations",
-        residual=residual,
-        iterations=options.max_iterations,
-    )
+        return np.ones(1)
+    qt = q.T.tocsc()
+    try:
+        lu = spla.splu(qt[:-1, :-1])
+    except RuntimeError as e:  # SuperLU: the factor is exactly singular
+        raise NoConvergenceError(f"steady-state system is singular: {e}", residual=math.nan) from e
+    x = lu.solve(-qt[:-1, -1].toarray().ravel())
+    pi = np.append(x, 1.0)
+    return pi / pi.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +197,8 @@ def transient(
     mass.  Iteration stops early once the powers have converged (their
     difference is non-expansive under a stochastic P).
     """
-    if t < 0:
-        raise InvalidArgError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
     rates = -ctmc.generator.diagonal()
     lam = float(rates.max()) * 1.05 if ctmc.n else 0.0
@@ -297,11 +284,9 @@ def mean_time_to_absorption(
     in_target[tgt] = True
 
     # Absorb the target: discard its outgoing rates.
-    q = ctmc.generator.tolil(copy=True)
-    for i in tgt:
-        q.rows[i] = []
-        q.data[i] = []
-    q = q.tocsr()
+    q = (sp.diags((~in_target).astype(float)) @ ctmc.generator).tocsr()
+    q.eliminate_zeros()
+    q.sort_indices()
     absorbed = Ctmc(
         model=ctmc.model,
         states=ctmc.states,

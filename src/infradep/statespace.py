@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ImmediateCycleError, StateLimitExceeded
+from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
 from .model import Model, StateVector, initial_state
 
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -27,13 +27,20 @@ STATE_LIMIT_ENV = "INFRADEP_STATE_LIMIT"
 
 
 def state_limit() -> int:
+    """The state cap from ``INFRADEP_STATE_LIMIT`` (unset or empty: the default).
+
+    Raises ``InvalidArgError`` unless the setting is a positive integer.
+    """
     raw = os.environ.get(STATE_LIMIT_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_STATE_LIMIT
+    if not raw:
+        return DEFAULT_STATE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise InvalidArgError(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True)

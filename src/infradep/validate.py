@@ -8,6 +8,7 @@ positions and the CLI can print them uniformly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .model import (
@@ -119,10 +120,10 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                 )
 
     for name, value in model.parameters.items():
-        if not (isinstance(value, (int, float)) and value > 0):
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             rep.error(
                 "INVALID_PARAM",
-                f"parameter {name!r} must be a positive real, got {value!r}",
+                f"parameter {name!r} must be a positive finite real, got {value!r}",
                 f"param {name}",
                 spans,
             )
@@ -271,10 +272,10 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
             )
         else:
             value = r.value(model.parameters)
-            if not value > 0:
+            if not (math.isfinite(value) and value > 0):
                 rep.error(
                     "INVALID_RATE",
-                    f"timed rate must be positive after substitution, got {value}",
+                    f"timed rate must be positive and finite after substitution, got {value}",
                     where,
                     spans,
                 )

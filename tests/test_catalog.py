@@ -66,6 +66,7 @@ def test_slow_restoration_rate_uses_rho():
         dict(lambda_e=-1.0),
         dict(mu_i=0.0),
         dict(p8=1.2),
+        dict(lambda_e=float("inf")),
     ],
 )
 def test_invalid_params_rejected(bad):

@@ -106,9 +106,11 @@ def test_validate_claims_all_builtins(capsys):
 
 
 def test_validate_bad_builtin_param_exit1(capsys):
-    code, _, err = run(capsys, "validate", "--model", "accidental", "--set", "rho=0")
-    assert code == 1
-    assert "INVALID_PARAM" in err
+    for command in (["validate"], ["solve", "--measure", "steady"]):
+        for bad in ("rho=0", "lambda_e=inf"):
+            code, _, err = run(capsys, *command, "--model", "accidental", "--set", bad)
+            assert code == 1, (command, bad)
+            assert "INVALID_PARAM" in err
 
 
 def test_failing_claims_exit1(capsys, tmp_path):
@@ -196,6 +198,14 @@ def test_state_limit_exit4(capsys, monkeypatch):
     assert "STATE_LIMIT" in err
 
 
+def test_malformed_state_limit_is_usage(capsys, monkeypatch):
+    for raw in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv("INFRADEP_STATE_LIMIT", raw)
+        code, _, err = run(capsys, "graph", "--model", "accidental")
+        assert code == 64, raw
+        assert "INFRADEP_STATE_LIMIT" in err
+
+
 def test_reps_below_two_is_usage(capsys):
     code, _, _ = run(capsys, "simulate", "--model", "accidental",
                      "--occupancy", "state1", "--reps", "1")
@@ -248,6 +258,14 @@ def test_transient_needs_time(capsys):
     assert code == 64
 
 
+def test_nonfinite_transient_time_exit3(capsys):
+    for t in ("nan", "inf"):
+        code, _, err = run(capsys, "solve", "--model", "accidental",
+                           "--measure", "transient", "--time", t)
+        assert code == 3, t
+        assert "INVALID_ARG" in err
+
+
 def test_set_overrides_parameter(capsys):
     code1, out1, _ = run(capsys, "solve", "--model", "accidental",
                          "--measure", "mtta", "--target", "elec == e_lost",
@@ -263,6 +281,13 @@ def test_set_unknown_parameter_is_usage(capsys):
     code, _, _ = run(capsys, "solve", "--model", "accidental",
                      "--measure", "steady", "--set", "nope=1")
     assert code == 64
+
+
+def test_set_fractional_k_max_is_usage(capsys):
+    for bad in ("k_max=2.7", "k_max=inf"):
+        code, _, err = run(capsys, "graph", "--model", "accidental", "--summary", "--set", bad)
+        assert code == 64, bad
+        assert "k_max" in err
 
 
 def test_set_k_max_changes_structure(capsys):

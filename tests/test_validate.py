@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from infradep import (
     Comparison,
     EnumDomain,
@@ -106,29 +108,31 @@ def test_bad_init_and_empty_enum():
 
 
 def test_nonpositive_rate_and_weight():
-    m = Model(
-        name="m",
-        variables=(VariableDecl("x", IntDomain(0, 1), 0),),
-        parameters={"lam": 1.0},
-        transitions=(
-            Transition("t1", Timed(RateExpr(0.0, "lam")), var_eq("x", 0), (SetValue("x", 1),)),
-            Transition("t2", Immediate(0, 0.0), var_eq("x", 1), (SetValue("x", 0),)),
-        ),
-    )
-    got = codes(validate_model(m))
-    assert "INVALID_RATE" in got and "INVALID_WEIGHT" in got
+    for rate in (0.0, math.inf):
+        m = Model(
+            name="m",
+            variables=(VariableDecl("x", IntDomain(0, 1), 0),),
+            parameters={"lam": 1.0},
+            transitions=(
+                Transition("t1", Timed(RateExpr(rate, "lam")), var_eq("x", 0), (SetValue("x", 1),)),
+                Transition("t2", Immediate(0, 0.0), var_eq("x", 1), (SetValue("x", 0),)),
+            ),
+        )
+        got = codes(validate_model(m))
+        assert "INVALID_RATE" in got and "INVALID_WEIGHT" in got, rate
 
 
 def test_nonpositive_parameter():
-    m = Model(
-        name="m",
-        variables=(VariableDecl("x", IntDomain(0, 1), 0),),
-        parameters={"lam": -2.0},
-        transitions=(
-            Transition("t", Timed(RateExpr(1.0, "lam")), var_eq("x", 0), (SetValue("x", 1),)),
-        ),
-    )
-    assert "INVALID_PARAM" in codes(validate_model(m))
+    for value in (-2.0, math.inf, math.nan):
+        m = Model(
+            name="m",
+            variables=(VariableDecl("x", IntDomain(0, 1), 0),),
+            parameters={"lam": value},
+            transitions=(
+                Transition("t", Timed(RateExpr(1.0, "lam")), var_eq("x", 0), (SetValue("x", 1),)),
+            ),
+        )
+        assert "INVALID_PARAM" in codes(validate_model(m)), value
 
 
 def test_no_transitions():
