@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NotAttackModelError, UnknownLabelError
 from .model import Model, compile_guard
-from .statespace import ReachabilityGraph, label_sets
+from .statespace import ReachabilityGraph
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CheckResult:
 
 
 def _label_states(g: ReachabilityGraph, label: str) -> frozenset[int]:
-    sets = label_sets(g)
+    sets = g.label_sets
     if label not in sets:
         raise UnknownLabelError(f"no label {label!r} on model {g.model.name!r}")
     return sets[label]
@@ -263,8 +263,9 @@ def _claims_common_cause(g: ReachabilityGraph) -> list[CheckResult]:
 def _claims_attack(g: ReachabilityGraph) -> list[CheckResult]:
     k = g.model.variable("n_cfg").domain.hi
     via = ("passive_attack",) + ("operator_cfg",) * k + ("operator_overflow",)
-    deceptive = label_sets(g)["deceived"]
-    allowed = label_sets(g)["state2"] | label_sets(g)["state3"]
+    sets = g.label_sets
+    deceptive = sets["deceived"]
+    allowed = sets["state2"] | sets["state3"]
     deceived_only_under_attack = deceptive <= allowed
     return [
         check_apparent_consistency(g),

@@ -29,7 +29,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .export import export_dot, export_results_json, graph_summary
-from .montecarlo import estimate_occupancy, estimate_time_to, simulate, trace_to_csv, trace_to_jsonl
+from .montecarlo import estimate_occupancy, estimate_time_to, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
 from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
 from .validate import validate_model
@@ -356,35 +356,27 @@ def cmd_simulate(args) -> int:
     if args.time_to and args.time_to not in model.label_map:
         raise UsageError(f"no label {args.time_to!r} on model {model.name!r}")
 
-    results = []
-    if args.occupancy:
-        results.append(
-            estimate_occupancy(
-                model, args.occupancy, horizon=args.horizon,
-                replications=args.reps, seed=args.seed, burn_in=args.burn_in,
-            )
-        )
-    else:
-        results.append(
-            estimate_time_to(
-                model, args.time_to, replications=args.reps,
-                seed=args.seed, cap_time=args.cap_time,
-            )
-        )
+    on_trace = None
     if args.trace_dir:
-        from .rng import stream_seed
-
         os.makedirs(args.trace_dir, exist_ok=True)
         to_text = trace_to_csv if args.trace_format == "csv" else trace_to_jsonl
-        for r in range(args.reps):
-            trace = simulate(
-                model, args.horizon if args.occupancy else args.cap_time,
-                stream_seed(args.seed, r), replication=r,
-            )
-            path = os.path.join(args.trace_dir, f"rep_{r:04d}.{args.trace_format}")
-            with open(path, "w", encoding="utf-8") as fh:
+
+        def on_trace(trace):
+            name = f"rep_{trace.replication:04d}.{args.trace_format}"
+            with open(os.path.join(args.trace_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(to_text(trace, model))
-    _emit_results(args, results)
+
+    if args.occupancy:
+        result = estimate_occupancy(
+            model, args.occupancy, horizon=args.horizon, replications=args.reps,
+            seed=args.seed, burn_in=args.burn_in, on_trace=on_trace,
+        )
+    else:
+        result = estimate_time_to(
+            model, args.time_to, replications=args.reps, seed=args.seed,
+            cap_time=args.cap_time, on_trace=on_trace,
+        )
+    _emit_results(args, [result])
     return EXIT_OK
 
 

@@ -145,18 +145,6 @@ _CMP_FNS: dict[str, Callable] = {
 }
 
 
-def eval_guard(guard: Guard, state: StateVector, index: Mapping[str, int]) -> bool:
-    if isinstance(guard, Comparison):
-        return _CMP_FNS[guard.op](state[index[guard.var]], guard.value)
-    if isinstance(guard, And):
-        return all(eval_guard(t, state, index) for t in guard.terms)
-    if isinstance(guard, Or):
-        return any(eval_guard(t, state, index) for t in guard.terms)
-    if isinstance(guard, Not):
-        return not eval_guard(guard.term, state, index)
-    raise TypeError(f"not a guard node: {guard!r}")
-
-
 def eval_guard_kleene(guard: Guard, partial: Mapping[str, Value]) -> bool | None:
     """Three-valued evaluation under a partial assignment.
 
@@ -375,7 +363,24 @@ class _CompiledModel:
             i for i, t in enumerate(model.transitions) if not t.is_timed
         )
         self.timed_idx = tuple(i for i, t in enumerate(model.transitions) if t.is_timed)
+        self.priority = tuple(
+            None if t.is_timed else t.kind.priority for t in model.transitions
+        )
         self.index_by_name = {t.name: i for i, t in enumerate(model.transitions)}
+
+    def firing(self, s: StateVector) -> tuple[bool, list[int]]:
+        """The GSPN firing rule in ``s``: ``(vanishing, transition indices)``.
+
+        If any immediate guard holds, the state is vanishing and the indices
+        are its enabled immediates of maximal priority; otherwise they are
+        its enabled timed transitions.  Indices are in declaration order.
+        """
+        guards = self.guards
+        imm = [i for i in self.immediate_idx if guards[i](s)]
+        if imm:
+            top = max(self.priority[i] for i in imm)
+            return True, [i for i in imm if self.priority[i] == top]
+        return False, [i for i in self.timed_idx if guards[i](s)]
 
 
 def _compile_update(update: Update, model: Model) -> Callable[[StateVector], StateVector]:
@@ -418,24 +423,8 @@ def initial_state(model: Model) -> StateVector:
 
 
 def enabled_transitions(model: Model, s: StateVector) -> list[Transition]:
-    """Transitions enabled in ``s`` under GSPN preemption.
-
-    If any immediate transition's guard holds, only the enabled immediates
-    of maximal priority are returned; otherwise all enabled timed
-    transitions are.  Order is declaration order.
-    """
-    comp = model._compiled
-    immediates = [
-        i for i in comp.immediate_idx if comp.guards[i](s)
-    ]
-    if immediates:
-        top = max(model.transitions[i].kind.priority for i in immediates)
-        return [
-            model.transitions[i]
-            for i in immediates
-            if model.transitions[i].kind.priority == top
-        ]
-    return [model.transitions[i] for i in comp.timed_idx if comp.guards[i](s)]
+    """Transitions enabled in ``s`` under GSPN preemption, in declaration order."""
+    return [model.transitions[i] for i in model._compiled.firing(s)[1]]
 
 
 def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector:
@@ -452,5 +441,4 @@ def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector
 
 
 def is_vanishing(model: Model, s: StateVector) -> bool:
-    comp = model._compiled
-    return any(comp.guards[i](s) for i in comp.immediate_idx)
+    return model._compiled.firing(s)[0]

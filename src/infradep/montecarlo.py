@@ -5,15 +5,14 @@ timed transition, in declaration order, and the minimum fires.  Vanishing
 states consume exactly one uniform to pick among the max-priority
 immediates by weight.  Given (model, horizon, seed, event cap) a trace is
 fully deterministic; replication r of an estimator runs on the stream
-``stream_seed(seed, r)`` so replications are independent and can be
-executed concurrently and merged by index.
+``stream_seed(seed, r)`` so replications are independent of each other.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
 from .model import Model, StateVector, compile_guard, initial_state
@@ -37,7 +36,7 @@ class Trace:
     seed: int
     initial: StateVector
     events: tuple[Event, ...]
-    end_reason: str  # horizon | absorbed | event-cap
+    end_reason: str  # horizon | absorbed | hit | event-cap
     end_time: float
 
 
@@ -67,11 +66,8 @@ class _Engine:
     def info(self, s: StateVector):
         got = self.cache.get(s)
         if got is None:
-            comp = self.comp
-            imm = [i for i in comp.immediate_idx if comp.guards[i](s)]
-            if imm:
-                top = max(self.transitions[i].kind.priority for i in imm)
-                chosen = [i for i in imm if self.transitions[i].kind.priority == top]
+            vanishing, chosen = self.comp.firing(s)
+            if vanishing:
                 weights = [self.transitions[i].kind.weight for i in chosen]
                 total = sum(weights)
                 cuts = []
@@ -81,8 +77,7 @@ class _Engine:
                     cuts.append(acc / total)
                 got = (True, tuple(chosen), tuple(cuts))
             else:
-                timed = [i for i in comp.timed_idx if comp.guards[i](s)]
-                got = (False, tuple(timed), tuple(self.rates[i] for i in timed))
+                got = (False, tuple(chosen), tuple(self.rates[i] for i in chosen))
             self.cache[s] = got
         return got
 
@@ -113,7 +108,6 @@ def simulate(
     seed: int = 0,
     event_cap: int = DEFAULT_EVENT_CAP,
     replication: int = 0,
-    _engine: _Engine | None = None,
 ) -> Trace:
     """One replication up to ``horizon`` time units.
 
@@ -124,61 +118,71 @@ def simulate(
     """
     if not horizon > 0:
         raise InvalidArgError(f"horizon must be positive, got {horizon}")
-    eng = _engine or _Engine(model)
+    return _run(_Engine(model), horizon, seed, event_cap, replication)
+
+
+def _run(
+    eng: _Engine,
+    horizon: float,
+    seed: int,
+    event_cap: int,
+    replication: int,
+    hit: Callable[[StateVector], bool] | None = None,
+) -> Trace:
+    """The simulation loop behind ``simulate`` and both estimators.
+
+    With ``hit``, the trace also ends (reason ``hit``) right after the
+    first event whose state satisfies it, or with no events at time 0 if
+    the initial state does.  The event cap is checked once the immediates
+    after each timed event have settled.
+    """
     rng = SplitMix64(seed)
-    init = initial_state(model)
+    init = initial_state(eng.model)
+    transitions = eng.transitions
     events: list[Event] = []
 
-    def cap_guard(trace_time):
-        if len(events) > event_cap:
-            raise EventCapExceeded(
-                f"simulation exceeded {event_cap} events",
-                trace=Trace(
-                    replication, seed, init, tuple(events[:event_cap]), "event-cap", trace_time
-                ),
-            )
+    def end(reason: str, time: float) -> Trace:
+        return Trace(replication, seed, init, tuple(events), reason, time)
 
     state = init
     now = 0.0
-    state, now_events = _settle_immediates(eng, state, 0.0, rng)
-    events.extend(now_events)
-    cap_guard(0.0)
-
+    chained = 0
+    if hit is not None and hit(state):
+        return end("hit", now)
     while True:
         vanishing, items, payload = eng.info(state)
-        assert not vanishing  # settled below before looping
-        if not items:
-            return Trace(replication, seed, init, tuple(events), "absorbed", now)
-        best_dt = math.inf
-        best = -1
-        for idx, rate in zip(items, payload):
-            dt = rng.exponential(rate)
-            if dt < best_dt:
-                best_dt = dt
-                best = idx
-        t_next = now + best_dt
-        if t_next > horizon:
-            return Trace(replication, seed, init, tuple(events), "horizon", horizon)
-        state = eng.fire(best, state)
-        now = t_next
-        events.append(Event(now, eng.transitions[best].name, state))
-        state, more = _settle_immediates(eng, state, now, rng)
-        events.extend(more)
-        cap_guard(now)
-
-
-def _settle_immediates(eng: _Engine, state: StateVector, now: float, rng: SplitMix64):
-    fired: list[Event] = []
-    for _ in range(MAX_CHAINED_IMMEDIATES):
-        vanishing, items, payload = eng.info(state)
-        if not vanishing:
-            return state, fired
-        idx = eng.pick_immediate(payload, items, rng)
+        if vanishing:
+            idx = eng.pick_immediate(payload, items, rng)
+            chained += 1
+        else:
+            if len(events) > event_cap:
+                raise EventCapExceeded(
+                    f"simulation exceeded {event_cap} events",
+                    trace=Trace(
+                        replication, seed, init, tuple(events[:event_cap]), "event-cap", now
+                    ),
+                )
+            if not items:
+                return end("absorbed", now)
+            best_dt = math.inf
+            idx = -1
+            for i, rate in zip(items, payload):
+                dt = rng.exponential(rate)
+                if dt < best_dt:
+                    best_dt = dt
+                    idx = i
+            if now + best_dt > horizon:
+                return end("horizon", horizon)
+            now += best_dt
+            chained = 0
         state = eng.fire(idx, state)
-        fired.append(Event(now, eng.transitions[idx].name, state))
-    raise ImmediateCycleError(
-        f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}"
-    )
+        events.append(Event(now, transitions[idx].name, state))
+        if hit is not None and hit(state):
+            return end("hit", now)
+        if chained == MAX_CHAINED_IMMEDIATES:
+            raise ImmediateCycleError(
+                f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +205,14 @@ def _ci_half_width(values) -> float:
     return 1.96 * math.sqrt(var / n)
 
 
-def _run_replications(count: int, worker, workers: int = 1) -> list:
-    if workers <= 1:
-        return [worker(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))  # merged by index
+def _replications(eng: _Engine, count, seed, horizon, event_cap, on_trace, hit=None):
+    """Replication r's trace on stream ``stream_seed(seed, r)``, in order of r,
+    each handed to ``on_trace`` (when given) before it is yielded."""
+    for r in range(count):
+        trace = _run(eng, horizon, stream_seed(seed, r), event_cap, r, hit)
+        if on_trace is not None:
+            on_trace(trace)
+        yield trace
 
 
 def estimate_occupancy(
@@ -216,12 +223,13 @@ def estimate_occupancy(
     seed: int = 0,
     burn_in: float | None = None,
     event_cap: int = DEFAULT_EVENT_CAP,
-    workers: int = 1,
+    on_trace: Callable[[Trace], None] | None = None,
 ) -> Estimate:
     """Long-run fraction of time the label holds, averaged per replication.
 
     Each replication averages the label indicator over [burn_in, horizon]
     (burn-in defaults to horizon/10) on its own derived stream.
+    ``on_trace`` receives each replication's trace as it completes.
     """
     if replications < 2:
         raise InvalidArgError("need at least 2 replications for an estimate")
@@ -230,15 +238,8 @@ def estimate_occupancy(
     if not 0 <= burn_in < horizon:
         raise InvalidArgError(f"burn-in must lie in [0, horizon), got {burn_in}")
     fn, label_name = _label_fn(model, label)
-    eng = _Engine(model)
-
-    def one(r: int) -> float:
-        trace = simulate(
-            model, horizon, stream_seed(seed, r), event_cap, replication=r, _engine=eng
-        )
-        return _occupancy_of_trace(trace, fn, burn_in, horizon)
-
-    values = _run_replications(replications, one, workers)
+    traces = _replications(_Engine(model), replications, seed, horizon, event_cap, on_trace)
+    values = [_occupancy_of_trace(t, fn, burn_in, horizon) for t in traces]
     return Estimate(
         name=f"occupancy[{label_name}]",
         value=sum(values) / replications,
@@ -269,26 +270,26 @@ def estimate_time_to(
     seed: int = 0,
     cap_time: float = 10_000.0,
     event_cap: int = DEFAULT_EVENT_CAP,
-    workers: int = 1,
+    on_trace: Callable[[Trace], None] | None = None,
 ) -> Estimate:
     """Mean first time the label holds, censored at ``cap_time``.
 
     Censored replications enter the mean at ``cap_time`` and are counted
     in the metadata; with any censoring the estimate is a lower bound.
+    ``on_trace`` receives each replication's trace as it completes; a
+    trace ends at its first hit, at absorption or at ``cap_time``.
     """
     if replications < 2:
         raise InvalidArgError("need at least 2 replications for an estimate")
     if not cap_time > 0:
         raise InvalidArgError(f"cap_time must be positive, got {cap_time}")
     fn, label_name = _label_fn(model, label)
-    eng = _Engine(model)
-
-    def one(r: int) -> tuple[float, bool]:
-        return _first_hit(eng, fn, cap_time, stream_seed(seed, r), event_cap)
-
-    outcomes = _run_replications(replications, one, workers)
-    values = [t for t, _ in outcomes]
-    censored = sum(1 for _, c in outcomes if c)
+    traces = _replications(
+        _Engine(model), replications, seed, cap_time, event_cap, on_trace, hit=fn
+    )
+    hits = [t.end_time if t.end_reason == "hit" else None for t in traces]
+    values = [cap_time if h is None else h for h in hits]
+    censored = hits.count(None)
     return Estimate(
         name=f"time_to[{label_name}]",
         value=sum(values) / replications,
@@ -301,47 +302,6 @@ def estimate_time_to(
             "all_censored": censored == replications,
         },
     )
-
-
-def _first_hit(eng: _Engine, fn, cap_time: float, seed: int, event_cap: int):
-    """First-hit time of the label on one stream; same sampling order as
-    ``simulate`` so a hit time can be cross-checked against a full trace."""
-    rng = SplitMix64(seed)
-    state = initial_state(eng.model)
-    now = 0.0
-    steps = 0
-    imm_run = 0
-    if fn(state):
-        return 0.0, False
-    while True:
-        vanishing, items, payload = eng.info(state)
-        if vanishing:
-            idx = eng.pick_immediate(payload, items, rng)
-            imm_run += 1
-            if imm_run > MAX_CHAINED_IMMEDIATES:
-                raise ImmediateCycleError(
-                    f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}"
-                )
-        else:
-            if not items:
-                return cap_time, True  # absorbed without hitting the label
-            imm_run = 0
-            best_dt = math.inf
-            idx = -1
-            for i, rate in zip(items, payload):
-                dt = rng.exponential(rate)
-                if dt < best_dt:
-                    best_dt = dt
-                    idx = i
-            now += best_dt
-            if now > cap_time:
-                return cap_time, True
-        state = eng.fire(idx, state)
-        if fn(state):
-            return now, False
-        steps += 1
-        if steps > event_cap:
-            raise EventCapExceeded(f"simulation exceeded {event_cap} events")
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,8 @@ def transient(
         dist.metadata = {"uniformization_rate": lam, "poisson_terms": 0, "steps": 0}
         return dist
 
+    if not math.isfinite(lam * t):
+        raise InvalidArgError(f"uniformization rate {lam} times time {t} overflows")
     p = sp.eye(ctmc.n, format="csr") + ctmc.generator / lam
     left, right, weights = _poisson_window(lam * t, options.poisson_tail)
 

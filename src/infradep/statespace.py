@@ -70,6 +70,11 @@ class ReachabilityGraph:
     def state_index(self) -> dict[StateVector, int]:
         return {s: i for i, s in enumerate(self.states)}
 
+    @cached_property
+    def label_sets(self) -> dict[str, frozenset[int]]:
+        """``label_sets(self)``, computed once per graph."""
+        return label_sets(self)
+
     def tangible_count(self) -> int:
         return sum(self.tangible)
 
@@ -113,20 +118,13 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     while queue:
         si = queue.popleft()
         s = states[si]
-        enabled_imm = [i for i in comp.immediate_idx if comp.guards[i](s)]
-        if enabled_imm:
-            tangible.append(False)
-            top = max(transitions[i].kind.priority for i in enabled_imm)
-            chosen = [i for i in enabled_imm if transitions[i].kind.priority == top]
+        vanishing, chosen = comp.firing(s)
+        tangible.append(not vanishing)
+        if vanishing:
             total_w = sum(transitions[i].kind.weight for i in chosen)
             fired = [(i, transitions[i].kind.weight / total_w) for i in chosen]
         else:
-            tangible.append(True)
-            fired = [
-                (i, model.rate_of(transitions[i]))
-                for i in comp.timed_idx
-                if comp.guards[i](s)
-            ]
+            fired = [(i, model.rate_of(transitions[i])) for i in chosen]
         for ti, value in fired:
             dst = comp.updates[ti](s)
             di = index.get(dst)

@@ -15,10 +15,14 @@ import numpy as np
 import scipy.linalg
 
 from infradep import (
+    And,
+    Comparison,
     Immediate,
     IntDomain,
     Label,
     Model,
+    Not,
+    Or,
     RateExpr,
     SetValue,
     Shift,
@@ -28,9 +32,34 @@ from infradep import (
     eliminate_vanishing,
     var_eq,
 )
-from infradep.model import eval_guard
 
 DENSE_LIMIT = 512
+
+
+# ---------------------------------------------------------------------------
+# Interpreted guards
+
+_CMP_FNS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def eval_guard(guard, state: tuple, index) -> bool:
+    """Walk the guard tree; the independent counterpart of ``compile_guard``."""
+    if isinstance(guard, Comparison):
+        return _CMP_FNS[guard.op](state[index[guard.var]], guard.value)
+    if isinstance(guard, And):
+        return all(eval_guard(t, state, index) for t in guard.terms)
+    if isinstance(guard, Or):
+        return any(eval_guard(t, state, index) for t in guard.terms)
+    if isinstance(guard, Not):
+        return not eval_guard(guard.term, state, index)
+    raise TypeError(f"not a guard node: {guard!r}")
 
 
 # ---------------------------------------------------------------------------

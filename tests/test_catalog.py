@@ -13,9 +13,7 @@ from infradep import (
     label_sets,
     var_eq,
 )
-from infradep.model import eval_guard
-
-from .oracles import exhaustive_reachability
+from .oracles import eval_guard, exhaustive_reachability
 
 ACCIDENTAL_TABLE = [
     "masked_passive",

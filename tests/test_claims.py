@@ -27,6 +27,24 @@ def test_all_builtin_suites_pass(graphs):
             assert res.passed, f"{name}: {res.name}: {res.detail}"
 
 
+def test_run_claims_computes_label_sets_once(monkeypatch):
+    import infradep.statespace as statespace
+
+    calls = []
+    real = statespace._label_sets_for_states
+
+    def counted(model, states):
+        calls.append(model.name)
+        return real(model, states)
+
+    monkeypatch.setattr(statespace, "_label_sets_for_states", counted)
+    for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
+        g = build_reachability_graph(ctor())  # fresh graph: nothing cached yet
+        calls.clear()
+        run_claims(g)
+        assert len(calls) == 1, f"{g.model.name}: label sets computed {len(calls)} times"
+
+
 def test_blackout_narrative_witness(graphs):
     res = check_path_exists(
         graphs["cascading-only"], "state1", "state7",

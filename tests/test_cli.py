@@ -259,7 +259,7 @@ def test_transient_needs_time(capsys):
 
 
 def test_nonfinite_transient_time_exit3(capsys):
-    for t in ("nan", "inf"):
+    for t in ("nan", "inf", "1e308"):
         code, _, err = run(capsys, "solve", "--model", "accidental",
                            "--measure", "transient", "--time", t)
         assert code == 3, t
@@ -327,16 +327,80 @@ def test_simulate_results_schema_and_ci(capsys):
     assert data[0]["ci_halfwidth"] >= 0
 
 
+def _read_trace_csv(path, model):
+    """(time, state) per line of a CSV trace file."""
+    kinds = [int if isinstance(v.init, int) else str for v in model.variables]
+    events = []
+    for line in path.read_text().splitlines():
+        time_text, _, *assigns = line.split(",")
+        values = [a.split("=", 1)[1] for a in assigns]
+        events.append((float(time_text), tuple(k(v) for k, v in zip(kinds, values))))
+    return events
+
+
 def test_simulate_trace_dir(capsys, tmp_path):
-    tdir = tmp_path / "traces"
-    code, _, _ = run(capsys, "simulate", "--model", "accidental",
-                     "--occupancy", "state1", "--horizon", "100",
-                     "--reps", "3", "--seed", "5", "--trace-dir", str(tdir))
+    # The files re-integrate to the printed estimate, for both estimators.
+    from .oracles import eval_guard
+
+    model = infradep.accidental_model()
+    init = infradep.initial_state(model)
+    horizon, burn_in, cap = 100.0, 10.0, 150.0
+    cases = (("occupancy", "state1", ["--horizon", "100"]),
+             ("time-to", "state7", ["--cap-time", "150"]))
+    for kind, label, extra in cases:
+        predicate = model.label_map[label].predicate
+        holds = lambda s: eval_guard(predicate, s, model.var_index)  # noqa: E731
+        tdir = tmp_path / kind
+        code, out, _ = run(capsys, "simulate", "--model", "accidental", f"--{kind}", label,
+                           *extra, "--reps", "6", "--seed", "5", "--trace-dir", str(tdir),
+                           "--format", "json")
+        assert code == 0
+        files = sorted(p.name for p in tdir.iterdir())
+        assert files == [f"rep_{r:04d}.csv" for r in range(6)]
+        values = []
+        for name in files:
+            events = _read_trace_csv(tdir / name, model)
+            if kind == "occupancy":
+                total, t_prev, s_prev = 0.0, 0.0, init
+                for t, s in events + [(horizon, None)]:
+                    if holds(s_prev):
+                        total += max(0.0, min(t, horizon) - max(t_prev, burn_in))
+                    t_prev, s_prev = t, s
+                values.append(total / (horizon - burn_in))
+            else:
+                assert not holds(init)
+                values.append(next((t for t, s in events if holds(s)), cap))
+        printed = json.loads(out)[0]["value"]
+        assert 0 < printed
+        assert abs(sum(values) / 6 - printed) <= 1e-9 * printed
+
+
+def test_simulate_time_to_traces_end_at_the_hit(capsys, tmp_path):
+    # Each --time-to file is the replication's full trace cut after its
+    # first hit; a censored one runs on to absorption or the cap.
+    from infradep.rng import stream_seed
+
+    from .oracles import eval_guard
+
+    model = infradep.accidental_model()
+    holds = lambda s: eval_guard(model.label_map["state7"].predicate, s, model.var_index)  # noqa: E731
+    code, _, _ = run(capsys, "simulate", "--model", "accidental", "--time-to", "state7",
+                     "--cap-time", "150", "--reps", "20", "--seed", "3",
+                     "--trace-dir", str(tmp_path))
     assert code == 0
-    files = sorted(p.name for p in tdir.iterdir())
-    assert files == ["rep_0000.csv", "rep_0001.csv", "rep_0002.csv"]
-    line = (tdir / "rep_0000.csv").read_text().splitlines()[0]
-    assert line.count(",") >= 3  # time, transition, three assignments
+    ends = set()
+    for r in range(20):
+        lines = (tmp_path / f"rep_{r:04d}.csv").read_text().splitlines(keepends=True)
+        full = infradep.simulate(model, 150.0, stream_seed(3, r), replication=r)
+        full_lines = infradep.trace_to_csv(full, model).splitlines(keepends=True)
+        hits = [i for i, ev in enumerate(full.events) if holds(ev.state)]
+        if hits:
+            assert lines == full_lines[: hits[0] + 1]
+            ends.add("hit")
+        else:
+            assert lines == full_lines
+            ends.add(full.end_reason)
+    assert "hit" in ends and len(ends) > 1  # hits and censored replications both occur
 
 
 def test_fmt_canonicalizes(capsys, tmp_path):

@@ -187,12 +187,58 @@ def test_stream_seeds_differ_per_replication():
     assert stream_seed(1, 0) != stream_seed(0, 0)
 
 
-def test_workers_do_not_change_results(model_a):
-    seq = estimate_occupancy(model_a, "state1", horizon=300.0, replications=12, seed=3)
-    par = estimate_occupancy(
-        model_a, "state1", horizon=300.0, replications=12, seed=3, workers=4
+def test_occupancy_traces_are_simulate_traces(model_a):
+    traces = []
+    estimate_occupancy(
+        model_a, "state1", horizon=300.0, replications=6, seed=3, on_trace=traces.append
     )
-    assert seq == par
+    assert [t.replication for t in traces] == list(range(6))
+    for r, trace in enumerate(traces):
+        assert trace == simulate(model_a, 300.0, stream_seed(3, r), replication=r)
+
+
+def test_time_to_traces_end_at_the_hit(model_a):
+    fn = model_a._compiled.label_guards["state7"]
+    traces = []
+    est = estimate_time_to(
+        model_a, "state7", replications=30, seed=8, cap_time=150.0, on_trace=traces.append
+    )
+    values = []
+    for r, trace in enumerate(traces):
+        full = simulate(model_a, 150.0, stream_seed(8, r), replication=r)
+        hits = [i for i, ev in enumerate(full.events) if fn(ev.state)]
+        if hits:
+            assert trace.end_reason == "hit"
+            assert trace.events == full.events[: hits[0] + 1]
+            assert trace.end_time == trace.events[-1].time
+            values.append(trace.end_time)
+        else:
+            assert trace == full  # censored: ran on to the cap or absorption
+            values.append(150.0)
+    assert 0 < est.metadata["censored"] < 30  # both kinds are exercised
+    assert est.metadata["censored"] == values.count(150.0)
+    assert est.value == sum(values) / 30
+
+
+def test_time_to_initial_hit_is_empty_trace():
+    m = two_state_chain()
+    traces = []
+    est = estimate_time_to(m, "zero", replications=2, seed=0, on_trace=traces.append)
+    assert est.value == 0.0
+    assert [(t.events, t.end_reason, t.end_time) for t in traces] == [((), "hit", 0.0)] * 2
+
+
+def test_time_to_event_cap_carries_partial_trace():
+    from dataclasses import replace
+
+    from infradep import Label
+
+    m = two_state_chain()
+    never = replace(m, labels=m.labels + (Label("never", var_eq("x", -5)),))
+    with pytest.raises(EventCapExceeded) as exc:
+        estimate_time_to(never, "never", replications=2, cap_time=1e9, event_cap=10)
+    assert len(exc.value.trace.events) == 10
+    assert exc.value.trace.end_reason == "event-cap"
 
 
 def test_race_equivalence_chi_square():

@@ -239,7 +239,8 @@ def test_edges_replay_and_probabilities_sum(graphs):
     # Every edge's guard holds in its source and its target is the exact
     # firing result; vanishing out-probabilities sum to one.
     from infradep import apply_transition
-    from infradep.model import eval_guard
+
+    from .oracles import eval_guard
 
     for g in graphs.values():
         m = g.model
