@@ -155,16 +155,7 @@ def _load_model(args):
             overrides["k_max"] = int(overrides["k_max"])
         params = replace(params, **overrides)
         return catalog.builtin_model(source, params)
-    if not os.path.exists(source):
-        raise UsageError(
-            f"unknown model {source!r}: not a builtin "
-            f"{catalog.BUILTIN_MODELS} and no such file"
-        )
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = parse_model(text)
-    if isinstance(parsed, list):
-        raise _ParseFailure(source, parsed)
+    parsed = _read_model_file(source)
     unknown = set(overrides) - set(parsed.parameters)
     if unknown:
         raise UsageError(f"--set refers to unknown parameters {sorted(unknown)}")
@@ -175,6 +166,22 @@ def _load_model(args):
         report = validate_model(parsed)
         if not report.ok:
             raise _ValidationFailure(parsed.name, report)
+    return parsed
+
+
+def _read_model_file(path: str):
+    """Parse a model file; a path that cannot be read is a usage error."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise UsageError(
+            f"unknown model {path!r}: not a builtin {catalog.BUILTIN_MODELS} "
+            f"and not a readable file ({e.strerror})"
+        ) from None
+    parsed = parse_model(data)  # decodes UTF-8, replacing invalid bytes
+    if isinstance(parsed, list):
+        raise _ParseFailure(path, parsed)
     return parsed
 
 
@@ -258,19 +265,12 @@ def cmd_graph(args) -> int:
         raise _ValidationFailure(model.name, report)
     graph = build_reachability_graph(model)
     obj = eliminate_vanishing(graph) if args.hide_vanishing else graph
-    dot = export_dot(obj, model)
     if args.format == "json":
         args.summary = True  # DOT has no JSON form; emit the summary
+    if args.out or not args.summary:
+        _emit(args, export_dot(obj, model))
     if args.summary:
-        summary = json.dumps(graph_summary(obj, model), indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dot)
-            sys.stdout.write(summary)
-        else:
-            sys.stdout.write(summary)
-    else:
-        _emit(args, dot)
+        sys.stdout.write(json.dumps(graph_summary(obj, model), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -381,12 +381,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = parse_model(text)
-    if isinstance(parsed, list):
-        raise _ParseFailure(args.path, parsed)
-    canon = serialize_model(parsed)
+    canon = serialize_model(_read_model_file(args.path))
     if args.in_place:
         with open(args.path, "w", encoding="utf-8") as fh:
             fh.write(canon)

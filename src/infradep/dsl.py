@@ -24,6 +24,7 @@ item order within sections, shortest round-trip decimals), and
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .model import (
@@ -57,6 +58,11 @@ _SYMBOLS = (
     "==", "!=", "<=", ">=", "&&", "||", ":=", "->", "..",
     "{", "}", "[", "]", "(", ")", ",", ";", ":", "<", ">", "!", "=", "*", "+", "-",
 )
+
+# ASCII only: ``str.isdigit`` would take "²" for a digit that ``int`` rejects.
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -108,31 +114,31 @@ def _lex(text: str, errors: list[ParseError]) -> list[_Token]:
                 i += 1
             continue
         start, sl, sc = i, line, col
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _IDENT_CHARS:
                 i += 1
             toks.append(_Token("IDENT", text[start:i], span(start, sl, sc, i - start)))
             col += i - start
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             is_int = True
             if i < n and text[i] == "." and not text[i : i + 2] == "..":
                 is_int = False
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     is_int = False
                     i = j + 1
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             raw = text[start:i]
             toks.append(_Token("INT" if is_int else "NUMBER", raw, span(start, sl, sc, i - start)))

@@ -9,6 +9,8 @@ from infradep import (
     ModelParams,
     SetValue,
     accidental_model,
+    build_reachability_graph,
+    builtin_model,
     common_cause_model,
     label_sets,
     var_eq,
@@ -207,3 +209,29 @@ def test_guard_literal_k_follows_param():
     # The threshold is baked into the guard as a literal.
     assert eval_guard(guard, ("active_latent", "e_weakened", 3), m.var_index)
     assert not eval_guard(guard, ("active_latent", "e_weakened", 2), m.var_index)
+
+
+# (states, tangible states, edges) of the reachability graphs, recorded from
+# the Python constructors the packaged files replaced.
+PINNED_SIZES = {
+    ("accidental", 1, 0.5): (32, 28, 73),
+    ("accidental", 3, 0.5): (40, 36, 91),
+    ("accidental", 20, 0.5): (108, 104, 244),
+    ("cascading-only", 1, 0.5): (32, 32, 95),
+    ("cascading-only", 3, 0.5): (40, 40, 113),
+    ("cascading-only", 20, 0.5): (108, 108, 266),
+    ("common-cause", 1, 0.5): (32, 28, 121),
+    ("common-cause", 3, 0.5): (64, 56, 243),
+    ("common-cause", 20, 0.5): (336, 294, 1280),
+    ("attack", 1, 0.5): (43, 43, 98),
+    ("attack", 3, 0.5): (57, 57, 126),
+    ("attack", 20, 0.5): (176, 176, 364),
+    ("common-cause", 2, 0.0): (48, 42, 146),
+    ("common-cause", 2, 1.0): (48, 42, 146),
+}
+
+
+def test_builtin_graph_sizes_pinned():
+    for (name, k_max, p8), sizes in PINNED_SIZES.items():
+        g = build_reachability_graph(builtin_model(name, ModelParams(k_max=k_max, p8=p8)))
+        assert (len(g.states), sum(g.tangible), len(g.edges)) == sizes, (name, k_max, p8)

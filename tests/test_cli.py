@@ -55,10 +55,16 @@ def test_unknown_flag_is_usage(capsys):
     assert code == 64
 
 
-def test_unknown_model_is_usage(capsys):
+def test_unknown_model_is_usage(capsys, tmp_path):
     code, _, err = run(capsys, "graph", "--model", "nosuch")
     assert code == 64
     assert "nosuch" in err
+    # A missing path or a directory, as --model or as the fmt path.
+    for path in (str(tmp_path / "missing.gsts"), str(tmp_path)):
+        for argv in (["graph", "--model", path], ["fmt", path]):
+            code, _, err = run(capsys, *argv)
+            assert code == 64, argv
+            assert err.startswith("usage error:"), argv
 
 
 def test_missing_command_is_usage(capsys):
@@ -132,6 +138,25 @@ def test_failing_claims_exit1(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_graph_summary_builds_no_dot(capsys, monkeypatch, tmp_path):
+    def no_dot(*args, **kwargs):
+        raise AssertionError("DOT built but not written")
+
+    monkeypatch.setattr("infradep.cli.export_dot", no_dot)
+    for argv in (["--summary"], ["--format", "json"]):
+        code, out, _ = run(capsys, "graph", "--model", "accidental", *argv)
+        assert code == 0, argv
+        assert json.loads(out)["states"] > 0
+    monkeypatch.undo()
+    # With --out the DOT goes to the file and the summary to stdout.
+    target = tmp_path / "g.dot"
+    code, out, _ = run(capsys, "graph", "--model", "accidental", "--summary",
+                       "--out", str(target))
+    assert code == 0
+    assert target.read_text().startswith("digraph accidental")
+    assert json.loads(out)["states"] > 0
+
+
 def test_graph_format_json_gives_summary(capsys):
     code, out, _ = run(capsys, "graph", "--model", "accidental", "--format", "json")
     assert code == 0
@@ -159,6 +184,18 @@ def test_parse_error_exit2(capsys, tmp_path):
     code, _, err = run(capsys, "graph", "--model", str(bad))
     assert code == 2
     assert "bad.gsts:" in err
+    # A non-ASCII digit or identifier, and bytes that are not UTF-8.
+    tail = b" timed t rate 1.0 when x == 0 -> { }; }"
+    for data in (
+        "model m { var x : [0 .. \u00b2] init 0;".encode() + tail,
+        "model m { var \u00e9 : [0 .. 2] init 0;".encode() + tail,
+        b"model m { var x : [0 .. 2] init 0; \xff\xfe" + tail,
+    ):
+        bad.write_bytes(data)
+        for argv in (["validate", "--model", str(bad)], ["fmt", str(bad)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (argv, data)
+            assert "bad.gsts:1:" in err and "[UNEXPECTED_TOKEN]" in err
 
 
 def test_validation_findings_in_file_exit2(capsys, tmp_path):

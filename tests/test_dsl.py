@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,17 @@ def test_bad_literal():
     errors = parse_model(text)
     assert isinstance(errors, list)
     assert any(e.code == "BAD_LITERAL" for e in errors)
+    # Digits and identifiers are ASCII: a superscript digit or an accented
+    # letter is an unexpected character at its own position, not a crash.
+    for text, bad in (
+        ("model m { var n : [0..\u00b2] init 0; timed t rate 1.0 when n==0 -> { }; }", "\u00b2"),
+        ("model m { var \u00e9 : {a,b} init a; timed t rate 1.0 when \u00e9==a -> { }; }",
+         "\u00e9"),
+    ):
+        errors = parse_model(text)
+        assert isinstance(errors, list), text
+        err = next(e for e in errors if e.code == "UNEXPECTED_TOKEN")
+        assert err.span.column == text.index(bad) + 1
 
 
 def test_roundtrip_builtins(models):
@@ -110,11 +122,13 @@ def test_serialize_is_deterministic(model_a):
 
 
 def test_fixture_files_match_constructors(models):
+    # The packaged files define the built-ins; binding the default
+    # parameters onto a file gives back that file.
     for name, model in models.items():
-        path = MODELS_DIR / f"{name}.gsts"
-        text = path.read_text(encoding="utf-8")
-        assert text == serialize_model(model), f"{path} drifted from the constructor"
-        parsed = parse_model(text)
+        packaged = (resources.files("infradep") / "models" / f"{name}.gsts").read_bytes()
+        assert serialize_model(model).encode("utf-8") == packaged, name
+        assert (MODELS_DIR / f"{name}.gsts").read_bytes() == packaged, name
+        parsed = parse_model(packaged)
         assert isinstance(parsed, Model)
         assert parsed == model
 
