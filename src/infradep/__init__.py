@@ -44,7 +44,7 @@ from .errors import (
     UnknownLabelError,
     UnreachableTargetError,
 )
-from .export import DotOptions, export_dot, export_results_json, graph_summary
+from .export import export_dot, export_results_json, graph_summary
 from .model import (
     And,
     Comparison,

@@ -117,8 +117,7 @@ def _build_parser() -> _Parser:
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -183,6 +182,15 @@ def _read_model_file(path: str):
     if isinstance(parsed, list):
         raise _ParseFailure(path, parsed)
     return parsed
+
+
+def _write_text(path: str, text: str):
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path!r} ({e.strerror})") from None
 
 
 class _ParseFailure(Exception):
@@ -358,13 +366,17 @@ def cmd_simulate(args) -> int:
 
     on_trace = None
     if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
+        try:
+            os.makedirs(args.trace_dir, exist_ok=True)
+        except OSError as e:
+            raise UsageError(
+                f"cannot create --trace-dir {args.trace_dir!r} ({e.strerror})"
+            ) from None
         to_text = trace_to_csv if args.trace_format == "csv" else trace_to_jsonl
 
         def on_trace(trace):
             name = f"rep_{trace.replication:04d}.{args.trace_format}"
-            with open(os.path.join(args.trace_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(to_text(trace, model))
+            _write_text(os.path.join(args.trace_dir, name), to_text(trace, model))
 
     if args.occupancy:
         result = estimate_occupancy(
@@ -382,12 +394,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fmt(args) -> int:
     canon = serialize_model(_read_model_file(args.path))
-    if args.in_place:
-        with open(args.path, "w", encoding="utf-8") as fh:
-            fh.write(canon)
-    elif args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canon)
+    if args.in_place or args.out:
+        _write_text(args.path if args.in_place else args.out, canon)
     else:
         sys.stdout.write(canon)
     return EXIT_OK

@@ -3,44 +3,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .model import Model
 from .montecarlo import Estimate
 from .solvers import MeasureResult
-from .statespace import ReachabilityGraph, eliminate_vanishing, label_sets
-
-
-@dataclass(frozen=True)
-class DotOptions:
-    hide_vanishing: bool = False
-    rankdir: str = "LR"
+from .statespace import ReachabilityGraph
 
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(obj, model: Model | None = None, options: DotOptions = DotOptions()) -> str:
+def export_dot(obj, model: Model | None = None) -> str:
     """Render a reachability graph or CTMC as a DOT digraph.
 
     Node ids are the stable state indices.  Tangible states are solid,
     vanishing states dashed; timed edges carry ``rate=``, immediate edges
-    ``p=``.  With ``hide_vanishing`` a graph is reduced first, so the
-    rendered node set equals the CTMC's.
+    ``p=``.  Render ``eliminate_vanishing(g)`` to show the reduced chain.
     """
     model = model or obj.model
-    if isinstance(obj, ReachabilityGraph) and options.hide_vanishing:
-        obj = eliminate_vanishing(obj)
-
-    labels = label_sets(obj, model)
     by_state: dict[int, list[str]] = {}
-    for name, idxs in labels.items():
+    for name, idxs in obj.label_sets.items():
         for i in idxs:
             by_state.setdefault(i, []).append(name)
 
-    lines = [f"digraph {model.name} {{", f"  rankdir={options.rankdir};",
-             "  node [shape=ellipse];"]
+    lines = [f"digraph {model.name} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
 
     if isinstance(obj, ReachabilityGraph):
         initial = {obj.initial}
@@ -81,7 +68,7 @@ def export_dot(obj, model: Model | None = None, options: DotOptions = DotOptions
 def graph_summary(obj, model: Model | None = None) -> dict:
     """State/edge counts and per-label sizes, JSON-ready."""
     model = model or obj.model
-    labels = {name: len(idx) for name, idx in label_sets(obj, model).items()}
+    labels = {name: len(idx) for name, idx in obj.label_sets.items()}
     if isinstance(obj, ReachabilityGraph):
         return {
             "model": model.name,

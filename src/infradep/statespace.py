@@ -5,8 +5,10 @@ neighbours in transition-declaration order, so state numbering is
 deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
 carry rate-annotated edges.  ``eliminate_vanishing`` folds the vanishing
-states away, redistributing each timed rate over the tangible states its
-immediate chains can reach.
+states away with two sparse products over the edge-weight matrix, handing
+each timed rate to the tangible states its immediate chains can reach.
+A graph evaluates its label guards once (``g.label_sets``); the CTMC
+reduced from it carries the same sets renumbered over its states.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
 from .model import Model, StateVector, initial_state
@@ -74,6 +77,22 @@ class ReachabilityGraph:
     def label_sets(self) -> dict[str, frozenset[int]]:
         """``label_sets(self)``, computed once per graph."""
         return label_sets(self)
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, int, sp.csr_matrix]:
+        """``(order, nt, W)``: the state indices with the ``nt`` tangible ones
+        first, and ``W[i, j]``, the summed values of the edges from state
+        ``order[i]`` to state ``order[j]``."""
+        tangible = np.asarray(self.tangible, dtype=bool)
+        order = np.argsort(~tangible, kind="stable")
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        m = len(self.edges)
+        src = np.fromiter((e.src for e in self.edges), np.int64, m)
+        dst = np.fromiter((e.dst for e in self.edges), np.int64, m)
+        val = np.fromiter((e.value for e in self.edges), np.float64, m)
+        w = sp.csr_matrix((val, (position[src], position[dst])), shape=(len(order),) * 2)
+        return order, int(tangible.sum()), w
 
     def tangible_count(self) -> int:
         return sum(self.tangible)
@@ -151,147 +170,72 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
 
 
 def _check_vanishing_acyclic(g: ReachabilityGraph):
-    # Iterative DFS over the vanishing-to-vanishing subgraph.
-    color = {}  # 0 in progress, 1 done
-    for start, tang in enumerate(g.tangible):
-        if tang or start in color:
-            continue
-        stack = [(start, iter(g.out_edges[start]))]
-        color[start] = 0
-        while stack:
-            node, it = stack[-1]
-            found = False
-            for e in it:
-                nxt = e.dst
-                if g.tangible[nxt]:
-                    continue
-                c = color.get(nxt)
-                if c == 0:
-                    cyc = " -> ".join(
-                        g.model.format_state(g.states[n]) for n, _ in stack
-                    )
-                    raise ImmediateCycleError(
-                        f"cycle of vanishing states detected: {cyc}"
-                    )
-                if c is None:
-                    color[nxt] = 0
-                    stack.append((nxt, iter(g.out_edges[nxt])))
-                    found = True
-                    break
-            if not found:
-                color[node] = 1
-                stack.pop()
-
-
-def _vanishing_absorption(g: ReachabilityGraph) -> dict[int, dict[int, float]]:
-    """For each vanishing state, its absorption distribution over tangibles.
-
-    The vanishing subgraph is acyclic (checked beforehand), so states are
-    resolved in reverse topological order of their immediate edges.
-    """
-    vanishing = [i for i, t in enumerate(g.tangible) if not t]
-    # Kahn's algorithm on vanishing-to-vanishing edges.
-    outdeg = {v: 0 for v in vanishing}
-    preds: dict[int, list[int]] = {v: [] for v in vanishing}
-    for v in vanishing:
-        for e in g.out_edges[v]:
-            if not g.tangible[e.dst]:
-                outdeg[v] += 1
-                preds[e.dst].append(v)
-    order = [v for v in vanishing if outdeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for p in preds[v]:
-            outdeg[p] -= 1
-            if outdeg[p] == 0:
-                order.append(p)
-
-    memo: dict[int, dict[int, float]] = {}
-    for v in order:  # all successors of v are already resolved
-        out: dict[int, float] = {}
-        for e in g.out_edges[v]:
-            if g.tangible[e.dst]:
-                out[e.dst] = out.get(e.dst, 0.0) + e.value
-            else:
-                for t, q in memo[e.dst].items():
-                    out[t] = out.get(t, 0.0) + e.value * q
-        memo[v] = out
-    return memo
+    """Raise ``ImmediateCycleError`` naming the states of one immediate cycle."""
+    order, nt, w = g._weights
+    w_vv = w[nt:, nt:]
+    if not w_vv.shape[0]:
+        return
+    count, comp = csgraph.connected_components(w_vv, directed=True, connection="strong")
+    on_cycle = (np.bincount(comp, minlength=count)[comp] > 1) | (w_vv.diagonal() != 0)
+    if on_cycle.any():
+        members = order[nt:][comp == comp[np.argmax(on_cycle)]]
+        names = ", ".join(g.model.format_state(g.states[i]) for i in members)
+        raise ImmediateCycleError(f"cycle of vanishing states detected: {names}")
 
 
 def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
     """Reduce the graph to a CTMC over its tangible states.
 
-    Each timed edge into a vanishing state hands its rate to the tangible
-    states reachable through the immediate chains, weighted by chain
-    probability; total outflow of every tangible state is preserved.
+    With ``W`` the edge weights (rates out of tangible states T,
+    probabilities out of vanishing states V), the absorption of each
+    vanishing state is ``X = (I - W_VV)^-1 W_VT`` and the generator's
+    off-diagonal part is ``W_TT + W_TV X``.  ``W_VV`` is acyclic, so the
+    series ``X = sum_k W_VV^k W_VT`` ends after the longest immediate chain.
     Rate mass that flows back to its own source would be a CTMC-invisible
-    self-loop and is dropped.
+    self-loop and is dropped, so that state's exit rate shrinks by it.
     """
     _check_vanishing_acyclic(g)
-    absorption = _vanishing_absorption(g)
-
-    tangible_ids = [i for i, t in enumerate(g.tangible) if t]
-    compact = {old: new for new, old in enumerate(tangible_ids)}
-    n = len(tangible_ids)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for old in tangible_ids:
-        src = compact[old]
-        acc: dict[int, float] = {}
-        for e in g.out_edges[old]:
-            if g.tangible[e.dst]:
-                acc[e.dst] = acc.get(e.dst, 0.0) + e.value
-            else:
-                for t, q in absorption[e.dst].items():
-                    acc[t] = acc.get(t, 0.0) + e.value * q
-        for dst_old, rate in acc.items():
-            dst = compact[dst_old]
-            if dst == src:
-                continue
-            rows.append(src)
-            cols.append(dst)
-            vals.append(rate)
-
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    order, nt, w = g._weights
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    absorption = term = w[nt:, :nt]
+    w_vv = w[nt:, nt:]
+    while (term := w_vv @ term).nnz:
+        absorption = absorption + term
+    reduced = w[:nt, :nt] + w[:nt, nt:] @ absorption
+    off = reduced - sp.diags(reduced.diagonal(), format="csr")
     diag = -np.asarray(off.sum(axis=1)).ravel()
-    generator = (off + sp.diags(diag, format="csr")).tocsr()
+    generator = off + sp.diags(diag, format="csr")
 
-    initial = np.zeros(n)
+    initial = np.zeros(nt)
     if g.tangible[g.initial]:
-        initial[compact[g.initial]] = 1.0
+        initial[position[g.initial]] = 1.0
     else:
-        for t, q in absorption[g.initial].items():
-            initial[compact[t]] += q
+        row = absorption[position[g.initial] - nt]
+        initial[row.indices] = row.data
 
-    states = tuple(g.states[i] for i in tangible_ids)
-    labels = _label_sets_for_states(g.model, states)
+    renumber = position.tolist()
     return Ctmc(
         model=g.model,
-        states=states,
+        states=tuple(g.states[i] for i in order[:nt]),
         generator=generator,
         initial=initial,
-        label_sets=labels,
+        label_sets={
+            name: frozenset(renumber[i] for i in idx if g.tangible[i])
+            for name, idx in g.label_sets.items()
+        },
     )
 
 
-def _label_sets_for_states(model: Model, states) -> dict[str, frozenset[int]]:
-    comp = model._compiled
-    return {
-        name: frozenset(i for i, s in enumerate(states) if fn(s))
-        for name, fn in comp.label_guards.items()
-    }
+def label_sets(obj) -> dict[str, frozenset[int]]:
+    """Map each model label to the indices of ``obj.states`` satisfying it.
 
-
-def label_sets(obj, model: Model | None = None) -> dict[str, frozenset[int]]:
-    """Map each model label to the indices of states satisfying it.
-
-    Works on a ``ReachabilityGraph`` (all states) or a ``Ctmc`` (tangible
-    states).  Sets may overlap and states may match no label.
+    Evaluates the label guards over a ``ReachabilityGraph`` (all states) or a
+    ``Ctmc`` (tangible states).  Sets may overlap and states may match no
+    label.  A graph caches the result as ``g.label_sets``, and the CTMC
+    reduced from it inherits the sets renumbered.
     """
-    model = model or obj.model
-    return _label_sets_for_states(model, obj.states)
+    return {
+        name: frozenset(i for i, s in enumerate(obj.states) if fn(s))
+        for name, fn in obj.model._compiled.label_guards.items()
+    }

@@ -136,6 +136,37 @@ def exhaustive_reachability(model: Model):
 # Dense numeric oracles
 
 
+def dense_eliminate(model: Model):
+    """Tangible states, generator and initial distribution by dense algebra.
+
+    The counterpart of ``eliminate_vanishing``: W sums the exhaustive edge
+    list's values, the absorption is ``solve(I - W_VV, W_VT)``, and the
+    generator is ``W_TT + W_TV X`` with its diagonal replaced by minus the
+    off-diagonal row sums.
+    """
+    order, tangible, edges = exhaustive_reachability(model)
+    assert len(order) <= DENSE_LIMIT
+    index = {s: i for i, s in enumerate(order)}
+    w = np.zeros((len(order), len(order)))
+    for src, _, dst, value in edges:
+        w[index[src], index[dst]] += value
+    t = [i for i, s in enumerate(order) if s in tangible]
+    v = [i for i, s in enumerate(order) if s not in tangible]
+    x = np.zeros((len(v), len(t)))
+    if v:
+        x = np.linalg.solve(np.eye(len(v)) - w[np.ix_(v, v)], w[np.ix_(v, t)])
+    q = w[np.ix_(t, t)] + w[np.ix_(t, v)] @ x
+    np.fill_diagonal(q, 0.0)
+    q -= np.diag(q.sum(axis=1))
+    initial = np.zeros(len(t))
+    if 0 in t:  # order[0] is the initial state
+        initial[t.index(0)] = 1.0
+    else:
+        initial = x[v.index(0)]
+    return tuple(order[i] for i in t), q, initial
+
+
+
 def _closure_bool(adj: np.ndarray) -> np.ndarray:
     """Transitive-reflexive closure by repeated boolean squaring."""
     n = adj.shape[0]

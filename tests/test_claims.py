@@ -16,8 +16,11 @@ from infradep import (
     check_apparent_consistency,
     check_path_exists,
     common_cause_model,
+    eliminate_vanishing,
+    export_dot,
     run_claims,
 )
+from infradep.export import graph_summary
 from infradep.rng import SplitMix64
 
 
@@ -27,22 +30,46 @@ def test_all_builtin_suites_pass(graphs):
             assert res.passed, f"{name}: {res.name}: {res.detail}"
 
 
-def test_run_claims_computes_label_sets_once(monkeypatch):
+def _count_label_evaluations(monkeypatch) -> list:
+    """Patch the one label-guard evaluator; each call appends its model name."""
     import infradep.statespace as statespace
 
     calls = []
-    real = statespace._label_sets_for_states
+    real = statespace.label_sets
 
-    def counted(model, states):
-        calls.append(model.name)
-        return real(model, states)
+    def counted(obj):
+        calls.append(obj.model.name)
+        return real(obj)
 
-    monkeypatch.setattr(statespace, "_label_sets_for_states", counted)
+    monkeypatch.setattr(statespace, "label_sets", counted)
+    return calls
+
+
+def test_run_claims_computes_label_sets_once(monkeypatch):
+    calls = _count_label_evaluations(monkeypatch)
     for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
         g = build_reachability_graph(ctor())  # fresh graph: nothing cached yet
         calls.clear()
         run_claims(g)
         assert len(calls) == 1, f"{g.model.name}: label sets computed {len(calls)} times"
+
+
+def test_pipeline_evaluates_label_guards_once(monkeypatch):
+    # Reduction, summary, DOT and the claim suite share the graph's label
+    # sets; the CTMC's sets are the graph's, renumbered.
+    from infradep.statespace import label_sets
+
+    calls = _count_label_evaluations(monkeypatch)
+    for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
+        g = build_reachability_graph(ctor())
+        calls.clear()
+        c = eliminate_vanishing(g)
+        for obj in (g, c):
+            graph_summary(obj)
+            export_dot(obj)
+        run_claims(g)
+        assert len(calls) == 1, f"{g.model.name}: label guards evaluated {len(calls)} times"
+        assert c.label_sets == label_sets(c)
 
 
 def test_blackout_narrative_witness(graphs):

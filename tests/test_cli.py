@@ -67,6 +67,25 @@ def test_unknown_model_is_usage(capsys, tmp_path):
             assert err.startswith("usage error:"), argv
 
 
+def test_unwritable_output_is_usage(capsys, tmp_path):
+    # A directory or a missing parent as the output path, and an existing
+    # file as the trace directory, end in exit 64 instead of a traceback.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    for argv in (
+        ["graph", "--model", "accidental", "--out", str(tmp_path)],
+        ["simulate", "--model", "accidental", "--occupancy", "state1", "--reps", "2",
+         "--horizon", "10", "--trace-dir", str(afile)],
+        ["fmt", model, "--out", str(tmp_path)],
+        ["solve", "--model", "accidental", "--measure", "steady",
+         "--out", str(tmp_path / "missing" / "x.json")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "usage error" in err and "Traceback" not in err, argv
+
+
 def test_missing_command_is_usage(capsys):
     assert run(capsys)[0] == 64
 

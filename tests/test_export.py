@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from infradep import (
-    DotOptions,
     Estimate,
     MeasureResult,
     eliminate_vanishing,
@@ -60,8 +59,8 @@ def test_dot_escalation_edge_annotated(graphs, models):
 
 def test_hide_vanishing_matches_reduction(graphs):
     g = graphs["accidental"]
-    dot = check_dot(export_dot(g, options=DotOptions(hide_vanishing=True)))
     c = eliminate_vanishing(g)
+    dot = check_dot(export_dot(c))
     states = {n for n in dot.nodes if n.startswith("s") and n != "s"}
     assert len(states) == c.n
     assert not any(a.get("style") == "dashed" for a in dot.nodes.values())

@@ -24,7 +24,7 @@ from infradep import (
     var_eq,
 )
 
-from .oracles import ctmc_of, hand_reduced_accidental
+from .oracles import ctmc_of, dense_eliminate, hand_reduced_accidental
 
 
 def _flip(name, var, frm, to, rate=1.0):
@@ -72,18 +72,57 @@ def test_reordering_transitions_keeps_state_and_edge_sets(model_a):
     assert by_content_1 == by_content_2
 
 
-def test_immediate_two_cycle_detected():
-    m = Model(
+def _arc_model(values, arcs, init=None):
+    """One enum variable over ``values``; each arc ``(frm, to, kind)`` fires
+    from ``x == frm`` to ``x := to``."""
+    return Model(
         name="m",
-        variables=(VariableDecl("x", EnumDomain(("a", "b")), "a"),),
+        variables=(VariableDecl("x", EnumDomain(tuple(values)), init or values[0]),),
         parameters={},
-        transitions=(
-            Transition("go", Immediate(1, 1.0), var_eq("x", "a"), (SetValue("x", "b"),)),
-            Transition("back", Immediate(1, 1.0), var_eq("x", "b"), (SetValue("x", "a"),)),
+        transitions=tuple(
+            Transition(f"t{i}_{frm}_{to}", kind, var_eq("x", frm), (SetValue("x", to),))
+            for i, (frm, to, kind) in enumerate(arcs)
         ),
     )
+
+
+def _imm(weight=1.0):
+    return Immediate(1, weight)
+
+
+def _rate(rate):
+    return Timed(RateExpr(rate))
+
+
+def test_immediate_two_cycle_detected():
+    two_cycle = _arc_model("ab", [("a", "b", _imm()), ("b", "a", _imm())])
+    self_loop = _arc_model("ab", [("a", "a", _imm()), ("a", "b", _rate(1.0))])
+    # The 3-cycle a -> b -> c -> a is entered only after a timed step from s.
+    three_cycle = _arc_model(
+        ["s", "a", "b", "c"],
+        [("s", "a", _rate(1.0)), ("a", "b", _imm()), ("b", "c", _imm()), ("c", "a", _imm())],
+    )
+    for m, on_cycle in ((two_cycle, "ab"), (self_loop, "a"), (three_cycle, "abc")):
+        with pytest.raises(ImmediateCycleError) as info:
+            build_reachability_graph(m)
+        named = {part.strip() for part in info.value.message.split(":", 1)[1].split(",")}
+        assert named == {f"x={v}" for v in on_cycle}
+
+
+def test_eliminate_rejects_hand_built_cycle():
+    # A graph built without the explorer's check must not hang the reduction.
+    from infradep import Edge, ReachabilityGraph
+
+    m = _arc_model("sab", [])
+    g = ReachabilityGraph(
+        model=m,
+        states=(("s",), ("a",), ("b",)),
+        tangible=(True, False, False),
+        edges=(Edge(0, "go", 1, 1.0), Edge(1, "ab", 2, 1.0), Edge(2, "ba", 1, 1.0)),
+        initial=0,
+    )
     with pytest.raises(ImmediateCycleError):
-        build_reachability_graph(m)
+        eliminate_vanishing(g)
 
 
 def test_state_limit():
@@ -268,3 +307,76 @@ def test_deceived_label_matches_componentwise_divergence(graphs):
         if s[i["real_info"]] != s[i["app_info"]] or s[i["real_elec"]] != s[i["app_elec"]]
     )
     assert label_sets(g)["deceived"] == expected
+
+
+def _assert_matches_dense(m):
+    c = eliminate_vanishing(build_reachability_graph(m))
+    states, q, initial = dense_eliminate(m)
+    assert sorted(c.states) == sorted(states)
+    perm = [states.index(s) for s in c.states]
+    assert np.abs(c.generator.toarray() - q[np.ix_(perm, perm)]).max() <= 1e-12
+    assert np.abs(c.initial - initial[perm]).max() <= 1e-12
+    return c
+
+
+@pytest.mark.parametrize("name", ["accidental", "cascading-only", "common-cause", "attack"])
+def test_builtin_elimination_matches_dense_oracle(name):
+    from dataclasses import replace
+
+    from infradep import DEFAULT_PARAMS, builtin_model
+
+    p8s = (0.0, 0.5, 1.0) if name == "common-cause" else (DEFAULT_PARAMS.p8,)
+    for k in (1, 2, 3):
+        for p8 in p8s:
+            _assert_matches_dense(builtin_model(name, replace(DEFAULT_PARAMS, k_max=k, p8=p8)))
+
+
+def test_depth_three_chain_with_diamond():
+    # s --2--> a; a splits 1:3 over b1 and b2, which merge again in c;
+    # b2 also leaves half its mass to d; c splits evenly over d and e.
+    m = _arc_model(
+        ["s", "a", "b1", "b2", "c", "d", "e"],
+        [("s", "a", _rate(2.0)), ("a", "b1", _imm(1.0)), ("a", "b2", _imm(3.0)),
+         ("b1", "c", _imm()), ("b2", "c", _imm()), ("b2", "d", _imm()),
+         ("c", "d", _imm()), ("c", "e", _imm()), ("d", "s", _rate(1.0)), ("e", "s", _rate(0.5))],
+    )
+    g = build_reachability_graph(m)
+    assert any(not g.tangible[e.src] and not g.tangible[e.dst] for e in g.edges)
+    c = _assert_matches_dense(m)
+    idx = {s[0]: i for i, s in enumerate(c.states)}
+    assert [s[0] for s in c.states] == ["s", "d", "e"]
+    # P(d) = 1/4 * 1/2 + 3/4 * (1/2 + 1/2 * 1/2) = 11/16, P(e) = 5/16.
+    q = c.generator.toarray()
+    assert q[idx["s"], idx["d"]] == pytest.approx(2.0 * 11 / 16, abs=1e-15)
+    assert q[idx["s"], idx["e"]] == pytest.approx(2.0 * 5 / 16, abs=1e-15)
+
+
+def test_self_loop_mass_is_dropped():
+    # s --3--> a; a returns to s with probability 1/3 and goes on to d with 2/3.
+    # The returning rate 1 is invisible to the CTMC: s leaves at rate 2, not 3.
+    m = _arc_model(
+        ["s", "a", "d"],
+        [("s", "a", _rate(3.0)), ("a", "s", _imm(1.0)), ("a", "d", _imm(2.0)),
+         ("d", "s", _rate(1.0))],
+    )
+    g = build_reachability_graph(m)
+    assert sum(e.value for e in g.out_edges[0]) == 3.0
+    c = _assert_matches_dense(m)
+    q = c.generator.toarray()
+    assert [s[0] for s in c.states] == ["s", "d"]
+    assert q[0, 1] == pytest.approx(2.0, abs=1e-15)
+    assert q[0, 0] == pytest.approx(-2.0, abs=1e-15)
+
+
+def test_vanishing_initial_through_two_levels():
+    # v0 splits 1:3 over v1a and v1b, which reach t1, t2 and t3 only.
+    m = _arc_model(
+        ["v0", "v1a", "v1b", "t1", "t2", "t3"],
+        [("v0", "v1a", _imm(1.0)), ("v0", "v1b", _imm(3.0)),
+         ("v1a", "t1", _imm()), ("v1a", "t2", _imm()),
+         ("v1b", "t2", _imm(1.0)), ("v1b", "t3", _imm(2.0)),
+         ("t1", "t2", _rate(1.0)), ("t2", "t3", _rate(1.0)), ("t3", "t1", _rate(1.0))],
+    )
+    c = _assert_matches_dense(m)
+    assert [s[0] for s in c.states] == ["t1", "t2", "t3"]
+    assert c.initial == pytest.approx([1 / 8, 3 / 8, 1 / 2], abs=1e-15)
