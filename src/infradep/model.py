@@ -11,13 +11,24 @@ transition is enabled in a state, the immediates of maximal priority
 preempt everything else and the state is *vanishing*; otherwise the state
 is *tangible* and the enabled timed transitions race with exponential
 delays.
+
+Guards only compare one variable with a literal, so states fall into
+*guard classes* on which every comparison, and so every guard, firing
+result and label, is constant.  An enum's class is its value.  A counter
+compared with the integer ``v`` somewhere in the model has the cut points
+``v`` and ``v + 1``, and its class is the number of cut points at or below
+its value.  The firing rule runs once per class, on the first state seen
+in it, and fills one row of a per-model table (``_CompiledModel.row``).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Union
+from itertools import accumulate
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardViolation, OutOfDomainError
 
@@ -45,6 +56,9 @@ class EnumDomain:
     def __iter__(self) -> Iterator[str]:
         return iter(self.values)
 
+    def __len__(self) -> int:
+        return len(self.values)
+
 
 @dataclass(frozen=True)
 class IntDomain:
@@ -56,6 +70,9 @@ class IntDomain:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.lo, self.hi + 1))
+
+    def __len__(self) -> int:
+        return max(0, self.hi - self.lo + 1)
 
 
 Domain = Union[EnumDomain, IntDomain]
@@ -222,6 +239,45 @@ def compile_guard(guard: Guard, index: Mapping[str, int]) -> Callable[[StateVect
     raise TypeError(f"not a guard node: {guard!r}")
 
 
+def _cut_points(value) -> tuple:
+    """Where ``x <op> value`` can change truth as the integer ``x`` grows.
+
+    Every comparison with an integral ``v`` is constant below ``v``, at
+    ``v`` and from ``v + 1``; one with a non-integral real is constant on
+    either side of its ceiling.  A comparison with any other literal is
+    constant (``==``, ``!=``, an infinity) or raises on every value.
+    """
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
+        c = math.ceil(value)
+        return (c, c + 1)
+    return ()
+
+
+def guard_cuts(model: Model) -> dict[str, tuple[int, ...]]:
+    """Each variable the transition guards and label predicates mention,
+    with its sorted cut points (none for an enum): a counter's guard class
+    is ``bisect_right(cuts, value)``."""
+    cuts: dict[str, set[int]] = {}
+    for guard in [t.guard for t in model.transitions] + [l.predicate for l in model.labels]:
+        for c in guard_comparisons(guard):
+            i = model.var_index.get(c.var)
+            if i is not None:
+                points = cuts.setdefault(c.var, set())
+                if isinstance(model.variables[i].domain, IntDomain):
+                    points.update(_cut_points(c.value))
+    return {var: tuple(sorted(points)) for var, points in cuts.items()}
+
+
+def guard_comparisons(guard: Guard) -> Iterator[Comparison]:
+    if isinstance(guard, Comparison):
+        yield guard
+    elif isinstance(guard, (And, Or)):
+        for t in guard.terms:
+            yield from guard_comparisons(t)
+    elif isinstance(guard, Not):
+        yield from guard_comparisons(guard.term)
+
+
 # ---------------------------------------------------------------------------
 # Updates
 
@@ -339,7 +395,7 @@ class Model:
     def domain_size(self) -> int:
         n = 1
         for v in self.variables:
-            n *= len(tuple(v.domain))
+            n *= len(v.domain)
         return n
 
     def domain_product(self) -> Iterator[StateVector]:
@@ -349,11 +405,23 @@ class Model:
         return itertools.product(*(tuple(v.domain) for v in self.variables))
 
 
+class FiringRow(NamedTuple):
+    """The firing rule and the labels on one guard class."""
+
+    vanishing: bool
+    chosen: tuple[int, ...]  # transition indices, in declaration order
+    values: tuple  # w / sum(w) of each chosen immediate, or each timed rate
+    cumulative: tuple[float, ...]  # running weight sums / sum(w); vanishing rows only
+    labels: tuple[bool, ...]  # each label's truth, in declaration order
+
+
 class _CompiledModel:
-    """Per-model compiled guard/update closures, built lazily and cached."""
+    """Per-model compiled guard/update closures and the firing table."""
 
     def __init__(self, model: Model):
         index = model.var_index
+        self.transitions = model.transitions
+        self.parameters = model.parameters
         self.guards = tuple(compile_guard(t.guard, index) for t in model.transitions)
         self.updates = tuple(_compile_update(t.update, model) for t in model.transitions)
         self.label_guards = {
@@ -367,20 +435,54 @@ class _CompiledModel:
             None if t.is_timed else t.kind.priority for t in model.transitions
         )
         self.index_by_name = {t.name: i for i, t in enumerate(model.transitions)}
+        # (tuple index, cut points) of each variable the class depends on;
+        # None stands for an enum, whose class is its value.  A counter
+        # without cut points has one class.
+        self.class_parts = tuple(
+            (index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
+            for var, cuts in guard_cuts(model).items()
+            if cuts or isinstance(model.variable(var).domain, EnumDomain)
+        )
+        self.table: dict[tuple, FiringRow] = {}
 
-    def firing(self, s: StateVector) -> tuple[bool, list[int]]:
-        """The GSPN firing rule in ``s``: ``(vanishing, transition indices)``.
+    def class_key(self, s: StateVector) -> tuple:
+        return tuple(
+            [s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in self.class_parts]
+        )
 
-        If any immediate guard holds, the state is vanishing and the indices
-        are its enabled immediates of maximal priority; otherwise they are
-        its enabled timed transitions.  Indices are in declaration order.
+    def row(self, s: StateVector) -> FiringRow:
+        """The row of ``s``'s guard class, filled from ``s`` on first use."""
+        key = self.class_key(s)
+        row = self.table.get(key)
+        if row is None:
+            row = self.table[key] = self._fill(s)
+        return row
+
+    def _fill(self, s: StateVector) -> FiringRow:
+        """The GSPN firing rule in ``s``, with its payload and the labels.
+
+        If any immediate guard holds, the state is vanishing and the chosen
+        transitions are its enabled immediates of maximal priority;
+        otherwise they are its enabled timed transitions.
         """
-        guards = self.guards
+        guards, transitions = self.guards, self.transitions
+        labels = tuple(fn(s) for fn in self.label_guards.values())
         imm = [i for i in self.immediate_idx if guards[i](s)]
         if imm:
             top = max(self.priority[i] for i in imm)
-            return True, [i for i in imm if self.priority[i] == top]
-        return False, [i for i in self.timed_idx if guards[i](s)]
+            chosen = tuple(i for i in imm if self.priority[i] == top)
+            weights = [transitions[i].kind.weight for i in chosen]
+            total = sum(weights)
+            return FiringRow(
+                True,
+                chosen,
+                tuple(w / total for w in weights),
+                tuple(acc / total for acc in accumulate(weights, initial=0.0))[1:],
+                labels,
+            )
+        chosen = tuple(i for i in self.timed_idx if guards[i](s))
+        rates = tuple(transitions[i].kind.rate.value(self.parameters) for i in chosen)
+        return FiringRow(False, chosen, rates, (), labels)
 
 
 def _compile_update(update: Update, model: Model) -> Callable[[StateVector], StateVector]:
@@ -424,7 +526,7 @@ def initial_state(model: Model) -> StateVector:
 
 def enabled_transitions(model: Model, s: StateVector) -> list[Transition]:
     """Transitions enabled in ``s`` under GSPN preemption, in declaration order."""
-    return [model.transitions[i] for i in model._compiled.firing(s)[1]]
+    return [model.transitions[i] for i in model._compiled.row(s).chosen]
 
 
 def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector:
@@ -441,4 +543,4 @@ def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector
 
 
 def is_vanishing(model: Model, s: StateVector) -> bool:
-    return model._compiled.firing(s)[0]
+    return model._compiled.row(s).vanishing

@@ -51,34 +51,24 @@ class Estimate:
 
 
 class _Engine:
-    """Per-state firing tables, memoized across steps and replications."""
+    """Per-state firing results, memoized across steps and replications."""
 
     def __init__(self, model: Model):
         validate_or_raise(model)
         self.model = model
         self.comp = model._compiled
         self.transitions = model.transitions
-        self.rates = {
-            i: model.rate_of(self.transitions[i]) for i in self.comp.timed_idx
-        }
         self.cache: dict[StateVector, tuple] = {}
 
     def info(self, s: StateVector):
+        """``(vanishing, transition indices, payload)`` in ``s``: the payload
+        is the cumulative choice probabilities of the immediates, or the
+        rates of the timed transitions."""
         got = self.cache.get(s)
         if got is None:
-            vanishing, chosen = self.comp.firing(s)
-            if vanishing:
-                weights = [self.transitions[i].kind.weight for i in chosen]
-                total = sum(weights)
-                cuts = []
-                acc = 0.0
-                for w in weights:
-                    acc += w
-                    cuts.append(acc / total)
-                got = (True, tuple(chosen), tuple(cuts))
-            else:
-                got = (False, tuple(chosen), tuple(self.rates[i] for i in chosen))
-            self.cache[s] = got
+            row = self.comp.row(s)
+            payload = row.cumulative if row.vanishing else row.values
+            got = self.cache[s] = (row.vanishing, row.chosen, payload)
         return got
 
     def fire(self, idx: int, s: StateVector) -> StateVector:

@@ -4,9 +4,14 @@ States are explored breadth-first from the initial state, expanding
 neighbours in transition-declaration order, so state numbering is
 deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
-carry rate-annotated edges.  ``eliminate_vanishing`` folds the vanishing
-states away with two sparse products over the edge-weight matrix, handing
-each timed rate to the tangible states its immediate chains can reach.
+carry rate-annotated edges.  The explorer reads each state's firing result
+from the model's firing table, one row per guard class (the states on
+which every guard comparison has the same truth value; see ``model``), and
+stores the edges as four arrays; ``g.edges`` builds ``Edge`` objects from
+them only when asked for its items.  ``eliminate_vanishing`` folds the
+vanishing states away with two sparse products over the edge-weight
+matrix, handing each timed rate to the tangible states its immediate
+chains can reach.
 A graph evaluates its label guards once (``g.label_sets``); the CTMC
 reduced from it carries the same sets renumbered over its states.
 """
@@ -14,9 +19,11 @@ reduced from it carries the same sets renumbered over its states.
 from __future__ import annotations
 
 import os
-from collections import deque
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,13 +61,38 @@ class Edge:
     value: float  # rate when src is tangible, probability when vanishing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
+    """States in BFS order, their kinds, and the edges as parallel arrays:
+    edge ``k`` fires ``model.transitions[edge_transition[k]]`` from state
+    ``edge_src[k]`` to state ``edge_dst[k]`` with ``edge_value[k]`` (a rate
+    out of a tangible state, a probability out of a vanishing one)."""
+
     model: Model
     states: tuple[StateVector, ...]
     tangible: tuple[bool, ...]
-    edges: tuple[Edge, ...]
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_transition: np.ndarray
+    edge_value: np.ndarray
     initial: int
+
+    @property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
+
+    @cached_property
+    def _edge_objects(self) -> tuple[Edge, ...]:
+        names = [t.name for t in self.model.transitions]
+        return tuple(
+            Edge(src, names[t], dst, value)
+            for src, t, dst, value in zip(
+                self.edge_src.tolist(),
+                self.edge_transition.tolist(),
+                self.edge_dst.tolist(),
+                self.edge_value.tolist(),
+            )
+        )
 
     @cached_property
     def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
@@ -87,11 +119,10 @@ class ReachabilityGraph:
         order = np.argsort(~tangible, kind="stable")
         position = np.empty(len(order), dtype=np.int64)
         position[order] = np.arange(len(order))
-        m = len(self.edges)
-        src = np.fromiter((e.src for e in self.edges), np.int64, m)
-        dst = np.fromiter((e.dst for e in self.edges), np.int64, m)
-        val = np.fromiter((e.value for e in self.edges), np.float64, m)
-        w = sp.csr_matrix((val, (position[src], position[dst])), shape=(len(order),) * 2)
+        w = sp.csr_matrix(
+            (self.edge_value, (position[self.edge_src], position[self.edge_dst])),
+            shape=(len(order),) * 2,
+        )
         return order, int(tangible.sum()), w
 
     def tangible_count(self) -> int:
@@ -99,6 +130,25 @@ class ReachabilityGraph:
 
     def vanishing_count(self) -> int:
         return len(self.states) - sum(self.tangible)
+
+
+class EdgeView(Sequence):
+    """A graph's edges as ``Edge`` objects, which the graph builds on first
+    access to an item and keeps; the length is read from the edge arrays.
+    The view is made afresh on each ``g.edges`` so that the graph holds no
+    reference back to itself and is freed as soon as it is dropped."""
+
+    def __init__(self, graph: ReachabilityGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.edge_src)
+
+    def __getitem__(self, k):
+        return self._graph._edge_objects[k]
+
+    def __iter__(self):
+        return iter(self._graph._edge_objects)
 
 
 @dataclass(eq=False)
@@ -125,44 +175,43 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     """
     cap = state_limit() if limit is None else limit
     comp = model._compiled
-    transitions = model.transitions
-
     init = initial_state(model)
     index: dict[StateVector, int] = {init: 0}
-    states: list[StateVector] = [init]
+    states: list[StateVector] = [init]  # also the BFS queue, read in order
     tangible: list[bool] = []
-    edges: list[Edge] = []
-    queue: deque[int] = deque([0])
+    src, dst, transition, value = array("q"), array("q"), array("q"), array("d")
 
-    while queue:
-        si = queue.popleft()
+    updates = comp.updates
+    si = 0
+    while si < len(states):
         s = states[si]
-        vanishing, chosen = comp.firing(s)
-        tangible.append(not vanishing)
-        if vanishing:
-            total_w = sum(transitions[i].kind.weight for i in chosen)
-            fired = [(i, transitions[i].kind.weight / total_w) for i in chosen]
-        else:
-            fired = [(i, model.rate_of(transitions[i])) for i in chosen]
-        for ti, value in fired:
-            dst = comp.updates[ti](s)
-            di = index.get(dst)
+        row = comp.row(s)
+        tangible.append(not row.vanishing)
+        for ti in row.chosen:
+            target = updates[ti](s)
+            di = index.get(target)
             if di is None:
                 if len(states) >= cap:
                     raise StateLimitExceeded(
                         f"state space exceeds {cap} states", limit=cap
                     )
                 di = len(states)
-                index[dst] = di
-                states.append(dst)
-                queue.append(di)
-            edges.append(Edge(si, transitions[ti].name, di, value))
+                index[target] = di
+                states.append(target)
+            dst.append(di)
+        src.extend([si] * len(row.chosen))
+        transition.extend(row.chosen)
+        value.extend(row.values)
+        si += 1
 
     graph = ReachabilityGraph(
         model=model,
         states=tuple(states),
         tangible=tuple(tangible),
-        edges=tuple(edges),
+        edge_src=np.frombuffer(src, dtype=np.int64),
+        edge_dst=np.frombuffer(dst, dtype=np.int64),
+        edge_transition=np.frombuffer(transition, dtype=np.int64),
+        edge_value=np.frombuffer(value, dtype=np.float64),
         initial=0,
     )
     _check_vanishing_acyclic(graph)
@@ -230,12 +279,18 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
 def label_sets(obj) -> dict[str, frozenset[int]]:
     """Map each model label to the indices of ``obj.states`` satisfying it.
 
-    Evaluates the label guards over a ``ReachabilityGraph`` (all states) or a
-    ``Ctmc`` (tangible states).  Sets may overlap and states may match no
-    label.  A graph caches the result as ``g.label_sets``, and the CTMC
-    reduced from it inherits the sets renumbered.
+    Reads the label truth values from the model's firing table, one row per
+    guard class, over a ``ReachabilityGraph`` (all states) or a ``Ctmc``
+    (tangible states).  Sets may overlap and states may match no label.  A
+    graph caches the result as ``g.label_sets``, and the CTMC reduced from
+    it inherits the sets renumbered.
     """
+    comp = obj.model._compiled
+    members: dict[tuple, list[int]] = {}
+    for i, s in enumerate(obj.states):
+        members.setdefault(comp.class_key(s), []).append(i)
+    rows = [(comp.row(obj.states[idx[0]]).labels, idx) for idx in members.values()]
     return {
-        name: frozenset(i for i, s in enumerate(obj.states) if fn(s))
-        for name, fn in obj.model._compiled.label_guards.items()
+        name: frozenset(chain.from_iterable(idx for labels, idx in rows if labels[j]))
+        for j, name in enumerate(comp.label_guards)
     }

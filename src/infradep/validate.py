@@ -12,18 +12,16 @@ import math
 from dataclasses import dataclass, field
 
 from .model import (
-    And,
-    Comparison,
     EnumDomain,
     Guard,
     Model,
-    Not,
-    Or,
     SetValue,
     Shift,
     Timed,
     TRANSITION_TAGS,
     eval_guard_kleene,
+    guard_comparisons,
+    guard_cuts,
     guard_variables,
 )
 
@@ -152,7 +150,7 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
 
 
 def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, spans):
-    for cmp_ in _comparisons(guard):
+    for cmp_ in guard_comparisons(guard):
         v = model.var_index.get(cmp_.var)
         if v is None:
             rep.error(
@@ -186,16 +184,6 @@ def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, 
                     where,
                     spans,
                 )
-
-
-def _comparisons(guard: Guard):
-    if isinstance(guard, Comparison):
-        yield guard
-    elif isinstance(guard, (And, Or)):
-        for t in guard.terms:
-            yield from _comparisons(t)
-    elif isinstance(guard, Not):
-        yield from _comparisons(guard.term)
 
 
 def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
@@ -304,9 +292,10 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
 def _check_update_domains(model: Model, rep: ValidationReport, spans):
     """Interval analysis: counter shifts must stay in range under the guard.
 
-    For each shifted counter, projects the guard onto that counter with
-    three-valued evaluation (all other variables unknown); every counter
-    value not excluded by the projection must shift in-range.  Sound and
+    A shift by +1 leaves the counter's range only from ``hi``, and one by
+    -1 only from ``lo``.  Projects the guard onto that counter value with
+    three-valued evaluation (all other variables unknown); unless the
+    projection excludes it, the update can leave the range.  Sound and
     exact for the single-variable range constraints the guard language can
     express.
     """
@@ -316,33 +305,38 @@ def _check_update_domains(model: Model, rep: ValidationReport, spans):
             if not isinstance(a, Shift):
                 continue
             dom = model.variables[model.var_index[a.var]].domain
-            possible = [
-                v for v in dom if eval_guard_kleene(t.guard, {a.var: v}) is not False
-            ]
-            for v in possible:
-                if v + a.delta not in dom:
-                    rep.error(
-                        "OUT_OF_DOMAIN_UPDATE",
-                        f"{a.var} := {a.var} {'+' if a.delta > 0 else '-'} 1 can leave "
-                        f"[{dom.lo}, {dom.hi}] (guard admits {a.var}={v})",
-                        where,
-                        spans,
-                    )
-                    break
+            v = dom.hi if a.delta > 0 else dom.lo
+            if eval_guard_kleene(t.guard, {a.var: v}) is not False:
+                rep.error(
+                    "OUT_OF_DOMAIN_UPDATE",
+                    f"{a.var} := {a.var} {'+' if a.delta > 0 else '-'} 1 can leave "
+                    f"[{dom.lo}, {dom.hi}] (guard admits {a.var}={v})",
+                    where,
+                    spans,
+                )
 
 
 def _check_guard_satisfiability(model: Model, rep: ValidationReport, spans):
+    """Warn about guards no state satisfies, trying one value per guard class
+    of each variable the guard mentions (every guard is constant on a class)."""
     if model.domain_size() > SAT_SCAN_LIMIT:
         return
     index = model.var_index
-    domains = [tuple(v.domain) for v in model.variables]
+    cuts = guard_cuts(model)
+    classes = []  # one value of each guard class, per variable
+    for v in model.variables:
+        if isinstance(v.domain, EnumDomain):
+            classes.append(v.domain.values)
+        else:
+            lo, hi = v.domain.lo, v.domain.hi
+            classes.append((lo,) + tuple(c for c in cuts.get(v.name, ()) if lo < c <= hi))
     for t in model.transitions:
         # Scan only over variables the guard mentions; the rest are free.
         used = sorted(index[v] for v in guard_variables(t.guard))
         if not used:
             continue
         sat = False
-        for combo in itertools.product(*(domains[i] for i in used)):
+        for combo in itertools.product(*(classes[i] for i in used)):
             probe = {model.variables[i].name: combo[k] for k, i in enumerate(used)}
             if eval_guard_kleene(t.guard, probe) is True:
                 sat = True

@@ -111,14 +111,17 @@ def test_immediate_two_cycle_detected():
 
 def test_eliminate_rejects_hand_built_cycle():
     # A graph built without the explorer's check must not hang the reduction.
-    from infradep import Edge, ReachabilityGraph
+    from infradep import ReachabilityGraph
 
-    m = _arc_model("sab", [])
+    m = _arc_model("sab", [("s", "a", _rate(1.0)), ("a", "b", _imm()), ("b", "a", _imm())])
     g = ReachabilityGraph(
         model=m,
         states=(("s",), ("a",), ("b",)),
         tangible=(True, False, False),
-        edges=(Edge(0, "go", 1, 1.0), Edge(1, "ab", 2, 1.0), Edge(2, "ba", 1, 1.0)),
+        edge_src=np.array([0, 1, 2]),
+        edge_dst=np.array([1, 2, 1]),
+        edge_transition=np.array([0, 1, 2]),
+        edge_value=np.array([1.0, 1.0, 1.0]),
         initial=0,
     )
     with pytest.raises(ImmediateCycleError):
@@ -380,3 +383,24 @@ def test_vanishing_initial_through_two_levels():
     c = _assert_matches_dense(m)
     assert [s[0] for s in c.states] == ["t1", "t2", "t3"]
     assert c.initial == pytest.approx([1 / 8, 3 / 8, 1 / 2], abs=1e-15)
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
+    # A graph and its model hold no reference cycle, so dropping them frees
+    # their states and edges at once instead of at the next full collection.
+    import gc
+    import weakref
+    from dataclasses import replace
+
+    m = replace(model_a)
+    g = build_reachability_graph(m)
+    assert g.edges[0] in g.out_edges[0] and len(g.edges) == len(g.edge_src)
+    g.label_sets
+    eliminate_vanishing(g)
+    refs = weakref.ref(g), weakref.ref(m)
+    gc.disable()
+    try:
+        del g, m
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

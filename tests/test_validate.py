@@ -11,6 +11,7 @@ from infradep import (
     IntDomain,
     Label,
     Model,
+    Or,
     RateExpr,
     SetValue,
     Shift,
@@ -195,3 +196,49 @@ def test_label_guard_checked(model_a):
         labels=(Label("broken", var_eq("nope", "x")),),
     )
     assert "UNDECLARED_IDENT" in codes(validate_model(bad))
+
+
+def _shift_model(hi):
+    """One counter over [0, hi]: a guarded increment, and two shifts whose
+    guards admit the value at the edge of the range."""
+    return Model(
+        name="m",
+        variables=(VariableDecl("n", IntDomain(0, hi), 0),),
+        parameters={},
+        transitions=(
+            Transition("inc", Timed(RateExpr(1.0)), Comparison("n", "<", hi), (Shift("n", 1),)),
+            Transition("dec", Timed(RateExpr(1.0)), Comparison("n", ">=", 0), (Shift("n", -1),)),
+            Transition(
+                "bump",
+                Timed(RateExpr(1.0)),
+                Or((var_eq("n", 0), var_eq("n", hi))),
+                (Shift("n", 1),),
+            ),
+        ),
+    )
+
+
+def test_huge_counter_range_validates_like_small_twin(monkeypatch):
+    import infradep.validate as validate
+
+    calls = []
+    kleene = validate.eval_guard_kleene
+    monkeypatch.setattr(
+        validate, "eval_guard_kleene", lambda g, p: calls.append(p) or kleene(g, p)
+    )
+    big = validate_model(_shift_model(20_000_000))
+    # One projection per shift, at the one value whose shift leaves the range.
+    assert len(calls) == 3
+    small = validate_model(_shift_model(20))
+
+    def findings(rep, hi):
+        return [
+            (e.code, e.message.replace(str(hi), "HI"), e.where)
+            for e in rep.errors + rep.warnings
+        ]
+
+    assert findings(big, 20_000_000) == findings(small, 20)
+    assert findings(small, 20) == [
+        ("OUT_OF_DOMAIN_UPDATE", "n := n - 1 can leave [0, HI] (guard admits n=0)", "transition dec"),
+        ("OUT_OF_DOMAIN_UPDATE", "n := n + 1 can leave [0, HI] (guard admits n=HI)", "transition bump"),
+    ]
