@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotAttackModelError, UnknownLabelError
-from .model import Model, compile_guard
+from .model import Model, guard_predicate
 from .statespace import ReachabilityGraph
 
 
@@ -152,7 +152,7 @@ def check_edge_coverage(
 
 def check_set_unreachable(g: ReachabilityGraph, predicate, name: str) -> CheckResult:
     """No reachable state may satisfy the predicate (a guard expression)."""
-    fn = compile_guard(predicate, g.model.var_index)
+    fn = guard_predicate(g.model, predicate)
     offenders = tuple(i for i, s in enumerate(g.states) if fn(s))
     if offenders:
         return CheckResult(name, False, f"{len(offenders)} reachable states match", offenders)

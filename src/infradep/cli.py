@@ -29,6 +29,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .export import export_dot, export_results_json, graph_summary
+from .model import guard_predicate
 from .montecarlo import estimate_occupancy, estimate_time_to, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
 from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
@@ -295,9 +296,7 @@ def _resolve_target(args, model, ctmc):
             f"--target {target!r} is neither a label nor a valid guard: "
             + "; ".join(e.message for e in guard)
         )
-    from .model import compile_guard
-
-    fn = compile_guard(guard, model.var_index)
+    fn = guard_predicate(model, guard)
     return frozenset(i for i, s in enumerate(ctmc.states) if fn(s)), target
 
 

@@ -29,35 +29,26 @@ def export_dot(obj, model: Model | None = None) -> str:
 
     lines = [f"digraph {model.name} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
 
-    if isinstance(obj, ReachabilityGraph):
-        initial = {obj.initial}
-        for i, s in enumerate(obj.states):
-            tag = "\\n".join(
-                x for x in (model.format_state(s), " ".join(sorted(by_state.get(i, ())))) if x
-            )
-            attrs = [f'label="s{i}\\n{_dot_escape(tag)}"']
-            if not obj.tangible[i]:
-                attrs.append("style=dashed")
-            if i in initial:
-                attrs.append("peripheries=2")
-            lines.append(f"  s{i} [{', '.join(attrs)}];")
+    graph = isinstance(obj, ReachabilityGraph)  # else a Ctmc
+    initial = {obj.initial} if graph else {i for i in range(obj.n) if obj.initial[i] > 0}
+    for i, s in enumerate(obj.states):
+        parts = (f"s{i}", model.format_state(s), " ".join(sorted(by_state.get(i, ()))))
+        label = "\\n".join(_dot_escape(x) for x in parts if x)
+        attrs = [f'label="{label}"']
+        if graph and not obj.tangible[i]:
+            attrs.append("style=dashed")
+        if i in initial:
+            attrs.append("peripheries=2")
+        lines.append(f"  s{i} [{', '.join(attrs)}];")
+    if graph:
         for e in obj.edges:
             kind = "rate" if obj.tangible[e.src] else "p"
             lines.append(
                 f'  s{e.src} -> s{e.dst} [label="{_dot_escape(e.transition)}\\n{kind}={e.value!r}"];'
             )
-    else:  # Ctmc
+    else:
         coo = obj.generator.tocoo()
-        initial = {int(i) for i in range(obj.n) if obj.initial[i] > 0}
-        for i, s in enumerate(obj.states):
-            tag = "\\n".join(
-                x for x in (model.format_state(s), " ".join(sorted(by_state.get(i, ())))) if x
-            )
-            attrs = [f'label="s{i}\\n{_dot_escape(tag)}"']
-            if i in initial:
-                attrs.append("peripheries=2")
-            lines.append(f"  s{i} [{', '.join(attrs)}];")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
             if i != j and v > 0:
                 lines.append(f'  s{i} -> s{j} [label="rate={v!r}"];')
 

@@ -17,8 +17,11 @@ Guards only compare one variable with a literal, so states fall into
 result and label, is constant.  An enum's class is its value.  A counter
 compared with the integer ``v`` somewhere in the model has the cut points
 ``v`` and ``v + 1``, and its class is the number of cut points at or below
-its value.  The firing rule runs once per class, on the first state seen
-in it, and fills one row of a per-model table (``_CompiledModel.row``).
+its value.  One interpreter, ``eval_guard_kleene``, evaluates every
+guard.  The firing rule runs it once per class, on the first state seen in
+it, and fills one row of a per-model table (``_CompiledModel.row``);
+``guard_predicate`` caches any other guard's truth per class of that
+guard's own literals, and validation runs it on partial assignments.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class EnumDomain:
     def __iter__(self) -> Iterator[str]:
         return iter(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class IntDomain:
@@ -70,9 +70,6 @@ class IntDomain:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.lo, self.hi + 1))
-
-    def __len__(self) -> int:
-        return max(0, self.hi - self.lo + 1)
 
 
 Domain = Union[EnumDomain, IntDomain]
@@ -166,8 +163,10 @@ def eval_guard_kleene(guard: Guard, partial: Mapping[str, Value]) -> bool | None
     """Three-valued evaluation under a partial assignment.
 
     Variables absent from ``partial`` are unknown; returns None when the
-    truth value cannot be decided.  Used by validation to project guards
-    onto a single counter.
+    truth value cannot be decided.  This is the one guard evaluator: the
+    firing table and ``guard_predicate`` run it on a full assignment (one
+    state per guard class), where it always returns True or False, and
+    validation on partial ones.
     """
     if isinstance(guard, Comparison):
         if guard.var not in partial:
@@ -197,48 +196,6 @@ def eval_guard_kleene(guard: Guard, partial: Mapping[str, Value]) -> bool | None
     raise TypeError(f"not a guard node: {guard!r}")
 
 
-def guard_variables(guard: Guard) -> set[str]:
-    if isinstance(guard, Comparison):
-        return {guard.var}
-    if isinstance(guard, (And, Or)):
-        out: set[str] = set()
-        for t in guard.terms:
-            out |= guard_variables(t)
-        return out
-    if isinstance(guard, Not):
-        return guard_variables(guard.term)
-    raise TypeError(f"not a guard node: {guard!r}")
-
-
-def compile_guard(guard: Guard, index: Mapping[str, int]) -> Callable[[StateVector], bool]:
-    """Close the guard over tuple indices for fast repeated evaluation."""
-    if isinstance(guard, Comparison):
-        i = index[guard.var]
-        v = guard.value
-        op = guard.op
-        if op == "==":
-            return lambda s: s[i] == v
-        if op == "!=":
-            return lambda s: s[i] != v
-        if op == "<":
-            return lambda s: s[i] < v
-        if op == "<=":
-            return lambda s: s[i] <= v
-        if op == ">":
-            return lambda s: s[i] > v
-        return lambda s: s[i] >= v
-    if isinstance(guard, And):
-        fns = tuple(compile_guard(t, index) for t in guard.terms)
-        return lambda s: all(f(s) for f in fns)
-    if isinstance(guard, Or):
-        fns = tuple(compile_guard(t, index) for t in guard.terms)
-        return lambda s: any(f(s) for f in fns)
-    if isinstance(guard, Not):
-        f = compile_guard(guard.term, index)
-        return lambda s: not f(s)
-    raise TypeError(f"not a guard node: {guard!r}")
-
-
 def _cut_points(value) -> tuple:
     """Where ``x <op> value`` can change truth as the integer ``x`` grows.
 
@@ -253,19 +210,57 @@ def _cut_points(value) -> tuple:
     return ()
 
 
-def guard_cuts(model: Model) -> dict[str, tuple[int, ...]]:
-    """Each variable the transition guards and label predicates mention,
-    with its sorted cut points (none for an enum): a counter's guard class
-    is ``bisect_right(cuts, value)``."""
+def guard_cuts(model: Model, guards=None) -> dict[str, tuple[int, ...]]:
+    """Each variable ``guards`` mention (default: every transition guard and
+    label predicate), with its sorted cut points (none for an enum): a
+    counter's guard class is ``bisect_right(cuts, value)``.
+
+    Raises ``KeyError`` on a variable the model does not declare.
+    """
+    if guards is None:
+        guards = [t.guard for t in model.transitions] + [l.predicate for l in model.labels]
     cuts: dict[str, set[int]] = {}
-    for guard in [t.guard for t in model.transitions] + [l.predicate for l in model.labels]:
+    for guard in guards:
         for c in guard_comparisons(guard):
-            i = model.var_index.get(c.var)
-            if i is not None:
-                points = cuts.setdefault(c.var, set())
-                if isinstance(model.variables[i].domain, IntDomain):
-                    points.update(_cut_points(c.value))
+            points = cuts.setdefault(c.var, set())
+            if isinstance(model.variables[model.var_index[c.var]].domain, IntDomain):
+                points.update(_cut_points(c.value))
     return {var: tuple(sorted(points)) for var, points in cuts.items()}
+
+
+def _class_key(model: Model, guards=None) -> Callable[[StateVector], tuple]:
+    """The function from a state to its guard class under ``guards``
+    (default: every transition guard and label predicate): the value of
+    each enum they compare, and the ``bisect_right`` position of each
+    counter among its cut points.  A counter without cut points has one
+    class and is left out."""
+    parts = tuple(
+        (model.var_index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
+        for var, cuts in guard_cuts(model, guards).items()
+        if cuts or isinstance(model.variable(var).domain, EnumDomain)
+    )
+    return lambda s: tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in parts])
+
+
+def guard_predicate(model: Model, guard: Guard) -> Callable[[StateVector], bool]:
+    """``guard`` as a predicate on the model's states.
+
+    The guard is interpreted once per class of its own literals' cut
+    points, on the first state asked about in that class, and the answer
+    is cached for the rest of the class.
+    """
+    class_key = _class_key(model, [guard])
+    names = tuple(v.name for v in model.variables)
+    truth: dict[tuple, bool] = {}
+
+    def holds(s: StateVector) -> bool:
+        key = class_key(s)
+        got = truth.get(key)
+        if got is None:
+            got = truth[key] = eval_guard_kleene(guard, dict(zip(names, s)))
+        return got
+
+    return holds
 
 
 def guard_comparisons(guard: Guard) -> Iterator[Comparison]:
@@ -392,12 +387,6 @@ class Model:
             return False
         return all(s[i] in v.domain for i, v in enumerate(self.variables))
 
-    def domain_size(self) -> int:
-        n = 1
-        for v in self.variables:
-            n *= len(v.domain)
-        return n
-
     def domain_product(self) -> Iterator[StateVector]:
         """All points of the variable-domain product, in lexicographic order."""
         import itertools
@@ -416,39 +405,17 @@ class FiringRow(NamedTuple):
 
 
 class _CompiledModel:
-    """Per-model compiled guard/update closures and the firing table."""
+    """Per-model update closures and the firing table, whose rows the guard
+    interpreter fills once per guard class."""
 
     def __init__(self, model: Model):
-        index = model.var_index
         self.transitions = model.transitions
         self.parameters = model.parameters
-        self.guards = tuple(compile_guard(t.guard, index) for t in model.transitions)
+        self.names = tuple(v.name for v in model.variables)
+        self.labels = model.labels
         self.updates = tuple(_compile_update(t.update, model) for t in model.transitions)
-        self.label_guards = {
-            l.name: compile_guard(l.predicate, index) for l in model.labels
-        }
-        self.immediate_idx = tuple(
-            i for i, t in enumerate(model.transitions) if not t.is_timed
-        )
-        self.timed_idx = tuple(i for i, t in enumerate(model.transitions) if t.is_timed)
-        self.priority = tuple(
-            None if t.is_timed else t.kind.priority for t in model.transitions
-        )
-        self.index_by_name = {t.name: i for i, t in enumerate(model.transitions)}
-        # (tuple index, cut points) of each variable the class depends on;
-        # None stands for an enum, whose class is its value.  A counter
-        # without cut points has one class.
-        self.class_parts = tuple(
-            (index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
-            for var, cuts in guard_cuts(model).items()
-            if cuts or isinstance(model.variable(var).domain, EnumDomain)
-        )
+        self.class_key = _class_key(model)
         self.table: dict[tuple, FiringRow] = {}
-
-    def class_key(self, s: StateVector) -> tuple:
-        return tuple(
-            [s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in self.class_parts]
-        )
 
     def row(self, s: StateVector) -> FiringRow:
         """The row of ``s``'s guard class, filled from ``s`` on first use."""
@@ -465,12 +432,14 @@ class _CompiledModel:
         transitions are its enabled immediates of maximal priority;
         otherwise they are its enabled timed transitions.
         """
-        guards, transitions = self.guards, self.transitions
-        labels = tuple(fn(s) for fn in self.label_guards.values())
-        imm = [i for i in self.immediate_idx if guards[i](s)]
+        point = dict(zip(self.names, s))
+        transitions = self.transitions
+        labels = tuple(eval_guard_kleene(l.predicate, point) for l in self.labels)
+        enabled = [i for i, t in enumerate(transitions) if eval_guard_kleene(t.guard, point)]
+        imm = [i for i in enabled if not transitions[i].is_timed]
         if imm:
-            top = max(self.priority[i] for i in imm)
-            chosen = tuple(i for i in imm if self.priority[i] == top)
+            top = max(transitions[i].kind.priority for i in imm)
+            chosen = tuple(i for i in imm if transitions[i].kind.priority == top)
             weights = [transitions[i].kind.weight for i in chosen]
             total = sum(weights)
             return FiringRow(
@@ -480,7 +449,7 @@ class _CompiledModel:
                 tuple(acc / total for acc in accumulate(weights, initial=0.0))[1:],
                 labels,
             )
-        chosen = tuple(i for i in self.timed_idx if guards[i](s))
+        chosen = tuple(enabled)
         rates = tuple(transitions[i].kind.rate.value(self.parameters) for i in chosen)
         return FiringRow(False, chosen, rates, (), labels)
 
@@ -531,15 +500,14 @@ def enabled_transitions(model: Model, s: StateVector) -> list[Transition]:
 
 def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector:
     """Fire ``t`` in ``s``; pure, all unnamed variables pass through."""
-    comp = model._compiled
-    idx = comp.index_by_name.get(t.name)
-    if idx is None or model.transitions[idx] != t:
+    if t not in model.transitions:
         raise GuardViolation(f"transition {t.name!r} is not part of model {model.name!r}")
-    if not comp.guards[idx](s):
+    comp = model._compiled
+    if not eval_guard_kleene(t.guard, dict(zip(comp.names, s))):
         raise GuardViolation(
             f"guard of {t.name!r} does not hold in state ({model.format_state(s)})"
         )
-    return comp.updates[idx](s)
+    return comp.updates[model.transitions.index(t)](s)
 
 
 def is_vanishing(model: Model, s: StateVector) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
-from .model import Model, StateVector, compile_guard, initial_state
+from .model import Model, StateVector, guard_predicate, initial_state
 from .rng import SplitMix64, stream_seed
 from .validate import validate_model
 
@@ -183,9 +183,9 @@ def _label_fn(model: Model, label):
     if isinstance(label, str):
         if label not in model.label_map:
             raise UnknownLabelError(f"no label {label!r} on model {model.name!r}")
-        return model._compiled.label_guards[label], label
+        return guard_predicate(model, model.label_map[label].predicate), label
     # A guard expression is accepted anywhere a label name is.
-    return compile_guard(label, model.var_index), "<guard>"
+    return guard_predicate(model, label), "<guard>"
 
 
 def _ci_half_width(values) -> float:

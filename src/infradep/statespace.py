@@ -291,6 +291,6 @@ def label_sets(obj) -> dict[str, frozenset[int]]:
         members.setdefault(comp.class_key(s), []).append(i)
     rows = [(comp.row(obj.states[idx[0]]).labels, idx) for idx in members.values()]
     return {
-        name: frozenset(chain.from_iterable(idx for labels, idx in rows if labels[j]))
-        for j, name in enumerate(comp.label_guards)
+        l.name: frozenset(chain.from_iterable(idx for labels, idx in rows if labels[j]))
+        for j, l in enumerate(comp.labels)
     }

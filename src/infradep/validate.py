@@ -22,10 +22,9 @@ from .model import (
     eval_guard_kleene,
     guard_comparisons,
     guard_cuts,
-    guard_variables,
 )
 
-# Exact guard-satisfiability scans are skipped above this domain size.
+# A guard's satisfiability scan is skipped when it would try more probes.
 SAT_SCAN_LIMIT = 1_000_000
 
 
@@ -318,30 +317,23 @@ def _check_update_domains(model: Model, rep: ValidationReport, spans):
 
 def _check_guard_satisfiability(model: Model, rep: ValidationReport, spans):
     """Warn about guards no state satisfies, trying one value per guard class
-    of each variable the guard mentions (every guard is constant on a class)."""
-    if model.domain_size() > SAT_SCAN_LIMIT:
-        return
-    index = model.var_index
-    cuts = guard_cuts(model)
-    classes = []  # one value of each guard class, per variable
-    for v in model.variables:
-        if isinstance(v.domain, EnumDomain):
-            classes.append(v.domain.values)
-        else:
-            lo, hi = v.domain.lo, v.domain.hi
-            classes.append((lo,) + tuple(c for c in cuts.get(v.name, ()) if lo < c <= hi))
+    of each variable the guard mentions (the guard is constant on a class
+    of its own cut points; the other variables are free)."""
     for t in model.transitions:
-        # Scan only over variables the guard mentions; the rest are free.
-        used = sorted(index[v] for v in guard_variables(t.guard))
-        if not used:
+        names, classes = [], []
+        for var, cuts in guard_cuts(model, [t.guard]).items():
+            dom = model.variable(var).domain
+            names.append(var)
+            if isinstance(dom, EnumDomain):
+                classes.append(dom.values)
+            else:
+                classes.append((dom.lo,) + tuple(c for c in cuts if dom.lo < c <= dom.hi))
+        if not names or math.prod(map(len, classes)) > SAT_SCAN_LIMIT:
             continue
-        sat = False
-        for combo in itertools.product(*(classes[i] for i in used)):
-            probe = {model.variables[i].name: combo[k] for k, i in enumerate(used)}
-            if eval_guard_kleene(t.guard, probe) is True:
-                sat = True
-                break
-        if not sat:
+        if not any(
+            eval_guard_kleene(t.guard, dict(zip(names, combo))) is True
+            for combo in itertools.product(*classes)
+        ):
             rep.warn(
                 "UNSATISFIABLE_GUARD",
                 f"guard of {t.name!r} is unsatisfiable over the variable domains",

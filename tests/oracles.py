@@ -1,7 +1,8 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the production code paths: guards are evaluated
-by the interpreted walker (not the compiled closures), reachability is
+by a two-valued walker of their own on every state (not the program's
+three-valued interpreter, run once per guard class), reachability is
 computed by enumerating the whole variable-domain product and filtering,
 and the numeric oracles are dense (Gaussian elimination, matrix
 exponential, dense linear solves) gated to small chains.
@@ -50,7 +51,8 @@ _CMP_FNS = {
 
 
 def eval_guard(guard, state: tuple, index) -> bool:
-    """Walk the guard tree; the independent counterpart of ``compile_guard``."""
+    """Walk the guard tree on one state; the independent counterpart of
+    ``eval_guard_kleene`` and the firing table's per-class rows."""
     if isinstance(guard, Comparison):
         return _CMP_FNS[guard.op](state[index[guard.var]], guard.value)
     if isinstance(guard, And):

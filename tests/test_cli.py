@@ -254,6 +254,20 @@ def test_state_limit_exit4(capsys, monkeypatch):
     assert "STATE_LIMIT" in err
 
 
+def test_counter_ranges_past_sys_maxsize_end_cleanly(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "wide.gsts"
+    f.write_text(
+        "model m { var n : [0 .. 99999999999999999999] init 0; "
+        "timed t rate 1.0 when n < 5 -> { n := n + 1; }; }"
+    )
+    code, _, err = run(capsys, "validate", "--model", str(f))
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("INFRADEP_STATE_LIMIT", "1000")
+    code, _, err = run(capsys, "graph", "--model", "accidental", "--set", "k_max=1e30", "--summary")
+    assert code == 4
+    assert "STATE_LIMIT" in err
+
+
 def test_malformed_state_limit_is_usage(capsys, monkeypatch):
     for raw in ("abc", "0", "-5", "2.5"):
         monkeypatch.setenv("INFRADEP_STATE_LIMIT", raw)

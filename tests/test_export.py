@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from infradep import (
     Estimate,
     MeasureResult,
@@ -64,6 +66,13 @@ def test_hide_vanishing_matches_reduction(graphs):
     states = {n for n in dot.nodes if n.startswith("s") and n != "s"}
     assert len(states) == c.n
     assert not any(a.get("style") == "dashed" for a in dot.nodes.values())
+    # One edge per positive off-diagonal generator entry, labelled with it.
+    q = c.generator.toarray()
+    assert len(dot.edges) == int(((q > 0) & ~np.eye(c.n, dtype=bool)).sum())
+    for src, dst, attrs in dot.edges:
+        kind, value = attrs["label"].split("=")
+        assert kind == "rate"
+        assert float(value) == q[int(src[1:]), int(dst[1:])]
 
 
 def test_node_labels_carry_assignments_and_state_names(graphs):
@@ -72,6 +81,12 @@ def test_node_labels_carry_assignments_and_state_names(graphs):
     root = dot.nodes["s0"]["label"]
     assert "info=i_working" in root
     assert "state1" in root
+    # The state and its labels are separate lines: DOT's ``\n``, unescaped.
+    for obj in (g, eliminate_vanishing(g)):
+        line = next(l for l in export_dot(obj).splitlines() if l.startswith("  s0 ["))
+        assert line == (
+            '  s0 [label="s0\\ninfo=i_working, elec=e_working, n_cfg=0\\nstate1", peripheries=2];'
+        )
 
 
 def test_summary_counts(graphs):

@@ -30,7 +30,9 @@ from infradep import (
     build_reachability_graph,
     builtin_model,
     validate_model,
+    var_eq,
 )
+from infradep.model import guard_predicate
 
 from .oracles import eval_guard, firings_raw
 
@@ -90,16 +92,20 @@ def _models(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(model=_models(), order=st.randoms(use_true_random=False))
-def test_table_matches_direct_guard_walk(model, order):
+@given(model=_models(), data=st.data(), order=st.randoms(use_true_random=False))
+def test_table_matches_direct_guard_walk(model, data, order):
     # Rows are filled from whichever state of a class comes first, so visit
     # the domain in a random order; every other state must read a row that
-    # equals its own direct evaluation.
+    # equals its own direct evaluation.  The probe guard is drawn apart from
+    # the model's, so its literals are mostly ones no model guard uses.
     states = list(model.domain_product())
     order.shuffle(states)
     comp = model._compiled
     index = model.var_index
+    probe = data.draw(_guards(model.variables))
+    holds = guard_predicate(model, probe)
     for s in states:
+        assert holds(s) == eval_guard(probe, s, index), s
         row = comp.row(s)
         firings, vanishing = firings_raw(model, s)
         assert row.vanishing == vanishing, s
@@ -182,3 +188,10 @@ def test_counter_compared_with_non_integer_literals_still_explores():
     assert g.states == ((0,), (1,), (2,), (3,))
     assert [(e.src, e.transition, e.dst) for e in g.edges] == [(0, "up", 1), (1, "up", 2), (2, "up", 3)]
     assert g.label_sets == {"none": frozenset(), "high": frozenset({2, 3})}
+
+
+def test_undeclared_variable_in_label_raises_at_explore():
+    m = builtin_model("accidental")
+    bad = replace(m, labels=m.labels + (Label("ghost", var_eq("nope", "x")),))
+    with pytest.raises(KeyError):
+        build_reachability_graph(bad)

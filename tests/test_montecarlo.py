@@ -29,7 +29,7 @@ from infradep import (
 )
 from infradep.rng import SplitMix64, stream_seed
 
-from .oracles import birth_chain, two_state_chain
+from .oracles import birth_chain, eval_guard, two_state_chain
 
 
 def test_same_inputs_same_trace(model_a):
@@ -198,7 +198,7 @@ def test_occupancy_traces_are_simulate_traces(model_a):
 
 
 def test_time_to_traces_end_at_the_hit(model_a):
-    fn = model_a._compiled.label_guards["state7"]
+    predicate = model_a.label_map["state7"].predicate
     traces = []
     est = estimate_time_to(
         model_a, "state7", replications=30, seed=8, cap_time=150.0, on_trace=traces.append
@@ -206,7 +206,11 @@ def test_time_to_traces_end_at_the_hit(model_a):
     values = []
     for r, trace in enumerate(traces):
         full = simulate(model_a, 150.0, stream_seed(8, r), replication=r)
-        hits = [i for i, ev in enumerate(full.events) if fn(ev.state)]
+        hits = [
+            i
+            for i, ev in enumerate(full.events)
+            if eval_guard(predicate, ev.state, model_a.var_index)
+        ]
         if hits:
             assert trace.end_reason == "hit"
             assert trace.events == full.events[: hits[0] + 1]
@@ -218,6 +222,19 @@ def test_time_to_traces_end_at_the_hit(model_a):
     assert 0 < est.metadata["censored"] < 30  # both kinds are exercised
     assert est.metadata["censored"] == values.count(150.0)
     assert est.value == sum(values) / 30
+
+
+def test_label_predicate_estimates_equal_label_name_estimates(model_a):
+    predicate = model_a.label_map["state7"].predicate
+    for estimate, kwargs in (
+        (estimate_occupancy, {"horizon": 300.0}),
+        (estimate_time_to, {"cap_time": 150.0}),
+    ):
+        by_name = estimate(model_a, "state7", replications=12, seed=5, **kwargs)
+        by_guard = estimate(model_a, predicate, replications=12, seed=5, **kwargs)
+        assert (by_guard.value, by_guard.half_width, by_guard.metadata) == (
+            by_name.value, by_name.half_width, by_name.metadata
+        )
 
 
 def test_time_to_initial_hit_is_empty_trace():

@@ -170,6 +170,35 @@ def test_unsatisfiable_guard_warns():
     assert any(w.code == "UNSATISFIABLE_GUARD" for w in rep.warnings)
 
 
+def test_unsatisfiable_guard_warns_beside_a_huge_counter():
+    # Each guard is scanned over the classes of its own variables, so a wide
+    # counter elsewhere in the model does not switch the scan off.
+    def twin(hi):
+        return Model(
+            name="m",
+            variables=(
+                VariableDecl("x", EnumDomain(("a", "b")), "a"),
+                VariableDecl("n", IntDomain(0, hi), 0),
+            ),
+            parameters={},
+            transitions=(
+                Transition(
+                    "t", Timed(RateExpr(1.0)), g_and(var_eq("x", "a"), var_eq("x", "b")),
+                    (SetValue("x", "b"),),
+                ),
+                Transition("u", Timed(RateExpr(1.0)), Comparison("n", "<", hi), (Shift("n", 1),)),
+            ),
+        )
+
+    small, huge = validate_model(twin(20)), validate_model(twin(2_000_000))
+    assert small.ok and huge.ok
+    found = [(w.code, w.message, w.where) for w in small.warnings]
+    assert found == [
+        ("UNSATISFIABLE_GUARD", "guard of 't' is unsatisfiable over the variable domains", "transition t")
+    ]
+    assert [(w.code, w.message, w.where) for w in huge.warnings] == found
+
+
 def test_duplicate_assignment():
     m = _counter_model(var_eq("mode", "a"), (SetValue("mode", "b"), SetValue("mode", "a")))
     assert "DUPLICATE_ASSIGNMENT" in codes(validate_model(m))
@@ -227,9 +256,11 @@ def test_huge_counter_range_validates_like_small_twin(monkeypatch):
         validate, "eval_guard_kleene", lambda g, p: calls.append(p) or kleene(g, p)
     )
     big = validate_model(_shift_model(20_000_000))
-    # One projection per shift, at the one value whose shift leaves the range.
-    assert len(calls) == 3
+    big_calls = len(calls)
     small = validate_model(_shift_model(20))
+    # Both the update-domain projections and the satisfiability scan try one
+    # value per guard class, however wide the range.
+    assert len(calls) == 2 * big_calls
 
     def findings(rep, hi):
         return [
