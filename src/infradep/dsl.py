@@ -6,20 +6,32 @@ The grammar (full EBNF in docs/dsl.md):
     item       = param | var | transition | label
     param      = "param" IDENT "=" NUMBER ";"
     var        = "var" IDENT ":" ("{" IDENT {"," IDENT} "}" | "[" INT ".." INT "]")
-                 "init" (IDENT | INT) ";"
+                 "init" literal ";"
     transition = ("timed" IDENT "rate" rexpr | "immediate" IDENT "prio" INT "weight" NUMBER)
                  "when" guard "->" "{" assign* "}" [tagclause] ";"
     rexpr      = NUMBER | IDENT | NUMBER "*" IDENT | IDENT "*" NUMBER
-    guard      = or-expression over comparisons; "&&", "||", "!", parentheses
-    assign     = IDENT ":=" (IDENT | INT | IDENT "+" "1" | IDENT "-" "1") ";"
+    guard      = or-expression over comparisons IDENT op literal; "&&", "||", "!", parentheses
+    assign     = IDENT ":=" (literal | IDENT "+" "1" | IDENT "-" "1") ";"
     label      = "label" IDENT ":=" guard ";"
     tagclause  = "tags" "(" IDENT {"," IDENT} ")"
+    literal    = IDENT | ["-"] INT
 
 Comments run from ``#`` to end of line; input is UTF-8.  Parsing never
 raises: errors are returned, several per run, and the parser resynchronizes
-at ``;`` boundaries.  ``serialize_model`` emits one canonical form (fixed
-item order within sections, shortest round-trip decimals), and
-``parse_model(serialize_model(m))`` reproduces ``m`` structurally.
+at ``;`` boundaries.
+
+The parser builds the model objects straight from the tokens: an IDENT
+literal becomes a ``str`` and an INT literal an ``int``, whatever the
+variable's type.  It checks only what a ``Model`` cannot represent (a
+parameter declared twice, a shift that reads another variable); every name,
+type and domain check is ``validate_model``'s, whose findings come back as
+``ParseError``s placed at the offending word (the first occurrence of that
+word in the item) or else at the item's name.  A file thus gets the same
+codes as the same model built in Python.
+
+``serialize_model`` emits one canonical form (fixed item order within
+sections, shortest round-trip decimals), and ``parse_model(serialize_model(m))``
+reproduces ``m`` structurally.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import string
 from dataclasses import dataclass
 
 from .model import (
+    COMPARISON_OPS,
     And,
     Comparison,
     EnumDomain,
@@ -43,9 +56,10 @@ from .model import (
     Shift,
     Timed,
     Transition,
+    Value,
     VariableDecl,
 )
-from .validate import validate_model
+from .validate import ValidationReport, check_guard, validate_model
 
 MAX_GUARD_DEPTH = 200
 
@@ -75,10 +89,9 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class ParseError:
-    code: str  # parser: UNEXPECTED_TOKEN/UNDECLARED_IDENT/TYPE_MISMATCH/DUPLICATE_NAME/BAD_LITERAL
+    code: str  # parser: UNEXPECTED_TOKEN/BAD_LITERAL/DUPLICATE_NAME/TYPE_MISMATCH; else validation's
     message: str
     span: SourceSpan
-    hint: str | None = None
 
 
 @dataclass(frozen=True)
@@ -165,50 +178,7 @@ def _lex(text: str, errors: list[ParseError]) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Raw (unresolved) items produced by the syntax phase
-
-
-@dataclass
-class _RawVar:
-    name: _Token
-    enum_values: list[_Token] | None
-    lo: int | None
-    hi: int | None
-    init: _Token
-
-
-@dataclass
-class _RawCmp:
-    var: _Token
-    op: str
-    value: _Token
-
-
-@dataclass
-class _RawAssign:
-    var: _Token
-    rhs: _Token | None  # literal (IDENT/INT), or None for +/- 1 forms
-    shift: int  # 0 for literal, else +1/-1
-    shift_ident: _Token | None = None
-
-
-@dataclass
-class _RawTransition:
-    name: _Token
-    timed: bool
-    rate_coeff: float
-    rate_param: _Token | None
-    prio: int
-    weight: float
-    guard: object
-    assigns: list[_RawAssign]
-    tags: list[_Token]
-
-
-@dataclass
-class _RawLabel:
-    name: _Token
-    guard: object
+# Parser: tokens -> model objects
 
 
 class _Parser:
@@ -216,6 +186,9 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.errors = errors
+        # First span of each identifier and literal read in the current item,
+        # so validation findings can point at the offending word.
+        self.words: dict[str, SourceSpan] = {}
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -236,9 +209,9 @@ class _Parser:
             return True
         return False
 
-    def error(self, message: str, token: _Token | None = None, code="UNEXPECTED_TOKEN", hint=None):
+    def error(self, message: str, token: _Token | None = None, code="UNEXPECTED_TOKEN"):
         tok = token or self.peek()
-        self.errors.append(ParseError(code, message, tok.span, hint))
+        self.errors.append(ParseError(code, message, tok.span))
 
     def expect(self, text: str) -> _Token | None:
         if self.at(text):
@@ -246,10 +219,12 @@ class _Parser:
         self.error(f"expected {text!r}, found {self._describe()}")
         return None
 
-    def expect_kind(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        self.error(f"expected {kind}, found {self._describe()}")
+    def expect_ident(self) -> _Token | None:
+        if self.peek().kind == "IDENT":
+            tok = self.advance()
+            self.words.setdefault(tok.text, tok.span)
+            return tok
+        self.error(f"expected IDENT, found {self._describe()}")
         return None
 
     def _describe(self) -> str:
@@ -303,6 +278,37 @@ class _Parser:
         self.error(f"expected number, found {self._describe()}")
         return None
 
+    def parse_literal(self) -> Value | None:
+        """IDENT | ["-"] INT: an enum value (a str) or an integer."""
+        tok = self.peek()
+        if tok.kind == "IDENT":
+            return self.expect_ident().text
+        if tok.kind == "NUMBER":
+            self.advance()
+            self.error(f"expected an integer or enum-value literal, found {tok.text!r}", tok,
+                       code="BAD_LITERAL")
+            return None
+        neg = self.accept("-")
+        digits = self.peek()
+        if digits.kind != "INT":
+            self.error(f"expected literal, found {self._describe()}",
+                       code="BAD_LITERAL" if neg else "UNEXPECTED_TOKEN")
+            return None
+        self.advance()
+        value = -int(digits.text) if neg else int(digits.text)
+        self.words.setdefault(str(value), tok.span)
+        return value
+
+    def parse_names(self) -> list[str]:
+        """IDENT {"," IDENT}; a missing name is reported and left out."""
+        names = []
+        while True:
+            tok = self.expect_ident()
+            if tok is not None:
+                names.append(tok.text)
+            if not self.accept(","):
+                return names
+
     # -- guards -------------------------------------------------------------
 
     def parse_guard(self, depth: int = 0):
@@ -333,357 +339,130 @@ class _Parser:
             inner = self.parse_guard(depth + 1)
             self.expect(")")
             return inner
-        var = self.expect_kind("IDENT")
+        var = self.expect_ident()
         if var is None:
             self.advance()
             return None
-        op_tok = self.peek()
-        if op_tok.text in ("==", "!=", "<", "<=", ">", ">="):
-            self.advance()
-        else:
+        op = self.peek().text
+        if op not in COMPARISON_OPS:
             self.error(f"expected comparison operator, found {self._describe()}")
             return None
-        value = self.peek()
-        if value.kind == "IDENT":
-            self.advance()
-        elif value.kind == "INT" or value.text == "-":
-            neg = self.accept("-")
-            value = self.peek()
-            if value.kind != "INT":
-                self.error(f"expected literal, found {self._describe()}", code="BAD_LITERAL")
-                return None
-            self.advance()
-            if neg:
-                value = _Token("INT", "-" + value.text, value.span)
-        elif value.kind == "NUMBER":
-            self.advance()
-            self.error(
-                f"comparisons use integer or enum-value literals, found {value.text!r}",
-                value,
-                code="BAD_LITERAL",
-            )
-            return None
-        else:
-            self.error(f"expected literal, found {self._describe()}")
-            return None
-        return _RawCmp(var, op_tok.text, value)
+        self.advance()
+        value = self.parse_literal()
+        return None if value is None else Comparison(var.text, op, value)
 
-    # -- items ---------------------------------------------------------------
+    # -- items (the text after ``keyword name``) ----------------------------
 
-    def parse_param(self):
-        name = self.expect_kind("IDENT")
-        ok = self.expect("=") is not None
-        value = self.parse_number() if ok else None
+    def parse_param(self) -> float | None:
+        value = self.parse_number() if self.expect("=") is not None else None
         self.expect(";")
-        if name is None or value is None:
-            return None
-        return (name, value)
+        return value
 
-    def parse_var(self):
-        name = self.expect_kind("IDENT")
+    def parse_var(self, name: str) -> VariableDecl | None:
         self.expect(":")
-        enum_values = None
-        lo = hi = None
         if self.accept("{"):
-            enum_values = []
-            first = self.expect_kind("IDENT")
-            if first is not None:
-                enum_values.append(first)
-            while self.accept(","):
-                v = self.expect_kind("IDENT")
-                if v is not None:
-                    enum_values.append(v)
+            domain = EnumDomain(tuple(self.parse_names()))
             self.expect("}")
         elif self.accept("["):
             lo = self.parse_int()
             self.expect("..")
             hi = self.parse_int()
             self.expect("]")
+            domain = None if lo is None or hi is None else IntDomain(lo, hi)
         else:
             self.error(f"expected '{{' or '[', found {self._describe()}")
             return None
         self.expect("init")
-        init = self.peek()
-        if init.kind == "IDENT":
-            self.advance()
-        elif init.kind == "INT" or init.text == "-":
-            neg = self.accept("-")
-            init = self.peek()
-            if init.kind != "INT":
-                self.error(f"expected init literal, found {self._describe()}", code="BAD_LITERAL")
-                return None
-            self.advance()
-            if neg:
-                init = _Token("INT", "-" + init.text, init.span)
-        else:
-            self.error(f"expected init value, found {self._describe()}")
+        init = self.parse_literal()
+        if init is None:
             return None
         self.expect(";")
-        if name is None or (enum_values is None and (lo is None or hi is None)):
-            return None
-        return _RawVar(name, enum_values, lo, hi, init)
+        return None if domain is None else VariableDecl(name, domain, init)
 
-    def parse_rate(self):
+    def parse_rate(self) -> RateExpr | None:
         """rexpr = NUMBER | IDENT | NUMBER '*' IDENT | IDENT '*' NUMBER."""
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.accept("*"):
-                num = self.parse_number()
-                if num is None:
-                    return None
-                return (num, tok)
-            return (1.0, tok)
-        num = self.parse_number()
-        if num is None:
+        if self.peek().kind == "IDENT":
+            param = self.expect_ident().text
+            coeff = self.parse_number() if self.accept("*") else 1.0
+            return None if coeff is None else RateExpr(coeff, param)
+        coeff = self.parse_number()
+        if coeff is None:
             return None
-        if self.accept("*"):
-            ident = self.expect_kind("IDENT")
-            if ident is None:
-                return None
-            return (num, ident)
-        return (num, None)
+        if not self.accept("*"):
+            return RateExpr(coeff, None)
+        param = self.expect_ident()
+        return None if param is None else RateExpr(coeff, param.text)
 
     def parse_assign(self):
-        var = self.expect_kind("IDENT")
+        var = self.expect_ident()
         self.expect(":=")
         if var is None:
             return None
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.at("+") or self.at("-"):
-                sign = 1 if self.peek().text == "+" else -1
-                self.advance()
-                one = self.peek()
-                if one.kind == "INT" and one.text == "1":
-                    self.advance()
-                    self.expect(";")
-                    return _RawAssign(var, None, sign, shift_ident=tok)
+        value = self.parse_literal()
+        if isinstance(value, str) and (self.at("+") or self.at("-")):
+            source = self.toks[self.pos - 1]
+            sign = 1 if self.advance().text == "+" else -1
+            one = self.peek()
+            if one.kind != "INT" or one.text != "1":
                 self.error(f"only +/- 1 shifts are allowed, found {self._describe()}",
                            code="BAD_LITERAL")
                 self.expect(";")
                 return None
-            self.expect(";")
-            return _RawAssign(var, tok, 0)
-        if tok.kind == "INT" or tok.text == "-":
-            neg = self.accept("-")
-            tok = self.peek()
-            if tok.kind != "INT":
-                self.error(f"expected literal, found {self._describe()}", code="BAD_LITERAL")
-                self.expect(";")
-                return None
             self.advance()
-            if neg:
-                tok = _Token("INT", "-" + tok.text, tok.span)
             self.expect(";")
-            return _RawAssign(var, tok, 0)
-        self.error(f"expected assignment value, found {self._describe()}")
+            if value != var.text:
+                # A Model has no way to say ``n := k + 1``: reported here.
+                self.error(f"shift must read the assigned variable itself "
+                           f"({var.text!r}), found {value!r}", source, code="TYPE_MISMATCH")
+                return None
+            return Shift(var.text, sign)
         self.expect(";")
-        return None
+        return None if value is None else SetValue(var.text, value)
 
-    def parse_transition(self, timed: bool):
-        name = self.expect_kind("IDENT")
-        coeff, param = 1.0, None
-        prio, weight = 0, 1.0
-        ok = name is not None
+    def parse_transition(self, name: str, timed: bool) -> Transition | None:
+        kind = None
         if timed:
-            if self.expect("rate") is not None:
-                rate = self.parse_rate()
-                if rate is None:
-                    ok = False
-                else:
-                    coeff, param = rate
-            else:
-                ok = False
+            rate = self.parse_rate() if self.expect("rate") is not None else None
+            kind = None if rate is None else Timed(rate)
         else:
-            if self.expect("prio") is not None:
-                p = self.parse_int()
-                ok = ok and p is not None
-                prio = p if p is not None else 0
-            else:
-                ok = False
-            if self.expect("weight") is not None:
-                w = self.parse_number()
-                ok = ok and w is not None
-                weight = w if w is not None else 1.0
-            else:
-                ok = False
+            prio = self.parse_int() if self.expect("prio") is not None else None
+            weight = self.parse_number() if self.expect("weight") is not None else None
+            if prio is not None and weight is not None:
+                kind = Immediate(prio, weight)
         self.expect("when")
         guard = self.parse_guard()
-        ok = ok and guard is not None
         self.expect("->")
         self.expect("{")
-        assigns = []
+        update = []
         while not self.at("}") and self.peek().kind != "EOF":
             a = self.parse_assign()
             if a is not None:
-                assigns.append(a)
+                update.append(a)
             elif not (self.at("}") or self.peek().kind == "IDENT"):
                 break  # give up on this update block
         self.expect("}")
-        tags: list[_Token] = []
+        tags: list[str] = []
         if self.accept("tags"):
             self.expect("(")
-            t = self.expect_kind("IDENT")
-            if t is not None:
-                tags.append(t)
-            while self.accept(","):
-                t = self.expect_kind("IDENT")
-                if t is not None:
-                    tags.append(t)
+            tags = self.parse_names()
             self.expect(")")
         self.expect(";")
-        if not ok:
+        if kind is None or guard is None:
             return None
-        return _RawTransition(name, timed, coeff, param, prio, weight, guard, assigns, tags)
+        return Transition(name, kind, guard, tuple(update), frozenset(tags))
 
-    def parse_label(self):
-        name = self.expect_kind("IDENT")
+    def parse_label(self, name: str) -> Label | None:
         self.expect(":=")
         guard = self.parse_guard()
         self.expect(";")
-        if name is None or guard is None:
-            return None
-        return _RawLabel(name, guard)
+        return None if guard is None else Label(name, guard)
 
 
-# ---------------------------------------------------------------------------
-# Resolution: raw items -> typed model
-
-
-class _Resolver:
-    def __init__(self, errors: list[ParseError]):
-        self.errors = errors
-        self.variables: list[VariableDecl] = []
-        self.var_by_name: dict[str, VariableDecl] = {}
-        self.parameters: dict[str, float] = {}
-
-    def error(self, code, message, token: _Token):
-        self.errors.append(ParseError(code, message, token.span))
-
-    def add_param(self, name: _Token, value: float):
-        if name.text in self.parameters:
-            self.error("DUPLICATE_NAME", f"parameter {name.text!r} declared twice", name)
-            return
-        self.parameters[name.text] = value
-
-    def add_var(self, raw: _RawVar):
-        if raw.name.text in self.var_by_name:
-            self.error("DUPLICATE_NAME", f"variable {raw.name.text!r} declared twice", raw.name)
-            return
-        if raw.enum_values is not None:
-            values = tuple(t.text for t in raw.enum_values)
-            seen = set()
-            for t in raw.enum_values:
-                if t.text in seen:
-                    self.error("DUPLICATE_NAME", f"enum value {t.text!r} repeated", t)
-                seen.add(t.text)
-            domain = EnumDomain(values)
-            if raw.init.kind != "IDENT":
-                self.error("TYPE_MISMATCH",
-                           f"enum variable {raw.name.text!r} needs an enum-value init", raw.init)
-                return
-            init = raw.init.text
-            if init not in domain:
-                self.error("BAD_LITERAL",
-                           f"init {init!r} is not a value of this enum", raw.init)
-                return
-        else:
-            domain = IntDomain(raw.lo, raw.hi)
-            if raw.init.kind != "INT":
-                self.error("TYPE_MISMATCH",
-                           f"counter {raw.name.text!r} needs an integer init", raw.init)
-                return
-            init = int(raw.init.text)
-            if init not in domain:
-                self.error("BAD_LITERAL",
-                           f"init {init} outside [{raw.lo}, {raw.hi}]", raw.init)
-                return
-        decl = VariableDecl(raw.name.text, domain, init)
-        self.variables.append(decl)
-        self.var_by_name[decl.name] = decl
-
-    def resolve_guard(self, raw) -> Guard | None:
-        if isinstance(raw, _RawCmp):
-            decl = self.var_by_name.get(raw.var.text)
-            if decl is None:
-                self.error("UNDECLARED_IDENT",
-                           f"undeclared variable {raw.var.text!r}", raw.var)
-                return None
-            if isinstance(decl.domain, EnumDomain):
-                if raw.value.kind != "IDENT":
-                    self.error("TYPE_MISMATCH",
-                               f"enum variable {raw.var.text!r} compared to a number", raw.value)
-                    return None
-                if raw.op not in ("==", "!="):
-                    self.error("TYPE_MISMATCH",
-                               f"enum variable {raw.var.text!r} compared with {raw.op!r}", raw.var)
-                    return None
-                if raw.value.text not in decl.domain:
-                    self.error("TYPE_MISMATCH",
-                               f"{raw.value.text!r} is not a value of enum {raw.var.text!r}",
-                               raw.value)
-                    return None
-                return Comparison(decl.name, raw.op, raw.value.text)
-            if raw.value.kind != "INT":
-                self.error("TYPE_MISMATCH",
-                           f"counter {raw.var.text!r} compared to {raw.value.text!r}", raw.value)
-                return None
-            return Comparison(decl.name, raw.op, int(raw.value.text))
-        if isinstance(raw, And):
-            terms = tuple(self.resolve_guard(t) for t in raw.terms)
-            return None if any(t is None for t in terms) else And(terms)
-        if isinstance(raw, Or):
-            terms = tuple(self.resolve_guard(t) for t in raw.terms)
-            return None if any(t is None for t in terms) else Or(terms)
-        if isinstance(raw, Not):
-            inner = self.resolve_guard(raw.term)
-            return None if inner is None else Not(inner)
-        return None
-
-    def resolve_assign(self, raw: _RawAssign):
-        decl = self.var_by_name.get(raw.var.text)
-        if decl is None:
-            self.error("UNDECLARED_IDENT", f"undeclared variable {raw.var.text!r}", raw.var)
-            return None
-        if raw.shift != 0:
-            if raw.shift_ident.text != decl.name:
-                self.error("TYPE_MISMATCH",
-                           f"shift must read the assigned variable itself "
-                           f"({decl.name!r}), found {raw.shift_ident.text!r}",
-                           raw.shift_ident)
-                return None
-            if not isinstance(decl.domain, IntDomain):
-                self.error("TYPE_MISMATCH",
-                           f"enum variable {decl.name!r} cannot be shifted", raw.var)
-                return None
-            return Shift(decl.name, raw.shift)
-        if isinstance(decl.domain, EnumDomain):
-            if raw.rhs.kind != "IDENT":
-                self.error("TYPE_MISMATCH",
-                           f"enum variable {decl.name!r} assigned a number", raw.rhs)
-                return None
-            if raw.rhs.text not in decl.domain:
-                self.error("TYPE_MISMATCH",
-                           f"{raw.rhs.text!r} is not a value of enum {decl.name!r}", raw.rhs)
-                return None
-            return SetValue(decl.name, raw.rhs.text)
-        if raw.rhs.kind != "INT":
-            self.error("TYPE_MISMATCH",
-                       f"counter {decl.name!r} assigned {raw.rhs.text!r}", raw.rhs)
-            return None
-        return SetValue(decl.name, int(raw.rhs.text))
-
-    def resolve_rate(self, raw: _RawTransition) -> RateExpr | None:
-        if raw.rate_param is None:
-            return RateExpr(raw.rate_coeff, None)
-        if raw.rate_param.text not in self.parameters:
-            self.error("UNDECLARED_IDENT",
-                       f"rate references undeclared parameter {raw.rate_param.text!r}",
-                       raw.rate_param)
-            return None
-        return RateExpr(raw.rate_coeff, raw.rate_param.text)
+# Item keyword -> the ``where`` prefix validation uses for that item.
+_ITEM_KINDS = {
+    "param": "param", "var": "var", "timed": "transition",
+    "immediate": "transition", "label": "label",
+}
 
 
 def parse_model(text) -> Model | list[ParseError]:
@@ -705,14 +484,14 @@ def _parse_model_inner(text) -> Model | list[ParseError]:
     if p.expect("model") is None:
         return errors or [ParseError("UNEXPECTED_TOKEN", "expected 'model'",
                                      toks[0].span)]
-    name_tok = p.expect_kind("IDENT")
+    name_tok = p.expect_ident()
     p.expect("{")
 
-    raw_params: list[tuple[_Token, float]] = []
-    raw_vars: list[_RawVar] = []
-    raw_transitions: list[_RawTransition] = []
-    raw_labels: list[_RawLabel] = []
-    spans: dict[str, SourceSpan] = {}
+    parameters: dict[str, float] = {}
+    items: dict[str, list] = {"var": [], "transition": [], "label": []}
+    # Item key ("var x") -> span of its name; (item key, word) -> span of
+    # the word's first occurrence in that item.
+    spans: dict = {}
 
     while True:
         tok = p.peek()
@@ -722,29 +501,8 @@ def _parse_model_inner(text) -> Model | list[ParseError]:
         if tok.text == "}":
             p.advance()
             break
-        before = len(errors)
-        if p.accept("param"):
-            item = p.parse_param()
-            if item is not None:
-                raw_params.append(item)
-                spans[f"param {item[0].text}"] = item[0].span
-        elif p.accept("var"):
-            item = p.parse_var()
-            if item is not None:
-                raw_vars.append(item)
-                spans[f"var {item.name.text}"] = item.name.span
-        elif p.accept("timed") or p.accept("immediate"):
-            timed = p.toks[p.pos - 1].text == "timed"
-            item = p.parse_transition(timed)
-            if item is not None:
-                raw_transitions.append(item)
-                spans[f"transition {item.name.text}"] = item.name.span
-        elif p.accept("label"):
-            item = p.parse_label()
-            if item is not None:
-                raw_labels.append(item)
-                spans[f"label {item.name.text}"] = item.name.span
-        else:
+        kind = _ITEM_KINDS.get(tok.text) if tok.kind == "IDENT" else None
+        if kind is None:
             p.error(
                 f"expected 'param', 'var', 'timed', 'immediate' or 'label', "
                 f"found {p._describe()}"
@@ -752,13 +510,35 @@ def _parse_model_inner(text) -> Model | list[ParseError]:
             p.advance()
             p.sync_to_semicolon()
             continue
+        before = len(errors)
+        p.advance()
+        name = p.expect_ident()
+        p.words = {}
+        name_text = None if name is None else name.text
+        if kind == "param":
+            item = p.parse_param()
+        elif kind == "var":
+            item = p.parse_var(name_text)
+        elif kind == "label":
+            item = p.parse_label(name_text)
+        else:
+            item = p.parse_transition(name_text, tok.text == "timed")
+        if name is not None and item is not None:
+            where = f"{kind} {name_text}"
+            spans[where] = name.span
+            spans.update(((where, w), s) for w, s in p.words.items())
+            if kind != "param":
+                items[kind].append(item)
+            elif name_text in parameters:
+                # Parameters are a dict: a Model cannot hold the duplicate.
+                p.error(f"parameter {name_text!r} declared twice", name, code="DUPLICATE_NAME")
+            else:
+                parameters[name_text] = item
         if len(errors) > before:
             # Resynchronize unless the failed item already stopped at a
             # plausible item boundary.
             nxt = p.peek()
-            at_boundary = nxt.kind == "EOF" or nxt.text in (
-                "param", "var", "timed", "immediate", "label", "}",
-            )
+            at_boundary = nxt.kind == "EOF" or nxt.text in (*_ITEM_KINDS, "}")
             if not at_boundary:
                 p.sync_to_semicolon()
 
@@ -768,90 +548,34 @@ def _parse_model_inner(text) -> Model | list[ParseError]:
     if errors:
         return errors
 
-    # Resolution phase: names, types, literals.
-    r = _Resolver(errors)
-    for name_t, value in raw_params:
-        r.add_param(name_t, value)
-    for rv in raw_vars:
-        r.add_var(rv)
-
-    transitions: list[Transition] = []
-    seen_t: set[str] = set()
-    for rt in raw_transitions:
-        if rt.name.text in seen_t:
-            r.error("DUPLICATE_NAME", f"transition {rt.name.text!r} declared twice", rt.name)
-            continue
-        seen_t.add(rt.name.text)
-        guard = r.resolve_guard(rt.guard)
-        assigns = [r.resolve_assign(a) for a in rt.assigns]
-        if rt.timed:
-            rate = r.resolve_rate(rt)
-            kind = Timed(rate) if rate is not None else None
-        else:
-            kind = Immediate(rt.prio, rt.weight)
-        if guard is None or kind is None or any(a is None for a in assigns):
-            continue
-        transitions.append(
-            Transition(
-                rt.name.text,
-                kind,
-                guard,
-                tuple(assigns),
-                frozenset(t.text for t in rt.tags),
-            )
-        )
-
-    labels: list[Label] = []
-    seen_l: set[str] = set()
-    for rl in raw_labels:
-        if rl.name.text in seen_l:
-            r.error("DUPLICATE_NAME", f"label {rl.name.text!r} declared twice", rl.name)
-            continue
-        seen_l.add(rl.name.text)
-        guard = r.resolve_guard(rl.guard)
-        if guard is not None:
-            labels.append(Label(rl.name.text, guard))
-
-    if errors:
-        return errors
-
     model = Model(
-        name=name_tok.text if name_tok else "model",
-        variables=tuple(r.variables),
-        parameters=r.parameters,
-        transitions=tuple(transitions),
-        labels=tuple(labels),
+        name=name_tok.text,
+        variables=tuple(items["var"]),
+        parameters=parameters,
+        transitions=tuple(items["transition"]),
+        labels=tuple(items["label"]),
     )
-
-    # Re-attach remaining validation findings to source positions.
-    report = validate_model(model, spans=spans)
-    if report.errors:
-        top = SourceSpan(1, 1, 0, 0)
-        return [
-            ParseError(i.code, i.message, i.span if i.span else top)
-            for i in report.errors
-        ]
-    return model
+    return _located(validate_model(model, spans=spans)) or model
 
 
 def parse_guard_text(text: str, model: Model) -> Guard | list[ParseError]:
-    """Parse a bare guard expression against an existing model's variables."""
+    """Parse a bare guard expression and check it against ``model``."""
     errors: list[ParseError] = []
-    toks = _lex(text, errors)
-    p = _Parser(toks, errors)
-    raw = p.parse_guard()
+    p = _Parser(_lex(text, errors), errors)
+    guard = p.parse_guard()
     if p.peek().kind != "EOF":
         p.error(f"unexpected input after guard: {p._describe()}")
-    if errors or raw is None:
-        return errors or [ParseError("UNEXPECTED_TOKEN", "empty guard",
-                                     SourceSpan(1, 1, 0, 0))]
-    r = _Resolver(errors)
-    r.variables = list(model.variables)
-    r.var_by_name = {v.name: v for v in model.variables}
-    guard = r.resolve_guard(raw)
-    if errors or guard is None:
+    if errors:
         return errors
-    return guard
+    report = ValidationReport()
+    check_guard(model, guard, "guard", report, {("guard", w): s for w, s in p.words.items()})
+    return _located(report) or guard
+
+
+def _located(report: ValidationReport) -> list[ParseError]:
+    """Validation errors as parse errors; an issue with no span gets 1:1."""
+    top = SourceSpan(1, 1, 0, 0)
+    return [ParseError(i.code, i.message, i.span or top) for i in report.errors]
 
 
 # ---------------------------------------------------------------------------

@@ -305,14 +305,6 @@ def mean_time_to_absorption(
     relevant = np.flatnonzero(reachable & can_reach & ~in_target)
     sub = q[np.ix_(relevant, relevant)].tocsc()
 
-    if defective and not allow_defective:
-        hit = _hit_probability(ctmc, q, relevant, in_target, sub)
-        raise UnreachableTargetError(
-            f"target hit with probability {hit:.6g} < 1 from the initial "
-            "distribution (pass allow_defective to get the conditional mean)",
-            hit_probability=hit,
-        )
-
     if not defective:
         if len(relevant):
             h = spla.spsolve(sub, -np.ones(len(relevant)))
@@ -331,13 +323,18 @@ def mean_time_to_absorption(
             },
         )
 
-    # Defective case: conditional mean E[time | hit] restricted to states
-    # that can still reach the target.
+    # Defective case: the hit probability, then the conditional mean
+    # E[time | hit] restricted to states that can still reach the target.
     a = _hit_vector(q, relevant, in_target, sub)
+    hit = float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
+    if not allow_defective:
+        raise UnreachableTargetError(
+            f"target hit with probability {hit:.6g} < 1 from the initial "
+            "distribution (pass allow_defective to get the conditional mean)",
+            hit_probability=hit,
+        )
     g = spla.spsolve(sub, -a)
     residual = float(np.abs(sub @ g + a).max()) if len(relevant) else 0.0
-    mass_in_target = float(ctmc.initial[in_target].sum())
-    hit = float(ctmc.initial[relevant] @ a) + mass_in_target
     num = float(ctmc.initial[relevant] @ g)
     return MeasureResult(
         name="mtta",
@@ -356,11 +353,6 @@ def _hit_vector(q, relevant, in_target, sub) -> np.ndarray:
     """P(hit target) for each relevant state: Q'a = -(rates into target)."""
     r = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
     return spla.spsolve(sub, -r)
-
-
-def _hit_probability(ctmc, q, relevant, in_target, sub) -> float:
-    a = _hit_vector(q, relevant, in_target, sub)
-    return float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
 
 
 # ---------------------------------------------------------------------------

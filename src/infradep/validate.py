@@ -1,8 +1,10 @@
 """Static validation of models.
 
-Nothing here raises: all findings are returned as report entries with a
-machine-readable code, so the DSL front end can re-attach them to source
-positions and the CLI can print them uniformly.
+This is the one model checker: every name, type and domain check lives
+here, and the DSL front end builds its model without checking and asks
+``validate_model`` instead.  Nothing here raises: all findings are returned
+as report entries with a machine-readable code, so the front end can
+re-attach them to source positions and the CLI can print them uniformly.
 """
 
 from __future__ import annotations
@@ -45,22 +47,27 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def error(self, code: str, message: str, where: str, spans=None):
-        self.errors.append(ValidationIssue(code, message, where, _span(spans, where)))
+    def error(self, code: str, message: str, where: str, spans=None, at=None):
+        """Record an error in item ``where``; ``at`` names the offending
+        variable, value, parameter or tag, whose span is preferred."""
+        self.errors.append(ValidationIssue(code, message, where, _span(spans, where, at)))
 
     def warn(self, code: str, message: str, where: str, spans=None):
-        self.warnings.append(ValidationIssue(code, message, where, _span(spans, where)))
+        self.warnings.append(ValidationIssue(code, message, where, _span(spans, where, None)))
 
 
-def _span(spans, where):
-    return spans.get(where) if spans else None
+def _span(spans, where, at):
+    if not spans:
+        return None
+    return (at is not None and spans.get((where, str(at)))) or spans.get(where)
 
 
 def validate_model(model: Model, spans=None) -> ValidationReport:
     """Check all structural invariants of ``model``.
 
     ``spans`` optionally maps item keys like ``"transition cfg_overflow"``
-    to source spans; matching issues carry them.
+    to source spans, and ``(item key, word)`` pairs to the span of that
+    word in the item; matching issues carry them.
     """
     rep = ValidationReport()
     _check_declarations(model, rep, spans)
@@ -69,11 +76,11 @@ def validate_model(model: Model, spans=None) -> ValidationReport:
         return rep
     for t in model.transitions:
         where = f"transition {t.name}"
-        _check_guard(model, t.guard, where, rep, spans)
+        check_guard(model, t.guard, where, rep, spans)
         _check_update(model, t, where, rep, spans)
         _check_kind(model, t, where, rep, spans)
     for l in model.labels:
-        _check_guard(model, l.predicate, f"label {l.name}", rep, spans)
+        check_guard(model, l.predicate, f"label {l.name}", rep, spans)
     if not rep.errors:
         _check_update_domains(model, rep, spans)
         _check_guard_satisfiability(model, rep, spans)
@@ -99,6 +106,7 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                     f"init {v.init!r} is not a value of enum {v.name!r}",
                     where,
                     spans,
+                    at=v.init,
                 )
         else:
             if v.domain.lo > v.domain.hi:
@@ -114,6 +122,7 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                     f"init {v.init!r} outside [{v.domain.lo}, {v.domain.hi}] of {v.name!r}",
                     where,
                     spans,
+                    at=v.init,
                 )
 
     for name, value in model.parameters.items():
@@ -148,7 +157,9 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
         seen.add(l.name)
 
 
-def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, spans):
+def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, spans=None):
+    """Check that each comparison of ``guard`` names a declared variable
+    and a literal of its type; findings go to ``rep`` under ``where``."""
     for cmp_ in guard_comparisons(guard):
         v = model.var_index.get(cmp_.var)
         if v is None:
@@ -157,6 +168,7 @@ def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, 
                 f"guard references undeclared variable {cmp_.var!r}",
                 where,
                 spans,
+                at=cmp_.var,
             )
             continue
         dom = model.variables[v].domain
@@ -167,6 +179,7 @@ def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, 
                     f"enum variable {cmp_.var!r} compared with {cmp_.op!r}",
                     where,
                     spans,
+                    at=cmp_.var,
                 )
             if cmp_.value not in dom:
                 rep.error(
@@ -174,6 +187,7 @@ def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, 
                     f"{cmp_.value!r} is not a value of enum {cmp_.var!r}",
                     where,
                     spans,
+                    at=cmp_.value,
                 )
         else:
             if not isinstance(cmp_.value, int):
@@ -182,6 +196,7 @@ def _check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, 
                     f"counter {cmp_.var!r} compared against non-integer {cmp_.value!r}",
                     where,
                     spans,
+                    at=cmp_.value,
                 )
 
 
@@ -194,6 +209,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                 f"variable {a.var!r} assigned twice in one update",
                 where,
                 spans,
+                at=a.var,
             )
         assigned.add(a.var)
         vi = model.var_index.get(a.var)
@@ -203,6 +219,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                 f"update assigns undeclared variable {a.var!r}",
                 where,
                 spans,
+                at=a.var,
             )
             continue
         dom = model.variables[vi].domain
@@ -214,6 +231,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         f"{a.value!r} is not a value of enum {a.var!r}",
                         where,
                         spans,
+                        at=a.value,
                     )
             else:
                 if not isinstance(a.value, int):
@@ -222,6 +240,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         f"counter {a.var!r} assigned non-integer {a.value!r}",
                         where,
                         spans,
+                        at=a.value,
                     )
                 elif a.value not in dom:
                     rep.error(
@@ -229,6 +248,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         f"assignment {a.var} := {a.value} leaves [{dom.lo}, {dom.hi}]",
                         where,
                         spans,
+                        at=a.value,
                     )
         else:  # Shift
             if isinstance(dom, EnumDomain):
@@ -237,6 +257,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                     f"enum variable {a.var!r} cannot be incremented",
                     where,
                     spans,
+                    at=a.var,
                 )
             elif a.delta not in (1, -1):
                 rep.error(
@@ -244,6 +265,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                     f"increment of {a.var!r} must be +1 or -1, got {a.delta}",
                     where,
                     spans,
+                    at=a.var,
                 )
 
 
@@ -256,6 +278,7 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
                 f"rate references undeclared parameter {r.param!r}",
                 where,
                 spans,
+                at=r.param,
             )
         else:
             value = r.value(model.parameters)
@@ -285,6 +308,7 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
                 f"unknown tag {tag!r}; expected one of {sorted(TRANSITION_TAGS)}",
                 where,
                 spans,
+                at=tag,
             )
 
 
@@ -312,6 +336,7 @@ def _check_update_domains(model: Model, rep: ValidationReport, spans):
                     f"[{dom.lo}, {dom.hi}] (guard admits {a.var}={v})",
                     where,
                     spans,
+                    at=a.var,
                 )
 
 

@@ -3,17 +3,32 @@
 from __future__ import annotations
 
 import pathlib
+import re
 from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from infradep import (
+    Comparison,
+    EnumDomain,
+    IntDomain,
+    Label,
     Model,
+    RateExpr,
+    SetValue,
+    Shift,
+    Timed,
+    Transition,
+    VariableDecl,
     parse_guard_text,
     parse_model,
     serialize_model,
+    validate_model,
+    var_eq,
 )
+from infradep.dsl import KEYWORDS
 from infradep.rng import SplitMix64
 
 from .conftest import MODEL_CTORS
@@ -106,6 +121,128 @@ def test_bad_literal():
         assert isinstance(errors, list), text
         err = next(e for e in errors if e.code == "UNEXPECTED_TOKEN")
         assert err.span.column == text.index(bad) + 1
+
+
+def test_bad_init_is_one_finding_at_the_literal():
+    # The variable stays declared, so its later uses raise nothing more.
+    text = (
+        "model m {\n"
+        "  var x : {a, b} init c;\n"
+        "  timed t rate 1.0 when x == a -> { x := b; };\n"
+        "  label up := x == a;\n"
+        "}\n"
+    )
+    errors = parse_model(text)
+    assert isinstance(errors, list)
+    assert [e.code for e in errors] == ["BAD_INIT"]
+    line = text.splitlines()[1]
+    assert (errors[0].span.line, errors[0].span.column) == (2, line.index(" c;") + 2)
+
+
+def test_findings_point_at_the_offending_word():
+    text = (
+        "model m {\n"
+        "  var x : {a, b} init a;\n"
+        "  var n : [0 .. 2] init 0;\n"
+        "  timed t rate mu when x == a -> { x := c; n := -3; } tags (bogus);\n"
+        "}\n"
+    )
+    errors = parse_model(text)
+    assert isinstance(errors, list)
+    line = text.splitlines()[3]
+    got = {(e.code, e.span.line, e.span.column) for e in errors}
+    assert got == {
+        ("TYPE_MISMATCH", 4, line.index("c;") + 1),
+        ("OUT_OF_DOMAIN_UPDATE", 4, line.index("-3") + 1),
+        ("UNDECLARED_IDENT", 4, line.index("mu") + 1),
+        ("UNKNOWN_TAG", 4, line.index("bogus") + 1),
+    }
+
+
+# Malformed models, each as .gsts items and as the same Model built in
+# Python: the front end must report exactly validation's codes.
+_X = VariableDecl("x", EnumDomain(("a", "b")), "a")
+_N = VariableDecl("n", IntDomain(0, 2), 0)
+_X_TEXT = "var x : {a, b} init a;"
+_N_TEXT = "var n : [0 .. 2] init 0;"
+_T = Transition("t", Timed(RateExpr(1.0)), var_eq("x", "a"), (SetValue("x", "b"),))
+_T_TEXT = "timed t rate 1.0 when x == a -> { x := b; };"
+
+
+def _timed(guard="x == a", update="x := b;", rate="1.0"):
+    return f"timed t rate {rate} when {guard} -> {{ {update} }};"
+
+
+def _t(guard=var_eq("x", "a"), update=(SetValue("x", "b"),), rate=RateExpr(1.0)):
+    return Transition("t", Timed(rate), guard, update)
+
+
+_MALFORMED = {
+    "bad_init": (
+        f"var x : {{a, b}} init c; {_N_TEXT} {_T_TEXT}",
+        dict(variables=(VariableDecl("x", EnumDomain(("a", "b")), "c"), _N)),
+    ),
+    "empty_range": (
+        f"{_X_TEXT} var n : [3 .. 1] init 1; {_T_TEXT}",
+        dict(variables=(_X, VariableDecl("n", IntDomain(3, 1), 1))),
+    ),
+    "enum_vs_number": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(guard='x == 1')}",
+        dict(transitions=(_t(guard=var_eq("x", 1)),)),
+    ),
+    "enum_ordering": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(guard='x < b')}",
+        dict(transitions=(_t(guard=Comparison("x", "<", "b")),)),
+    ),
+    "value_outside_enum": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(guard='x == c', update='x := d;')}",
+        dict(transitions=(_t(guard=var_eq("x", "c"), update=(SetValue("x", "d"),)),)),
+    ),
+    "undeclared_in_guard": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(guard='y == a')}",
+        dict(transitions=(_t(guard=var_eq("y", "a")),)),
+    ),
+    "undeclared_in_label": (
+        f"{_X_TEXT} {_N_TEXT} {_T_TEXT} label l := y == a;",
+        dict(labels=(Label("l", var_eq("y", "a")),)),
+    ),
+    "undeclared_in_update": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(update='y := a;')}",
+        dict(transitions=(_t(update=(SetValue("y", "a"),)),)),
+    ),
+    "undeclared_rate_param": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(rate='mu')}",
+        dict(transitions=(_t(rate=RateExpr(1.0, "mu")),)),
+    ),
+    "shift_on_enum": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(update='x := x + 1;')}",
+        dict(transitions=(_t(update=(Shift("x", 1),)),)),
+    ),
+    "counter_assigned_name": (
+        f"{_X_TEXT} {_N_TEXT} {_timed(update='n := a;')}",
+        dict(transitions=(_t(update=(SetValue("n", "a"),)),)),
+    ),
+    "duplicate_variable": (
+        f"{_X_TEXT} var x : [0 .. 1] init 0; {_T_TEXT}",
+        dict(variables=(_X, VariableDecl("x", IntDomain(0, 1), 0))),
+    ),
+    "duplicate_transition": (
+        f"{_X_TEXT} {_N_TEXT} {_T_TEXT} {_timed(guard='x == b', update='x := a;')}",
+        dict(transitions=(_T, _t(guard=var_eq("x", "b"), update=(SetValue("x", "a"),)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_front_end_reports_validation_codes(case):
+    items, fields = _MALFORMED[case]
+    model = Model(**{"name": "m", "variables": (_X, _N), "parameters": {},
+                     "transitions": (_T,), **fields})
+    expected = {e.code for e in validate_model(model).errors}
+    assert expected
+    errors = parse_model(f"model m {{ {items} }}")
+    assert isinstance(errors, list)
+    assert {e.code for e in errors} == expected
 
 
 def test_roundtrip_builtins(models):
@@ -204,10 +341,56 @@ def test_fuzz_10k_byte_cases():
             data = bytes(data[: max(1, rng.next_u64() % len(data))])
         try:
             result = parse_model(data)
-            assert isinstance(result, (Model, list))
         except Exception:
             crashes += 1
+            continue
+        assert isinstance(result, (Model, list))
+        if isinstance(result, Model):
+            # The parser checks almost nothing itself: whatever it returns
+            # must be valid and survive the canonical round trip.
+            assert validate_model(result).ok, data
+            assert parse_model(serialize_model(result)) == result, data
     assert crashes == 0
+
+
+_WORD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)")
+
+
+def test_fuzz_word_swaps_return_only_valid_models():
+    # Swap words of a valid model for other words of it: most results still
+    # parse, so validation alone decides, and whatever comes back as a
+    # Model must be valid and survive the canonical round trip.
+    base = (
+        "model m {\n"
+        "  param mu = 2.0;\n"
+        "  var x : {a, b} init a;\n"
+        "  var n : [0 .. 2] init 0;\n"
+        "  timed fail rate 0.5 * mu when x == a && n < 2 -> { x := b; n := n + 1; } tags (attack);\n"
+        "  timed fix rate mu when x == b -> { x := a; } tags (restoration);\n"
+        "  immediate reset prio 1 weight 1.0 when n == 2 && x == a -> { n := 0; };\n"
+        "  label down := x == b || n >= 1;\n"
+        "}\n"
+    )
+    parts = _WORD.split(base)  # words at the odd indices
+    spots = [i for i in range(1, len(parts), 2) if parts[i] not in KEYWORDS]
+    vocabulary = sorted({parts[i] for i in spots} | {"c", "-1", "3", "0.0"})
+    rng = SplitMix64(0xBEEF)
+    accepted = rejected = 0
+    for _ in range(1_000):
+        mutant = list(parts)
+        for _ in range(1 + rng.next_u64() % 2):
+            spot = spots[rng.next_u64() % len(spots)]
+            mutant[spot] = vocabulary[rng.next_u64() % len(vocabulary)]
+        text = "".join(mutant)
+        result = parse_model(text)
+        if isinstance(result, Model):
+            accepted += 1
+            assert validate_model(result).ok, text
+            assert parse_model(serialize_model(result)) == result, text
+        else:
+            rejected += 1
+            assert result, text
+    assert accepted > 50 and rejected > 50, (accepted, rejected)
 
 
 @st.composite
