@@ -20,7 +20,6 @@ from .catalog import (
 )
 from .claims import (
     CheckResult,
-    PathQuery,
     check_all_paths_contain,
     check_apparent_consistency,
     check_edge_coverage,

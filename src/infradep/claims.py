@@ -13,19 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotAttackModelError, UnknownLabelError
-from .model import Model, guard_predicate
+from .model import guard_predicate
 from .statespace import ReachabilityGraph
-
-
-@dataclass(frozen=True)
-class PathQuery:
-    """Declarative form of one claim over the state graph."""
-
-    kind: str  # exists-path | all-paths-contain | edge-exists | set-unreachable
-    source: str | None = None  # label name; None = every tangible non-target state
-    target: str | None = None
-    via: tuple[str, ...] | None = None  # exact transition sequence (exists-path)
-    required: tuple[frozenset, ...] = ()  # groups of alternatives (all-paths-contain)
 
 
 @dataclass(frozen=True)
@@ -159,14 +148,14 @@ def check_set_unreachable(g: ReachabilityGraph, predicate, name: str) -> CheckRe
     return CheckResult(name, True, "no reachable state matches")
 
 
-def check_apparent_consistency(g: ReachabilityGraph, model: Model | None = None) -> CheckResult:
+def check_apparent_consistency(g: ReachabilityGraph) -> CheckResult:
     """Apparent status must equal real status whenever no deception is live.
 
     Applies to attack-shaped models (paired real_*/app_* variables plus an
     ``attack`` status including ``none`` and ``detected``); on every
     reachable state with attack in {none, detected} the pairs must agree.
     """
-    model = model or g.model
+    model = g.model
     index = model.var_index
     pairs = []
     for v in model.variables:
@@ -188,25 +177,6 @@ def check_apparent_consistency(g: ReachabilityGraph, model: Model | None = None)
     if offenders:
         return CheckResult(name, False, f"{len(offenders)} states diverge", offenders)
     return CheckResult(name, True, "apparent == real outside deception")
-
-
-def run_query(g: ReachabilityGraph, q: PathQuery) -> CheckResult:
-    if q.kind == "exists-path":
-        return check_path_exists(g, q.source, q.target, via=q.via)
-    if q.kind == "all-paths-contain":
-        return check_all_paths_contain(g, q.source, q.target, q.required)
-    if q.kind == "edge-exists":
-        exempt = (q.source,) if q.source else (q.target,)
-        return check_edge_coverage(g, q.target, exempt_labels=exempt)
-    if q.kind == "set-unreachable":
-        states = _label_states(g, q.target)
-        return CheckResult(
-            f"label {q.target} unreachable",
-            not states,
-            f"{len(states)} reachable states match" if states else "no reachable state matches",
-            tuple(sorted(states)),
-        )
-    raise ValueError(f"unsupported query kind {q.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,7 @@ from .errors import (
     InfradepError,
     InvalidArgError,
     InvalidParamError,
-    NoConvergenceError,
-    NotErgodicError,
     StateLimitExceeded,
-    UnknownLabelError,
-    UnreachableTargetError,
 )
 from .export import export_dot, export_results_json, graph_summary
 from .model import guard_predicate
@@ -41,6 +37,14 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_LIMIT = 4
 EXIT_USAGE = 64
+
+# Exit code per library error class; every other InfradepError is numeric.
+_ERROR_EXITS = {
+    InvalidParamError: EXIT_VALIDATION,
+    ImmediateCycleError: EXIT_VALIDATION,
+    StateLimitExceeded: EXIT_LIMIT,
+    EventCapExceeded: EXIT_LIMIT,
+}
 
 
 class UsageError(Exception):
@@ -277,9 +281,9 @@ def cmd_graph(args) -> int:
     if args.format == "json":
         args.summary = True  # DOT has no JSON form; emit the summary
     if args.out or not args.summary:
-        _emit(args, export_dot(obj, model))
+        _emit(args, export_dot(obj))
     if args.summary:
-        sys.stdout.write(json.dumps(graph_summary(obj, model), indent=2) + "\n")
+        sys.stdout.write(json.dumps(graph_summary(obj), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -434,19 +438,9 @@ def main(argv=None) -> int:
         for issue in e.report.errors:
             print(f"error [{issue.code}] {issue.where}: {issue.message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InvalidParamError, ImmediateCycleError) as e:
+    except InfradepError as e:
         print(f"error [{e.code}] {e.message}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NotErgodicError, NoConvergenceError, UnreachableTargetError, UnknownLabelError,
-            InvalidArgError) as e:
-        print(f"error [{e.code}] {e.message}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (StateLimitExceeded, EventCapExceeded) as e:
-        print(f"error [{e.code}] {e.message}", file=sys.stderr)
-        return EXIT_LIMIT
-    except InfradepError as e:  # pragma: no cover - safety net
-        print(f"error [{e.code}] {e.message}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _ERROR_EXITS.get(type(e), EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -489,9 +489,9 @@ def _parse_model_inner(text) -> Model | list[ParseError]:
 
     parameters: dict[str, float] = {}
     items: dict[str, list] = {"var": [], "transition": [], "label": []}
-    # Item key ("var x") -> span of its name; (item key, word) -> span of
-    # the word's first occurrence in that item.
-    spans: dict = {}
+    # Item key ("var x", "model m") -> span of its name; (item key, word)
+    # -> span of the word's first occurrence in that item.
+    spans: dict = {} if name_tok is None else {f"model {name_tok.text}": name_tok.span}
 
     while True:
         tok = p.peek()

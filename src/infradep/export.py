@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from .model import Model
 from .montecarlo import Estimate
 from .solvers import MeasureResult
 from .statespace import ReachabilityGraph
@@ -14,14 +13,14 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(obj, model: Model | None = None) -> str:
+def export_dot(obj) -> str:
     """Render a reachability graph or CTMC as a DOT digraph.
 
     Node ids are the stable state indices.  Tangible states are solid,
     vanishing states dashed; timed edges carry ``rate=``, immediate edges
     ``p=``.  Render ``eliminate_vanishing(g)`` to show the reduced chain.
     """
-    model = model or obj.model
+    model = obj.model
     by_state: dict[int, list[str]] = {}
     for name, idxs in obj.label_sets.items():
         for i in idxs:
@@ -56,13 +55,12 @@ def export_dot(obj, model: Model | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_summary(obj, model: Model | None = None) -> dict:
+def graph_summary(obj) -> dict:
     """State/edge counts and per-label sizes, JSON-ready."""
-    model = model or obj.model
     labels = {name: len(idx) for name, idx in obj.label_sets.items()}
     if isinstance(obj, ReachabilityGraph):
         return {
-            "model": model.name,
+            "model": obj.model.name,
             "states": len(obj.states),
             "tangible": obj.tangible_count(),
             "vanishing": obj.vanishing_count(),
@@ -70,7 +68,7 @@ def graph_summary(obj, model: Model | None = None) -> dict:
             "labels": labels,
         }
     return {
-        "model": model.name,
+        "model": obj.model.name,
         "states": obj.n,
         "tangible": obj.n,
         "vanishing": 0,

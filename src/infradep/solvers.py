@@ -2,8 +2,16 @@
 
 Production paths are sparse: steady state by a direct LU solve of the
 balance equations on the terminal strongly-connected component, transients
-by uniformization with stable Poisson weighting, absorption times by a
-sparse linear solve.  Dense counterparts live in the test suite as oracles.
+by uniformization (Reibman & Trivedi 1988), absorption times by a sparse
+linear solve.  Dense counterparts live in the test suite as oracles.
+
+Uniformization runs at the fixed rate 1.05 times the largest exit rate and
+weights the powers of the uniformized chain by a Poisson window that drops
+at most ``POISSON_TAIL`` of the mass.  The window's edges come from Poisson
+tail bounds (Fox & Glynn 1988), so its length is known before anything is
+allocated; a window longer than ``MAX_POISSON_TERMS`` is refused with
+``InvalidArgError``.  The only tunable is the steady-state residual gate in
+``SolverOptions``.
 """
 
 from __future__ import annotations
@@ -29,11 +37,14 @@ from .statespace import Ctmc
 @dataclass(frozen=True)
 class SolverOptions:
     steady_tol: float = 1e-10  # residual bound for ||pi Q||_inf
-    poisson_tail: float = 1e-9  # Poisson mass allowed to be discarded
-    uniformization_rate: float | None = None  # None: 1.05 * max exit rate
 
 
 DEFAULT_OPTIONS = SolverOptions()
+
+POISSON_TAIL = 1e-9  # Poisson mass the transient window may discard
+# Longest Poisson window transient builds (32 MB of weights).  Lambda t up
+# to about 9e10 fits; beyond that the run would take ~Lambda t matrix steps.
+MAX_POISSON_TERMS = 4_000_000
 
 
 @dataclass
@@ -74,10 +85,11 @@ def terminal_sccs(ctmc: Ctmc) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
 
-def _reachable_from(ctmc: Ctmc, sources: np.ndarray, forward: bool = True) -> np.ndarray:
-    """States reachable from ``sources`` (or, backwards, that reach them)."""
-    n = ctmc.n
-    coo = (ctmc.generator > 0).tocoo()
+def _reachable_from(q: sp.csr_matrix, sources: np.ndarray, forward: bool = True) -> np.ndarray:
+    """States reachable from ``sources`` under generator ``q`` (or, backwards,
+    that reach them)."""
+    n = q.shape[0]
+    coo = (q > 0).tocoo()
     src, dst = (coo.row, coo.col) if forward else (coo.col, coo.row)
     sources = np.asarray(sources, dtype=src.dtype)
     # A virtual super-source (index n) with an edge to every source.
@@ -151,72 +163,58 @@ def _solve_balance(q: sp.csr_matrix) -> np.ndarray:
 # Transient analysis
 
 
-def _poisson_window(mean: float, tail: float):
+def _poisson_window(mean: float):
     """Left/right truncation and normalized weights for Poisson(mean).
 
-    Weights are built by recurrence from the mode, so they stay
-    well-scaled for arbitrarily large means; the discarded tail mass is
-    bounded geometrically by ``tail`` on each side.
+    With L = ln(2 / POISSON_TAIL), the mass beyond mean + L/3 +
+    sqrt(L^2/9 + 2 L mean) (Bernstein) and below mean - sqrt(2 L mean)
+    (Chernoff) is at most POISSON_TAIL / 2 on each side.  Weights are
+    products of the ratios between neighbouring terms, taken outward from
+    the mode, so they stay well-scaled for any mean; each end is then
+    trimmed while the mass cut off stays within POISSON_TAIL / 2.
     """
+    log_tail = math.log(2.0 / POISSON_TAIL)
+    above = log_tail / 3 + math.sqrt(log_tail**2 / 9 + 2 * log_tail * mean)
+    below = math.sqrt(2 * log_tail * mean)
+    terms = above + below + 3  # at least right - left + 1
+    if not terms <= MAX_POISSON_TERMS:  # also catches an infinite mean
+        raise InvalidArgError(
+            f"uniformization needs a Poisson window of about {terms:.3g} terms for "
+            f"Lambda*t = {mean:.6g}; at most {MAX_POISSON_TERMS} are allowed"
+        )
     mode = int(mean)
-    w = {mode: 1.0}
-    total = 1.0
-    # Right tail: w[k+1] = w[k] * mean / (k+1).
-    k, wk = mode, 1.0
-    while True:
-        ratio = mean / (k + 1)
-        wk *= ratio
-        k += 1
-        w[k] = wk
-        total += wk
-        if ratio < 1.0 and wk * ratio / (1.0 - ratio) < tail * total:
-            break
-    right = k
-    # Left tail: w[k-1] = w[k] * k / mean.
-    k, wk = mode, 1.0
-    while k > 0:
-        ratio = k / mean
-        wk *= ratio
-        k -= 1
-        w[k] = wk
-        total += wk
-        if ratio < 1.0 and wk * ratio / (1.0 - ratio) < tail * total:
-            break
-    left = k
-    weights = np.array([w[i] for i in range(left, right + 1)])
-    return left, right, weights / weights.sum()
+    left = max(0, math.floor(mean - below))
+    right = math.ceil(mean + above)
+    up = np.cumprod(mean / np.arange(mode + 1, right + 1))  # w[k+1] = w[k] mean/(k+1)
+    down = np.cumprod(np.arange(mode, left, -1) / mean)  # w[k-1] = w[k] k/mean
+    w = np.concatenate([down[::-1], [1.0], up])
+    cut = POISSON_TAIL / 2 * w.sum()
+    lo = int(np.searchsorted(np.cumsum(w), cut, side="right"))
+    hi = len(w) - int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right"))
+    w = w[lo:hi]
+    return left + lo, left + hi - 1, w / w.sum()
 
 
-def transient(
-    ctmc: Ctmc, t: float, options: SolverOptions = DEFAULT_OPTIONS
-) -> Distribution:
+def transient(ctmc: Ctmc, t: float) -> Distribution:
     """Distribution at time ``t`` by uniformization.
 
-    p(t) = sum_k Poisson(Lambda t)[k] * p(0) P^k with P = I + Q/Lambda;
-    the Poisson series is truncated to discard at most ``poisson_tail``
-    mass.  Iteration stops early once the powers have converged (their
-    difference is non-expansive under a stochastic P).
+    p(t) = sum_k Poisson(Lambda t)[k] * p(0) P^k with P = I + Q/Lambda and
+    Lambda = 1.05 * the largest exit rate; the Poisson series is truncated
+    to discard at most ``POISSON_TAIL`` mass.  Iteration stops early once
+    the powers have converged (their difference is non-expansive under a
+    stochastic P).
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
-    rates = -ctmc.generator.diagonal()
-    lam = float(rates.max()) * 1.05 if ctmc.n else 0.0
-    if options.uniformization_rate is not None:
-        if options.uniformization_rate < rates.max():
-            raise InvalidArgError(
-                "uniformization rate must dominate every exit rate"
-            )
-        lam = float(options.uniformization_rate)
+    lam = float((-ctmc.generator.diagonal()).max()) * 1.05 if ctmc.n else 0.0
     if t == 0 or lam <= 0:
         dist = Distribution(p0.copy(), t)
         dist.metadata = {"uniformization_rate": lam, "poisson_terms": 0, "steps": 0}
         return dist
 
-    if not math.isfinite(lam * t):
-        raise InvalidArgError(f"uniformization rate {lam} times time {t} overflows")
+    left, right, weights = _poisson_window(lam * t)
     p = sp.eye(ctmc.n, format="csr") + ctmc.generator / lam
-    left, right, weights = _poisson_window(lam * t, options.poisson_tail)
 
     result = np.zeros_like(p0)
     v = p0
@@ -264,12 +262,7 @@ def resolve_target(ctmc: Ctmc, target) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def mean_time_to_absorption(
-    ctmc: Ctmc,
-    target,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    allow_defective: bool = False,
-) -> MeasureResult:
+def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -> MeasureResult:
     """Expected first-hitting time of ``target`` from the initial distribution.
 
     Target states are made absorbing and the expected hitting times solve
@@ -289,17 +282,10 @@ def mean_time_to_absorption(
     q = (sp.diags((~in_target).astype(float)) @ ctmc.generator).tocsr()
     q.eliminate_zeros()
     q.sort_indices()
-    absorbed = Ctmc(
-        model=ctmc.model,
-        states=ctmc.states,
-        generator=q,
-        initial=ctmc.initial,
-        label_sets=ctmc.label_sets,
-    )
 
     start = np.flatnonzero(ctmc.initial > 0)
-    reachable = _reachable_from(absorbed, start)
-    can_reach = _reachable_from(absorbed, tgt, forward=False)
+    reachable = _reachable_from(q, start)
+    can_reach = _reachable_from(q, tgt, forward=False)
     defective = bool((reachable & ~can_reach & ~in_target).any())
 
     relevant = np.flatnonzero(reachable & can_reach & ~in_target)
@@ -323,9 +309,11 @@ def mean_time_to_absorption(
             },
         )
 
-    # Defective case: the hit probability, then the conditional mean
-    # E[time | hit] restricted to states that can still reach the target.
-    a = _hit_vector(q, relevant, in_target, sub)
+    # Defective case: the hit probability a of each relevant state, from
+    # Q'a = -(rates into the target), then the conditional mean E[time | hit]
+    # restricted to states that can still reach the target.
+    into_target = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
+    a = spla.spsolve(sub, -into_target)
     hit = float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
     if not allow_defective:
         raise UnreachableTargetError(
@@ -347,12 +335,6 @@ def mean_time_to_absorption(
             "conditional": True,
         },
     )
-
-
-def _hit_vector(q, relevant, in_target, sub) -> np.ndarray:
-    """P(hit target) for each relevant state: Q'a = -(rates into target)."""
-    r = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
-    return spla.spsolve(sub, -r)
 
 
 # ---------------------------------------------------------------------------

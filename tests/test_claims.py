@@ -14,6 +14,7 @@ from infradep import (
     cascading_only_model,
     check_all_paths_contain,
     check_apparent_consistency,
+    check_edge_coverage,
     check_path_exists,
     common_cause_model,
     eliminate_vanishing,
@@ -181,27 +182,8 @@ def test_unregistered_model_has_no_suite():
         run_claims(g)
 
 
-def test_path_query_dispatch(graphs):
-    from infradep.claims import PathQuery, run_query
-
-    g = graphs["common-cause"]
-    assert run_query(
-        g, PathQuery("exists-path", source="state1", target="state8", via=("cc_to_8",))
-    ).passed
-    assert run_query(
-        g,
-        PathQuery(
-            "all-paths-contain",
-            source="state6",
-            target="state1",
-            required=(frozenset({"i_restoration"}),),
-        ),
-    ).passed
+def test_edge_coverage_needs_both_exemptions(graphs):
     # Exempting only state6 leaves the state8 states uncovered: they have
     # no direct edge back into state6 (common cause is off inside them).
-    assert not run_query(g, PathQuery("edge-exists", source="state6", target="state6")).passed
-    # set-unreachable: state5 is reachable, so the query fails.
-    g0 = graphs["cascading-only"]
-    assert not run_query(g0, PathQuery("set-unreachable", target="state5")).passed
-    with pytest.raises(ValueError):
-        run_query(g, PathQuery("mystery", target="state1"))
+    g = graphs["common-cause"]
+    assert not check_edge_coverage(g, "state6", exempt_labels=("state6",)).passed

@@ -27,6 +27,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env():
+    """Environment for a child run from "/", where a relative PYTHONPATH such
+    as "src" does not resolve: the package under test comes first."""
+    src = str(Path(infradep.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def load_schema(name):
     path = resources.files("infradep") / "schemas" / name
     return json.loads(path.read_text())
@@ -336,6 +345,17 @@ def test_nonfinite_transient_time_exit3(capsys):
         assert "INVALID_ARG" in err
 
 
+def test_huge_transient_time_exits3_quickly():
+    # Lambda*t is finite at 1e300, but no Poisson window of that size fits:
+    # the run must refuse it at once, not grow the window until it is killed.
+    cmd = [sys.executable, "-m", "infradep", "solve", "--model", "accidental",
+           "--measure", "transient", "--time", "1e300"]
+    r = subprocess.run(cmd, capture_output=True, text=True, cwd="/", env=_child_env(), timeout=60)
+    assert r.returncode == 3, r.stderr
+    assert "error [INVALID_ARG]" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_set_overrides_parameter(capsys):
     code1, out1, _ = run(capsys, "solve", "--model", "accidental",
                          "--measure", "mtta", "--target", "elec == e_lost",
@@ -374,12 +394,7 @@ def test_simulate_identical_invocations_identical_bytes():
         "--occupancy", "state1", "--horizon", "200", "--reps", "5",
         "--seed", "7", "--format", "json",
     ]
-    # The child runs from "/", where a relative PYTHONPATH such as "src" does
-    # not resolve: put the absolute directory of the package under test first.
-    src = str(Path(infradep.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     a = subprocess.run(cmd, capture_output=True, cwd="/", env=env)
     b = subprocess.run(cmd, capture_output=True, cwd="/", env=env)
     assert a.returncode == b.returncode == 0, (a.stderr, b.stderr)

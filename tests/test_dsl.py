@@ -147,16 +147,21 @@ def test_findings_point_at_the_offending_word():
         "  timed t rate mu when x == a -> { x := c; n := -3; } tags (bogus);\n"
         "}\n"
     )
-    errors = parse_model(text)
-    assert isinstance(errors, list)
     line = text.splitlines()[3]
-    got = {(e.code, e.span.line, e.span.column) for e in errors}
-    assert got == {
-        ("TYPE_MISMATCH", 4, line.index("c;") + 1),
-        ("OUT_OF_DOMAIN_UPDATE", 4, line.index("-3") + 1),
-        ("UNDECLARED_IDENT", 4, line.index("mu") + 1),
-        ("UNKNOWN_TAG", 4, line.index("bogus") + 1),
-    }
+    # A finding about the whole model sits at the model's name.
+    empty = "\n\nmodel m { var x : [0..1] init 0; }"
+    for text, expected in (
+        (text, {
+            ("TYPE_MISMATCH", 4, line.index("c;") + 1),
+            ("OUT_OF_DOMAIN_UPDATE", 4, line.index("-3") + 1),
+            ("UNDECLARED_IDENT", 4, line.index("mu") + 1),
+            ("UNKNOWN_TAG", 4, line.index("bogus") + 1),
+        }),
+        (empty, {("NO_TRANSITIONS", 3, empty.splitlines()[2].index("m {") + 1)}),
+    ):
+        errors = parse_model(text)
+        assert isinstance(errors, list), text
+        assert {(e.code, e.span.line, e.span.column) for e in errors} == expected, text
 
 
 # Malformed models, each as .gsts items and as the same Model built in

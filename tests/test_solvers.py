@@ -60,7 +60,9 @@ def test_transient_zero_returns_initial(ctmcs):
 
 
 def test_transient_rejects_negative_time(ctmc_a):
-    for t in (-1.0, float("nan"), float("inf"), 1e308):  # 1e308: Lambda*t overflows
+    # 1e308: Lambda*t overflows; 1e300: finite, but the Poisson window is
+    # far past its cap.
+    for t in (-1.0, float("nan"), float("inf"), 1e308, 1e300):
         with pytest.raises(InvalidArgError):
             transient(ctmc_a, t)
 
@@ -191,17 +193,6 @@ def test_transient_converges_to_steady(ctmcs):
         pi = steady_state(c).probs
         p = transient(c, 1000.0 / lam_min).probs
         assert np.abs(p - pi).max() <= 1e-6, name
-
-
-def test_uniformization_constant_invariance(ctmc_a):
-    # Doubling the uniformization rate beyond the bound must not move the
-    # result.
-    base = transient(ctmc_a, 3.0).probs
-    lam = float((-ctmc_a.generator.diagonal()).max()) * 1.05
-    doubled = transient(ctmc_a, 3.0, SolverOptions(uniformization_rate=2 * lam)).probs
-    assert np.abs(doubled - base).max() <= 1e-9
-    with pytest.raises(InvalidArgError):
-        transient(ctmc_a, 3.0, SolverOptions(uniformization_rate=lam / 100))
 
 
 def test_label_probability_full_and_empty(ctmc_a):
