@@ -188,11 +188,24 @@ def _label_fn(model: Model, label):
     return guard_predicate(model, label), "<guard>"
 
 
-def _ci_half_width(values) -> float:
+def _mean_and_half_width(values, name: str, arg: str) -> tuple[float, float]:
+    """Mean of ``values`` and its 95% normal-approximation CI half width.
+
+    Finite inputs can still overflow (values near ``float`` max); a
+    non-finite mean or half width raises ``InvalidArgError`` naming the
+    argument ``arg`` that bounds the values.
+    """
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return 1.96 * math.sqrt(var / n)
+    try:
+        half = 1.96 * math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1) / n)
+    except OverflowError:  # a float ** 2 past the float range
+        half = math.inf
+    if not (math.isfinite(mean) and math.isfinite(half)):
+        raise InvalidArgError(
+            f"{name} is not finite (mean {mean}, half width {half}); {arg} is too large"
+        )
+    return mean, half
 
 
 def _replications(eng: _Engine, count, seed, horizon, event_cap, on_trace, hit=None):
@@ -223,6 +236,8 @@ def estimate_occupancy(
     """
     if replications < 2:
         raise InvalidArgError("need at least 2 replications for an estimate")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise InvalidArgError(f"horizon must be positive and finite, got {horizon}")
     if burn_in is None:
         burn_in = horizon / 10.0
     if not 0 <= burn_in < horizon:
@@ -230,10 +245,12 @@ def estimate_occupancy(
     fn, label_name = _label_fn(model, label)
     traces = _replications(_Engine(model), replications, seed, horizon, event_cap, on_trace)
     values = [_occupancy_of_trace(t, fn, burn_in, horizon) for t in traces]
+    name = f"occupancy[{label_name}]"
+    value, half_width = _mean_and_half_width(values, name, "horizon")
     return Estimate(
-        name=f"occupancy[{label_name}]",
-        value=sum(values) / replications,
-        half_width=_ci_half_width(values),
+        name=name,
+        value=value,
+        half_width=half_width,
         replications=replications,
         seed=seed,
         metadata={"horizon": horizon, "burn_in": burn_in},
@@ -271,8 +288,8 @@ def estimate_time_to(
     """
     if replications < 2:
         raise InvalidArgError("need at least 2 replications for an estimate")
-    if not cap_time > 0:
-        raise InvalidArgError(f"cap_time must be positive, got {cap_time}")
+    if not (cap_time > 0 and math.isfinite(cap_time)):
+        raise InvalidArgError(f"cap_time must be positive and finite, got {cap_time}")
     fn, label_name = _label_fn(model, label)
     traces = _replications(
         _Engine(model), replications, seed, cap_time, event_cap, on_trace, hit=fn
@@ -280,10 +297,12 @@ def estimate_time_to(
     hits = [t.end_time if t.end_reason == "hit" else None for t in traces]
     values = [cap_time if h is None else h for h in hits]
     censored = hits.count(None)
+    name = f"time_to[{label_name}]"
+    value, half_width = _mean_and_half_width(values, name, "cap_time")
     return Estimate(
-        name=f"time_to[{label_name}]",
-        value=sum(values) / replications,
-        half_width=_ci_half_width(values),
+        name=name,
+        value=value,
+        half_width=half_width,
         replications=replications,
         seed=seed,
         metadata={

@@ -1,17 +1,20 @@
 """Exact numerical measures on a CTMC.
 
 Production paths are sparse: steady state by a direct LU solve of the
-balance equations on the terminal strongly-connected component, transients
-by uniformization (Reibman & Trivedi 1988), absorption times by a sparse
-linear solve.  Dense counterparts live in the test suite as oracles.
+balance equations on the terminal strongly-connected component, factored
+under a minimum-degree order on A^T + A (Davis 2006, ch. 7), transients by
+uniformization (Reibman & Trivedi 1988), absorption times by a sparse
+linear solve under SuperLU's default order.  Dense counterparts live in the
+test suite as oracles.
 
 Uniformization runs at the fixed rate 1.05 times the largest exit rate and
 weights the powers of the uniformized chain by a Poisson window that drops
-at most ``POISSON_TAIL`` of the mass.  The window's edges come from Poisson
-tail bounds (Fox & Glynn 1988), so its length is known before anything is
-allocated; a window longer than ``MAX_POISSON_TERMS`` is refused with
-``InvalidArgError``.  The only tunable is the steady-state residual gate in
-``SolverOptions``.
+at most ``POISSON_TAIL`` of the mass; each step multiplies a column vector
+by the transposed uniformized matrix, formed once per call.  The window's
+edges come from Poisson tail bounds (Fox & Glynn 1988), so its length is
+known before anything is allocated; a window longer than
+``MAX_POISSON_TERMS`` is refused with ``InvalidArgError``.  The only
+tunable is the steady-state residual gate in ``SolverOptions``.
 """
 
 from __future__ import annotations
@@ -145,13 +148,17 @@ def _solve_balance(q: sp.csr_matrix) -> np.ndarray:
 
     The last balance equation is redundant: drop it, pin the last state's
     weight to 1, solve the rest with a sparse LU factorisation, normalise.
+    The factorisation orders columns by minimum degree on A^T + A
+    (``MMD_AT_PLUS_A``): on common-cause at k_max 2000 it keeps L+U at
+    about 0.2M nonzeros, where SuperLU's default COLAMD order fills in
+    4.3M.  It costs a few milliseconds more on the near-banded chains.
     """
     m = q.shape[0]
     if m == 1:
         return np.ones(1)
     qt = q.T.tocsc()
     try:
-        lu = spla.splu(qt[:-1, :-1])
+        lu = spla.splu(qt[:-1, :-1], permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:  # SuperLU: the factor is exactly singular
         raise NoConvergenceError(f"steady-state system is singular: {e}", residual=math.nan) from e
     x = lu.solve(-qt[:-1, -1].toarray().ravel())
@@ -200,9 +207,10 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
 
     p(t) = sum_k Poisson(Lambda t)[k] * p(0) P^k with P = I + Q/Lambda and
     Lambda = 1.05 * the largest exit rate; the Poisson series is truncated
-    to discard at most ``POISSON_TAIL`` mass.  Iteration stops early once
-    the powers have converged (their difference is non-expansive under a
-    stochastic P).
+    to discard at most ``POISSON_TAIL`` mass.  P^T is formed in CSR once,
+    and each step computes P^T v, the same sums in the same order as the
+    row-vector product v P.  Iteration stops early once the powers have
+    converged (their difference is non-expansive under a stochastic P).
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
@@ -214,7 +222,8 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         return dist
 
     left, right, weights = _poisson_window(lam * t)
-    p = sp.eye(ctmc.n, format="csr") + ctmc.generator / lam
+    # For a 1-D left operand, ``v @ p`` would transpose p on every step.
+    pt = (sp.eye(ctmc.n, format="csr") + ctmc.generator / lam).T.tocsr()
 
     result = np.zeros_like(p0)
     v = p0
@@ -224,7 +233,7 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
             result += weights[k - left] * v
         if k == right:
             break
-        nxt = v @ p
+        nxt = pt @ v
         steps += 1
         if float(np.abs(nxt - v).sum()) <= 1e-14:
             # Remaining Poisson mass multiplies an (effectively) fixed vector.
@@ -293,6 +302,8 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
 
     if not defective:
         if len(relevant):
+            # SuperLU's default order: MMD on A^T + A made these solves
+            # slower on every built-in at k_max 2000.
             h = spla.spsolve(sub, -np.ones(len(relevant)))
             residual = float(np.abs(sub @ h + 1.0).max())
             value = float(ctmc.initial[relevant] @ h)  # target states contribute 0

@@ -412,6 +412,35 @@ def test_simulate_results_schema_and_ci(capsys):
     assert data[0]["ci_halfwidth"] >= 0
 
 
+def test_simulate_non_finite_estimates_exit3(capsys, tmp_path):
+    # A finite answer or exit 3, never "nan", "Infinity" or "NaN" on stdout
+    # (the last two are not JSON).
+    absorb = tmp_path / "absorb.gsts"
+    absorb.write_text(
+        "model absorb { var x : [0..1] init 0; "
+        "timed go rate 1.0 when x == 0 -> { x := 1; }; label done := x == 1; }"
+    )
+    fork = tmp_path / "fork.gsts"
+    fork.write_text(
+        "model fork { var x : [0..2] init 0; "
+        "timed a rate 1.0 when x == 0 -> { x := 1; }; "
+        "timed b rate 1.0 when x == 0 -> { x := 2; }; label done := x == 1; }"
+    )
+    cases = [
+        ([str(absorb), "--occupancy", "done", "--horizon", "inf", "--burn-in", "0"], "horizon"),
+        ([str(absorb), "--occupancy", "done", "--horizon", "inf", "--burn-in", "0",
+          "--format", "json"], "horizon"),
+        ([str(fork), "--time-to", "done", "--cap-time", "inf", "--format", "json"], "cap_time"),
+        ([str(fork), "--time-to", "done", "--cap-time", "1e308", "--format", "json"], "cap_time"),
+        ([str(fork), "--time-to", "done", "--cap-time", "1e200", "--format", "json"], "cap_time"),
+    ]
+    for argv, arg in cases:
+        code, out, err = run(capsys, "simulate", "--model", *argv, "--reps", "20")
+        assert (code, out) == (3, ""), argv
+        assert "INVALID_ARG" in err and arg in err and "burn-in" not in err, argv
+        assert "Traceback" not in err, argv
+
+
 def _read_trace_csv(path, model):
     """(time, state) per line of a CSV trace file."""
     kinds = [int if isinstance(v.init, int) else str for v in model.variables]

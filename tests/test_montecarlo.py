@@ -21,6 +21,7 @@ from infradep import (
     initial_state,
     label_probability,
     mean_time_to_absorption,
+    parse_model,
     simulate,
     steady_state,
     trace_to_csv,
@@ -352,3 +353,37 @@ def test_burn_in_default_and_bounds(model_a):
     assert est.metadata["burn_in"] == 10.0
     with pytest.raises(InvalidArgError):
         estimate_occupancy(model_a, "state1", horizon=100.0, replications=2, burn_in=100.0)
+
+
+FORK = (
+    "model fork { var x : [0..2] init 0; "
+    "timed a rate 1.0 when x == 0 -> { x := 1; }; "
+    "timed b rate 1.0 when x == 0 -> { x := 2; }; "
+    "label done := x == 1; }"
+)
+
+
+def test_estimates_reject_non_finite_bounds():
+    # The error names the argument the caller passed, not the burn-in.
+    chain = birth_chain([1.0])
+    for horizon in (float("inf"), float("nan")):
+        with pytest.raises(InvalidArgError, match="horizon must be positive and finite"):
+            estimate_occupancy(chain, "end", horizon=horizon, replications=4, burn_in=0.0)
+        with pytest.raises(InvalidArgError, match="horizon must be positive and finite"):
+            estimate_occupancy(chain, "end", horizon=horizon, replications=4)
+    fork = parse_model(FORK)
+    for cap in (float("inf"), float("nan")):
+        with pytest.raises(InvalidArgError, match="cap_time must be positive and finite"):
+            estimate_time_to(fork, "done", replications=4, cap_time=cap)
+
+
+def test_time_to_overflowing_estimate_is_invalid_arg():
+    # Censored replications enter the mean at cap_time: at 1e308 their sum
+    # overflows, and at 1e200 the squared deviations do.
+    fork = parse_model(FORK)
+    for cap in (1e308, 1e200):
+        with pytest.raises(InvalidArgError, match=r"time_to\[done\] is not finite.*cap_time"):
+            estimate_time_to(fork, "done", replications=20, seed=0, cap_time=cap)
+    est = estimate_time_to(fork, "done", replications=20, seed=0, cap_time=1e100)
+    assert 0 < est.metadata["censored"] < 20
+    assert est.value < 1e100 and est.half_width < 1e100

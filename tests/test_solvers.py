@@ -7,20 +7,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infradep import (
     InvalidArgError,
+    ModelParams,
     NoConvergenceError,
     NotErgodicError,
     UnreachableTargetError,
+    build_reachability_graph,
+    builtin_model,
+    eliminate_vanishing,
     label_probability,
     mean_time_to_absorption,
     steady_state,
+    terminal_sccs,
     transient,
 )
-from infradep.solvers import SolverOptions
+from infradep.solvers import SolverOptions, _poisson_window
 
 from .oracles import (
     birth_chain,
@@ -84,6 +90,64 @@ def test_transient_matches_dense_expm(ctmcs):
             p = transient(c, t).probs
             oracle = dense_transient(c, t)
             assert np.abs(p - oracle).max() <= 1e-7, (name, t)
+
+
+def _built_at(k_max):
+    params = ModelParams(k_max=k_max)
+    return {
+        name: eliminate_vanishing(build_reachability_graph(builtin_model(name, params)))
+        for name in ("accidental", "cascading-only", "common-cause", "attack")
+    }
+
+
+def _dense_uniformization(c, t):
+    """sum_k w[k] p0 P^k over the whole Poisson window, with P dense and the
+    distribution a row vector: no transposed operator, no early stop."""
+    lam = 1.05 * float((-c.generator.diagonal()).max())
+    left, right, w = _poisson_window(lam * t)
+    p = np.eye(c.n) + c.generator.toarray() / lam
+    v = c.initial.astype(float)
+    out = np.zeros(c.n)
+    for k in range(right + 1):
+        if k >= left:
+            out += w[k - left] * v
+        v = v @ p
+    return out
+
+
+def test_transient_step_matches_dense_row_uniformization():
+    early_stops = 0
+    for k_max in (2, 20):
+        for name, c in _built_at(k_max).items():
+            for t in (0.5, 50.0, 5000.0):
+                dist = transient(c, t)
+                want = _dense_uniformization(c, t)
+                assert np.abs(dist.probs - want).max() <= 1e-12, (name, k_max, t)
+                early_stops += dist.metadata["steps"] < dist.metadata["poisson_terms"][1]
+    assert early_stops > 0  # t = 5000 reaches the early-stop branch
+
+
+def test_steady_order_matches_default_order_solve():
+    # Factoring under MMD on A^T + A rather than SuperLU's default COLAMD
+    # changes rounding only.
+    for name, c in _built_at(200).items():
+        (scc,) = terminal_sccs(c)
+        qt = c.generator[np.ix_(scc, scc)].T.tocsc()
+        x = spla.splu(qt[:-1, :-1]).solve(-qt[:-1, -1].toarray().ravel())
+        want = np.zeros(c.n)
+        want[scc] = np.append(x, 1.0) / (x.sum() + 1.0)
+        assert np.abs(steady_state(c).probs - want).max() <= 1e-12, name
+
+
+def test_steady_common_cause_k2000():
+    # The case the fill-reducing order is for: 4.3M nonzeros in L+U under
+    # COLAMD, about 0.2M under MMD on A^T + A.
+    model = builtin_model("common-cause", ModelParams(k_max=2000))
+    c = eliminate_vanishing(build_reachability_graph(model))
+    dist = steady_state(c)
+    assert dist.metadata["terminal_scc_size"] == 28_014
+    assert dist.metadata["residual"] <= SolverOptions().steady_tol
+    assert abs(dist.probs.sum() - 1.0) <= 1e-9
 
 
 def test_mtta_birth_chain():
