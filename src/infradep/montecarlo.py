@@ -6,6 +6,13 @@ states consume exactly one uniform to pick among the max-priority
 immediates by weight.  Given (model, horizon, seed, event cap) a trace is
 fully deterministic; replication r of an estimator runs on the stream
 ``stream_seed(seed, r)`` so replications are independent of each other.
+The stream's uniforms come a block at a time from ``rng.uniforms``; an
+exponential delay is ``-log(u) / rate`` of the next one.
+
+Work that depends only on the state is done once per distinct state and
+kept for the run: an ``_Engine`` keeps each state's firing row and each
+successor state, and an estimator's label predicate keeps its answer per
+state.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Callable
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
 from .model import Model, StateVector, guard_predicate, initial_state
-from .rng import SplitMix64, stream_seed
+from .rng import stream_seed, uniforms
 from .validate import validate_model
 
 DEFAULT_EVENT_CAP = 1_000_000
@@ -51,7 +58,8 @@ class Estimate:
 
 
 class _Engine:
-    """Per-state firing results, memoized across steps and replications."""
+    """Per-state firing results and successors, memoized across steps and
+    replications."""
 
     def __init__(self, model: Model):
         validate_or_raise(model)
@@ -59,6 +67,7 @@ class _Engine:
         self.comp = model._compiled
         self.transitions = model.transitions
         self.cache: dict[StateVector, tuple] = {}
+        self.successors: dict[tuple[int, StateVector], StateVector] = {}
 
     def info(self, s: StateVector):
         """``(vanishing, transition indices, payload)`` in ``s``: the payload
@@ -72,14 +81,12 @@ class _Engine:
         return got
 
     def fire(self, idx: int, s: StateVector) -> StateVector:
-        return self.comp.updates[idx](s)
-
-    def pick_immediate(self, cuts, candidates, rng: SplitMix64) -> int:
-        u = rng.uniform()
-        for i, cut in zip(candidates, cuts):
-            if u <= cut:
-                return i
-        return candidates[-1]
+        """The state after transition ``idx`` fires in ``s``."""
+        key = (idx, s)
+        got = self.successors.get(key)
+        if got is None:
+            got = self.successors[key] = self.comp.updates[idx](s)
+        return got
 
 
 def validate_or_raise(model: Model):
@@ -126,7 +133,8 @@ def _run(
     the initial state does.  The event cap is checked once the immediates
     after each timed event have settled.
     """
-    rng = SplitMix64(seed)
+    draw = uniforms(seed).__next__
+    log = math.log
     init = initial_state(eng.model)
     transitions = eng.transitions
     events: list[Event] = []
@@ -142,7 +150,13 @@ def _run(
     while True:
         vanishing, items, payload = eng.info(state)
         if vanishing:
-            idx = eng.pick_immediate(payload, items, rng)
+            # One uniform picks an immediate by its cumulative weight.
+            u = draw()
+            for idx, cut in zip(items, payload):
+                if u <= cut:
+                    break
+            else:
+                idx = items[-1]
             chained += 1
         else:
             if len(events) > event_cap:
@@ -157,7 +171,7 @@ def _run(
             best_dt = math.inf
             idx = -1
             for i, rate in zip(items, payload):
-                dt = rng.exponential(rate)
+                dt = -log(draw()) / rate
                 if dt < best_dt:
                     best_dt = dt
                     idx = i
@@ -180,12 +194,23 @@ def _run(
 
 
 def _label_fn(model: Model, label):
+    """The label (a name, or a guard expression in its place) as a predicate
+    that interprets each distinct state once, and the label's name."""
     if isinstance(label, str):
         if label not in model.label_map:
             raise UnknownLabelError(f"no label {label!r} on model {model.name!r}")
-        return guard_predicate(model, model.label_map[label].predicate), label
-    # A guard expression is accepted anywhere a label name is.
-    return guard_predicate(model, label), "<guard>"
+        holds, name = guard_predicate(model, model.label_map[label].predicate), label
+    else:
+        holds, name = guard_predicate(model, label), "<guard>"
+    truth: dict[StateVector, bool] = {}
+
+    def memo(s: StateVector) -> bool:
+        got = truth.get(s)
+        if got is None:
+            got = truth[s] = holds(s)
+        return got
+
+    return memo, name
 
 
 def _mean_and_half_width(values, name: str, arg: str) -> tuple[float, float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from infradep import (
@@ -28,6 +30,7 @@ from infradep import (
     trace_to_jsonl,
     var_eq,
 )
+from infradep import montecarlo
 from infradep.rng import SplitMix64, stream_seed
 
 from .oracles import birth_chain, eval_guard, two_state_chain
@@ -387,3 +390,79 @@ def test_time_to_overflowing_estimate_is_invalid_arg():
     est = estimate_time_to(fork, "done", replications=20, seed=0, cap_time=1e100)
     assert 0 < est.metadata["censored"] < 20
     assert est.value < 1e100 and est.half_width < 1e100
+
+
+# The Reproducibility contract (README): these traces must not change by one
+# bit across versions.  Each digest covers ``float.hex`` of every time, the
+# transition names, the states and the end reasons.
+PINNED_TRACES = {
+    "occupancy accidental": "b25e97912c80feeebd5a7f02e4c8194fb8db07ff6e7ed1982aa0dc11d7973fde",
+    "time-to cascading-only": "0304cf979d5435254ffb9ea7c38ff1357c0e62aa83ebd6dedeeba97e74cead71",
+    "occupancy common-cause": "0e2ba7c9113cca8c3af002c45b19ae1d7b721133aa6a204cf855e8dcbedcec26",
+    "time-to attack": "61ed16bc1bc9a1fd2d66d7b37b388a7a3d972fda0ae93f4b887209d2dd45c7e6",
+    "simulate accidental": "e118ab9300b9e20eeb189603da88758e6274413a7aecf01f1c567f3f4c111233",
+    "simulate common-cause": "2af2b6d207a35c84f2efe1d04da04e20c4585a250dc060a08ed653a9cfb395cc",
+    "simulate attack": "35db44431626e230c4361f3bbaf96f0ebb97df8f5cd632bd55f192cbfe205fdf",
+}
+
+
+def _pinned_traces(case, models):
+    kind, name = case.split()
+    m = models[name]
+    traces = []
+    if kind == "occupancy":
+        label = "state1" if name == "accidental" else "state7"
+        estimate_occupancy(m, label, horizon=200.0, replications=4, seed=2024,
+                           on_trace=traces.append)
+    elif kind == "time-to":
+        label = "deceived" if name == "attack" else "state7"
+        estimate_time_to(m, label, replications=4, seed=2025, cap_time=500.0,
+                         on_trace=traces.append)
+    else:
+        seed = {"accidental": 1, "common-cause": 2**64 + 5, "attack": -3}[name]
+        traces.append(simulate(m, horizon=300.0, seed=seed))
+    return traces
+
+
+def _digest(traces) -> str:
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(f"{t.initial!r} {t.end_reason} {t.end_time.hex()}\n".encode())
+        for ev in t.events:
+            h.update(f"{ev.time.hex()} {ev.transition} {ev.state!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRACES))
+def test_traces_match_pinned_digests(case, models):
+    traces = _pinned_traces(case, models)
+    assert sum(len(t.events) for t in traces) > 0
+    assert _digest(traces) == PINNED_TRACES[case]
+
+
+def test_label_predicate_interpreted_once_per_state(model_a, monkeypatch):
+    guard_predicate = montecarlo.guard_predicate
+    calls = 0
+
+    def counting_guard_predicate(model, guard):
+        holds = guard_predicate(model, guard)
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return holds(s)
+
+        return counted
+
+    monkeypatch.setattr(montecarlo, "guard_predicate", counting_guard_predicate)
+    for estimate, kwargs in (
+        (estimate_time_to, {"cap_time": 300.0}),
+        (estimate_occupancy, {"horizon": 300.0}),
+    ):
+        traces = []
+        calls = 0
+        estimate(model_a, "state7", replications=20, seed=4, on_trace=traces.append, **kwargs)
+        visited = {t.initial for t in traces} | {ev.state for t in traces for ev in t.events}
+        events = sum(len(t.events) for t in traces)
+        assert events > 2 * len(visited)  # the states repeat
+        assert 0 < calls <= len(visited)
