@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("path")
     sp.add_argument("--in-place", action="store_true")
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
     return p
 
 
@@ -362,6 +361,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be at least 2")
     if bool(args.occupancy) == bool(args.time_to):
         raise UsageError("choose exactly one of --occupancy LABEL or --time-to LABEL")
+    if args.time_to and args.burn_in is not None:
+        raise UsageError("--burn-in applies only to --occupancy")
     if args.occupancy and args.occupancy not in model.label_map:
         raise UsageError(f"no label {args.occupancy!r} on model {model.name!r}")
     if args.time_to and args.time_to not in model.label_map:

@@ -9,17 +9,20 @@ fully deterministic; replication r of an estimator runs on the stream
 The stream's uniforms come a block at a time from ``rng.uniforms``; an
 exponential delay is ``-log(u) / rate`` of the next one.
 
-Work that depends only on the state is done once per distinct state and
-kept for the run: an ``_Engine`` keeps each state's firing row and each
-successor state, and an estimator's label predicate keeps its answer per
-state.
+An ``_Engine`` interns each state to a dense id the first time it sees
+it and keeps, per id, the firing row, the successor id of each chosen
+transition and (for an estimator) the label's truth, so work that depends
+only on the state is done once per distinct state.  A run records flat
+lists of times, transition indices and state ids; ``Event`` and ``Trace``
+objects are built from them only for ``simulate``, an ``on_trace``
+callback and the partial trace of ``EventCapExceeded``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
 from .model import Model, StateVector, guard_predicate, initial_state
@@ -57,36 +60,65 @@ class Estimate:
     metadata: dict = field(default_factory=dict)
 
 
+class _Record(NamedTuple):
+    """One run: each event's time, transition index and state id, and its end."""
+
+    times: list[float]
+    transitions: list[int]
+    states: list[int]
+    end_reason: str
+    end_time: float
+
+
 class _Engine:
-    """Per-state firing results and successors, memoized across steps and
-    replications."""
+    """States interned to dense ids, with each id's firing row and successor
+    ids memoized across steps and replications.
 
-    def __init__(self, model: Model):
+    With a ``label`` predicate, ``hits[i]`` is its truth in state ``i``.
+    """
+
+    def __init__(self, model: Model, label: Callable[[StateVector], bool] | None = None):
         validate_or_raise(model)
-        self.model = model
         self.comp = model._compiled
-        self.transitions = model.transitions
-        self.cache: dict[StateVector, tuple] = {}
-        self.successors: dict[tuple[int, StateVector], StateVector] = {}
+        self.names = tuple(t.name for t in model.transitions)
+        self.label = label
+        self.ids: dict[StateVector, int] = {}
+        self.states: list[StateVector] = []
+        # (vanishing, transition indices, payload) per id: the payload is the
+        # cumulative choice probabilities of the immediates, or the timed rates.
+        self.rows: list[tuple] = []
+        self.successors: list[list] = []  # per id, aligned with its row's indices
+        self.hits: list[bool] = []
+        self.start = self.intern(initial_state(model))
 
-    def info(self, s: StateVector):
-        """``(vanishing, transition indices, payload)`` in ``s``: the payload
-        is the cumulative choice probabilities of the immediates, or the
-        rates of the timed transitions."""
-        got = self.cache.get(s)
-        if got is None:
+    def intern(self, s: StateVector) -> int:
+        sid = self.ids.get(s)
+        if sid is None:
+            sid = self.ids[s] = len(self.states)
+            self.states.append(s)
             row = self.comp.row(s)
             payload = row.cumulative if row.vanishing else row.values
-            got = self.cache[s] = (row.vanishing, row.chosen, payload)
+            self.rows.append((row.vanishing, row.chosen, payload))
+            self.successors.append([None] * len(row.chosen))
+            if self.label is not None:
+                self.hits.append(self.label(s))
+        return sid
+
+    def fire(self, sid: int, k: int) -> int:
+        """The state id after the ``k``-th transition of state ``sid``'s row fires."""
+        succ = self.successors[sid]
+        got = succ[k]
+        if got is None:
+            idx = self.rows[sid][1][k]
+            got = succ[k] = self.intern(self.comp.updates[idx](self.states[sid]))
         return got
 
-    def fire(self, idx: int, s: StateVector) -> StateVector:
-        """The state after transition ``idx`` fires in ``s``."""
-        key = (idx, s)
-        got = self.successors.get(key)
-        if got is None:
-            got = self.successors[key] = self.comp.updates[idx](s)
-        return got
+    def trace(self, rec: _Record, replication: int, seed: int) -> Trace:
+        names, states = self.names, self.states
+        events = map(Event, rec.times, [names[i] for i in rec.transitions],
+                     [states[i] for i in rec.states])
+        init = states[self.start]
+        return Trace(replication, seed, init, tuple(events), rec.end_reason, rec.end_time)
 
 
 def validate_or_raise(model: Model):
@@ -115,7 +147,8 @@ def simulate(
     """
     if not horizon > 0:
         raise InvalidArgError(f"horizon must be positive, got {horizon}")
-    return _run(_Engine(model), horizon, seed, event_cap, replication)
+    eng = _Engine(model)
+    return eng.trace(_run(eng, horizon, seed, event_cap, replication), replication, seed)
 
 
 def _run(
@@ -124,65 +157,61 @@ def _run(
     seed: int,
     event_cap: int,
     replication: int,
-    hit: Callable[[StateVector], bool] | None = None,
-) -> Trace:
+    stop_at_hit: bool = False,
+) -> _Record:
     """The simulation loop behind ``simulate`` and both estimators.
 
-    With ``hit``, the trace also ends (reason ``hit``) right after the
-    first event whose state satisfies it, or with no events at time 0 if
-    the initial state does.  The event cap is checked once the immediates
-    after each timed event have settled.
+    With ``stop_at_hit``, the run also ends (reason ``hit``) right after
+    the first event whose state is in the engine's label, or with no
+    events at time 0 if the initial state is.  The event cap is checked
+    once the immediates after each timed event have settled.
     """
     draw = uniforms(seed).__next__
     log = math.log
-    init = initial_state(eng.model)
-    transitions = eng.transitions
-    events: list[Event] = []
-
-    def end(reason: str, time: float) -> Trace:
-        return Trace(replication, seed, init, tuple(events), reason, time)
-
-    state = init
+    rows, fire, hits = eng.rows, eng.fire, eng.hits
+    times: list[float] = []
+    picks: list[int] = []
+    sids: list[int] = []
+    sid = eng.start
     now = 0.0
     chained = 0
-    if hit is not None and hit(state):
-        return end("hit", now)
+    if stop_at_hit and hits[sid]:
+        return _Record(times, picks, sids, "hit", now)
     while True:
-        vanishing, items, payload = eng.info(state)
+        vanishing, chosen, payload = rows[sid]
         if vanishing:
-            # One uniform picks an immediate by its cumulative weight.
+            # One uniform picks an immediate by its cumulative weight; a u
+            # past the last cut (rounding) leaves k on the last immediate.
             u = draw()
-            for idx, cut in zip(items, payload):
+            for k, cut in enumerate(payload):
                 if u <= cut:
                     break
-            else:
-                idx = items[-1]
             chained += 1
         else:
-            if len(events) > event_cap:
-                raise EventCapExceeded(
-                    f"simulation exceeded {event_cap} events",
-                    trace=Trace(
-                        replication, seed, init, tuple(events[:event_cap]), "event-cap", now
-                    ),
-                )
-            if not items:
-                return end("absorbed", now)
+            if len(times) > event_cap:
+                del times[event_cap:], picks[event_cap:], sids[event_cap:]
+                capped = _Record(times, picks, sids, "event-cap", now)
+                partial = eng.trace(capped, replication, seed)
+                raise EventCapExceeded(f"simulation exceeded {event_cap} events", trace=partial)
+            if not chosen:
+                return _Record(times, picks, sids, "absorbed", now)
             best_dt = math.inf
-            idx = -1
-            for i, rate in zip(items, payload):
+            k = -1
+            for j, rate in enumerate(payload):
                 dt = -log(draw()) / rate
                 if dt < best_dt:
                     best_dt = dt
-                    idx = i
+                    k = j
             if now + best_dt > horizon:
-                return end("horizon", horizon)
+                return _Record(times, picks, sids, "horizon", horizon)
             now += best_dt
             chained = 0
-        state = eng.fire(idx, state)
-        events.append(Event(now, transitions[idx].name, state))
-        if hit is not None and hit(state):
-            return end("hit", now)
+        sid = fire(sid, k)
+        times.append(now)
+        picks.append(chosen[k])
+        sids.append(sid)
+        if stop_at_hit and hits[sid]:
+            return _Record(times, picks, sids, "hit", now)
         if chained == MAX_CHAINED_IMMEDIATES:
             raise ImmediateCycleError(
                 f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}"
@@ -195,22 +224,12 @@ def _run(
 
 def _label_fn(model: Model, label):
     """The label (a name, or a guard expression in its place) as a predicate
-    that interprets each distinct state once, and the label's name."""
+    on states, and the label's name."""
     if isinstance(label, str):
         if label not in model.label_map:
             raise UnknownLabelError(f"no label {label!r} on model {model.name!r}")
-        holds, name = guard_predicate(model, model.label_map[label].predicate), label
-    else:
-        holds, name = guard_predicate(model, label), "<guard>"
-    truth: dict[StateVector, bool] = {}
-
-    def memo(s: StateVector) -> bool:
-        got = truth.get(s)
-        if got is None:
-            got = truth[s] = holds(s)
-        return got
-
-    return memo, name
+        return guard_predicate(model, model.label_map[label].predicate), label
+    return guard_predicate(model, label), "<guard>"
 
 
 def _mean_and_half_width(values, name: str, arg: str) -> tuple[float, float]:
@@ -233,14 +252,15 @@ def _mean_and_half_width(values, name: str, arg: str) -> tuple[float, float]:
     return mean, half
 
 
-def _replications(eng: _Engine, count, seed, horizon, event_cap, on_trace, hit=None):
-    """Replication r's trace on stream ``stream_seed(seed, r)``, in order of r,
-    each handed to ``on_trace`` (when given) before it is yielded."""
+def _replications(eng: _Engine, count, seed, horizon, event_cap, on_trace, stop_at_hit=False):
+    """Replication r's run on stream ``stream_seed(seed, r)``, in order of r,
+    its trace handed to ``on_trace`` (when given) before the run is yielded."""
     for r in range(count):
-        trace = _run(eng, horizon, stream_seed(seed, r), event_cap, r, hit)
+        stream = stream_seed(seed, r)
+        rec = _run(eng, horizon, stream, event_cap, r, stop_at_hit)
         if on_trace is not None:
-            on_trace(trace)
-        yield trace
+            on_trace(eng.trace(rec, r, stream))
+        yield rec
 
 
 def estimate_occupancy(
@@ -267,9 +287,10 @@ def estimate_occupancy(
         burn_in = horizon / 10.0
     if not 0 <= burn_in < horizon:
         raise InvalidArgError(f"burn-in must lie in [0, horizon), got {burn_in}")
-    fn, label_name = _label_fn(model, label)
-    traces = _replications(_Engine(model), replications, seed, horizon, event_cap, on_trace)
-    values = [_occupancy_of_trace(t, fn, burn_in, horizon) for t in traces]
+    holds, label_name = _label_fn(model, label)
+    eng = _Engine(model, holds)
+    runs = _replications(eng, replications, seed, horizon, event_cap, on_trace)
+    values = [_occupancy(rec, eng.start, eng.hits, burn_in, horizon) for rec in runs]
     name = f"occupancy[{label_name}]"
     value, half_width = _mean_and_half_width(values, name, "horizon")
     return Estimate(
@@ -282,15 +303,15 @@ def estimate_occupancy(
     )
 
 
-def _occupancy_of_trace(trace: Trace, fn, burn_in: float, horizon: float) -> float:
+def _occupancy(rec: _Record, start: int, hits: list, burn_in: float, horizon: float) -> float:
     total = 0.0
     t_prev = 0.0
-    s_prev = trace.initial
-    for ev in trace.events:
-        if fn(s_prev):
-            total += max(0.0, min(ev.time, horizon) - max(t_prev, burn_in))
-        t_prev, s_prev = ev.time, ev.state
-    if fn(s_prev):  # last state persists to the horizon (or absorption)
+    s_prev = start
+    for t, s in zip(rec.times, rec.states):
+        if hits[s_prev]:
+            total += max(0.0, min(t, horizon) - max(t_prev, burn_in))
+        t_prev, s_prev = t, s
+    if hits[s_prev]:  # last state persists to the horizon (or absorption)
         total += max(0.0, horizon - max(t_prev, burn_in))
     return total / (horizon - burn_in)
 
@@ -315,11 +336,10 @@ def estimate_time_to(
         raise InvalidArgError("need at least 2 replications for an estimate")
     if not (cap_time > 0 and math.isfinite(cap_time)):
         raise InvalidArgError(f"cap_time must be positive and finite, got {cap_time}")
-    fn, label_name = _label_fn(model, label)
-    traces = _replications(
-        _Engine(model), replications, seed, cap_time, event_cap, on_trace, hit=fn
-    )
-    hits = [t.end_time if t.end_reason == "hit" else None for t in traces]
+    holds, label_name = _label_fn(model, label)
+    eng = _Engine(model, holds)
+    runs = _replications(eng, replications, seed, cap_time, event_cap, on_trace, stop_at_hit=True)
+    hits = [rec.end_time if rec.end_reason == "hit" else None for rec in runs]
     values = [cap_time if h is None else h for h in hits]
     censored = hits.count(None)
     name = f"time_to[{label_name}]"
@@ -342,27 +362,29 @@ def estimate_time_to(
 # Trace export
 
 
+def _state_texts(trace: Trace, fmt: Callable[[StateVector], str]) -> dict[StateVector, str]:
+    """``fmt`` of each distinct state among the trace's events."""
+    return {s: fmt(s) for s in {ev.state for ev in trace.events}}
+
+
 def trace_to_csv(trace: Trace, model: Model) -> str:
     """One event per line: ``time,transition,var1=val1,...``."""
-    lines = []
-    for ev in trace.events:
-        assigns = ",".join(
-            f"{v.name}={ev.state[i]}" for i, v in enumerate(model.variables)
-        )
-        lines.append(f"{ev.time!r},{ev.transition},{assigns}")
+    names = [v.name for v in model.variables]
+    texts = _state_texts(trace, lambda s: ",".join(f"{n}={x}" for n, x in zip(names, s)))
+    lines = [f"{ev.time!r},{ev.transition},{texts[ev.state]}" for ev in trace.events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def trace_to_jsonl(trace: Trace, model: Model) -> str:
+    """One JSON object per line: ``{"time": ..., "transition": ..., "state": {...}}``."""
     import json
 
-    lines = []
-    for ev in trace.events:
-        state = {v.name: ev.state[i] for i, v in enumerate(model.variables)}
-        lines.append(
-            json.dumps(
-                {"time": ev.time, "transition": ev.transition, "state": state},
-                separators=(", ", ": "),
-            )
-        )
+    dumps = json.dumps
+    names = [v.name for v in model.variables]
+    texts = _state_texts(trace, lambda s: dumps(dict(zip(names, s)), separators=(", ", ": ")))
+    lines = [
+        f'{{"time": {dumps(ev.time)}, "transition": {dumps(ev.transition)}, '
+        f'"state": {texts[ev.state]}}}'
+        for ev in trace.events
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

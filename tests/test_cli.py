@@ -62,6 +62,10 @@ def test_list_models_json_schema(capsys):
 def test_unknown_flag_is_usage(capsys):
     code, _, _ = run(capsys, "list-models", "--bogus")
     assert code == 64
+    # fmt has no --format: it only ever prints the canonical text.
+    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    code, out, _ = run(capsys, "fmt", model, "--format", "json")
+    assert (code, out) == (64, "")
 
 
 def test_unknown_model_is_usage(capsys, tmp_path):
@@ -289,6 +293,13 @@ def test_reps_below_two_is_usage(capsys):
     code, _, _ = run(capsys, "simulate", "--model", "accidental",
                      "--occupancy", "state1", "--reps", "1")
     assert code == 64
+
+
+def test_burn_in_with_time_to_is_usage(capsys):
+    code, out, err = run(capsys, "simulate", "--model", "accidental",
+                         "--time-to", "state7", "--burn-in", "5", "--reps", "2")
+    assert (code, out) == (64, "")
+    assert "--burn-in" in err and "--occupancy" in err
 
 
 def test_solve_results_schema(capsys):

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from infradep import (
     EnumDomain,
+    Estimate,
+    Event,
     EventCapExceeded,
     ImmediateCycleError,
     InvalidArgError,
@@ -15,6 +21,7 @@ from infradep import (
     RateExpr,
     SetValue,
     Timed,
+    Trace,
     Transition,
     VariableDecl,
     apply_transition,
@@ -466,3 +473,161 @@ def test_label_predicate_interpreted_once_per_state(model_a, monkeypatch):
         events = sum(len(t.events) for t in traces)
         assert events > 2 * len(visited)  # the states repeat
         assert 0 < calls <= len(visited)
+
+
+# (occupancy label, time-to label) per built-in
+ESTIMATE_LABELS = {
+    "accidental": ("state1", "state7"),
+    "cascading-only": ("state2", "state7"),
+    "common-cause": ("state7", "state8"),
+    "attack": ("deceived", "deceived"),
+}
+
+
+def _mean_and_half_width(values):
+    n = len(values)
+    mean = sum(values) / n
+    return mean, 1.96 * math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1) / n)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_LABELS))
+def test_estimates_equal_their_traces_recomputed(name, models):
+    # The estimators never build Events unless asked to; recomputing each
+    # estimate event by event from the traces on_trace receives must give
+    # exactly the same Estimate.
+    m = models[name]
+    occupancy_label, time_to_label = ESTIMATE_LABELS[name]
+    horizon, burn_in, cap_time, reps, seed = 300.0, 30.0, 200.0, 15, 11
+
+    def holds(label, s):
+        return eval_guard(m.label_map[label].predicate, s, m.var_index)
+
+    traces = []
+    est = estimate_occupancy(m, occupancy_label, horizon=horizon, replications=reps, seed=seed,
+                             burn_in=burn_in, on_trace=traces.append)
+    values = []
+    for t in traces:
+        total, t_prev, s_prev = 0.0, 0.0, t.initial
+        for ev in t.events:
+            if holds(occupancy_label, s_prev):
+                total += max(0.0, min(ev.time, horizon) - max(t_prev, burn_in))
+            t_prev, s_prev = ev.time, ev.state
+        if holds(occupancy_label, s_prev):
+            total += max(0.0, horizon - max(t_prev, burn_in))
+        values.append(total / (horizon - burn_in))
+    assert est == Estimate(f"occupancy[{occupancy_label}]", *_mean_and_half_width(values), reps,
+                           seed, {"horizon": horizon, "burn_in": burn_in})
+
+    traces = []
+    est = estimate_time_to(m, time_to_label, replications=reps, seed=seed, cap_time=cap_time,
+                           on_trace=traces.append)
+    values = [t.end_time if t.end_reason == "hit" else cap_time for t in traces]
+    censored = sum(t.end_reason != "hit" for t in traces)
+    assert est == Estimate(f"time_to[{time_to_label}]", *_mean_and_half_width(values), reps, seed,
+                           {"cap_time": cap_time, "censored": censored,
+                            "all_censored": censored == reps})
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_LABELS))
+def test_event_cap_trace_is_the_uncapped_prefix(name, models):
+    m = models[name]
+    full = simulate(m, horizon=2000.0, seed=21, replication=3)
+    assert len(full.events) > 40
+    for cap in (1, 10, len(full.events) // 2):
+        with pytest.raises(EventCapExceeded) as exc:
+            simulate(m, horizon=2000.0, seed=21, event_cap=cap, replication=3)
+        # The cap is checked once the immediates after a timed event have
+        # settled, so the run stops at the time of the event past the cap.
+        assert exc.value.trace == replace(
+            full, events=full.events[:cap], end_reason="event-cap", end_time=full.events[cap].time
+        )
+
+
+def test_engine_does_per_state_work_once(model_a, monkeypatch):
+    comp = model_a._compiled
+    index = {t.name: i for i, t in enumerate(model_a.transitions)}
+    rows, updates, fired = Counter(), Counter(), 0
+    row, fire = comp.row, montecarlo._Engine.fire
+
+    def counted_row(s):
+        rows[s] += 1
+        return row(s)
+
+    def counted_update(i, update):
+        def apply(s):
+            updates[i, s] += 1
+            return update(s)
+
+        return apply
+
+    def counted_fire(eng, sid, k):
+        nonlocal fired
+        fired += 1
+        return fire(eng, sid, k)
+
+    monkeypatch.setattr(comp, "row", counted_row)
+    counted_updates = tuple(counted_update(i, u) for i, u in enumerate(comp.updates))
+    monkeypatch.setattr(comp, "updates", counted_updates)
+    monkeypatch.setattr(montecarlo._Engine, "fire", counted_fire)
+    for estimate, kwargs in (
+        (estimate_occupancy, {"horizon": 300.0}),
+        (estimate_time_to, {"cap_time": 300.0}),
+    ):
+        rows.clear()
+        updates.clear()
+        fired = 0
+        traces = []
+        estimate(model_a, "state7", replications=20, seed=4, on_trace=traces.append, **kwargs)
+        states, pairs = set(), set()
+        for t in traces:
+            prev = t.initial
+            states.add(prev)
+            for ev in t.events:
+                pairs.add((index[ev.transition], prev))
+                states.add(ev.state)
+                prev = ev.state
+        events = sum(len(t.events) for t in traces)
+        assert events > 2 * len(pairs)  # the states and firings repeat
+        assert rows == Counter(states)
+        assert updates == Counter(pairs)
+        assert fired == events
+
+
+NEGATIVE = (
+    "model neg { var mode : {up, down} init up; var c : [-3..2] init -1; "
+    "timed fall rate 2.0 when c > -3 -> { c := c - 1; mode := down; }; "
+    "timed rise rate 1.0 when c < 2 -> { c := c + 1; mode := up; }; }"
+)
+
+
+def _naive_csv(trace, model):
+    lines = []
+    for ev in trace.events:
+        assigns = ",".join(f"{v.name}={ev.state[i]}" for i, v in enumerate(model.variables))
+        lines.append(f"{ev.time!r},{ev.transition},{assigns}\n")
+    return "".join(lines)
+
+
+def _naive_jsonl(trace, model):
+    lines = []
+    for ev in trace.events:
+        state = {v.name: ev.state[i] for i, v in enumerate(model.variables)}
+        row = {"time": ev.time, "transition": ev.transition, "state": state}
+        lines.append(json.dumps(row, separators=(", ", ": ")) + "\n")
+    return "".join(lines)
+
+
+def test_trace_export_matches_a_per_event_formatter():
+    m = parse_model(NEGATIVE)
+    simulated = simulate(m, horizon=50.0, seed=3)
+    times = (0.0, 5e-324, 1e-300, 0.1, 1e300, 1e300, float("inf"))
+    states = (("down", -3), ("up", 2), ("down", -3), ("up", -1), ("up", -1), ("down", 0),
+              ("up", 2))
+    fired = {"down": "fall", "up": "rise"}
+    events = tuple(Event(t, fired[s[0]], s) for t, s in zip(times, states))
+    extreme = Trace(0, 0, initial_state(m), events, "horizon", float("inf"))
+    empty = replace(extreme, events=())
+    assert len({ev.state for ev in simulated.events}) < len(simulated.events)
+    for trace in (simulated, extreme, empty):
+        assert trace_to_csv(trace, m) == _naive_csv(trace, m)
+        assert trace_to_jsonl(trace, m) == _naive_jsonl(trace, m)
