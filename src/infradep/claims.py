@@ -35,6 +35,7 @@ def _label_states(g: ReachabilityGraph, label: str) -> frozenset[int]:
 def _bfs_path(g: ReachabilityGraph, sources, targets, banned: frozenset = frozenset()):
     """Shortest witness as (state, transition, state, ...) or None."""
     targets = set(targets)
+    indptr, dst, transition = g.adjacency
     parent: dict[int, tuple[int, str] | None] = {s: None for s in sources}
     queue = deque(sources)
     while queue:
@@ -47,11 +48,11 @@ def _bfs_path(g: ReachabilityGraph, sources, targets, banned: frozenset = frozen
             return tuple(
                 g.states[x] if isinstance(x, int) else x for x in path
             )
-        for e in g.out_edges[cur]:
-            if e.transition in banned or e.dst in parent:
+        for k in range(indptr[cur], indptr[cur + 1]):
+            if transition[k] in banned or dst[k] in parent:
                 continue
-            parent[e.dst] = (cur, e.transition)
-            queue.append(e.dst)
+            parent[dst[k]] = (cur, transition[k])
+            queue.append(dst[k])
     return None
 
 
@@ -69,11 +70,15 @@ def check_path_exists(
     if not sources:
         return CheckResult(name, False, f"label {from_label!r} matches no state")
     if via:
+        indptr, dst, transition = g.adjacency
         for s in sources:
             walk = [g.states[s]]
             cur = s
             for tname in via:
-                nxt = next((e.dst for e in g.out_edges[cur] if e.transition == tname), None)
+                nxt = next(
+                    (dst[k] for k in range(indptr[cur], indptr[cur + 1]) if transition[k] == tname),
+                    None,
+                )
                 if nxt is None:
                     break
                 walk += [tname, g.states[nxt]]
@@ -127,10 +132,13 @@ def check_edge_coverage(
     for l in exempt_labels:
         exempt |= _label_states(g, l)
     name = f"direct edge into {to_label} from every tangible state outside {tuple(exempt_labels)}"
+    indptr, dst, _ = g.adjacency
     missing = [
         i
         for i, tang in enumerate(g.tangible)
-        if tang and i not in exempt and not any(e.dst in targets for e in g.out_edges[i])
+        if tang
+        and i not in exempt
+        and not any(dst[k] in targets for k in range(indptr[i], indptr[i + 1]))
     ]
     if missing:
         return CheckResult(

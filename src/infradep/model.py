@@ -19,7 +19,11 @@ compared with the integer ``v`` somewhere in the model has the cut points
 ``v`` and ``v + 1``, and its class is the number of cut points at or below
 its value.  One interpreter, ``eval_guard_kleene``, evaluates every
 guard.  The firing rule runs it once per class, on the first state seen in
-it, and fills one row of a per-model table (``_CompiledModel.row``);
+it, and fills one row of a per-model table.  The table interns its rows:
+each class gets a dense row id (``_CompiledModel.row_id``), so that the
+explorer can record one integer per state and derive the edges, the state
+kinds and the label sets from the rows afterwards, while the simulator
+reads a state's row directly (``_CompiledModel.row``).
 ``guard_predicate`` caches any other guard's truth per class of that
 guard's own literals, and validation runs it on partial assignments.
 """
@@ -406,7 +410,11 @@ class FiringRow(NamedTuple):
 
 class _CompiledModel:
     """Per-model update closures and the firing table, whose rows the guard
-    interpreter fills once per guard class."""
+    interpreter fills once per guard class.
+
+    ``table`` maps a class key to its row id, an index into ``rows``; ids
+    are dense, in the order the classes were first met, and never change.
+    """
 
     def __init__(self, model: Model):
         self.transitions = model.transitions
@@ -415,15 +423,21 @@ class _CompiledModel:
         self.labels = model.labels
         self.updates = tuple(_compile_update(t.update, model) for t in model.transitions)
         self.class_key = _class_key(model)
-        self.table: dict[tuple, FiringRow] = {}
+        self.table: dict[tuple, int] = {}
+        self.rows: list[FiringRow] = []
+
+    def row_id(self, s: StateVector) -> int:
+        """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
+        key = self.class_key(s)
+        rid = self.table.get(key)
+        if rid is None:
+            self.rows.append(self._fill(s))
+            rid = self.table[key] = len(self.rows) - 1
+        return rid
 
     def row(self, s: StateVector) -> FiringRow:
         """The row of ``s``'s guard class, filled from ``s`` on first use."""
-        key = self.class_key(s)
-        row = self.table.get(key)
-        if row is None:
-            row = self.table[key] = self._fill(s)
-        return row
+        return self.rows[self.row_id(s)]
 
     def _fill(self, s: StateVector) -> FiringRow:
         """The GSPN firing rule in ``s``, with its payload and the labels.

@@ -266,7 +266,7 @@ def resolve_target(ctmc: Ctmc, target) -> np.ndarray:
         idx = sorted(ctmc.label_sets[target])
     else:
         idx = sorted(int(i) for i in target)
-        if any(i < 0 or i >= ctmc.n for i in idx):
+        if idx and (idx[0] < 0 or idx[-1] >= ctmc.n):
             raise InvalidArgError("target state index out of range")
     return np.asarray(idx, dtype=int)
 

@@ -4,16 +4,19 @@ States are explored breadth-first from the initial state, expanding
 neighbours in transition-declaration order, so state numbering is
 deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
-carry rate-annotated edges.  The explorer reads each state's firing result
-from the model's firing table, one row per guard class (the states on
-which every guard comparison has the same truth value; see ``model``), and
-stores the edges as four arrays; ``g.edges`` builds ``Edge`` objects from
-them only when asked for its items.  ``eliminate_vanishing`` folds the
-vanishing states away with two sparse products over the edge-weight
-matrix, handing each timed rate to the tangible states its immediate
-chains can reach.
-A graph evaluates its label guards once (``g.label_sets``); the CTMC
-reduced from it carries the same sets renumbered over its states.
+carry rate-annotated edges.  The explorer looks up each state's row in the
+model's firing table, one row per guard class (the states on which every
+guard comparison has the same truth value; see ``model``), and records
+only the row's id and each edge's target.  The edge sources, transition
+indices and values, the state kinds and the label sets are then gathered
+from the rows with numpy, keyed by those ids.  The edges are kept as four
+arrays; ``g.edges`` builds ``Edge`` objects from them only when asked for
+its items, and ``g.adjacency`` lists them per source state.
+``eliminate_vanishing`` folds the vanishing states away with two sparse
+products over the edge-weight matrix, handing each timed rate to the
+tangible states its immediate chains can reach.
+A graph groups its states into label sets once (``g.label_sets``); the
+CTMC reduced from it carries the same sets renumbered over its states.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class ReachabilityGraph:
     edge_transition: np.ndarray
     edge_value: np.ndarray
     initial: int
+    # Each state's firing-table row id (``model._compiled.rows``), as the
+    # explorer recorded it; None on a hand-built graph.
+    row_ids: np.ndarray | None = None
 
     @property
     def edges(self) -> "EdgeView":
@@ -102,13 +108,30 @@ class ReachabilityGraph:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
+    def adjacency(self) -> tuple[list[int], list[int], list[str]]:
+        """``(indptr, dst, transition)``: the out-edges of state ``i`` are
+        positions ``indptr[i]:indptr[i + 1]`` of the target-index and
+        transition-name lists, in the order of ``out_edges[i]``."""
+        order = np.argsort(self.edge_src, kind="stable")
+        indptr = np.zeros(len(self.states) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_src, minlength=len(self.states)), out=indptr[1:])
+        names = [t.name for t in self.model.transitions]
+        return (
+            indptr.tolist(),
+            self.edge_dst[order].tolist(),
+            [names[t] for t in self.edge_transition[order].tolist()],
+        )
+
+    @cached_property
     def state_index(self) -> dict[StateVector, int]:
         return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def label_sets(self) -> dict[str, frozenset[int]]:
-        """``label_sets(self)``, computed once per graph."""
-        return label_sets(self)
+        """``label_sets(self)``, computed once per graph, from the recorded
+        row ids when the explorer built the graph."""
+        ids = _row_ids(self) if self.row_ids is None else self.row_ids
+        return _label_sets_of_rows(self.model._compiled, ids)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, int, sp.csr_matrix]:
@@ -175,19 +198,18 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     """
     cap = state_limit() if limit is None else limit
     comp = model._compiled
+    row_id, rows, updates = comp.row_id, comp.rows, comp.updates
     init = initial_state(model)
     index: dict[StateVector, int] = {init: 0}
     states: list[StateVector] = [init]  # also the BFS queue, read in order
-    tangible: list[bool] = []
-    src, dst, transition, value = array("q"), array("q"), array("q"), array("d")
+    ids, dst = array("q"), array("q")
 
-    updates = comp.updates
     si = 0
     while si < len(states):
         s = states[si]
-        row = comp.row(s)
-        tangible.append(not row.vanishing)
-        for ti in row.chosen:
+        rid = row_id(s)
+        ids.append(rid)
+        for ti in rows[rid].chosen:
             target = updates[ti](s)
             di = index.get(target)
             if di is None:
@@ -199,20 +221,30 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
                 index[target] = di
                 states.append(target)
             dst.append(di)
-        src.extend([si] * len(row.chosen))
-        transition.extend(row.chosen)
-        value.extend(row.values)
         si += 1
+
+    # Edge k is the j-th chosen transition of its source's row: lay the
+    # rows' chosen indices and values out flat and gather from them.
+    ids = np.frombuffer(ids, dtype=np.int64)
+    width = np.fromiter((len(r.chosen) for r in rows), dtype=np.int64, count=len(rows))
+    row_start = np.cumsum(width) - width
+    chosen = np.fromiter(chain.from_iterable(r.chosen for r in rows), dtype=np.int64)
+    values = np.fromiter(chain.from_iterable(r.values for r in rows), dtype=np.float64)
+    vanishing = np.fromiter((r.vanishing for r in rows), dtype=bool, count=len(rows))
+    out_degree = width[ids]
+    first_edge = np.cumsum(out_degree) - out_degree
+    flat = np.repeat(row_start[ids] - first_edge, out_degree) + np.arange(len(dst))
 
     graph = ReachabilityGraph(
         model=model,
         states=tuple(states),
-        tangible=tuple(tangible),
-        edge_src=np.frombuffer(src, dtype=np.int64),
+        tangible=tuple((~vanishing[ids]).tolist()),
+        edge_src=np.repeat(np.arange(len(states), dtype=np.int64), out_degree),
         edge_dst=np.frombuffer(dst, dtype=np.int64),
-        edge_transition=np.frombuffer(transition, dtype=np.int64),
-        edge_value=np.frombuffer(value, dtype=np.float64),
+        edge_transition=chosen[flat],
+        edge_value=values[flat],
         initial=0,
+        row_ids=ids,
     )
     _check_vanishing_acyclic(graph)
     return graph
@@ -263,16 +295,17 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
         row = absorption[position[g.initial] - nt]
         initial[row.indices] = row.data
 
-    renumber = position.tolist()
+    tangible = np.asarray(g.tangible, dtype=bool)
+    sets = {}
+    for name, members in g.label_sets.items():
+        idx = np.fromiter(members, dtype=np.int64, count=len(members))
+        sets[name] = frozenset(position[idx[tangible[idx]]].tolist())
     return Ctmc(
         model=g.model,
         states=tuple(g.states[i] for i in order[:nt]),
         generator=generator,
         initial=initial,
-        label_sets={
-            name: frozenset(renumber[i] for i in idx if g.tangible[i])
-            for name, idx in g.label_sets.items()
-        },
+        label_sets=sets,
     )
 
 
@@ -285,12 +318,27 @@ def label_sets(obj) -> dict[str, frozenset[int]]:
     graph caches the result as ``g.label_sets``, and the CTMC reduced from
     it inherits the sets renumbered.
     """
-    comp = obj.model._compiled
-    members: dict[tuple, list[int]] = {}
-    for i, s in enumerate(obj.states):
-        members.setdefault(comp.class_key(s), []).append(i)
-    rows = [(comp.row(obj.states[idx[0]]).labels, idx) for idx in members.values()]
-    return {
-        l.name: frozenset(chain.from_iterable(idx for labels, idx in rows if labels[j]))
-        for j, l in enumerate(comp.labels)
-    }
+    return _label_sets_of_rows(obj.model._compiled, _row_ids(obj))
+
+
+def _row_ids(obj) -> np.ndarray:
+    """The firing-table row id of each of ``obj.states``."""
+    return np.fromiter(map(obj.model._compiled.row_id, obj.states), dtype=np.int64,
+                       count=len(obj.states))
+
+
+def _label_sets_of_rows(comp, ids: np.ndarray) -> dict[str, frozenset[int]]:
+    """Each label's states, given each state's row id ``ids[i]`` in ``comp``.
+
+    A set's members are added grouped by row, rows in the order of their
+    first state and states ascending within a row.  A frozenset's iteration
+    order follows its insertion order, and claim witnesses follow the
+    iteration order of the label sets they start from.
+    """
+    truth = np.array([r.labels for r in comp.rows], dtype=bool).reshape(
+        len(comp.rows), len(comp.labels)
+    )
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable")
+    member = truth[ids[order]]
+    return {l.name: frozenset(order[member[:, j]].tolist()) for j, l in enumerate(comp.labels)}

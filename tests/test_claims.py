@@ -32,44 +32,48 @@ def test_all_builtin_suites_pass(graphs):
 
 
 def _count_label_evaluations(monkeypatch) -> list:
-    """Patch the one label-guard evaluator; each call appends its model name."""
+    """Patch the one label grouping, which ``g.label_sets`` and
+    ``label_sets(obj)`` both run; each call appends the number of states it
+    grouped."""
     import infradep.statespace as statespace
 
     calls = []
-    real = statespace.label_sets
+    real = statespace._label_sets_of_rows
 
-    def counted(obj):
-        calls.append(obj.model.name)
-        return real(obj)
+    def counted(comp, ids):
+        calls.append(len(ids))
+        return real(comp, ids)
 
-    monkeypatch.setattr(statespace, "label_sets", counted)
+    monkeypatch.setattr(statespace, "_label_sets_of_rows", counted)
     return calls
 
 
 def test_run_claims_computes_label_sets_once(monkeypatch):
     calls = _count_label_evaluations(monkeypatch)
     for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
-        g = build_reachability_graph(ctor())  # fresh graph: nothing cached yet
         calls.clear()
+        g = build_reachability_graph(ctor())
         run_claims(g)
         assert len(calls) == 1, f"{g.model.name}: label sets computed {len(calls)} times"
 
 
 def test_pipeline_evaluates_label_guards_once(monkeypatch):
-    # Reduction, summary, DOT and the claim suite share the graph's label
-    # sets; the CTMC's sets are the graph's, renumbered.
+    # Explore, reduction, summary, DOT and the claim suite share the graph's
+    # label sets; the CTMC's sets are the graph's, renumbered.
     from infradep.statespace import label_sets
 
     calls = _count_label_evaluations(monkeypatch)
     for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
-        g = build_reachability_graph(ctor())
         calls.clear()
+        g = build_reachability_graph(ctor())
         c = eliminate_vanishing(g)
         for obj in (g, c):
             graph_summary(obj)
             export_dot(obj)
         run_claims(g)
         assert len(calls) == 1, f"{g.model.name}: label guards evaluated {len(calls)} times"
+        # The explorer's recorded row ids and ones recomputed per state agree.
+        assert g.label_sets == label_sets(g)
         assert c.label_sets == label_sets(c)
 
 

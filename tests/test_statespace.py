@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from infradep import (
     label_sets,
     var_eq,
 )
+from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
 
 from .oracles import ctmc_of, dense_eliminate, hand_reduced_accidental
 
@@ -141,6 +145,10 @@ def test_state_limit():
     )
     with pytest.raises(StateLimitExceeded):
         build_reachability_graph(m, limit=10)
+    # The cap counts states: 100 fit in a cap of 100, not in one of 99.
+    assert len(build_reachability_graph(m, limit=100).states) == 100
+    with pytest.raises(StateLimitExceeded):
+        build_reachability_graph(m, limit=99)
 
 
 def test_vanishing_probability_one_chain():
@@ -404,3 +412,65 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_adjacency_lists_out_edges_in_order():
+    # A hand-built graph need not group its edges by source.
+    from infradep import ReachabilityGraph
+
+    m = _arc_model("sab", [("s", "a", _rate(1.0)), ("a", "b", _rate(2.0)), ("b", "s", _rate(3.0))])
+    g = ReachabilityGraph(
+        model=m,
+        states=(("s",), ("a",), ("b",)),
+        tangible=(True, True, True),
+        edge_src=np.array([2, 0, 2, 0]),
+        edge_dst=np.array([0, 1, 1, 2]),
+        edge_transition=np.array([2, 0, 1, 0]),
+        edge_value=np.array([3.0, 1.0, 2.0, 1.0]),
+        initial=0,
+    )
+    graphs = [g] + [
+        build_reachability_graph(builtin_model(name, replace(DEFAULT_PARAMS, k_max=20)))
+        for name in BUILTIN_MODELS
+    ]
+    for g in graphs:
+        indptr, dst, transition = g.adjacency
+        assert len(indptr) == len(g.states) + 1
+        for i, out in enumerate(g.out_edges):
+            span = range(indptr[i], indptr[i + 1])
+            assert [(dst[k], transition[k]) for k in span] == [(e.dst, e.transition) for e in out]
+
+
+def _graph_digest(g) -> str:
+    h = hashlib.sha256()
+    h.update(f"{g.states!r}\n{g.tangible!r}\n".encode())
+    for a in (g.edge_src, g.edge_dst, g.edge_transition, g.edge_value):
+        h.update(a.dtype.str.encode() + b"\n" + a.tobytes())
+    for name, idx in sorted(g.label_sets.items()):
+        h.update(f"\n{name} {sorted(idx)}".encode())
+    return h.hexdigest()
+
+
+# Explore's output must not change by one bit: state numbering, kinds, the
+# four edge arrays (bytes and dtypes) and the label sets.
+PINNED_GRAPHS = {
+    "accidental 2": "56e060748aea3447a4dfe280bb6f90fba92817642163b6661b2a70521d8854f5",
+    "accidental 20": "f0c6ae8561e25267d5ea952b706eb6af2673e9801949be0a52c5048bc73fdc77",
+    "accidental 200": "c540baf5d1744fda8dacbc288dcef7b7a2c1bc3d996758122f590bf6f6ac5bb0",
+    "cascading-only 2": "56b9eb5993f646f8d2f0022590b9477844f3a717a8844c361f10e5bb2320bd60",
+    "cascading-only 20": "f53cf6390502599f0b1183df2cb53d57a8ac7f2e023b8636629f006057c5a5d5",
+    "cascading-only 200": "aaa8f083f22e543f2529f5845fbca8eef7827403b3bcaa6247b067ee480d7d1c",
+    "common-cause 2": "adbcc0680124e4556e0ff75c00a67f3b34e1bc3091d36c32bf174ec3393de1a0",
+    "common-cause 20": "18632d28c5c27b521d2d8d44fdd25a5420d73a8a3a21649738bdc4434292223f",
+    "common-cause 200": "eea97742c00e8a26dd048a751ebdaaf55e8d55eea750a257c842e8bd959b201e",
+    "attack 2": "a99e9845e5a7e12a0f554bc7f908b998e11b9221a2958031e1d13fbb668eebd9",
+    "attack 20": "2a3f915a7400ca6ef831532eb47c212d11e190deed44a1a18cef4486d4532dda",
+    "attack 200": "d6bc265a67f9aac5436b983c4f4f7bce2da9504ca3013ba6403d21818b1fa435",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GRAPHS))
+def test_graphs_match_pinned_digests(case):
+    name, k_max = case.split()
+    g = build_reachability_graph(builtin_model(name, replace(DEFAULT_PARAMS, k_max=int(k_max))))
+    assert _graph_digest(g) == PINNED_GRAPHS[case]
