@@ -33,9 +33,11 @@ def _label_states(g: ReachabilityGraph, label: str) -> frozenset[int]:
 
 
 def _bfs_path(g: ReachabilityGraph, sources, targets, banned: frozenset = frozenset()):
-    """Shortest witness as (state, transition, state, ...) or None."""
+    """Shortest witness as (state, transition, state, ...) or None; the
+    search starts from the sources in ascending state order."""
     targets = set(targets)
     indptr, dst, transition = g.adjacency
+    sources = sorted(sources)
     parent: dict[int, tuple[int, str] | None] = {s: None for s in sources}
     queue = deque(sources)
     while queue:
@@ -62,7 +64,8 @@ def check_path_exists(
     """Is some ``to_label`` state reachable from a ``from_label`` state?
 
     With ``via``, the path must fire exactly that transition sequence
-    (updates are deterministic, so the walk is unique per start state).
+    (updates are deterministic, so the walk is unique per start state);
+    start states are tried in ascending order.
     """
     sources = _label_states(g, from_label)
     targets = _label_states(g, to_label)
@@ -71,7 +74,7 @@ def check_path_exists(
         return CheckResult(name, False, f"label {from_label!r} matches no state")
     if via:
         indptr, dst, transition = g.adjacency
-        for s in sources:
+        for s in sorted(sources):
             walk = [g.states[s]]
             cur = s
             for tname in via:

@@ -24,7 +24,8 @@ class GuardViolation(InfradepError):
 
 
 class OutOfDomainError(InfradepError):
-    """An update pushed a counter outside its declared range."""
+    """A state holds a value outside its variable's domain: an update's
+    result, or an unvalidated model's initial state."""
 
     code = "OUT_OF_DOMAIN"
 

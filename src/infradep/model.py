@@ -23,7 +23,9 @@ it, and fills one row of a per-model table.  The table interns its rows:
 each class gets a dense row id (``_CompiledModel.row_id``), so that the
 explorer can record one integer per state and derive the edges, the state
 kinds and the label sets from the rows afterwards, while the simulator
-reads a state's row directly (``_CompiledModel.row``).
+reads a state's row directly (``_CompiledModel.row``).  The explorer
+indexes states by an integer code (``_CompiledModel.encode``) and follows
+each row's per-transition code steps (``_CompiledModel.fill_steps``).
 ``guard_predicate`` caches any other guard's truth per class of that
 guard's own literals, and validation runs it on partial assignments.
 """
@@ -232,17 +234,22 @@ def guard_cuts(model: Model, guards=None) -> dict[str, tuple[int, ...]]:
     return {var: tuple(sorted(points)) for var, points in cuts.items()}
 
 
-def _class_key(model: Model, guards=None) -> Callable[[StateVector], tuple]:
-    """The function from a state to its guard class under ``guards``
-    (default: every transition guard and label predicate): the value of
-    each enum they compare, and the ``bisect_right`` position of each
-    counter among its cut points.  A counter without cut points has one
-    class and is left out."""
-    parts = tuple(
+def _class_parts(model: Model, guards=None) -> tuple[tuple[int, tuple | None], ...]:
+    """The variables that decide a state's guard class under ``guards``
+    (default: every transition guard and label predicate), as pairs of a
+    variable index and None for an enum they compare or the cut points of
+    a counter.  A counter without cut points has one class and is left out."""
+    return tuple(
         (model.var_index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
         for var, cuts in guard_cuts(model, guards).items()
         if cuts or isinstance(model.variable(var).domain, EnumDomain)
     )
+
+
+def _class_key(parts) -> Callable[[StateVector], tuple]:
+    """The function from a state to its guard class under ``_class_parts``:
+    the value of each enum, and the ``bisect_right`` position of each
+    counter among its cut points."""
     return lambda s: tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in parts])
 
 
@@ -253,7 +260,7 @@ def guard_predicate(model: Model, guard: Guard) -> Callable[[StateVector], bool]
     points, on the first state asked about in that class, and the answer
     is cached for the rest of the class.
     """
-    class_key = _class_key(model, [guard])
+    class_key = _class_key(_class_parts(model, [guard]))
     names = tuple(v.name for v in model.variables)
     truth: dict[tuple, bool] = {}
 
@@ -409,11 +416,22 @@ class FiringRow(NamedTuple):
 
 
 class _CompiledModel:
-    """Per-model update closures and the firing table, whose rows the guard
-    interpreter fills once per guard class.
+    """Per-model update closures, the firing table, whose rows the guard
+    interpreter fills once per guard class, and the integer coding of states.
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
+
+    A state's code is a mixed radix over its variables' domain positions
+    (an enum value's index, a counter's value minus its lower bound), so
+    that an update which moves every state of a class by the same
+    positions adds one constant to the code.  ``steps[rid]`` is None until
+    ``fill_steps`` sets it to one ``[transition, delta, target_row]`` per
+    chosen transition of row ``rid``: ``delta`` is that constant, or None
+    where the update is not constant on the class or may leave the domain;
+    ``target_row`` is -1 where the class fixes the target's class (the
+    explorer stores the row id there when it first meets a target), else
+    None.  Codes are Python ints: a domain product can pass 2^63.
     """
 
     def __init__(self, model: Model):
@@ -422,9 +440,25 @@ class _CompiledModel:
         self.names = tuple(v.name for v in model.variables)
         self.labels = model.labels
         self.updates = tuple(_compile_update(t.update, model) for t in model.transitions)
-        self.class_key = _class_key(model)
+        parts = _class_parts(model)
+        self.class_key = _class_key(parts)
+        self.classed = dict(parts)
         self.table: dict[tuple, int] = {}
         self.rows: list[FiringRow] = []
+        self.steps: list[list | None] = []
+        # Per variable: (place value, enum value -> position or None, lo, hi),
+        # with lo, hi the range of positions (an enum's) or of values.
+        digits, weight = [], 1
+        for v in model.variables:
+            dom = v.domain
+            if isinstance(dom, EnumDomain):
+                positions = {x: p for p, x in enumerate(dom.values)}
+                digits.append((weight, positions, 0, len(dom.values) - 1))
+            else:
+                digits.append((weight, None, dom.lo, dom.hi))
+            weight *= digits[-1][3] - digits[-1][2] + 1
+        self.digits = tuple(digits)
+        self.plans = tuple(self._plan(t.update, model.var_index) for t in model.transitions)
 
     def row_id(self, s: StateVector) -> int:
         """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
@@ -432,8 +466,81 @@ class _CompiledModel:
         rid = self.table.get(key)
         if rid is None:
             self.rows.append(self._fill(s))
+            self.steps.append(None)
             rid = self.table[key] = len(self.rows) - 1
         return rid
+
+    def _position(self, i: int, x) -> int | None:
+        """Value ``x``'s position in variable ``i``'s domain; None outside it."""
+        _, values, lo, hi = self.digits[i]
+        if values is not None:
+            return values.get(x)
+        return x - lo if isinstance(x, int) and lo <= x <= hi else None
+
+    def encode(self, s: StateVector) -> int:
+        """The code of ``s``; raises ``OutOfDomainError`` on a value outside
+        its variable's domain."""
+        code = 0
+        for i, x in enumerate(s):
+            p = self._position(i, x)
+            if p is None:
+                raise OutOfDomainError(f"{self.names[i]} = {x!r} is outside its domain")
+            code += p * self.digits[i][0]
+        return code
+
+    def _span(self, i: int, x) -> tuple[int, int]:
+        """The positions variable ``i`` takes over the guard class of a state
+        in which it holds the in-domain value ``x``."""
+        _, values, lo, hi = self.digits[i]
+        if i not in self.classed:
+            return 0, hi - lo
+        cuts = self.classed[i]
+        if cuts is None:
+            return (values[x],) * 2
+        k = bisect_right(cuts, x)
+        a = max(lo, cuts[k - 1]) if k else lo
+        b = min(hi, cuts[k] - 1) if k < len(cuts) else hi
+        return a - lo, b - lo
+
+    def _plan(self, update: Update, var_index: Mapping[str, int]):
+        """What of ``update``'s code step is known before the class: whether
+        it shifts no counter that has cut points, and per assignment its
+        variable, its literal's position (None for a shift or a literal
+        outside the domain) and its shift.  An update that assigns a
+        variable twice (the second assignment then sees the first one's
+        result) gets ``(False, None)``: no constant step."""
+        ops = []
+        for a in update:
+            i = var_index[a.var]
+            if any(i == op[0] for op in ops):
+                return False, None
+            if isinstance(a, SetValue):
+                ops.append((i, self._position(i, a.value), None))
+            else:
+                ops.append((i, None, a.delta))
+        return not any(shift and i in self.classed for i, _, shift in ops), tuple(ops)
+
+    def fill_steps(self, rid: int, s: StateVector) -> list:
+        """Set and return ``steps[rid]``, from ``s``, an in-domain state of
+        row ``rid``'s class."""
+        steps = self.steps[rid] = []
+        for ti in self.rows[rid].chosen:
+            fixed, ops = self.plans[ti]
+            delta = None if ops is None else 0
+            for i, p, shift in ops or ():
+                weight, _, lo, hi = self.digits[i]
+                first, last = self._span(i, s[i])
+                if shift is None:
+                    step = None if p is None or first != last else (p - first) * weight
+                else:
+                    in_range = 0 <= first + shift and last + shift <= hi - lo
+                    step = shift * weight if in_range else None
+                if step is None:
+                    delta = None
+                    break
+                delta += step
+            steps.append([ti, delta, -1 if fixed else None])
+        return steps
 
     def row(self, s: StateVector) -> FiringRow:
         """The row of ``s``'s guard class, filled from ``s`` on first use."""

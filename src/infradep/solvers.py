@@ -48,6 +48,9 @@ POISSON_TAIL = 1e-9  # Poisson mass the transient window may discard
 # Longest Poisson window transient builds (32 MB of weights).  Lambda t up
 # to about 9e10 fits; beyond that the run would take ~Lambda t matrix steps.
 MAX_POISSON_TERMS = 4_000_000
+# Share of its largest entry by which an absorption solution may pass its
+# range ([0, 1] for a hit probability, >= 0 for a time) through rounding.
+RANGE_SLACK = 1e-9
 
 
 @dataclass
@@ -306,6 +309,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
             # slower on every built-in at k_max 2000.
             h = spla.spsolve(sub, -np.ones(len(relevant)))
             residual = float(np.abs(sub @ h + 1.0).max())
+            _require_in_range(h, 0.0, math.inf, "mean hitting time", residual)
             value = float(ctmc.initial[relevant] @ h)  # target states contribute 0
         else:
             residual, value = 0.0, 0.0  # initial mass already in the target
@@ -325,6 +329,8 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     # restricted to states that can still reach the target.
     into_target = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
     a = spla.spsolve(sub, -into_target)
+    residual = float(np.abs(sub @ a + into_target).max()) if len(relevant) else 0.0
+    _require_in_range(a, 0.0, 1.0, "hit probability", residual)
     hit = float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
     if not allow_defective:
         raise UnreachableTargetError(
@@ -334,6 +340,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
         )
     g = spla.spsolve(sub, -a)
     residual = float(np.abs(sub @ g + a).max()) if len(relevant) else 0.0
+    _require_in_range(g, 0.0, math.inf, "hit-weighted mean hitting time", residual)
     num = float(ctmc.initial[relevant] @ g)
     return MeasureResult(
         name="mtta",
@@ -346,6 +353,25 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
             "conditional": True,
         },
     )
+
+
+def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: float):
+    """Raise ``NoConvergenceError`` unless every entry of ``x`` is finite and
+    in ``[lo, hi]``, give or take ``RANGE_SLACK`` times its largest entry
+    (at least 1): a hitting-time system so ill-conditioned that rounding
+    swamps its solution shows itself this way, while its residual can stay
+    small next to the entries' size.  The slack passes the rounding of a
+    sound solve, such as a hit probability of 1 + 4e-14."""
+    finite = np.isfinite(x)
+    slack = RANGE_SLACK * max(1.0, float(np.abs(x[finite]).max(initial=0.0)))
+    ok = finite & (x >= lo - slack) & (x <= hi + slack)
+    if not ok.all():
+        bad = x[~ok][0]
+        raise NoConvergenceError(
+            f"{what} {bad:.6g} is outside [{lo:g}, {hi:g}]: the absorption "
+            f"system is too ill-conditioned to solve (residual {residual:.3g})",
+            residual=residual,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,21 @@ States are explored breadth-first from the initial state, expanding
 neighbours in transition-declaration order, so state numbering is
 deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
-carry rate-annotated edges.  The explorer looks up each state's row in the
-model's firing table, one row per guard class (the states on which every
-guard comparison has the same truth value; see ``model``), and records
-only the row's id and each edge's target.  The edge sources, transition
-indices and values, the state kinds and the label sets are then gathered
-from the rows with numpy, keyed by those ids.  The edges are kept as four
+carry rate-annotated edges.  The explorer walks integer state codes (a
+mixed radix over the variables' domain positions; see ``model``) and keys
+its state index by them.  Each state's row in the model's firing table,
+one row per guard class (the states on which every guard comparison has
+the same truth value), carries one step per chosen transition: where the
+update moves every state of the class by the same domain positions, an
+edge's target code is the source code plus a constant, and where the
+class fixes the target's class, the target's row id is stored after its
+first use.  Only the other steps apply the update to the state tuple and
+encode the result, which rejects a value outside its domain.  A state's
+tuple is built once, when it is found, and its row id recorded then.
+The explorer records only the row ids and each edge's target.  The edge
+sources, transition indices and values, the state kinds and the label
+sets are then gathered from the rows with numpy, keyed by those ids.
+The edges are kept as four
 arrays; ``g.edges`` builds ``Edge`` objects from them only when asked for
 its items, and ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
@@ -193,33 +202,52 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     """Breadth-first closure of the model's firing relation.
 
     Raises ``StateLimitExceeded`` beyond ``limit`` states (default from the
-    ``INFRADEP_STATE_LIMIT`` environment variable, else one million) and
-    ``ImmediateCycleError`` if the vanishing states contain a cycle.
+    ``INFRADEP_STATE_LIMIT`` environment variable, else one million),
+    ``OutOfDomainError`` if the initial state or a reachable firing holds a
+    value outside its variable's domain, and ``ImmediateCycleError`` if the
+    vanishing states contain a cycle.
     """
     cap = state_limit() if limit is None else limit
     comp = model._compiled
     row_id, rows, updates = comp.row_id, comp.rows, comp.updates
+    encode, steps = comp.encode, comp.steps
     init = initial_state(model)
-    index: dict[StateVector, int] = {init: 0}
-    states: list[StateVector] = [init]  # also the BFS queue, read in order
-    ids, dst = array("q"), array("q")
+    index: dict[int, int] = {encode(init): 0}
+    codes = list(index)
+    states: list[StateVector] = [init]  # with codes, the BFS queue, read in order
+    # Discovery order is state order, so recording each state's row id when
+    # it is found numbers the rows as reading them off the queue would.
+    ids, dst = array("q", [row_id(init)]), array("q")
 
     si = 0
     while si < len(states):
-        s = states[si]
-        rid = row_id(s)
-        ids.append(rid)
-        for ti in rows[rid].chosen:
-            target = updates[ti](s)
-            di = index.get(target)
+        s, code, rid = states[si], codes[si], ids[si]
+        out = steps[rid]
+        if out is None:
+            out = comp.fill_steps(rid, s)
+        for step in out:
+            ti, delta, target_row = step
+            if delta is None:
+                target = updates[ti](s)
+                t = encode(target)
+            else:
+                t = code + delta
+            di = index.get(t)
             if di is None:
                 if len(states) >= cap:
                     raise StateLimitExceeded(
                         f"state space exceeds {cap} states", limit=cap
                     )
-                di = len(states)
-                index[target] = di
+                di = index[t] = len(states)
+                codes.append(t)
+                if delta is not None:
+                    target = updates[ti](s)
                 states.append(target)
+                if target_row is None:
+                    target_row = row_id(target)
+                elif target_row < 0:
+                    target_row = step[2] = row_id(target)
+                ids.append(target_row)
             dst.append(di)
         si += 1
 
@@ -328,17 +356,11 @@ def _row_ids(obj) -> np.ndarray:
 
 
 def _label_sets_of_rows(comp, ids: np.ndarray) -> dict[str, frozenset[int]]:
-    """Each label's states, given each state's row id ``ids[i]`` in ``comp``.
-
-    A set's members are added grouped by row, rows in the order of their
-    first state and states ascending within a row.  A frozenset's iteration
-    order follows its insertion order, and claim witnesses follow the
-    iteration order of the label sets they start from.
-    """
+    """Each label's states, given each state's row id ``ids[i]`` in ``comp``."""
     truth = np.array([r.labels for r in comp.rows], dtype=bool).reshape(
         len(comp.rows), len(comp.labels)
     )
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first[inverse], kind="stable")
-    member = truth[ids[order]]
-    return {l.name: frozenset(order[member[:, j]].tolist()) for j, l in enumerate(comp.labels)}
+    member = truth[ids]
+    return {
+        l.name: frozenset(np.flatnonzero(member[:, j]).tolist()) for j, l in enumerate(comp.labels)
+    }

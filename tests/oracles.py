@@ -24,6 +24,7 @@ from infradep import (
     Model,
     Not,
     Or,
+    OutOfDomainError,
     RateExpr,
     SetValue,
     Shift,
@@ -105,6 +106,8 @@ def exhaustive_reachability(model: Model):
     """Enumerate the full domain product, then filter by reachability.
 
     Returns (reachable states in visit order, tangible set, edge list).
+    Raises ``OutOfDomainError`` if the initial state or the target of a
+    reachable firing lies outside the domain product.
     """
     all_states = list(itertools.product(*(tuple(v.domain) for v in model.variables)))
     adjacency = {}
@@ -116,6 +119,8 @@ def exhaustive_reachability(model: Model):
         adjacency[s] = [(t.name, apply_update_raw(model, s, t), value) for t, value in firings]
 
     init = tuple(v.init for v in model.variables)
+    if init not in adjacency:
+        raise OutOfDomainError(f"initial state {init} is outside the domain")
     seen = {init}
     order = [init]
     frontier = [init]
@@ -124,6 +129,8 @@ def exhaustive_reachability(model: Model):
         nxt = []
         for s in frontier:
             for name, dst, value in adjacency[s]:
+                if dst not in adjacency:
+                    raise OutOfDomainError(f"{name} leaves the domain: {s} -> {dst}")
                 edges.append((s, name, dst, value))
                 if dst not in seen:
                     seen.add(dst)

@@ -191,3 +191,27 @@ def test_edge_coverage_needs_both_exemptions(graphs):
     # no direct edge back into state6 (common cause is off inside them).
     g = graphs["common-cause"]
     assert not check_edge_coverage(g, "state6", exempt_labels=("state6",)).passed
+
+
+@pytest.mark.parametrize("via", [None, ("up",)])
+def test_witness_does_not_follow_label_set_insertion_order(via):
+    # States 0 and 8 each reach a target in one step.  Two frozensets with
+    # these members iterate in their insertion order (8 and 0 share a hash
+    # slot), and the witness must start from state 0 under either.
+    from infradep import IntDomain, Label, Model, RateExpr, Shift, Timed, Transition, VariableDecl
+    from infradep.model import Comparison
+
+    m = Model(
+        name="line",
+        variables=(VariableDecl("x", IntDomain(0, 9), 0),),
+        parameters={},
+        transitions=(Transition("up", Timed(RateExpr(1.0)), Comparison("x", "<", 9), (Shift("x", 1),)),),
+    )
+    witnesses = set()
+    for sources, targets in (((0, 8), (1, 9)), ((8, 0), (9, 1))):
+        g = build_reachability_graph(m)
+        assert g.states == tuple((x,) for x in range(10))
+        g.__dict__["label_sets"] = {"from": frozenset(sources), "to": frozenset(targets)}
+        assert list(g.label_sets["from"]) == list(sources)
+        witnesses.add(check_path_exists(g, "from", "to", via=via).witness)
+    assert witnesses == {((0,), "up", (1,))}

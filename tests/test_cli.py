@@ -333,6 +333,18 @@ def test_cli_mtta_equals_library(capsys, ctmcs):
     assert json.loads(out)[0]["value"] == expected  # bit-for-bit
 
 
+def test_cli_mtta_refuses_a_negative_hitting_time(capsys):
+    # At k_max 20 the hitting times into n_cfg == k_max pass 1/eps, and the
+    # LU solve returns negative ones; at 16 it still returns the old value.
+    argv = ("solve", "--model", "attack", "--measure", "mtta", "--format", "json")
+    code, out, err = run(capsys, *argv, "--set", "k_max=20", "--target", "n_cfg == 20")
+    assert (code, out) == (3, "")
+    assert "error [NO_CONVERGENCE] mean hitting time" in err
+    code, out, _ = run(capsys, *argv, "--set", "k_max=16", "--target", "n_cfg == 16")
+    assert code == 0
+    assert json.loads(out)[0]["value"] == 287436404858988.6
+
+
 def test_cli_steady_equals_library(capsys, ctmcs):
     code, out, _ = run(capsys, "solve", "--model", "accidental",
                        "--measure", "label-prob", "--label", "state1",

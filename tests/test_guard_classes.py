@@ -6,7 +6,7 @@ from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from infradep import (
@@ -16,11 +16,13 @@ from infradep import (
     Comparison,
     EnumDomain,
     Immediate,
+    ImmediateCycleError,
     IntDomain,
     Label,
     Model,
     Not,
     Or,
+    OutOfDomainError,
     RateExpr,
     SetValue,
     Shift,
@@ -34,7 +36,7 @@ from infradep import (
 )
 from infradep.model import guard_predicate
 
-from .oracles import eval_guard, firings_raw
+from .oracles import eval_guard, exhaustive_reachability, firings_raw
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -76,19 +78,102 @@ def _guards(variables):
     )
 
 
+def _updates(variables):
+    """One to three assignments to distinct variables.  Now and then a
+    literal lies outside its domain, and shifts are unguarded, so some
+    reachable firings leave the domain."""
+
+    # The simplest draws (first in each list) move a variable away from its
+    # simplest value, so that the simplest models have several states.
+    def assignment(v):
+        if isinstance(v.domain, EnumDomain):
+            return st.builds(SetValue, st.just(v.name), st.sampled_from(v.domain.values[::-1] * 4 + ("zzz",)))
+        inside = tuple(v.domain)[::-1] * 3
+        return st.builds(Shift, st.just(v.name), st.sampled_from((1, -1))) | st.builds(
+            SetValue, st.just(v.name), st.sampled_from(inside + (v.domain.lo - 1, v.domain.hi + 1))
+        )
+
+    return st.lists(
+        st.one_of([assignment(v) for v in variables]), min_size=1, max_size=3, unique_by=lambda a: a.var
+    ).map(tuple)
+
+
 @st.composite
 def _models(draw):
     variables = draw(_variables())
     guards = _guards(variables)
-    kinds = st.builds(Timed, st.builds(RateExpr, st.sampled_from((0.5, 1.0, 3.0)))) | st.builds(
-        Immediate, st.integers(0, 2), st.sampled_from((0.25, 1.0, 3.0))
-    )
-    transitions = tuple(
-        Transition(f"t{k}", draw(kinds), draw(guards), ())
-        for k in range(draw(st.integers(1, 5)))
-    )
+    # Variables that no guard or label compares: an enum, and a counter
+    # without cut points.
+    free = (VariableDecl("u", EnumDomain(("a", "b")), "a"), VariableDecl("c", IntDomain(0, 2), 0))
+    variables += tuple(v for v in free if draw(st.booleans()))
+    updates = _updates(variables)
+    timed = st.builds(Timed, st.builds(RateExpr, st.sampled_from((0.5, 1.0, 3.0))))
+    kinds = timed | timed | st.builds(Immediate, st.integers(0, 2), st.sampled_from((0.25, 1.0, 3.0)))
+    domains = {v.name: v.domain for v in variables}
+    transitions = []
+    for k in range(draw(st.integers(1, 5))):
+        guard, update = draw(guards), draw(updates)
+        # Keep about half the shifts inside their range by their guard.
+        for a in update:
+            if isinstance(a, Shift) and draw(st.booleans()):
+                dom = domains[a.var]
+                bound = Comparison(a.var, "<", dom.hi) if a.delta > 0 else Comparison(a.var, ">", dom.lo)
+                guard = And((guard, bound))
+        transitions.append(Transition(f"t{k}", draw(kinds), guard, update))
+    transitions = tuple(transitions)
     labels = tuple(Label(f"l{k}", draw(guards)) for k in range(draw(st.integers(0, 3))))
     return Model("random", variables, {}, transitions, labels)
+
+
+def _has_immediate_cycle(tangible, edges) -> bool:
+    """Whether the edges between vanishing states close a cycle: strip
+    vanishing states without a vanishing successor until none is left."""
+    succ: dict = {}
+    for src, _, dst, _ in edges:
+        if src not in tangible and dst not in tangible:
+            succ.setdefault(src, set()).add(dst)
+    left = set(succ)
+    while True:
+        sinks = {s for s in left if not succ[s] & left}
+        if not sinks:
+            return bool(left)
+        left -= sinks
+
+
+def _explore_matches_oracle(model) -> str:
+    """Check explore against the exhaustive oracle on ``model``: the same
+    states in order, kinds and edges, or the same failure.  Returns which."""
+    try:
+        order, tangible, edges = exhaustive_reachability(model)
+    except OutOfDomainError:
+        with pytest.raises(OutOfDomainError):
+            build_reachability_graph(model)
+        return "leaves the domain"
+    if _has_immediate_cycle(tangible, edges):
+        with pytest.raises(ImmediateCycleError):
+            build_reachability_graph(model)
+        return "immediate cycle"
+    g = build_reachability_graph(model)
+    assert list(g.states) == order
+    assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
+    names = [t.name for t in model.transitions]
+    assert [
+        (g.states[s], names[t], g.states[d], v)
+        for s, t, d, v in zip(g.edge_src.tolist(), g.edge_transition.tolist(),
+                              g.edge_dst.tolist(), g.edge_value.tolist())
+    ] == edges
+    return "one state" if len(order) == 1 else "several states"
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_models(), data=st.data())
+def test_explore_matches_exhaustive_oracle(model, data):
+    # Explore walks integer codes with per-class code steps; from each of
+    # a few initial states it must agree with the oracle's plain tuples.
+    inits = data.draw(st.lists(st.sampled_from(list(model.domain_product())), min_size=1, max_size=4))
+    for init in inits:
+        variables = tuple(replace(v, init=x) for v, x in zip(model.variables, init))
+        event(_explore_matches_oracle(replace(model, variables=variables)))
 
 
 @settings(max_examples=100, deadline=None)

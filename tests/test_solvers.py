@@ -202,6 +202,17 @@ def test_mtta_defective_conditional():
     assert res.metadata["hit_probability"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_mtta_gate_passes_hit_probability_rounded_past_one():
+    # On this target the LU solve returns hit probabilities a few 1e-14
+    # above 1; the range gate must take that for rounding, not for a
+    # failed solve.
+    c = eliminate_vanishing(build_reachability_graph(builtin_model("attack", ModelParams(k_max=20))))
+    target = {5, 11, 21, 29, 32, 60, 61, 73, 80, 87, 89, 97, 99, 109, 119, 149, 160}
+    res = mean_time_to_absorption(c, target, allow_defective=True)
+    assert res.metadata["hit_probability"] == pytest.approx(1.0, abs=1e-9)
+    assert res.value > 0
+
+
 def test_not_ergodic_two_absorbing(two_state):
     c = ctmc_of(birth_chain([1.0]))  # absorbing end, fine
     # Build a chain with two separate absorbing states.

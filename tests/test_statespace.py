@@ -12,11 +12,13 @@ from infradep import (
     EnumDomain,
     Immediate,
     ImmediateCycleError,
+    OutOfDomainError,
     IntDomain,
     Label,
     Model,
     RateExpr,
     SetValue,
+    Shift,
     StateLimitExceeded,
     Timed,
     Transition,
@@ -149,6 +151,71 @@ def test_state_limit():
     assert len(build_reachability_graph(m, limit=100).states) == 100
     with pytest.raises(StateLimitExceeded):
         build_reachability_graph(m, limit=99)
+
+
+def _two_var_model(update, init=(0, "a")):
+    """A counter ``x`` over 0..4 and an enum ``e`` over a, b; one timed
+    transition fires ``update`` from the initial state."""
+    return Model(
+        name="m",
+        variables=(
+            VariableDecl("x", IntDomain(0, 4), init[0]),
+            VariableDecl("e", EnumDomain(("a", "b")), init[1]),
+        ),
+        parameters={},
+        transitions=(Transition("t", _rate(1.0), var_eq("x", 0), update),),
+    )
+
+
+def _carry_model(delta):
+    """Counter ``x`` over 0..1 and enum ``e`` over a, b.  Shifting ``x`` by
+    ``delta`` twice leaves its range, and the code one step further is
+    that of a state reachable by setting ``e``: no code arithmetic may
+    mistake one for the other."""
+    x0, e0, e1 = (0, "a", "b") if delta > 0 else (1, "b", "a")
+    return Model(
+        name="m",
+        variables=(VariableDecl("x", IntDomain(0, 1), x0), VariableDecl("e", EnumDomain(("a", "b")), e0)),
+        parameters={},
+        transitions=(
+            Transition("shift", _rate(1.0), var_eq("e", e0), (Shift("x", delta),)),
+            Transition("flip", _rate(1.0), var_eq("e", e0), (SetValue("e", e1),)),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _two_var_model((SetValue("x", 99),)),
+        _two_var_model((SetValue("e", "zzz"),)),
+        _two_var_model((), init=(7, "a")),
+        _carry_model(1),
+        _carry_model(-1),
+    ],
+    ids=["counter-set", "enum-set", "init", "shift-up", "shift-down"],
+)
+def test_explore_rejects_values_outside_the_domain(model):
+    # The model is never validated, so explore is the last line of defence.
+    with pytest.raises(OutOfDomainError):
+        build_reachability_graph(model)
+
+
+def test_repeated_assignment_applies_in_order():
+    # Validation rejects assigning a variable twice; explore still applies
+    # the assignments one after the other, as ``apply_transition`` does.
+    from infradep import Comparison
+
+    m = Model(
+        name="m",
+        variables=(VariableDecl("x", IntDomain(0, 4), 0),),
+        parameters={},
+        transitions=(
+            Transition("t", _rate(1.0), Comparison("x", "==", 0), (Shift("x", 1), SetValue("x", 3))),
+            Transition("u", _rate(1.0), Comparison("x", "==", 0), (SetValue("x", 4),)),
+        ),
+    )
+    assert build_reachability_graph(m).states == ((0,), (3,), (4,))
 
 
 def test_vanishing_probability_one_chain():
