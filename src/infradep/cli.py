@@ -8,6 +8,7 @@ failure, 4 limit exceeded, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parsing never mutates the parser, so calls can share it
 def _build_parser() -> _Parser:
     p = _Parser(prog="infradep", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="COMMAND")

@@ -13,8 +13,17 @@ at most ``POISSON_TAIL`` of the mass; each step multiplies a column vector
 by the transposed uniformized matrix, formed once per call.  The window's
 edges come from Poisson tail bounds (Fox & Glynn 1988), so its length is
 known before anything is allocated; a window longer than
-``MAX_POISSON_TERMS`` is refused with ``InvalidArgError``.  The only
-tunable is the steady-state residual gate in ``SolverOptions``.
+``MAX_POISSON_TERMS`` is refused with ``InvalidArgError``.  A step
+multiplies only the rows the vector can have reached (the idea behind
+adaptive uniformization, van Moorsel & Sanders 1994, at a fixed rate): a
+bound computed once from the generator's structure says how far a vector
+that is zero past index m can spread in one step, and the step uses the
+smallest leading block of the transposed matrix on a doubling ladder
+(``MIN_RUNG`` rows, twice that, ..., all of it) that covers the bound.
+Rows and terms left out are exact zeros, so results are bit-identical to
+stepping every row; ``row_steps`` in the metadata counts the rows
+multiplied.  The only tunable is the steady-state residual gate in
+``SolverOptions``.
 """
 
 from __future__ import annotations
@@ -48,9 +57,13 @@ POISSON_TAIL = 1e-9  # Poisson mass the transient window may discard
 # Longest Poisson window transient builds (32 MB of weights).  Lambda t up
 # to about 9e10 fits; beyond that the run would take ~Lambda t matrix steps.
 MAX_POISSON_TERMS = 4_000_000
-# Share of its largest entry by which an absorption solution may pass its
-# range ([0, 1] for a hit probability, >= 0 for a time) through rounding.
+# Share of its largest entry by which a linear solve's solution may pass its
+# range ([0, 1] for a probability, >= 0 for a time) through rounding.
 RANGE_SLACK = 1e-9
+# Smallest leading block of P^T a transient step multiplies.  Below about
+# a thousand rows a sparse product costs its few-microsecond call overhead
+# whatever its size, so a smaller block saves less than it costs to cut.
+MIN_RUNG = 1024
 
 
 @dataclass
@@ -119,7 +132,8 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
     irreducible chain is the special case where it covers every state);
     the stationary distribution is computed on that component by a sparse
     LU solve and is zero elsewhere.  A residual ``||pi Q||_inf`` above
-    ``steady_tol``, or a singular system, raises ``NoConvergenceError``.
+    ``steady_tol``, a singular system, or an entry outside [0, 1] (as
+    ``_require_in_range`` allows for rounding) raises ``NoConvergenceError``.
     """
     terms = terminal_sccs(ctmc)
     if len(terms) != 1:
@@ -137,6 +151,7 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
             f"steady-state residual {residual:.3e} above {options.steady_tol}",
             residual=residual,
         )
+    _require_in_range(pi_sub, 0.0, 1.0, "steady-state probability", residual)
     pi = np.zeros(ctmc.n)
     pi[scc] = pi_sub
     return Distribution(
@@ -205,6 +220,34 @@ def _poisson_window(mean: float):
     return left + lo, left + hi - 1, w / w.sum()
 
 
+def _reach_bound(q: sp.csr_matrix) -> np.ndarray:
+    """``reach[i]`` is one past the highest index among states 0..i and
+    every state they have an edge to under generator ``q``.
+
+    A vector that is zero from index ``m`` on stays zero from index
+    ``reach[m - 1]`` on after one step of the uniformized chain, whatever
+    the state order.
+    """
+    # The running maximum over the column indices in row order, read at
+    # each row's end (the leading 0 stands in for rows before any entry).
+    seen = np.maximum.accumulate(np.concatenate(([0], q.indices)))[q.indptr[1:]]
+    return np.maximum(seen, np.arange(q.shape[0])) + 1
+
+
+def _rung(pt: sp.csr_matrix, rows: int) -> sp.csr_matrix:
+    """The smallest leading block of ``pt`` on the doubling ladder
+    ``MIN_RUNG * 2**j`` with at least ``rows`` rows; ``pt`` itself once
+    that reaches its size."""
+    size = MIN_RUNG
+    while size < rows:
+        size *= 2
+    return pt if size >= pt.shape[0] else pt[:size, :size]
+
+
+def _pad(x: np.ndarray, size: int) -> np.ndarray:
+    return x if len(x) == size else np.concatenate([x, np.zeros(size - len(x))])
+
+
 def transient(ctmc: Ctmc, t: float) -> Distribution:
     """Distribution at time ``t`` by uniformization.
 
@@ -214,30 +257,56 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
     and each step computes P^T v, the same sums in the same order as the
     row-vector product v P.  Iteration stops early once the powers have
     converged (their difference is non-expansive under a stochastic P).
+
+    A step multiplies only the rows of P^T that can be nonzero.  With v
+    zero from index m on, P^T v is zero from ``reach[m - 1]`` on
+    (``_reach_bound``), so the step uses the leading square block of P^T
+    from a doubling ladder that covers that bound, built when first
+    needed; v and the accumulated sum grow with it.  Every product or
+    term left out is an exact zero, so the result is bit-identical to
+    stepping all rows.  ``row_steps`` in the metadata counts the rows
+    multiplied over all steps.
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
-    lam = float((-ctmc.generator.diagonal()).max()) * 1.05 if ctmc.n else 0.0
+    n = ctmc.n
+    lam = float((-ctmc.generator.diagonal()).max()) * 1.05 if n else 0.0
     if t == 0 or lam <= 0:
         dist = Distribution(p0.copy(), t)
-        dist.metadata = {"uniformization_rate": lam, "poisson_terms": 0, "steps": 0}
+        dist.metadata = {
+            "uniformization_rate": lam,
+            "poisson_terms": [0, 0],
+            "steps": 0,
+            "row_steps": 0,
+        }
         return dist
 
     left, right, weights = _poisson_window(lam * t)
     # For a 1-D left operand, ``v @ p`` would transpose p on every step.
-    pt = (sp.eye(ctmc.n, format="csr") + ctmc.generator / lam).T.tocsr()
+    pt = (sp.eye(n, format="csr") + ctmc.generator / lam).T.tocsr()
 
-    result = np.zeros_like(p0)
-    v = p0
-    steps = 0
+    top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
+    op = _rung(pt, top)
+    size = op.shape[0]
+    v = p0[:size]
+    reach = _reach_bound(ctmc.generator) if size < n else None
+    result = np.zeros(size)
+    steps = row_steps = 0
     for k in range(right + 1):
         if k >= left:
             result += weights[k - left] * v
         if k == right:
             break
-        nxt = pt @ v
+        if size < n:
+            top = int(reach[top - 1])
+            if top > size:
+                op = _rung(pt, top)
+                size = op.shape[0]
+                v, result = _pad(v, size), _pad(result, size)
+        nxt = op @ v
         steps += 1
+        row_steps += size
         if float(np.abs(nxt - v).sum()) <= 1e-14:
             # Remaining Poisson mass multiplies an (effectively) fixed vector.
             if k + 1 >= left:
@@ -248,11 +317,12 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
             break
         v = nxt
 
-    dist = Distribution(result, t)
+    dist = Distribution(_pad(result, n), t)
     dist.metadata = {
         "uniformization_rate": lam,
         "poisson_terms": [int(left), int(right)],
         "steps": steps,
+        "row_steps": row_steps,
     }
     return dist
 
@@ -358,17 +428,17 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
 def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: float):
     """Raise ``NoConvergenceError`` unless every entry of ``x`` is finite and
     in ``[lo, hi]``, give or take ``RANGE_SLACK`` times its largest entry
-    (at least 1): a hitting-time system so ill-conditioned that rounding
-    swamps its solution shows itself this way, while its residual can stay
-    small next to the entries' size.  The slack passes the rounding of a
-    sound solve, such as a hit probability of 1 + 4e-14."""
+    (at least 1): a hitting-time or balance system so ill-conditioned that
+    rounding swamps its solution shows itself this way, while its residual
+    can stay small next to the entries' size.  The slack passes the
+    rounding of a sound solve, such as a hit probability of 1 + 4e-14."""
     finite = np.isfinite(x)
     slack = RANGE_SLACK * max(1.0, float(np.abs(x[finite]).max(initial=0.0)))
     ok = finite & (x >= lo - slack) & (x <= hi + slack)
     if not ok.all():
         bad = x[~ok][0]
         raise NoConvergenceError(
-            f"{what} {bad:.6g} is outside [{lo:g}, {hi:g}]: the absorption "
+            f"{what} {bad:.6g} is outside [{lo:g}, {hi:g}]: the linear "
             f"system is too ill-conditioned to solve (residual {residual:.3g})",
             residual=residual,
         )

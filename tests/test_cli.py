@@ -355,6 +355,51 @@ def test_cli_steady_equals_library(capsys, ctmcs):
     assert json.loads(out)[0]["value"] == expected
 
 
+def test_transient_metadata_shape_at_time_zero(capsys):
+    # The Poisson window is a pair at t = 0 too, so JSON readers see one type.
+    argv = ("solve", "--model", "accidental", "--measure", "transient", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--time", "0")
+    assert code == 0
+    for entry in json.loads(out):
+        meta = entry["metadata"]
+        assert (meta["poisson_terms"], meta["steps"], meta["row_steps"]) == ([0, 0], 0, 0)
+    code, out, _ = run(capsys, *argv, "--time", "2.5")
+    assert code == 0
+    for entry in json.loads(out):
+        left, right = entry["metadata"]["poisson_terms"]
+        assert 0 <= left <= right
+        assert entry["metadata"]["row_steps"] > 0
+
+
+def test_steady_out_of_range_is_no_convergence(capsys):
+    # At mu_e <= 1e-16 the balance solve returns an entry near -0.14 with a
+    # residual near 1e-18: a numeric failure, not a bad argument.
+    for mu_e in ("1e-16", "1e-300"):
+        code, out, err = run(capsys, "solve", "--model", "accidental", "--set", f"mu_e={mu_e}",
+                             "--measure", "steady", "--format", "json")
+        assert (code, out) == (3, ""), mu_e
+        assert "error [NO_CONVERGENCE] steady-state probability" in err
+        assert "residual" in err
+
+
+def test_successive_calls_share_no_parser_state(capsys, graphs):
+    summary = ("graph", "--model", "accidental", "--summary")
+    code, out, _ = run(capsys, *summary, "--set", "k_max=20")
+    assert code == 0
+    assert json.loads(out)["states"] > len(graphs["accidental"].states)
+    code, out, _ = run(capsys, *summary)
+    assert code == 0
+    assert json.loads(out)["states"] == len(graphs["accidental"].states)
+    solve = ("solve", "--model", "accidental", "--measure", "label-prob", "--label", "state1",
+             "--format", "json")
+    first = run(capsys, *solve)
+    assert first[0] == 0
+    code, _, _ = run(capsys, "solve", "--model", "accidental", "--set", "k_max=20",
+                     "--measure", "nope")
+    assert code == 64
+    assert run(capsys, *solve) == first
+
+
 def test_transient_needs_time(capsys):
     code, _, _ = run(capsys, "solve", "--model", "accidental", "--measure", "transient")
     assert code == 64

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,7 @@ def test_transient_matches_dense_expm(ctmcs):
             assert np.abs(p - oracle).max() <= 1e-7, (name, t)
 
 
+@functools.cache
 def _built_at(k_max):
     params = ModelParams(k_max=k_max)
     return {
@@ -125,6 +127,104 @@ def test_transient_step_matches_dense_row_uniformization():
                 assert np.abs(dist.probs - want).max() <= 1e-12, (name, k_max, t)
                 early_stops += dist.metadata["steps"] < dist.metadata["poisson_terms"][1]
     assert early_stops > 0  # t = 5000 reaches the early-stop branch
+
+
+def _full_row_uniformization(c, t):
+    """Uniformization with transient's arithmetic and stop rule, stepping
+    every row of P^T: the reference for its row-prefix steps."""
+    lam = 1.05 * float((-c.generator.diagonal()).max())
+    left, right, w = _poisson_window(lam * t)
+    pt = (sp.eye(c.n, format="csr") + c.generator / lam).T.tocsr()
+    v = c.initial.astype(float)
+    out = np.zeros(c.n)
+    steps = 0
+    for k in range(right + 1):
+        if k >= left:
+            out += w[k - left] * v
+        if k == right:
+            break
+        nxt = pt @ v
+        steps += 1
+        if float(np.abs(nxt - v).sum()) <= 1e-14:
+            if k + 1 >= left:
+                out += w[k + 1 - left :].sum() * nxt
+            else:
+                out += nxt
+            break
+        v = nxt
+    return out, steps
+
+
+def _assert_matches_full_rows(c, t, what):
+    dist = transient(c, t)
+    want, steps = _full_row_uniformization(c, t)
+    assert np.array_equal(dist.probs, want), what
+    assert dist.metadata["steps"] == steps, what
+    return dist
+
+
+def test_transient_prefix_steps_match_full_rows_on_builtins():
+    early_stops = 0
+    for k_max, times in ((200, (0.5, 50.0, 5000.0)), (2000, (0.5, 50.0))):
+        for name, c in _built_at(k_max).items():
+            for t in times:
+                dist = _assert_matches_full_rows(c, t, (name, k_max, t))
+                early_stops += dist.metadata["steps"] < dist.metadata["poisson_terms"][1]
+    assert early_stops > 0  # t = 5000 reaches the early-stop branch
+
+
+def _band_chain(n, initial, extra=(), absorbing=(), seed=0):
+    """A chain on states 0..n-1 with random-rate edges i -> i+1, i -> i+2
+    and i -> i-1, plus ``extra`` (src, dst, rate) edges; states in
+    ``absorbing`` keep no outgoing edge (an empty generator row)."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    src = np.concatenate([i[:-1], i[:-2], i[1:]])
+    dst = np.concatenate([i[1:], i[2:], i[:-1]])
+    rate = rng.uniform(0.2, 2.0, len(src))
+    extra = np.array(extra, dtype=float).reshape(-1, 3)
+    src = np.concatenate([src, extra[:, 0].astype(int)])
+    dst = np.concatenate([dst, extra[:, 1].astype(int)])
+    rate = np.concatenate([rate, extra[:, 2]])
+    keep = ~np.isin(src, list(absorbing))
+    off = sp.csr_matrix((rate[keep], (src[keep], dst[keep])), shape=(n, n))
+    q = (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    q.eliminate_zeros()  # absorbing rows stay empty
+    p0 = np.zeros(n)
+    for state, mass in initial.items():
+        p0[state] = mass
+    base = ctmc_of(birth_chain([1.0]))
+    return replace(base, states=tuple((s,) for s in range(n)), generator=q, initial=p0)
+
+
+def test_transient_prefix_steps_match_full_rows_on_hand_built_chains():
+    n = 5000
+    cases = {
+        "mass away from index 0": (_band_chain(n, {1500: 1.0}), True),
+        # As a vanishing initial state leaves it.
+        "mass spread over states": (_band_chain(n, {0: 0.5, 3: 0.3, 7: 0.2}), True),
+        "edge to the last index": (_band_chain(n, {0: 1.0}, extra=[(0, n - 1, 0.5)]), False),
+        # Absorbing 3998 and 3999 leaves 4000.. unreachable, though they
+        # have edges back into reachable states; 20 absorbs on the way.
+        "unreachable and absorbing states": (
+            _band_chain(n, {0: 1.0}, absorbing=(20, 3998, 3999)),
+            True,
+        ),
+    }
+    for what, (c, prefix) in cases.items():
+        for t in (0.5, 50.0):
+            dist = _assert_matches_full_rows(c, t, (what, t))
+            full = dist.metadata["steps"] * n
+            assert (dist.metadata["row_steps"] < full) == prefix, (what, t)
+
+
+def test_transient_row_steps_count_the_rows_multiplied():
+    c = _built_at(2)["common-cause"]
+    dist = transient(c, 50.0)
+    assert dist.metadata["row_steps"] == dist.metadata["steps"] * c.n
+    c = _built_at(2000)["common-cause"]
+    dist = transient(c, 50.0)
+    assert 0 < dist.metadata["row_steps"] < dist.metadata["steps"] * c.n
 
 
 def test_steady_order_matches_default_order_solve():
