@@ -34,6 +34,7 @@ from .errors import (
     ImmediateCycleError,
     InfradepError,
     InvalidArgError,
+    InvalidModelError,
     InvalidParamError,
     NoConvergenceError,
     NotAttackModelError,
@@ -96,7 +97,6 @@ from .solvers import (
 )
 from .statespace import (
     Ctmc,
-    Edge,
     ReachabilityGraph,
     build_reachability_graph,
     eliminate_vanishing,

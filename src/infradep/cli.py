@@ -22,6 +22,7 @@ from .errors import (
     ImmediateCycleError,
     InfradepError,
     InvalidArgError,
+    InvalidModelError,
     InvalidParamError,
     StateLimitExceeded,
 )
@@ -30,7 +31,7 @@ from .model import guard_predicate
 from .montecarlo import estimate_occupancy, estimate_time_to, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
 from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
-from .validate import validate_model
+from .validate import require_valid, validate_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,10 +91,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="exact measures on the CTMC")
     add_common(sp)
     sp.add_argument("--measure", required=True,
-                    choices=["steady", "transient", "mtta", "label-prob"])
+                    choices=["steady", "transient", "mtta"])
     sp.add_argument("--time", type=float, help="time for transient analysis")
     sp.add_argument("--target", help="label name or guard expression (mtta)")
-    sp.add_argument("--label", help="label name (label-prob)")
     sp.add_argument("--label-prob", metavar="LABEL", dest="label_prob",
                     help="with steady/transient: report only this label")
     sp.add_argument("--allow-defective", action="store_true",
@@ -168,9 +168,7 @@ def _load_model(args):
         parameters = dict(parsed.parameters)
         parameters.update(overrides)
         parsed = replace(parsed, parameters=parameters)
-        report = validate_model(parsed)
-        if not report.ok:
-            raise _ValidationFailure(parsed.name, report)
+        require_valid(parsed)
     return parsed
 
 
@@ -203,12 +201,6 @@ class _ParseFailure(Exception):
     def __init__(self, source, errors):
         self.source = source
         self.errors = errors
-
-
-class _ValidationFailure(Exception):
-    def __init__(self, name, report):
-        self.name = name
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +266,7 @@ def vars_issue(i):
 
 def cmd_graph(args) -> int:
     model = _load_model(args)
-    report = validate_model(model)
-    if not report.ok:
-        raise _ValidationFailure(model.name, report)
+    require_valid(model)
     graph = build_reachability_graph(model)
     obj = eliminate_vanishing(graph) if args.hide_vanishing else graph
     if args.format == "json":
@@ -307,9 +297,7 @@ def _resolve_target(args, model, ctmc):
 
 def cmd_solve(args) -> int:
     model = _load_model(args)
-    report = validate_model(model)
-    if not report.ok:
-        raise _ValidationFailure(model.name, report)
+    require_valid(model)
     ctmc = eliminate_vanishing(build_reachability_graph(model))
     results = []
     if args.measure in ("steady", "transient"):
@@ -328,19 +316,10 @@ def cmd_solve(args) -> int:
             results.append(
                 label_probability(dist, ctmc.label_sets[label], name=f"p[{label}]")
             )
-    elif args.measure == "mtta":
+    else:  # mtta
         target, shown = _resolve_target(args, model, ctmc)
         res = mean_time_to_absorption(ctmc, target, allow_defective=args.allow_defective)
         results.append(replace(res, name=f"mtta[{shown}]"))
-    else:  # label-prob
-        if not args.label:
-            raise UsageError("--measure label-prob needs --label NAME")
-        if args.label not in ctmc.label_sets:
-            raise UsageError(f"no label {args.label!r} on model {model.name!r}")
-        dist = transient(ctmc, args.time) if args.time is not None else steady_state(ctmc)
-        results.append(
-            label_probability(dist, ctmc.label_sets[args.label], name=f"p[{args.label}]")
-        )
     _emit_results(args, results)
     return EXIT_OK
 
@@ -437,7 +416,7 @@ def main(argv=None) -> int:
             loc = f"{e.source}:{err.span.line}:{err.span.column}"
             print(f"{loc}: [{err.code}] {err.message}", file=sys.stderr)
         return EXIT_PARSE
-    except _ValidationFailure as e:
+    except InvalidModelError as e:
         for issue in e.report.errors:
             print(f"error [{issue.code}] {issue.where}: {issue.message}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,6 +30,16 @@ class OutOfDomainError(InfradepError):
     code = "OUT_OF_DOMAIN"
 
 
+class InvalidModelError(InfradepError):
+    """A model fails ``validate_model``; ``report`` holds every finding."""
+
+    code = "INVALID_MODEL"
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 class InvalidParamError(InfradepError):
     """A model parameter is outside its admissible range."""
 

@@ -40,11 +40,11 @@ def export_dot(obj) -> str:
             attrs.append("peripheries=2")
         lines.append(f"  s{i} [{', '.join(attrs)}];")
     if graph:
-        for e in obj.edges:
-            kind = "rate" if obj.tangible[e.src] else "p"
-            lines.append(
-                f'  s{e.src} -> s{e.dst} [label="{_dot_escape(e.transition)}\\n{kind}={e.value!r}"];'
-            )
+        names = [_dot_escape(t.name) for t in model.transitions]
+        for i, j, t, v in zip(obj.edge_src.tolist(), obj.edge_dst.tolist(),
+                              obj.edge_transition.tolist(), obj.edge_value.tolist()):
+            kind = "rate" if obj.tangible[i] else "p"
+            lines.append(f'  s{i} -> s{j} [label="{names[t]}\\n{kind}={v!r}"];')
     else:
         coo = obj.generator.tocoo()
         for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
 from .model import Model, StateVector, guard_predicate, initial_state
 from .rng import stream_seed, uniforms
-from .validate import validate_model
+from .validate import require_valid
 
 DEFAULT_EVENT_CAP = 1_000_000
 MAX_CHAINED_IMMEDIATES = 10_000
@@ -78,7 +78,7 @@ class _Engine:
     """
 
     def __init__(self, model: Model, label: Callable[[StateVector], bool] | None = None):
-        validate_or_raise(model)
+        require_valid(model)
         self.comp = model._compiled
         self.names = tuple(t.name for t in model.transitions)
         self.label = label
@@ -119,16 +119,6 @@ class _Engine:
                      [states[i] for i in rec.states])
         init = states[self.start]
         return Trace(replication, seed, init, tuple(events), rec.end_reason, rec.end_time)
-
-
-def validate_or_raise(model: Model):
-    report = validate_model(model)
-    if not report.ok:
-        first = report.errors[0]
-        raise InvalidArgError(
-            f"model {model.name!r} does not validate: "
-            f"[{first.code}] {first.message} ({first.where})"
-        )
 
 
 def simulate(

@@ -60,6 +60,8 @@ MAX_POISSON_TERMS = 4_000_000
 # Share of its largest entry by which a linear solve's solution may pass its
 # range ([0, 1] for a probability, >= 0 for a time) through rounding.
 RANGE_SLACK = 1e-9
+# Most negative steady-state probability taken for rounding and clipped to 0.
+STEADY_FLOOR = -1e-14
 # Smallest leading block of P^T a transient step multiplies.  Below about
 # a thousand rows a sparse product costs its few-microsecond call overhead
 # whatever its size, so a smaller block saves less than it costs to cut.
@@ -73,12 +75,6 @@ class Distribution:
     probs: np.ndarray
     time: float
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.min(initial=0.0) < -1e-14:
-            raise InvalidArgError(f"distribution entry below -1e-14: {p.min()}")
-        self.probs = np.clip(p, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,10 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
     irreducible chain is the special case where it covers every state);
     the stationary distribution is computed on that component by a sparse
     LU solve and is zero elsewhere.  A residual ``||pi Q||_inf`` above
-    ``steady_tol``, a singular system, or an entry outside [0, 1] (as
-    ``_require_in_range`` allows for rounding) raises ``NoConvergenceError``.
+    ``steady_tol``, a singular system, an entry above 1 (as
+    ``_require_in_range`` allows for rounding) or below ``STEADY_FLOOR``
+    raises ``NoConvergenceError``; entries between ``STEADY_FLOOR`` and 0
+    are clipped to 0.
     """
     terms = terminal_sccs(ctmc)
     if len(terms) != 1:
@@ -151,9 +149,9 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
             f"steady-state residual {residual:.3e} above {options.steady_tol}",
             residual=residual,
         )
-    _require_in_range(pi_sub, 0.0, 1.0, "steady-state probability", residual)
+    _require_in_range(pi_sub, 0.0, 1.0, "steady-state probability", residual, STEADY_FLOOR)
     pi = np.zeros(ctmc.n)
-    pi[scc] = pi_sub
+    pi[scc] = np.clip(pi_sub, 0.0, None)
     return Distribution(
         pi,
         math.inf,
@@ -425,18 +423,21 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     )
 
 
-def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: float):
-    """Raise ``NoConvergenceError`` unless every entry of ``x`` is finite and
-    in ``[lo, hi]``, give or take ``RANGE_SLACK`` times its largest entry
-    (at least 1): a hitting-time or balance system so ill-conditioned that
-    rounding swamps its solution shows itself this way, while its residual
-    can stay small next to the entries' size.  The slack passes the
-    rounding of a sound solve, such as a hit probability of 1 + 4e-14."""
+def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: float,
+                      floor: float = -math.inf):
+    """Raise ``NoConvergenceError`` naming the worst entry unless every entry
+    of ``x`` is finite, at least ``floor`` and in ``[lo, hi]``, give or take
+    ``RANGE_SLACK`` times its largest entry (at least 1): a hitting-time or
+    balance system so ill-conditioned that rounding swamps its solution
+    shows itself this way, while its residual can stay small next to the
+    entries' size.  The slack passes the rounding of a sound solve, such as
+    a hit probability of 1 + 4e-14."""
     finite = np.isfinite(x)
     slack = RANGE_SLACK * max(1.0, float(np.abs(x[finite]).max(initial=0.0)))
-    ok = finite & (x >= lo - slack) & (x <= hi + slack)
+    ok = finite & (x >= lo - slack) & (x <= hi + slack) & (x >= floor)
     if not ok.all():
-        bad = x[~ok][0]
+        # A non-finite entry is the worst, else the one furthest outside.
+        bad = x[~finite][0] if not finite.all() else x[np.argmax(np.maximum(lo - x, x - hi))]
         raise NoConvergenceError(
             f"{what} {bad:.6g} is outside [{lo:g}, {hi:g}]: the linear "
             f"system is too ill-conditioned to solve (residual {residual:.3g})",

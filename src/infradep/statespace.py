@@ -18,9 +18,8 @@ tuple is built once, when it is found, and its row id recorded then.
 The explorer records only the row ids and each edge's target.  The edge
 sources, transition indices and values, the state kinds and the label
 sets are then gathered from the rows with numpy, keyed by those ids.
-The edges are kept as four
-arrays; ``g.edges`` builds ``Edge`` objects from them only when asked for
-its items, and ``g.adjacency`` lists them per source state.
+A graph keeps its edges only as four arrays (source, target, transition
+index, value); ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
 products over the edge-weight matrix, handing each timed rate to the
 tangible states its immediate chains can reach.
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -65,14 +63,6 @@ def state_limit() -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    transition: str
-    dst: int
-    value: float  # rate when src is tangible, probability when vanishing
-
-
 @dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
     """States in BFS order, their kinds, and the edges as parallel arrays:
@@ -93,34 +83,15 @@ class ReachabilityGraph:
     row_ids: np.ndarray | None = None
 
     @property
-    def edges(self) -> "EdgeView":
-        return EdgeView(self)
-
-    @cached_property
-    def _edge_objects(self) -> tuple[Edge, ...]:
-        names = [t.name for t in self.model.transitions]
-        return tuple(
-            Edge(src, names[t], dst, value)
-            for src, t, dst, value in zip(
-                self.edge_src.tolist(),
-                self.edge_transition.tolist(),
-                self.edge_dst.tolist(),
-                self.edge_value.tolist(),
-            )
-        )
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
-        buckets: list[list[Edge]] = [[] for _ in self.states]
-        for e in self.edges:
-            buckets[e.src].append(e)
-        return tuple(tuple(b) for b in buckets)
+    def edges(self) -> range:
+        """The edge ids ``0 .. len(edge_src) - 1``."""
+        return range(len(self.edge_src))
 
     @cached_property
     def adjacency(self) -> tuple[list[int], list[int], list[str]]:
         """``(indptr, dst, transition)``: the out-edges of state ``i`` are
         positions ``indptr[i]:indptr[i + 1]`` of the target-index and
-        transition-name lists, in the order of ``out_edges[i]``."""
+        transition-name lists, in the order of the edge arrays."""
         order = np.argsort(self.edge_src, kind="stable")
         indptr = np.zeros(len(self.states) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_src, minlength=len(self.states)), out=indptr[1:])
@@ -162,25 +133,6 @@ class ReachabilityGraph:
 
     def vanishing_count(self) -> int:
         return len(self.states) - sum(self.tangible)
-
-
-class EdgeView(Sequence):
-    """A graph's edges as ``Edge`` objects, which the graph builds on first
-    access to an item and keeps; the length is read from the edge arrays.
-    The view is made afresh on each ``g.edges`` so that the graph holds no
-    reference back to itself and is freed as soon as it is dropped."""
-
-    def __init__(self, graph: ReachabilityGraph):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.edge_src)
-
-    def __getitem__(self, k):
-        return self._graph._edge_objects[k]
-
-    def __iter__(self):
-        return iter(self._graph._edge_objects)
 
 
 @dataclass(eq=False)

@@ -2,9 +2,11 @@
 
 This is the one model checker: every name, type and domain check lives
 here, and the DSL front end builds its model without checking and asks
-``validate_model`` instead.  Nothing here raises: all findings are returned
-as report entries with a machine-readable code, so the front end can
-re-attach them to source positions and the CLI can print them uniformly.
+``validate_model`` instead.  ``validate_model`` does not raise: all
+findings are returned as report entries with a machine-readable code, so
+the front end can re-attach them to source positions and the CLI can print
+them uniformly.  ``require_valid`` is the one gate for code that needs a
+valid model: it raises ``InvalidModelError`` carrying the report.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .errors import InvalidModelError
 from .model import (
     EnumDomain,
     Guard,
@@ -85,6 +88,19 @@ def validate_model(model: Model, spans=None) -> ValidationReport:
         _check_update_domains(model, rep, spans)
         _check_guard_satisfiability(model, rep, spans)
     return rep
+
+
+def require_valid(model: Model):
+    """Raise ``InvalidModelError``, carrying the report and naming its first
+    error, unless ``model`` validates."""
+    report = validate_model(model)
+    if not report.ok:
+        first = report.errors[0]
+        raise InvalidModelError(
+            f"model {model.name!r} does not validate: "
+            f"[{first.code}] {first.message} ({first.where})",
+            report,
+        )
 
 
 def _check_declarations(model: Model, rep: ValidationReport, spans):

@@ -66,6 +66,25 @@ def eval_guard(guard, state: tuple, index) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# A graph's edge arrays, read back
+
+
+def edge_tuples(g) -> list[tuple[int, str, int, float]]:
+    """``(src, transition name, dst, value)`` of each edge of ``g``, in array order."""
+    names = [t.name for t in g.model.transitions]
+    return [
+        (src, names[t], dst, value)
+        for src, t, dst, value in zip(g.edge_src.tolist(), g.edge_transition.tolist(),
+                                      g.edge_dst.tolist(), g.edge_value.tolist())
+    ]
+
+
+def out_sums(g) -> np.ndarray:
+    """Each state's summed out-edge values (its exit rate, or 1 if vanishing)."""
+    return np.bincount(g.edge_src, weights=g.edge_value, minlength=len(g.states))
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive-domain reachability
 
 

@@ -100,12 +100,13 @@ def test_cc_enabled_in_normal_operation(models, graphs):
 
 def test_common_cause_outdegree_dominates_accidental(graphs):
     ga, gb = graphs["accidental"], graphs["common-cause"]
+    (pa, _, _), (pb, _, _) = ga.adjacency, gb.adjacency
     shared = set(ga.states) & set(gb.states)
     assert shared
     for s in shared:
         ia, ib = ga.state_index[s], gb.state_index[s]
         if ga.tangible[ia] and gb.tangible[ib]:
-            assert len(gb.out_edges[ib]) >= len(ga.out_edges[ia])
+            assert pb[ib + 1] - pb[ib] >= pa[ia + 1] - pa[ia]
 
 
 def test_cascading_only_blackout_narrative_path(graphs):

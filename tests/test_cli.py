@@ -151,6 +151,23 @@ def test_validate_bad_builtin_param_exit1(capsys):
             assert "INVALID_PARAM" in err
 
 
+def test_invalid_model_fails_alike_in_every_command(capsys):
+    # p8 = 5e-324 is a valid parameter, but the rate p8 * lambda_cc
+    # underflows to 0: each command stops at the same validation error.
+    bad = ("--model", "common-cause", "--set", "p8=5e-324")
+    errs = set()
+    for argv in (("graph", *bad, "--summary"),
+                 ("solve", *bad, "--measure", "steady"),
+                 ("simulate", *bad, "--occupancy", "state1", "--reps", "2", "--horizon", "10")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv[0]
+        errs.add(err)
+    assert errs == {
+        "error [INVALID_RATE] transition cc_to_8: timed rate must be positive and "
+        "finite after substitution, got 0.0\n"
+    }
+
+
 def test_failing_claims_exit1(capsys, tmp_path):
     # Strip the severity-escalation transition: the blackout-path claim
     # must fail for a model presenting itself as the one-way variant.
@@ -347,7 +364,7 @@ def test_cli_mtta_refuses_a_negative_hitting_time(capsys):
 
 def test_cli_steady_equals_library(capsys, ctmcs):
     code, out, _ = run(capsys, "solve", "--model", "accidental",
-                       "--measure", "label-prob", "--label", "state1",
+                       "--measure", "steady", "--label-prob", "state1",
                        "--format", "json")
     assert code == 0
     c = ctmcs["accidental"]
@@ -372,13 +389,18 @@ def test_transient_metadata_shape_at_time_zero(capsys):
 
 
 def test_steady_out_of_range_is_no_convergence(capsys):
-    # At mu_e <= 1e-16 the balance solve returns an entry near -0.14 with a
-    # residual near 1e-18: a numeric failure, not a bad argument.
-    for mu_e in ("1e-16", "1e-300"):
-        code, out, err = run(capsys, "solve", "--model", "accidental", "--set", f"mu_e={mu_e}",
+    # At mu_e <= 1e-16 the balance solve on accidental returns an entry near
+    # -0.14 with a residual near 1e-18: a numeric failure, not a bad argument.
+    # On common-cause at mu_e = 1e-24 the worst entry, -6e-10, is within the
+    # range slack but below the steady floor of -1e-14.  The error names the
+    # worst entry.
+    for model, mu_e, worst in (("accidental", "1e-16", "-0.1423"),
+                               ("accidental", "1e-300", "-0.1423"),
+                               ("common-cause", "1e-24", "-6.02737e-10")):
+        code, out, err = run(capsys, "solve", "--model", model, "--set", f"mu_e={mu_e}",
                              "--measure", "steady", "--format", "json")
         assert (code, out) == (3, ""), mu_e
-        assert "error [NO_CONVERGENCE] steady-state probability" in err
+        assert err.startswith(f"error [NO_CONVERGENCE] steady-state probability {worst} "), err
         assert "residual" in err
 
 
@@ -390,7 +412,7 @@ def test_successive_calls_share_no_parser_state(capsys, graphs):
     code, out, _ = run(capsys, *summary)
     assert code == 0
     assert json.loads(out)["states"] == len(graphs["accidental"].states)
-    solve = ("solve", "--model", "accidental", "--measure", "label-prob", "--label", "state1",
+    solve = ("solve", "--model", "accidental", "--measure", "steady", "--label-prob", "state1",
              "--format", "json")
     first = run(capsys, *solve)
     assert first[0] == 0
@@ -616,9 +638,9 @@ def test_solve_from_gsts_file_matches_builtin(capsys):
 
     path = pathlib.Path(__file__).parent.parent / "models" / "accidental.gsts"
     _, from_file, _ = run(capsys, "solve", "--model", str(path),
-                          "--measure", "label-prob", "--label", "state1",
+                          "--measure", "steady", "--label-prob", "state1",
                           "--format", "json")
     _, from_builtin, _ = run(capsys, "solve", "--model", "accidental",
-                             "--measure", "label-prob", "--label", "state1",
+                             "--measure", "steady", "--label-prob", "state1",
                              "--format", "json")
     assert json.loads(from_file)[0]["value"] == json.loads(from_builtin)[0]["value"]

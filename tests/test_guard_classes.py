@@ -36,7 +36,7 @@ from infradep import (
 )
 from infradep.model import guard_predicate
 
-from .oracles import eval_guard, exhaustive_reachability, firings_raw
+from .oracles import edge_tuples, eval_guard, exhaustive_reachability, firings_raw
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -271,7 +271,7 @@ def test_counter_compared_with_non_integer_literals_still_explores():
     assert {e.code for e in validate_model(m).errors} == {"TYPE_MISMATCH"}
     g = build_reachability_graph(m)
     assert g.states == ((0,), (1,), (2,), (3,))
-    assert [(e.src, e.transition, e.dst) for e in g.edges] == [(0, "up", 1), (1, "up", 2), (2, "up", 3)]
+    assert [(s, t, d) for s, t, d, _ in edge_tuples(g)] == [(0, "up", 1), (1, "up", 2), (2, "up", 3)]
     assert g.label_sets == {"none": frozenset(), "high": frozenset({2, 3})}
 
 

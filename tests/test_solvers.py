@@ -27,7 +27,7 @@ from infradep import (
     terminal_sccs,
     transient,
 )
-from infradep.solvers import SolverOptions, _poisson_window
+from infradep.solvers import SolverOptions, _poisson_window, _require_in_range
 
 from .oracles import (
     birth_chain,
@@ -422,3 +422,14 @@ def test_steady_bad_generator_is_no_convergence(two_state, rows):
     bad = replace(two_state, generator=sp.csr_matrix(np.array(rows)))
     with pytest.raises(NoConvergenceError):
         steady_state(bad)
+
+
+def test_range_gate_names_the_worst_entry():
+    x = np.array([0.5, -0.002, -0.2, 1.0 + 1e-12, 0.3])
+    with pytest.raises(NoConvergenceError, match=r"p -0\.2 is outside \[0, 1\]"):
+        _require_in_range(x, 0.0, 1.0, "p", 0.0)
+    with pytest.raises(NoConvergenceError, match=r"p nan is outside"):
+        _require_in_range(np.append(x, np.nan), 0.0, 1.0, "p", 0.0)
+    _require_in_range(np.array([1e-10, -1e-10]), 0.0, 1.0, "p", 0.0)  # within the slack
+    with pytest.raises(NoConvergenceError, match=r"p -1e-10 is outside"):
+        _require_in_range(np.array([1e-10, -1e-10]), 0.0, 1.0, "p", 0.0, floor=-1e-14)

@@ -30,7 +30,7 @@ from infradep import (
 )
 from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
 
-from .oracles import ctmc_of, dense_eliminate, hand_reduced_accidental
+from .oracles import ctmc_of, dense_eliminate, edge_tuples, hand_reduced_accidental, out_sums
 
 
 def _flip(name, var, frm, to, rate=1.0):
@@ -73,8 +73,8 @@ def test_reordering_transitions_keeps_state_and_edge_sets(model_a):
     reordered = replace(model_a, transitions=tuple(reversed(model_a.transitions)))
     g2 = build_reachability_graph(reordered)
     assert set(g1.states) == set(g2.states)
-    by_content_1 = {(g1.states[e.src], e.transition, g1.states[e.dst], e.value) for e in g1.edges}
-    by_content_2 = {(g2.states[e.src], e.transition, g2.states[e.dst], e.value) for e in g2.edges}
+    by_content_1 = {(g1.states[s], t, g1.states[d], v) for s, t, d, v in edge_tuples(g1)}
+    by_content_2 = {(g2.states[s], t, g2.states[d], v) for s, t, d, v in edge_tuples(g2)}
     assert by_content_1 == by_content_2
 
 
@@ -250,8 +250,8 @@ def test_vanishing_weight_split():
         ),
     )
     g = build_reachability_graph(m)
-    vanishing_edges = [e for e in g.edges if not g.tangible[e.src]]
-    assert sum(e.value for e in vanishing_edges) == pytest.approx(1.0, abs=1e-12)
+    vanishing_values = [v for s, _, _, v in edge_tuples(g) if not g.tangible[s]]
+    assert sum(vanishing_values) == pytest.approx(1.0, abs=1e-12)
     c = eliminate_vanishing(g)
     idx = {s[0]: i for i, s in enumerate(c.states)}
     q = c.generator.toarray()
@@ -282,8 +282,9 @@ def test_outflow_preserved(graphs):
             if tang:
                 compact[i] = len(compact)
         q = c.generator
+        out = out_sums(g)
         for old, new in compact.items():
-            out_graph = sum(e.value for e in g.out_edges[old])
+            out_graph = out[old]
             out_ctmc = -q[new, new]
             if out_graph == 0:
                 assert out_ctmc == 0
@@ -296,9 +297,9 @@ def test_identity_on_immediate_free_models(graphs):
     c = eliminate_vanishing(g)
     assert c.states == g.states
     rates = {}
-    for e in g.edges:
-        if e.src != e.dst:
-            rates[(e.src, e.dst)] = rates.get((e.src, e.dst), 0.0) + e.value
+    for src, _, dst, value in edge_tuples(g):
+        if src != dst:
+            rates[(src, dst)] = rates.get((src, dst), 0.0) + value
     q = c.generator.tocoo()
     off = {(i, j): v for i, j, v in zip(q.row, q.col, q.data) if i != j and v != 0}
     assert off == pytest.approx(rates)
@@ -361,18 +362,19 @@ def test_edges_replay_and_probabilities_sum(graphs):
 
     for g in graphs.values():
         m = g.model
-        for e in g.edges:
-            t = m.transition_map[e.transition]
-            src = g.states[e.src]
+        edges = edge_tuples(g)
+        for i, name, j, _ in edges:
+            t = m.transition_map[name]
+            src = g.states[i]
             assert eval_guard(t.guard, src, m.var_index)
-            assert apply_transition(m, src, t) == g.states[e.dst]
+            assert apply_transition(m, src, t) == g.states[j]
         for i, tang in enumerate(g.tangible):
-            out = g.out_edges[i]
+            out = [(name, value) for src, name, _, value in edges if src == i]
             if not tang:
-                assert all(not m.transition_map[e.transition].is_timed for e in out)
-                assert abs(sum(e.value for e in out) - 1.0) <= 1e-12
+                assert all(not m.transition_map[name].is_timed for name, _ in out)
+                assert abs(sum(value for _, value in out) - 1.0) <= 1e-12
             else:
-                assert all(m.transition_map[e.transition].is_timed for e in out)
+                assert all(m.transition_map[name].is_timed for name, _ in out)
 
 
 def test_deceived_label_matches_componentwise_divergence(graphs):
@@ -419,7 +421,7 @@ def test_depth_three_chain_with_diamond():
          ("c", "d", _imm()), ("c", "e", _imm()), ("d", "s", _rate(1.0)), ("e", "s", _rate(0.5))],
     )
     g = build_reachability_graph(m)
-    assert any(not g.tangible[e.src] and not g.tangible[e.dst] for e in g.edges)
+    assert any(not g.tangible[i] and not g.tangible[j] for i, _, j, _ in edge_tuples(g))
     c = _assert_matches_dense(m)
     idx = {s[0]: i for i, s in enumerate(c.states)}
     assert [s[0] for s in c.states] == ["s", "d", "e"]
@@ -438,7 +440,7 @@ def test_self_loop_mass_is_dropped():
          ("d", "s", _rate(1.0))],
     )
     g = build_reachability_graph(m)
-    assert sum(e.value for e in g.out_edges[0]) == 3.0
+    assert out_sums(g)[0] == 3.0
     c = _assert_matches_dense(m)
     q = c.generator.toarray()
     assert [s[0] for s in c.states] == ["s", "d"]
@@ -469,7 +471,7 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
 
     m = replace(model_a)
     g = build_reachability_graph(m)
-    assert g.edges[0] in g.out_edges[0] and len(g.edges) == len(g.edge_src)
+    assert g.adjacency[0][1] > 0 and len(g.edges) == len(g.edge_src)
     g.label_sets
     eliminate_vanishing(g)
     refs = weakref.ref(g), weakref.ref(m)
@@ -503,9 +505,11 @@ def test_adjacency_lists_out_edges_in_order():
     for g in graphs:
         indptr, dst, transition = g.adjacency
         assert len(indptr) == len(g.states) + 1
-        for i, out in enumerate(g.out_edges):
+        edges = edge_tuples(g)
+        for i in range(len(g.states)):
             span = range(indptr[i], indptr[i + 1])
-            assert [(dst[k], transition[k]) for k in span] == [(e.dst, e.transition) for e in out]
+            out = [(d, t) for s, t, d, _ in edges if s == i]
+            assert [(dst[k], transition[k]) for k in span] == out
 
 
 def _graph_digest(g) -> str:
