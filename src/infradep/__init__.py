@@ -30,7 +30,6 @@ from .claims import (
 from .dsl import ParseError, SourceSpan, parse_guard_text, parse_model, serialize_model
 from .errors import (
     EventCapExceeded,
-    GuardViolation,
     ImmediateCycleError,
     InfradepError,
     InvalidArgError,
@@ -63,16 +62,10 @@ from .model import (
     Timed,
     Transition,
     VariableDecl,
-    apply_transition,
-    enabled_transitions,
     g_and,
-    g_not,
-    g_or,
     initial_state,
-    is_vanishing,
     var_eq,
     var_in,
-    var_ne,
 )
 from .montecarlo import (
     Estimate,
@@ -84,7 +77,7 @@ from .montecarlo import (
     trace_to_csv,
     trace_to_jsonl,
 )
-from .rng import SplitMix64, mix64, stream_seed
+from .rng import mix64, stream_seed
 from .solvers import (
     Distribution,
     MeasureResult,

@@ -116,8 +116,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("fmt", help="canonically format a model file")
     sp.add_argument("path")
-    sp.add_argument("--in-place", action="store_true")
-    sp.add_argument("--out")
+    dest = sp.add_mutually_exclusive_group()
+    dest.add_argument("--in-place", action="store_true")
+    dest.add_argument("--out")
     return p
 
 
@@ -168,7 +169,6 @@ def _load_model(args):
         parameters = dict(parsed.parameters)
         parameters.update(overrides)
         parsed = replace(parsed, parameters=parameters)
-        require_valid(parsed)
     return parsed
 
 

@@ -17,12 +17,6 @@ class InfradepError(Exception):
         self.message = message
 
 
-class GuardViolation(InfradepError):
-    """A transition was applied in a state where its guard does not hold."""
-
-    code = "GUARD_VIOLATION"
-
-
 class OutOfDomainError(InfradepError):
     """A state holds a value outside its variable's domain: an update's
     result, or an unvalidated model's initial state."""

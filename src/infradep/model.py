@@ -26,6 +26,9 @@ kinds and the label sets from the rows afterwards, while the simulator
 reads a state's row directly (``_CompiledModel.row``).  The explorer
 indexes states by an integer code (``_CompiledModel.encode``) and follows
 each row's per-transition code steps (``_CompiledModel.fill_steps``).
+Each update is read once, into a list of assignment ops
+(``_CompiledModel.ops``), from which both its function on state tuples
+and its code steps come.
 ``guard_predicate`` caches any other guard's truth per class of that
 guard's own literals, and validation runs it on partial assignments.
 """
@@ -39,7 +42,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import GuardViolation, OutOfDomainError
+from .errors import OutOfDomainError
 
 StateVector = tuple
 Value = Union[str, int]
@@ -125,10 +128,6 @@ def var_eq(var: str, value: Value) -> Comparison:
     return Comparison(var, "==", value)
 
 
-def var_ne(var: str, value: Value) -> Comparison:
-    return Comparison(var, "!=", value)
-
-
 def var_in(var: str, values) -> Guard:
     """Membership test, expanded to a disjunction of equalities."""
     values = tuple(values)
@@ -142,17 +141,6 @@ def g_and(*terms: Guard) -> Guard:
     for t in terms:
         flat.extend(t.terms) if isinstance(t, And) else flat.append(t)
     return flat[0] if len(flat) == 1 else And(tuple(flat))
-
-
-def g_or(*terms: Guard) -> Guard:
-    flat: list = []
-    for t in terms:
-        flat.extend(t.terms) if isinstance(t, Or) else flat.append(t)
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
-def g_not(term: Guard) -> Guard:
-    return Not(term)
 
 
 _CMP_FNS: dict[str, Callable] = {
@@ -376,33 +364,14 @@ class Model:
         return {l.name: l for l in self.labels}
 
     @cached_property
-    def transition_map(self) -> dict[str, Transition]:
-        return {t.name: t for t in self.transitions}
-
-    @cached_property
     def _compiled(self) -> "_CompiledModel":
         return _CompiledModel(self)
 
     def variable(self, name: str) -> VariableDecl:
         return self.variables[self.var_index[name]]
 
-    def rate_of(self, t: Transition) -> float:
-        assert isinstance(t.kind, Timed)
-        return t.kind.rate.value(self.parameters)
-
     def format_state(self, s: StateVector) -> str:
         return ", ".join(f"{v.name}={s[i]}" for i, v in enumerate(self.variables))
-
-    def state_in_domain(self, s: StateVector) -> bool:
-        if len(s) != len(self.variables):
-            return False
-        return all(s[i] in v.domain for i, v in enumerate(self.variables))
-
-    def domain_product(self) -> Iterator[StateVector]:
-        """All points of the variable-domain product, in lexicographic order."""
-        import itertools
-
-        return itertools.product(*(tuple(v.domain) for v in self.variables))
 
 
 class FiringRow(NamedTuple):
@@ -416,8 +385,12 @@ class FiringRow(NamedTuple):
 
 
 class _CompiledModel:
-    """Per-model update closures, the firing table, whose rows the guard
-    interpreter fills once per guard class, and the integer coding of states.
+    """Per-model updates, the firing table, whose rows the guard interpreter
+    fills once per guard class, and the integer coding of states.
+
+    ``ops[t]`` is transition ``t``'s update, read once (``_read``).  Both
+    ``updates[t]``, the function that applies it to a state tuple, and
+    the code steps below are derived from it.
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
@@ -439,7 +412,6 @@ class _CompiledModel:
         self.parameters = model.parameters
         self.names = tuple(v.name for v in model.variables)
         self.labels = model.labels
-        self.updates = tuple(_compile_update(t.update, model) for t in model.transitions)
         parts = _class_parts(model)
         self.class_key = _class_key(parts)
         self.classed = dict(parts)
@@ -458,7 +430,16 @@ class _CompiledModel:
                 digits.append((weight, None, dom.lo, dom.hi))
             weight *= digits[-1][3] - digits[-1][2] + 1
         self.digits = tuple(digits)
-        self.plans = tuple(self._plan(t.update, model.var_index) for t in model.transitions)
+        self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
+        self.updates = tuple(map(self._update, self.ops))
+        # Per transition: None where its update assigns a variable twice (no
+        # constant code step), else whether it shifts no counter that has
+        # cut points, so that the source's class fixes the target's.
+        self.fixed = tuple(
+            None if len({op[0] for op in ops}) < len(ops)
+            else not any(shift is not None and i in self.classed for i, _, _, shift in ops)
+            for ops in self.ops
+        )
 
     def row_id(self, s: StateVector) -> int:
         """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
@@ -502,43 +483,59 @@ class _CompiledModel:
         b = min(hi, cuts[k] - 1) if k < len(cuts) else hi
         return a - lo, b - lo
 
-    def _plan(self, update: Update, var_index: Mapping[str, int]):
-        """What of ``update``'s code step is known before the class: whether
-        it shifts no counter that has cut points, and per assignment its
-        variable, its literal's position (None for a shift or a literal
-        outside the domain) and its shift.  An update that assigns a
-        variable twice (the second assignment then sees the first one's
-        result) gets ``(False, None)``: no constant step."""
+    def _read(self, update: Update, index: Mapping[str, int]) -> tuple:
+        """``update`` as one ``(variable index, literal, position, shift)``
+        per assignment: a ``SetValue`` has no shift, and no position if its
+        literal is outside the domain; a ``Shift`` has neither literal nor
+        position."""
         ops = []
         for a in update:
-            i = var_index[a.var]
-            if any(i == op[0] for op in ops):
-                return False, None
+            i = index[a.var]
             if isinstance(a, SetValue):
-                ops.append((i, self._position(i, a.value), None))
+                ops.append((i, a.value, self._position(i, a.value), None))
             else:
-                ops.append((i, None, a.delta))
-        return not any(shift and i in self.classed for i, _, shift in ops), tuple(ops)
+                ops.append((i, None, None, a.delta))
+        return tuple(ops)
+
+    def _update(self, ops) -> Callable[[StateVector], StateVector]:
+        """``ops`` as a function on states: the assignments in order, so a
+        second one to a variable sees the first one's result; a shift that
+        leaves its counter's range raises ``OutOfDomainError``."""
+        ops = tuple((i, None, value) if shift is None else (i, shift, self.digits[i][2:])
+                    for i, value, _, shift in ops)
+
+        def apply(s: StateVector) -> StateVector:
+            out = list(s)
+            for i, shift, payload in ops:
+                if shift is None:
+                    out[i] = payload
+                else:
+                    nv = out[i] + shift
+                    lo, hi = payload
+                    if nv < lo or nv > hi:
+                        raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {nv}")
+                    out[i] = nv
+            return tuple(out)
+
+        return apply
 
     def fill_steps(self, rid: int, s: StateVector) -> list:
         """Set and return ``steps[rid]``, from ``s``, an in-domain state of
         row ``rid``'s class."""
         steps = self.steps[rid] = []
         for ti in self.rows[rid].chosen:
-            fixed, ops = self.plans[ti]
-            delta = None if ops is None else 0
-            for i, p, shift in ops or ():
+            fixed = self.fixed[ti]
+            delta = None if fixed is None else 0
+            for i, _, p, shift in self.ops[ti] if fixed is not None else ():
                 weight, _, lo, hi = self.digits[i]
                 first, last = self._span(i, s[i])
-                if shift is None:
-                    step = None if p is None or first != last else (p - first) * weight
-                else:
-                    in_range = 0 <= first + shift and last + shift <= hi - lo
-                    step = shift * weight if in_range else None
-                if step is None:
+                if shift is None and p is not None and first == last:
+                    delta += (p - first) * weight
+                elif shift is not None and 0 <= first + shift and last + shift <= hi - lo:
+                    delta += shift * weight
+                else:  # not constant on the class, or may leave the domain
                     delta = None
                     break
-                delta += step
             steps.append([ti, delta, -1 if fixed else None])
         return steps
 
@@ -575,36 +572,6 @@ class _CompiledModel:
         return FiringRow(False, chosen, rates, (), labels)
 
 
-def _compile_update(update: Update, model: Model) -> Callable[[StateVector], StateVector]:
-    index = model.var_index
-    ops = []
-    for a in update:
-        i = index[a.var]
-        if isinstance(a, SetValue):
-            ops.append((i, None, a.value))
-        else:
-            dom = model.variables[i].domain
-            ops.append((i, a.delta, (dom.lo, dom.hi)))
-    ops = tuple(ops)
-
-    def apply(s: StateVector) -> StateVector:
-        out = list(s)
-        for i, delta, payload in ops:
-            if delta is None:
-                out[i] = payload
-            else:
-                nv = out[i] + delta
-                lo, hi = payload
-                if nv < lo or nv > hi:
-                    raise OutOfDomainError(
-                        f"counter update leaves [{lo}, {hi}]: value {nv}"
-                    )
-                out[i] = nv
-        return tuple(out)
-
-    return apply
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -612,24 +579,3 @@ def _compile_update(update: Update, model: Model) -> Callable[[StateVector], Sta
 def initial_state(model: Model) -> StateVector:
     """State holding every variable's declared init, in declaration order."""
     return tuple(v.init for v in model.variables)
-
-
-def enabled_transitions(model: Model, s: StateVector) -> list[Transition]:
-    """Transitions enabled in ``s`` under GSPN preemption, in declaration order."""
-    return [model.transitions[i] for i in model._compiled.row(s).chosen]
-
-
-def apply_transition(model: Model, s: StateVector, t: Transition) -> StateVector:
-    """Fire ``t`` in ``s``; pure, all unnamed variables pass through."""
-    if t not in model.transitions:
-        raise GuardViolation(f"transition {t.name!r} is not part of model {model.name!r}")
-    comp = model._compiled
-    if not eval_guard_kleene(t.guard, dict(zip(comp.names, s))):
-        raise GuardViolation(
-            f"guard of {t.name!r} does not hold in state ({model.format_state(s)})"
-        )
-    return comp.updates[model.transitions.index(t)](s)
-
-
-def is_vanishing(model: Model, s: StateVector) -> bool:
-    return model._compiled.row(s).vanishing

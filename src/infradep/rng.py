@@ -6,11 +6,11 @@ here is integer arithmetic mod 2^64, so traces are bit-exact across
 platforms and Python builds.  The constants below are the documented
 contract; see README ("Reproducibility") before touching them.
 
-Draw k of a stream is ``mix64(seed + k * GOLDEN)``, so ``uniforms``
-computes ``BLOCK`` draws at once with wrapping ``uint64`` array arithmetic
-and the same float64 operations as ``SplitMix64.uniform``, which stays as
-the scalar reference.  NumPy is imported on the first block, not with
-this module.
+Draw k (k = 1, 2, ...) of a stream is ``mix64(seed + k * GOLDEN)``, and
+its uniform double is ``((draw >> 11) + 0.5) * 2**-53``, in the open
+interval (0, 1).  ``uniforms`` computes ``BLOCK`` draws at once with
+wrapping ``uint64`` array arithmetic and yields exactly the values of
+drawing them one at a time.  NumPy is imported on the first block, not with this module.
 """
 
 from __future__ import annotations
@@ -45,23 +45,6 @@ def stream_seed(seed: int, replication: int) -> int:
     return mix64((seed & MASK64) ^ mix64((replication & MASK64) ^ GOLDEN))
 
 
-class SplitMix64:
-    """Sequential view of the splitmix64 counter stream."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform double in the open interval (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
-
-
 # Draws per block of ``uniforms``.  A block's cost is mostly NumPy's fixed
 # per-call overhead, so it grows little from 32 to 256 draws, while the
 # draws a replication leaves unused in its last block are wasted; estimator
@@ -70,7 +53,8 @@ BLOCK = 128
 
 
 def uniforms(seed: int) -> Iterator[float]:
-    """The uniforms of ``SplitMix64(seed)``, computed ``BLOCK`` at a time."""
+    """The uniform doubles of the stream seeded ``seed``, computed ``BLOCK``
+    at a time."""
     start = seed & MASK64
     step = BLOCK * GOLDEN
     return chain.from_iterable(

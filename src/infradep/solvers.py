@@ -372,18 +372,10 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     sub = q[np.ix_(relevant, relevant)].tocsc()
 
     if not defective:
-        if len(relevant):
-            # SuperLU's default order: MMD on A^T + A made these solves
-            # slower on every built-in at k_max 2000.
-            h = spla.spsolve(sub, -np.ones(len(relevant)))
-            residual = float(np.abs(sub @ h + 1.0).max())
-            _require_in_range(h, 0.0, math.inf, "mean hitting time", residual)
-            value = float(ctmc.initial[relevant] @ h)  # target states contribute 0
-        else:
-            residual, value = 0.0, 0.0  # initial mass already in the target
+        h, residual = _checked_solve(sub, -np.ones(len(relevant)), math.inf, "mean hitting time")
         return MeasureResult(
             name="mtta",
-            value=value,
+            value=float(ctmc.initial[relevant] @ h),  # target states contribute 0
             method="mtta",
             metadata={
                 "residual": residual,
@@ -396,9 +388,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     # Q'a = -(rates into the target), then the conditional mean E[time | hit]
     # restricted to states that can still reach the target.
     into_target = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
-    a = spla.spsolve(sub, -into_target)
-    residual = float(np.abs(sub @ a + into_target).max()) if len(relevant) else 0.0
-    _require_in_range(a, 0.0, 1.0, "hit probability", residual)
+    a, _ = _checked_solve(sub, -into_target, 1.0, "hit probability")
     hit = float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
     if not allow_defective:
         raise UnreachableTargetError(
@@ -406,9 +396,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
             "distribution (pass allow_defective to get the conditional mean)",
             hit_probability=hit,
         )
-    g = spla.spsolve(sub, -a)
-    residual = float(np.abs(sub @ g + a).max()) if len(relevant) else 0.0
-    _require_in_range(g, 0.0, math.inf, "hit-weighted mean hitting time", residual)
+    g, residual = _checked_solve(sub, -a, math.inf, "hit-weighted mean hitting time")
     num = float(ctmc.initial[relevant] @ g)
     return MeasureResult(
         name="mtta",
@@ -421,6 +409,21 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
             "conditional": True,
         },
     )
+
+
+def _checked_solve(sub, b: np.ndarray, hi: float, what: str) -> tuple[np.ndarray, float]:
+    """``x`` with ``sub @ x = b``, and its residual, the largest entry of
+    ``|sub @ x - b|``; raises unless ``x`` lies in ``[0, hi]`` (see
+    ``_require_in_range``).  An empty system has the empty solution and
+    residual 0."""
+    if not len(b):
+        return np.zeros(0), 0.0
+    # SuperLU's default order: MMD on A^T + A made these solves slower on
+    # every built-in at k_max 2000.
+    x = spla.spsolve(sub, b)
+    residual = float(np.abs(sub @ x - b).max())
+    _require_in_range(x, 0.0, hi, what, residual)
+    return x, residual
 
 
 def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: float,

@@ -103,10 +103,6 @@ class ReachabilityGraph:
         )
 
     @cached_property
-    def state_index(self) -> dict[StateVector, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
     def label_sets(self) -> dict[str, frozenset[int]]:
         """``label_sets(self)``, computed once per graph, from the recorded
         row ids when the explorer built the graph."""

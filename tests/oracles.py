@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: guards are evaluated
 by a two-valued walker of their own on every state (not the program's
 three-valued interpreter, run once per guard class), reachability is
 computed by enumerating the whole variable-domain product and filtering,
-and the numeric oracles are dense (Gaussian elimination, matrix
-exponential, dense linear solves) gated to small chains.
+the numeric oracles are dense (Gaussian elimination, matrix exponential,
+dense linear solves) gated to small chains, and the splitmix64 stream is
+drawn one value at a time from the constants the README documents.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def out_sums(g) -> np.ndarray:
 # Exhaustive-domain reachability
 
 
+def by_name(model: Model) -> dict[str, Transition]:
+    return {t.name: t for t in model.transitions}
+
+
+def domain_product(model: Model):
+    """All points of the variable-domain product, in lexicographic order."""
+    return itertools.product(*(tuple(v.domain) for v in model.variables))
+
+
 def apply_update_raw(model: Model, s: tuple, t: Transition) -> tuple:
     out = list(s)
     index = model.var_index
@@ -128,7 +138,7 @@ def exhaustive_reachability(model: Model):
     Raises ``OutOfDomainError`` if the initial state or the target of a
     reachable firing lies outside the domain product.
     """
-    all_states = list(itertools.product(*(tuple(v.domain) for v in model.variables)))
+    all_states = list(domain_product(model))
     adjacency = {}
     vanishing = set()
     for s in all_states:
@@ -158,6 +168,36 @@ def exhaustive_reachability(model: Model):
         frontier = nxt
     tangible = {s for s in seen if s not in vanishing}
     return order, tangible, edges
+
+
+# ---------------------------------------------------------------------------
+# The splitmix64 stream, one draw at a time
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_mix(z: int) -> int:
+    """The avalanche mix of the README "Reproducibility" section."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Sequential splitmix64, written from the README constants: the scalar
+    reference for ``rng.uniforms`` and the tests' general-purpose RNG."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _M64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
+        return _splitmix_mix(self.state)
+
+    def uniform(self) -> float:
+        """Uniform double in the open interval (0, 1)."""
+        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from infradep import (
 from infradep.solvers import SolverOptions
 
 from .oracles import (
+    SplitMix64,
     ctmc_of,
     dense_mtta,
     dense_steady,
@@ -146,8 +147,6 @@ def test_criterion_5_dsl_roundtrip(models):
         ).read_text(encoding="utf-8")
         parsed = parse_model(shipped)
         assert isinstance(parsed, Model) and parsed == m, name
-
-    from infradep.rng import SplitMix64
 
     rng = SplitMix64(0xFADE)
     base = serialize_model(models["accidental"]).encode()

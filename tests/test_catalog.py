@@ -15,7 +15,7 @@ from infradep import (
     label_sets,
     var_eq,
 )
-from .oracles import eval_guard, exhaustive_reachability
+from .oracles import apply_update_raw, by_name, eval_guard, exhaustive_reachability, firings_raw
 
 ACCIDENTAL_TABLE = [
     "masked_passive",
@@ -44,17 +44,16 @@ def test_accidental_transition_table(model_a):
 
 
 def test_accumulation_transition_shape(model_a):
-    t = model_a.transition_map["e_fail_accumulate"]
+    t = by_name(model_a)["e_fail_accumulate"]
     assert t.guard == var_eq("elec", "partial_e_outage")
     assert t.update == (SetValue("elec", "e_lost"),)
 
 
 def test_slow_restoration_rate_uses_rho():
     m = accidental_model(ModelParams(rho=0.5, mu_e=4.0))
-    slow = m.transition_map["e_restoration_slow"]
-    fast = m.transition_map["e_restoration_fast"]
-    assert m.rate_of(slow) == pytest.approx(2.0)
-    assert m.rate_of(fast) == pytest.approx(4.0)
+    transitions = by_name(m)
+    assert transitions["e_restoration_slow"].kind.rate.value(m.parameters) == pytest.approx(2.0)
+    assert transitions["e_restoration_fast"].kind.rate.value(m.parameters) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize(
@@ -86,41 +85,47 @@ def test_p8_extremes_drop_zero_rate_branch():
 
 def test_common_cause_rates_split_lambda_cc(models):
     m = models["common-cause"]
-    assert m.rate_of(m.transition_map["cc_to_6"]) == pytest.approx(0.0005)
-    assert m.rate_of(m.transition_map["cc_to_8"]) == pytest.approx(0.0005)
+    transitions = by_name(m)
+    for name in ("cc_to_6", "cc_to_8"):
+        assert transitions[name].kind.rate.value(m.parameters) == pytest.approx(0.0005)
 
 
 def test_cc_enabled_in_normal_operation(models, graphs):
     m = models["common-cause"]
-    from infradep import enabled_transitions, initial_state
+    from infradep import initial_state
 
-    names = {t.name for t in enabled_transitions(m, initial_state(m))}
+    names = {t.name for t, _ in firings_raw(m, initial_state(m))[0]}
     assert {"cc_to_6", "cc_to_8"} <= names
 
 
 def test_common_cause_outdegree_dominates_accidental(graphs):
     ga, gb = graphs["accidental"], graphs["common-cause"]
     (pa, _, _), (pb, _, _) = ga.adjacency, gb.adjacency
-    shared = set(ga.states) & set(gb.states)
+    index_a = {s: i for i, s in enumerate(ga.states)}
+    index_b = {s: i for i, s in enumerate(gb.states)}
+    shared = index_a.keys() & index_b.keys()
     assert shared
     for s in shared:
-        ia, ib = ga.state_index[s], gb.state_index[s]
+        ia, ib = index_a[s], index_b[s]
         if ga.tangible[ia] and gb.tangible[ib]:
             assert pb[ib + 1] - pb[ib] >= pa[ia + 1] - pa[ia]
 
 
 def test_cascading_only_blackout_narrative_path(graphs):
     # state1 -> state2 (masked failure) -> state7 (unconfined e-failure).
-    from infradep import apply_transition, initial_state
+    from infradep import initial_state
 
-    m = graphs["cascading-only"].model
-    s0 = initial_state(m)
-    s1 = apply_transition(m, s0, m.transition_map["masked_passive"])
-    s2 = apply_transition(m, s1, m.transition_map["e_failure_escal_sev"])
-    sets = label_sets(graphs["cascading-only"])
     g = graphs["cascading-only"]
-    assert g.state_index[s1] in sets["state2"]
-    assert g.state_index[s2] in sets["state7"]
+    m = g.model
+    path = [initial_state(m)]
+    for name in ("masked_passive", "e_failure_escal_sev"):
+        t = by_name(m)[name]
+        assert t in [fired for fired, _ in firings_raw(m, path[-1])[0]]
+        path.append(apply_update_raw(m, path[-1], t))
+    index = {s: i for i, s in enumerate(g.states)}
+    sets = label_sets(g)
+    assert index[path[1]] in sets["state2"]
+    assert index[path[2]] in sets["state7"]
 
 
 def test_cascading_only_never_weakens(graphs):
@@ -206,7 +211,7 @@ def test_labels_reachable_in_accidental(graphs):
 def test_guard_literal_k_follows_param():
     m = accidental_model(ModelParams(k_max=3))
     assert m.variable("n_cfg").domain.hi == 3
-    guard = m.transition_map["cfg_overflow"].guard
+    guard = by_name(m)["cfg_overflow"].guard
     # The threshold is baked into the guard as a literal.
     assert eval_guard(guard, ("active_latent", "e_weakened", 3), m.var_index)
     assert not eval_guard(guard, ("active_latent", "e_weakened", 2), m.var_index)

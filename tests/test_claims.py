@@ -22,7 +22,8 @@ from infradep import (
     run_claims,
 )
 from infradep.export import graph_summary
-from infradep.rng import SplitMix64
+
+from .oracles import SplitMix64
 
 
 def test_all_builtin_suites_pass(graphs):

@@ -151,6 +151,38 @@ def test_validate_bad_builtin_param_exit1(capsys):
             assert "INVALID_PARAM" in err
 
 
+def test_validate_reports_an_invalid_override_of_a_file_model(capsys):
+    # The override is checked by the report itself, not by a gate that
+    # would stop the command before it prints anything.
+    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    code, out, err = run(capsys, "validate", "--model", model,
+                         "--set", "lambda_e=0", "--format", "json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert [i["code"] for i in report["errors"]] == ["INVALID_PARAM"]
+
+
+def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
+    # Once when the file is parsed and once at graph's own gate.
+    import infradep.dsl
+    import infradep.validate
+
+    calls = []
+    original = infradep.validate.validate_model
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for module in (infradep.validate, infradep.dsl, infradep.cli):
+        if hasattr(module, "validate_model"):
+            monkeypatch.setattr(module, "validate_model", counted)
+    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    code, _, _ = run(capsys, "graph", "--model", model, "--set", "lambda_e=2", "--summary")
+    assert code == 0
+    assert calls == ["accidental", "accidental"]
+
+
 def test_invalid_model_fails_alike_in_every_command(capsys):
     # p8 = 5e-324 is a valid parameter, but the rate p8 * lambda_cc
     # underflows to 0: each command stops at the same validation error.
@@ -622,6 +654,17 @@ def test_fmt_canonicalizes(capsys, tmp_path):
     assert f.read_text() == out
     code, out2, _ = run(capsys, "fmt", str(f))
     assert out2 == out
+
+
+def test_fmt_in_place_and_out_are_exclusive(capsys, tmp_path):
+    f = tmp_path / "m.gsts"
+    f.write_text("model m { var x : {a,b} init a;\n"
+                 "timed t rate 1.0 when x==a -> {x:=b;};}")
+    before = f.read_text()
+    out = tmp_path / "out.gsts"
+    code, _, err = run(capsys, "fmt", str(f), "--in-place", "--out", str(out))
+    assert code == 64 and "--out" in err
+    assert f.read_text() == before and not out.exists()
 
 
 def test_fmt_shipped_models_are_canonical(capsys):

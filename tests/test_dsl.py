@@ -29,9 +29,9 @@ from infradep import (
     var_eq,
 )
 from infradep.dsl import KEYWORDS
-from infradep.rng import SplitMix64
 
 from .conftest import MODEL_CTORS
+from .oracles import SplitMix64, by_name
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -298,10 +298,8 @@ def test_rate_expression_forms():
     )
     m = parse_model(text)
     assert isinstance(m, Model)
-    assert m.rate_of(m.transition_map["a"]) == 4.0
-    assert m.rate_of(m.transition_map["b"]) == 2.0
-    assert m.rate_of(m.transition_map["c"]) == 2.0  # both orders accepted
-    assert m.rate_of(m.transition_map["d"]) == 3.0
+    rates = {name: t.kind.rate.value(m.parameters) for name, t in by_name(m).items()}
+    assert rates == {"a": 4.0, "b": 2.0, "c": 2.0, "d": 3.0}  # both orders accepted
     # Canonical form puts the coefficient first and round-trips.
     text2 = serialize_model(m)
     assert "rate 0.5 * mu" in text2

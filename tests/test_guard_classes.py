@@ -36,7 +36,7 @@ from infradep import (
 )
 from infradep.model import guard_predicate
 
-from .oracles import edge_tuples, eval_guard, exhaustive_reachability, firings_raw
+from .oracles import domain_product, edge_tuples, eval_guard, exhaustive_reachability, firings_raw
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -170,7 +170,7 @@ def _explore_matches_oracle(model) -> str:
 def test_explore_matches_exhaustive_oracle(model, data):
     # Explore walks integer codes with per-class code steps; from each of
     # a few initial states it must agree with the oracle's plain tuples.
-    inits = data.draw(st.lists(st.sampled_from(list(model.domain_product())), min_size=1, max_size=4))
+    inits = data.draw(st.lists(st.sampled_from(list(domain_product(model))), min_size=1, max_size=4))
     for init in inits:
         variables = tuple(replace(v, init=x) for v, x in zip(model.variables, init))
         event(_explore_matches_oracle(replace(model, variables=variables)))
@@ -183,7 +183,7 @@ def test_table_matches_direct_guard_walk(model, data, order):
     # the domain in a random order; every other state must read a row that
     # equals its own direct evaluation.  The probe guard is drawn apart from
     # the model's, so its literals are mostly ones no model guard uses.
-    states = list(model.domain_product())
+    states = list(domain_product(model))
     order.shuffle(states)
     comp = model._compiled
     index = model.var_index

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infradep import (
-    GuardViolation,
     Immediate,
     IntDomain,
     Model,
@@ -18,15 +19,25 @@ from infradep import (
     Timed,
     Transition,
     VariableDecl,
-    apply_transition,
-    enabled_transitions,
+    build_reachability_graph,
     initial_state,
-    is_vanishing,
     var_eq,
 )
-from infradep.rng import SplitMix64
 
 from .conftest import MODEL_CTORS
+from .oracles import SplitMix64, apply_update_raw, by_name, firings_raw
+
+
+def _explore_from(model: Model, state: tuple):
+    """The reachability graph of ``model`` started in ``state``."""
+    variables = tuple(replace(v, init=x) for v, x in zip(model.variables, state))
+    return build_reachability_graph(replace(model, variables=variables))
+
+
+def _out(g, i: int = 0) -> list[tuple[str, int]]:
+    """``(transition name, target index)`` of each out-edge of state ``i``."""
+    indptr, dst, names = g.adjacency
+    return [(names[k], dst[k]) for k in range(indptr[i], indptr[i + 1])]
 
 
 def test_initial_state_accidental(model_a):
@@ -50,17 +61,19 @@ def test_initial_state_attack(models):
     assert initial_state(m) == ("none", "i_working", "e_working", "i_working", "e_working", 0)
 
 
-def test_enabled_at_accidental_init(model_a):
+def test_enabled_at_accidental_init(graphs):
     # Exactly the timed transitions whose guards cover (i_working, e_working).
-    names = [t.name for t in enabled_transitions(model_a, initial_state(model_a))]
-    assert names == ["masked_passive", "masked_active", "signalled", "e_failure_normal"]
+    g = graphs["accidental"]
+    assert [name for name, _ in _out(g)] == [
+        "masked_passive", "masked_active", "signalled", "e_failure_normal",
+    ]
+    assert g.tangible[0]
 
 
 def test_immediate_preempts_timed(model_a):
-    s = ("i_working", "partial_e_outage", 0)
-    enabled = enabled_transitions(model_a, s)
-    assert [t.name for t in enabled] == ["i_weaken"]
-    assert is_vanishing(model_a, s)
+    g = _explore_from(model_a, ("i_working", "partial_e_outage", 0))
+    assert [name for name, _ in _out(g)] == ["i_weaken"]
+    assert not g.tangible[0]
 
 
 def test_no_transition_enabled():
@@ -72,7 +85,9 @@ def test_no_transition_enabled():
             Transition("t", Timed(RateExpr(1.0)), var_eq("x", 1), (SetValue("x", 0),)),
         ),
     )
-    assert enabled_transitions(m, (0,)) == []
+    g = build_reachability_graph(m)
+    assert g.states == ((0,),) and g.tangible == (True,)
+    assert _out(g) == []
 
 
 def test_priority_preemption():
@@ -84,41 +99,25 @@ def test_priority_preemption():
         parameters={},
         transitions=(low, high),
     )
-    assert [t.name for t in enabled_transitions(m, (0,))] == ["high"]
+    g = build_reachability_graph(m)
+    assert [name for name, _ in _out(g)] == ["high"]
+    assert not g.tangible[0]
 
 
 def test_apply_single_assignment(model_a):
-    t = model_a.transition_map["masked_passive"]
-    assert apply_transition(model_a, ("i_working", "e_working", 0), t) == (
-        "passive_latent",
-        "e_working",
-        0,
-    )
+    g = _explore_from(model_a, ("i_working", "e_working", 0))
+    targets = {name: g.states[j] for name, j in _out(g)}
+    assert targets["masked_passive"] == ("passive_latent", "e_working", 0)
 
 
 def test_apply_increment(model_a):
-    t = model_a.transition_map["cfg_change_more"]
-    assert apply_transition(model_a, ("active_latent", "e_weakened", 1), t) == (
-        "active_latent",
-        "e_weakened",
-        2,
-    )
-
-
-def test_apply_guard_violation(model_a):
-    t = model_a.transition_map["i_restoration"]
-    with pytest.raises(GuardViolation):
-        apply_transition(model_a, ("i_working", "e_working", 0), t)
-
-
-def test_apply_foreign_transition_rejected(model_a, models):
-    foreign = models["attack"].transition_map["passive_attack"]
-    with pytest.raises(GuardViolation):
-        apply_transition(model_a, initial_state(model_a), foreign)
+    g = _explore_from(model_a, ("active_latent", "e_weakened", 1))
+    targets = {name: g.states[j] for name, j in _out(g)}
+    assert targets["cfg_change_more"] == ("active_latent", "e_weakened", 2)
 
 
 def test_runtime_out_of_domain():
-    # A shift violating the range is a runtime error when fired directly.
+    # A shift violating the range is a runtime error when it fires.
     m = Model(
         name="m",
         variables=(VariableDecl("x", IntDomain(0, 1), 1),),
@@ -128,40 +127,45 @@ def test_runtime_out_of_domain():
         ),
     )
     with pytest.raises(OutOfDomainError):
-        apply_transition(m, (1,), m.transitions[0])
+        build_reachability_graph(m)
 
 
 def test_enabled_never_mixes_kinds(graphs):
-    # In every reachable state of every builtin model, enabled transitions
-    # are all timed or all immediates of one priority.
+    # In every reachable state of every builtin model, the out-edges fire
+    # timed transitions out of a tangible state and immediates of one
+    # priority out of a vanishing one.
     for g in graphs.values():
-        for s in g.states:
-            enabled = enabled_transitions(g.model, s)
-            kinds = {t.is_timed for t in enabled}
-            assert len(kinds) <= 1
-            if enabled and not enabled[0].is_timed:
-                assert len({t.kind.priority for t in enabled}) == 1
+        transitions = by_name(g.model)
+        for i, tangible in enumerate(g.tangible):
+            fired = [transitions[name] for name, _ in _out(g, i)]
+            assert all(t.is_timed == tangible for t in fired)
+            if not tangible:
+                assert len({t.kind.priority for t in fired}) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(MODEL_CTORS)), seed=st.integers(0, 2**63 - 1))
-def test_random_walk_closure_and_frame_rule(name, seed):
-    # Fuzz over reachable states: applying any enabled transition stays
-    # in-domain, untouched variables pass through bit-identically, and
-    # repeated application gives the same result.
-    model = MODEL_CTORS[name]()
+def test_random_walk_closure_and_frame_rule(graphs, name, seed):
+    # Fuzz over reachable states: the explorer's out-edges are the oracle's
+    # firings, and each edge's target is the oracle's update, inside the
+    # domain, with untouched variables passed through bit-identically.
+    g = graphs[name]
+    model = g.model
+    transitions = by_name(model)
     rng = SplitMix64(seed)
-    s = initial_state(model)
+    i = g.initial
     for _ in range(60):
-        enabled = enabled_transitions(model, s)
-        if not enabled:
+        s = g.states[i]
+        out = _out(g, i)
+        assert [n for n, _ in out] == [t.name for t, _ in firings_raw(model, s)[0]]
+        if not out:
             break
-        t = enabled[rng.next_u64() % len(enabled)]
-        nxt = apply_transition(model, s, t)
-        assert apply_transition(model, s, t) == nxt  # determinism
-        assert model.state_in_domain(nxt)
+        t_name, i = out[rng.next_u64() % len(out)]
+        t = transitions[t_name]
+        nxt = g.states[i]
+        assert nxt == apply_update_raw(model, s, t)
+        assert all(x in v.domain for x, v in zip(nxt, model.variables))
         touched = {a.var for a in t.update}
-        for i, v in enumerate(model.variables):
+        for k, v in enumerate(model.variables):
             if v.name not in touched:
-                assert nxt[i] is s[i] or nxt[i] == s[i]
-        s = nxt
+                assert nxt[k] is s[k] or nxt[k] == s[k]

@@ -24,7 +24,6 @@ from infradep import (
     Trace,
     Transition,
     VariableDecl,
-    apply_transition,
     estimate_occupancy,
     estimate_time_to,
     initial_state,
@@ -38,9 +37,17 @@ from infradep import (
     var_eq,
 )
 from infradep import montecarlo
-from infradep.rng import SplitMix64, stream_seed
+from infradep.rng import stream_seed
 
-from .oracles import birth_chain, eval_guard, two_state_chain
+from .oracles import (
+    SplitMix64,
+    apply_update_raw,
+    birth_chain,
+    by_name,
+    eval_guard,
+    firings_raw,
+    two_state_chain,
+)
 
 
 def test_same_inputs_same_trace(model_a):
@@ -82,12 +89,16 @@ def test_two_state_occupancy_long_run():
 
 
 def test_trace_replays_through_apply(model_a):
+    # Each event fires a transition the oracle enables in the state before
+    # it and lands where the oracle's update puts it.
     trace = simulate(model_a, horizon=400.0, seed=9)
+    transitions = by_name(model_a)
     s = trace.initial
     last_time = 0.0
     for ev in trace.events:
-        t = model_a.transition_map[ev.transition]
-        nxt = apply_transition(model_a, s, t)
+        t = transitions[ev.transition]
+        assert t in [fired for fired, _ in firings_raw(model_a, s)[0]]
+        nxt = apply_update_raw(model_a, s, t)
         assert nxt == ev.state
         if t.is_timed:
             assert ev.time > last_time
@@ -103,12 +114,12 @@ def test_immediates_recorded_after_trigger(model_a):
     trace = simulate(model_a, horizon=2000.0, seed=11)
     names = [ev.transition for ev in trace.events]
     assert "i_weaken" in names  # exercised at this horizon/seed
+    transitions = by_name(model_a)
     for i, ev in enumerate(trace.events):
-        t = model_a.transition_map[ev.transition]
-        if not t.is_timed:
+        if not transitions[ev.transition].is_timed:
             prev = trace.events[i - 1]
             assert prev.time == ev.time
-            assert model_a.transition_map[prev.transition].is_timed
+            assert transitions[prev.transition].is_timed
 
 
 def test_event_cap_carries_partial_trace(model_a):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from infradep.rng import BLOCK, MASK64, SplitMix64, stream_seed, uniforms
+from infradep.rng import BLOCK, MASK64, stream_seed, uniforms
+
+from .oracles import SplitMix64
 
 
 @pytest.mark.parametrize(

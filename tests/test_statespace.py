@@ -203,7 +203,7 @@ def test_explore_rejects_values_outside_the_domain(model):
 
 def test_repeated_assignment_applies_in_order():
     # Validation rejects assigning a variable twice; explore still applies
-    # the assignments one after the other, as ``apply_transition`` does.
+    # the assignments one after the other, the second to the first's result.
     from infradep import Comparison
 
     m = Model(
@@ -356,25 +356,24 @@ def test_generator_row_sums_and_diagonal(ctmcs):
 def test_edges_replay_and_probabilities_sum(graphs):
     # Every edge's guard holds in its source and its target is the exact
     # firing result; vanishing out-probabilities sum to one.
-    from infradep import apply_transition
-
-    from .oracles import eval_guard
+    from .oracles import apply_update_raw, by_name, eval_guard
 
     for g in graphs.values():
         m = g.model
+        transitions = by_name(m)
         edges = edge_tuples(g)
         for i, name, j, _ in edges:
-            t = m.transition_map[name]
+            t = transitions[name]
             src = g.states[i]
             assert eval_guard(t.guard, src, m.var_index)
-            assert apply_transition(m, src, t) == g.states[j]
+            assert apply_update_raw(m, src, t) == g.states[j]
         for i, tang in enumerate(g.tangible):
             out = [(name, value) for src, name, _, value in edges if src == i]
             if not tang:
-                assert all(not m.transition_map[name].is_timed for name, _ in out)
+                assert all(not transitions[name].is_timed for name, _ in out)
                 assert abs(sum(value for _, value in out) - 1.0) <= 1e-12
             else:
-                assert all(m.transition_map[name].is_timed for name, _ in out)
+                assert all(transitions[name].is_timed for name, _ in out)
 
 
 def test_deceived_label_matches_componentwise_divergence(graphs):
