@@ -13,20 +13,9 @@ from .catalog import (
     DEFAULT_PARAMS,
     ModelParams,
     accidental_model,
-    attack_model,
     builtin_model,
-    cascading_only_model,
-    common_cause_model,
 )
-from .claims import (
-    CheckResult,
-    check_all_paths_contain,
-    check_apparent_consistency,
-    check_edge_coverage,
-    check_path_exists,
-    check_set_unreachable,
-    run_claims,
-)
+from .claims import run_claims
 from .dsl import ParseError, SourceSpan, parse_guard_text, parse_model, serialize_model
 from .errors import (
     EventCapExceeded,
@@ -62,10 +51,8 @@ from .model import (
     Timed,
     Transition,
     VariableDecl,
-    g_and,
     initial_state,
     var_eq,
-    var_in,
 )
 from .montecarlo import (
     Estimate,
@@ -77,7 +64,7 @@ from .montecarlo import (
     trace_to_csv,
     trace_to_jsonl,
 )
-from .rng import mix64, stream_seed
+from .rng import mix64
 from .solvers import (
     Distribution,
     MeasureResult,
@@ -85,7 +72,6 @@ from .solvers import (
     label_probability,
     mean_time_to_absorption,
     steady_state,
-    terminal_sccs,
     transient,
 )
 from .statespace import (

@@ -151,6 +151,3 @@ def builtin_model(name: str, params: ModelParams = DEFAULT_PARAMS) -> Model:
 
 
 accidental_model = functools.partial(builtin_model, "accidental")
-cascading_only_model = functools.partial(builtin_model, "cascading-only")
-common_cause_model = functools.partial(builtin_model, "common-cause")
-attack_model = functools.partial(builtin_model, "attack")

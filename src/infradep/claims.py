@@ -2,9 +2,11 @@
 
 Each built-in model ships a claim suite: statements about which composite
 states are reachable, which transitions every recovery path must use, and
-how apparent status tracks real status under attacks.  The checks read
-only the reachability graph, never the rates, so verdicts are invariant
-under rate overrides.
+how apparent status tracks real status under attacks.  ``run_claims``,
+the entry point, runs the suite registered for a graph's model; the
+``check_*`` functions below are what the suites are written with.  The
+checks read only the reachability graph, never the rates, so verdicts are
+invariant under rate overrides.
 """
 
 from __future__ import annotations

@@ -223,11 +223,8 @@ def cmd_list_models(args) -> int:
 def cmd_validate(args) -> int:
     model = _load_model(args)
     report = validate_model(model)
-    lines = []
-    for issue in report.errors:
-        lines.append(f"error [{issue.code}] {issue.where}: {issue.message}")
-    for issue in report.warnings:
-        lines.append(f"warning [{issue.code}] {issue.where}: {issue.message}")
+    lines = [_issue_line(i) for i in report.errors]
+    lines += [_issue_line(i, "warning") for i in report.warnings]
     results = []
     failed_claims = 0
     if args.claims:
@@ -242,8 +239,8 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         payload = {
             "model": model.name,
-            "errors": [vars_issue(i) for i in report.errors],
-            "warnings": [vars_issue(i) for i in report.warnings],
+            "errors": [_issue_fields(i) for i in report.errors],
+            "warnings": [_issue_fields(i) for i in report.warnings],
             "claims": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
@@ -260,8 +257,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def vars_issue(i):
-    return {"code": i.code, "where": i.where, "message": i.message}
+def _issue_line(issue, kind="error") -> str:
+    return f"{kind} [{issue.code}] {issue.where}: {issue.message}"
+
+
+def _issue_fields(issue) -> dict:
+    return {"code": issue.code, "where": issue.where, "message": issue.message}
 
 
 def cmd_graph(args) -> int:
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except InvalidModelError as e:
         for issue in e.report.errors:
-            print(f"error [{issue.code}] {issue.where}: {issue.message}", file=sys.stderr)
+            print(_issue_line(issue), file=sys.stderr)
         return EXIT_VALIDATION
     except InfradepError as e:
         print(f"error [{e.code}] {e.message}", file=sys.stderr)

@@ -63,11 +63,6 @@ from .validate import ValidationReport, check_guard, validate_model
 
 MAX_GUARD_DEPTH = 200
 
-KEYWORDS = {
-    "model", "param", "var", "init", "timed", "immediate",
-    "rate", "prio", "weight", "when", "tags", "label",
-}
-
 _SYMBOLS = (
     "==", "!=", "<=", ">=", "&&", "||", ":=", "->", "..",
     "{", "}", "[", "]", "(", ")", ",", ";", ":", "<", ">", "!", "=", "*", "+", "-",
@@ -567,8 +562,8 @@ def parse_guard_text(text: str, model: Model) -> Guard | list[ParseError]:
         p.error(f"unexpected input after guard: {p._describe()}")
     if errors:
         return errors
-    report = ValidationReport()
-    check_guard(model, guard, "guard", report, {("guard", w): s for w, s in p.words.items()})
+    report = ValidationReport(spans={("guard", w): s for w, s in p.words.items()})
+    check_guard(model, guard, "guard", report)
     return _located(report) or guard
 
 

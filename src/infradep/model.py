@@ -128,21 +128,6 @@ def var_eq(var: str, value: Value) -> Comparison:
     return Comparison(var, "==", value)
 
 
-def var_in(var: str, values) -> Guard:
-    """Membership test, expanded to a disjunction of equalities."""
-    values = tuple(values)
-    if len(values) == 1:
-        return var_eq(var, values[0])
-    return Or(tuple(var_eq(var, v) for v in values))
-
-
-def g_and(*terms: Guard) -> Guard:
-    flat: list = []
-    for t in terms:
-        flat.extend(t.terms) if isinstance(t, And) else flat.append(t)
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
-
-
 _CMP_FNS: dict[str, Callable] = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -292,7 +277,6 @@ class Shift:
     delta: int
 
 
-Assignment = Union[SetValue, Shift]
 Update = tuple
 
 
@@ -487,12 +471,15 @@ class _CompiledModel:
         """``update`` as one ``(variable index, literal, position, shift)``
         per assignment: a ``SetValue`` has no shift, and no position if its
         literal is outside the domain; a ``Shift`` has neither literal nor
-        position."""
+        position.  An enum has no value to shift to, so a ``Shift`` of one
+        is read as setting the ``Shift`` itself, which no domain holds."""
         ops = []
         for a in update:
             i = index[a.var]
             if isinstance(a, SetValue):
                 ops.append((i, a.value, self._position(i, a.value), None))
+            elif self.digits[i][1] is not None:
+                ops.append((i, a, None, None))
             else:
                 ops.append((i, None, None, a.delta))
         return tuple(ops)

@@ -4,9 +4,11 @@ This is the one model checker: every name, type and domain check lives
 here, and the DSL front end builds its model without checking and asks
 ``validate_model`` instead.  ``validate_model`` does not raise: all
 findings are returned as report entries with a machine-readable code, so
-the front end can re-attach them to source positions and the CLI can print
-them uniformly.  ``require_valid`` is the one gate for code that needs a
-valid model: it raises ``InvalidModelError`` carrying the report.
+the CLI can print them uniformly.  The report owns the front end's map of
+source spans, when there is one, and places each finding at its span as
+it is recorded; the checks only name the item and the offending word.
+``require_valid`` is the one gate for code that needs a valid model: it
+raises ``InvalidModelError`` carrying the report.
 """
 
 from __future__ import annotations
@@ -43,50 +45,57 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
+    """Findings, and the source spans they are placed at.
+
+    ``spans`` maps item keys like ``"transition cfg_overflow"`` to the span
+    of the item's name, and ``(item key, word)`` pairs to the span of that
+    word in the item; it is None for a model that did not come from text.
+    """
+
     errors: list[ValidationIssue] = field(default_factory=list)
     warnings: list[ValidationIssue] = field(default_factory=list)
+    spans: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
-    def error(self, code: str, message: str, where: str, spans=None, at=None):
+    def error(self, code: str, message: str, where: str, at=None):
         """Record an error in item ``where``; ``at`` names the offending
         variable, value, parameter or tag, whose span is preferred."""
-        self.errors.append(ValidationIssue(code, message, where, _span(spans, where, at)))
+        self.errors.append(ValidationIssue(code, message, where, self._span(where, at)))
 
-    def warn(self, code: str, message: str, where: str, spans=None):
-        self.warnings.append(ValidationIssue(code, message, where, _span(spans, where, None)))
+    def warn(self, code: str, message: str, where: str):
+        self.warnings.append(ValidationIssue(code, message, where, self._span(where, None)))
 
-
-def _span(spans, where, at):
-    if not spans:
-        return None
-    return (at is not None and spans.get((where, str(at)))) or spans.get(where)
+    def _span(self, where, at):
+        spans = self.spans
+        if not spans:
+            return None
+        return (at is not None and spans.get((where, str(at)))) or spans.get(where)
 
 
 def validate_model(model: Model, spans=None) -> ValidationReport:
     """Check all structural invariants of ``model``.
 
-    ``spans`` optionally maps item keys like ``"transition cfg_overflow"``
-    to source spans, and ``(item key, word)`` pairs to the span of that
-    word in the item; matching issues carry them.
+    ``spans``, if given, becomes the report's span map, so that each
+    finding carries the source span of its word or item.
     """
-    rep = ValidationReport()
-    _check_declarations(model, rep, spans)
+    rep = ValidationReport(spans=spans)
+    _check_declarations(model, rep)
     if rep.errors:
         # Guard/update checks assume resolvable, well-typed declarations.
         return rep
     for t in model.transitions:
         where = f"transition {t.name}"
-        check_guard(model, t.guard, where, rep, spans)
-        _check_update(model, t, where, rep, spans)
-        _check_kind(model, t, where, rep, spans)
+        check_guard(model, t.guard, where, rep)
+        _check_update(model, t, where, rep)
+        _check_kind(model, t, where, rep)
     for l in model.labels:
-        check_guard(model, l.predicate, f"label {l.name}", rep, spans)
+        check_guard(model, l.predicate, f"label {l.name}", rep)
     if not rep.errors:
-        _check_update_domains(model, rep, spans)
-        _check_guard_satisfiability(model, rep, spans)
+        _check_update_domains(model, rep)
+        _check_guard_satisfiability(model, rep)
     return rep
 
 
@@ -103,25 +112,24 @@ def require_valid(model: Model):
         )
 
 
-def _check_declarations(model: Model, rep: ValidationReport, spans):
+def _check_declarations(model: Model, rep: ValidationReport):
     seen: set[str] = set()
     for v in model.variables:
         where = f"var {v.name}"
         if v.name in seen:
-            rep.error("DUPLICATE_NAME", f"variable {v.name!r} declared twice", where, spans)
+            rep.error("DUPLICATE_NAME", f"variable {v.name!r} declared twice", where)
         seen.add(v.name)
         if isinstance(v.domain, EnumDomain):
             if not v.domain.values:
-                rep.error("EMPTY_ENUM", f"enum variable {v.name!r} has no values", where, spans)
+                rep.error("EMPTY_ENUM", f"enum variable {v.name!r} has no values", where)
                 continue
             if len(set(v.domain.values)) != len(v.domain.values):
-                rep.error("DUPLICATE_NAME", f"enum {v.name!r} repeats a value", where, spans)
+                rep.error("DUPLICATE_NAME", f"enum {v.name!r} repeats a value", where)
             if v.init not in v.domain:
                 rep.error(
                     "BAD_INIT",
                     f"init {v.init!r} is not a value of enum {v.name!r}",
                     where,
-                    spans,
                     at=v.init,
                 )
         else:
@@ -130,14 +138,12 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                     "BAD_INIT",
                     f"counter {v.name!r} has empty range [{v.domain.lo}, {v.domain.hi}]",
                     where,
-                    spans,
                 )
             elif v.init not in v.domain:
                 rep.error(
                     "BAD_INIT",
                     f"init {v.init!r} outside [{v.domain.lo}, {v.domain.hi}] of {v.name!r}",
                     where,
-                    spans,
                     at=v.init,
                 )
 
@@ -147,11 +153,10 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                 "INVALID_PARAM",
                 f"parameter {name!r} must be a positive finite real, got {value!r}",
                 f"param {name}",
-                spans,
             )
 
     if not model.transitions:
-        rep.error("NO_TRANSITIONS", "model declares no transition", f"model {model.name}", spans)
+        rep.error("NO_TRANSITIONS", "model declares no transition", f"model {model.name}")
 
     seen = set()
     for t in model.transitions:
@@ -160,20 +165,17 @@ def _check_declarations(model: Model, rep: ValidationReport, spans):
                 "DUPLICATE_NAME",
                 f"transition {t.name!r} declared twice",
                 f"transition {t.name}",
-                spans,
             )
         seen.add(t.name)
 
     seen = set()
     for l in model.labels:
         if l.name in seen:
-            rep.error(
-                "DUPLICATE_NAME", f"label {l.name!r} declared twice", f"label {l.name}", spans
-            )
+            rep.error("DUPLICATE_NAME", f"label {l.name!r} declared twice", f"label {l.name}")
         seen.add(l.name)
 
 
-def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, spans=None):
+def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport):
     """Check that each comparison of ``guard`` names a declared variable
     and a literal of its type; findings go to ``rep`` under ``where``."""
     for cmp_ in guard_comparisons(guard):
@@ -183,7 +185,6 @@ def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, s
                 "UNDECLARED_IDENT",
                 f"guard references undeclared variable {cmp_.var!r}",
                 where,
-                spans,
                 at=cmp_.var,
             )
             continue
@@ -194,7 +195,6 @@ def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, s
                     "TYPE_MISMATCH",
                     f"enum variable {cmp_.var!r} compared with {cmp_.op!r}",
                     where,
-                    spans,
                     at=cmp_.var,
                 )
             if cmp_.value not in dom:
@@ -202,7 +202,6 @@ def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, s
                     "TYPE_MISMATCH",
                     f"{cmp_.value!r} is not a value of enum {cmp_.var!r}",
                     where,
-                    spans,
                     at=cmp_.value,
                 )
         else:
@@ -211,12 +210,11 @@ def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport, s
                     "TYPE_MISMATCH",
                     f"counter {cmp_.var!r} compared against non-integer {cmp_.value!r}",
                     where,
-                    spans,
                     at=cmp_.value,
                 )
 
 
-def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
+def _check_update(model: Model, t, where: str, rep: ValidationReport):
     assigned: set[str] = set()
     for a in t.update:
         if a.var in assigned:
@@ -224,7 +222,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                 "DUPLICATE_ASSIGNMENT",
                 f"variable {a.var!r} assigned twice in one update",
                 where,
-                spans,
                 at=a.var,
             )
         assigned.add(a.var)
@@ -234,7 +231,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                 "UNDECLARED_IDENT",
                 f"update assigns undeclared variable {a.var!r}",
                 where,
-                spans,
                 at=a.var,
             )
             continue
@@ -246,7 +242,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         "TYPE_MISMATCH",
                         f"{a.value!r} is not a value of enum {a.var!r}",
                         where,
-                        spans,
                         at=a.value,
                     )
             else:
@@ -255,7 +250,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         "TYPE_MISMATCH",
                         f"counter {a.var!r} assigned non-integer {a.value!r}",
                         where,
-                        spans,
                         at=a.value,
                     )
                 elif a.value not in dom:
@@ -263,7 +257,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                         "OUT_OF_DOMAIN_UPDATE",
                         f"assignment {a.var} := {a.value} leaves [{dom.lo}, {dom.hi}]",
                         where,
-                        spans,
                         at=a.value,
                     )
         else:  # Shift
@@ -272,7 +265,6 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                     "TYPE_MISMATCH",
                     f"enum variable {a.var!r} cannot be incremented",
                     where,
-                    spans,
                     at=a.var,
                 )
             elif a.delta not in (1, -1):
@@ -280,12 +272,11 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport, spans):
                     "TYPE_MISMATCH",
                     f"increment of {a.var!r} must be +1 or -1, got {a.delta}",
                     where,
-                    spans,
                     at=a.var,
                 )
 
 
-def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
+def _check_kind(model: Model, t, where: str, rep: ValidationReport):
     if isinstance(t.kind, Timed):
         r = t.kind.rate
         if r.param is not None and r.param not in model.parameters:
@@ -293,7 +284,6 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
                 "UNDECLARED_IDENT",
                 f"rate references undeclared parameter {r.param!r}",
                 where,
-                spans,
                 at=r.param,
             )
         else:
@@ -303,19 +293,15 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
                     "INVALID_RATE",
                     f"timed rate must be positive and finite after substitution, got {value}",
                     where,
-                    spans,
                 )
     else:
         if t.kind.priority < 0:
-            rep.error(
-                "INVALID_PARAM", f"immediate priority must be >= 0", where, spans
-            )
+            rep.error("INVALID_PARAM", f"immediate priority must be >= 0", where)
         if not t.kind.weight > 0:
             rep.error(
                 "INVALID_WEIGHT",
                 f"immediate weight must be positive, got {t.kind.weight}",
                 where,
-                spans,
             )
     for tag in t.tags:
         if tag not in TRANSITION_TAGS:
@@ -323,12 +309,11 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport, spans):
                 "UNKNOWN_TAG",
                 f"unknown tag {tag!r}; expected one of {sorted(TRANSITION_TAGS)}",
                 where,
-                spans,
                 at=tag,
             )
 
 
-def _check_update_domains(model: Model, rep: ValidationReport, spans):
+def _check_update_domains(model: Model, rep: ValidationReport):
     """Interval analysis: counter shifts must stay in range under the guard.
 
     A shift by +1 leaves the counter's range only from ``hi``, and one by
@@ -351,12 +336,11 @@ def _check_update_domains(model: Model, rep: ValidationReport, spans):
                     f"{a.var} := {a.var} {'+' if a.delta > 0 else '-'} 1 can leave "
                     f"[{dom.lo}, {dom.hi}] (guard admits {a.var}={v})",
                     where,
-                    spans,
                     at=a.var,
                 )
 
 
-def _check_guard_satisfiability(model: Model, rep: ValidationReport, spans):
+def _check_guard_satisfiability(model: Model, rep: ValidationReport):
     """Warn about guards no state satisfies, trying one value per guard class
     of each variable the guard mentions (the guard is constant on a class
     of its own cut points; the other variables are free)."""
@@ -379,5 +363,4 @@ def _check_guard_satisfiability(model: Model, rep: ValidationReport, spans):
                 "UNSATISFIABLE_GUARD",
                 f"guard of {t.name!r} is unsatisfiable over the variable domains",
                 f"transition {t.name}",
-                spans,
             )

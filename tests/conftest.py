@@ -2,26 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from infradep import (
-    accidental_model,
-    attack_model,
-    build_reachability_graph,
-    cascading_only_model,
-    common_cause_model,
-    eliminate_vanishing,
-)
-
-MODEL_CTORS = {
-    "accidental": accidental_model,
-    "cascading-only": cascading_only_model,
-    "common-cause": common_cause_model,
-    "attack": attack_model,
-}
+from infradep import BUILTIN_MODELS, build_reachability_graph, builtin_model, eliminate_vanishing
 
 
 @pytest.fixture(scope="session")
 def models():
-    return {name: ctor() for name, ctor in MODEL_CTORS.items()}
+    return {name: builtin_model(name) for name in BUILTIN_MODELS}
 
 
 @pytest.fixture(scope="session")

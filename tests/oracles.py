@@ -366,7 +366,7 @@ def hand_reduced_accidental(params=None):
     immediates are dropped.  Its reachability graph is vanishing-free and
     must match ``eliminate_vanishing`` of the real model entrywise.
     """
-    from infradep import DEFAULT_PARAMS, accidental_model, g_and, var_in
+    from infradep import DEFAULT_PARAMS, accidental_model
 
     p = params or DEFAULT_PARAMS
     base = accidental_model(p)
@@ -379,7 +379,7 @@ def hand_reduced_accidental(params=None):
                 Transition(
                     "e_failure_normal_w",
                     t.kind,
-                    g_and(var_eq("info", "i_working"), var_eq("elec", "e_working")),
+                    And((var_eq("info", "i_working"), var_eq("elec", "e_working"))),
                     (SetValue("elec", "partial_e_outage"), SetValue("info", "i_weakened")),
                     t.tags,
                 )
@@ -388,7 +388,7 @@ def hand_reduced_accidental(params=None):
                 Transition(
                     "e_failure_normal_k",
                     t.kind,
-                    g_and(var_eq("info", "i_weakened"), var_eq("elec", "e_working")),
+                    And((var_eq("info", "i_weakened"), var_eq("elec", "e_working"))),
                     (SetValue("elec", "partial_e_outage"),),
                     t.tags,
                 )
@@ -399,10 +399,10 @@ def hand_reduced_accidental(params=None):
                 Transition(
                     "i_restoration_clean",
                     t.kind,
-                    g_and(
+                    And((
                         var_eq("info", "partial_i_outage"),
-                        var_in("elec", ("e_working", "e_weakened")),
-                    ),
+                        Or((var_eq("elec", "e_working"), var_eq("elec", "e_weakened"))),
+                    )),
                     (SetValue("info", "i_working"),),
                     t.tags,
                 )
@@ -411,10 +411,10 @@ def hand_reduced_accidental(params=None):
                 Transition(
                     "i_restoration_weaken",
                     t.kind,
-                    g_and(
+                    And((
                         var_eq("info", "partial_i_outage"),
-                        var_in("elec", ("partial_e_outage", "e_lost")),
-                    ),
+                        Or((var_eq("elec", "partial_e_outage"), var_eq("elec", "e_lost"))),
+                    )),
                     (SetValue("info", "i_weakened"),),
                     t.tags,
                 )

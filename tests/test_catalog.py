@@ -11,7 +11,6 @@ from infradep import (
     accidental_model,
     build_reachability_graph,
     builtin_model,
-    common_cause_model,
     label_sets,
     var_eq,
 )
@@ -74,11 +73,11 @@ def test_invalid_params_rejected(bad):
 
 
 def test_p8_extremes_drop_zero_rate_branch():
-    only6 = common_cause_model(ModelParams(p8=0.0))
+    only6 = builtin_model("common-cause", ModelParams(p8=0.0))
     names6 = {t.name for t in only6.transitions}
     assert "cc_to_6" in names6 and "cc_to_8" not in names6
 
-    only8 = common_cause_model(ModelParams(p8=1.0))
+    only8 = builtin_model("common-cause", ModelParams(p8=1.0))
     names8 = {t.name for t in only8.transitions}
     assert "cc_to_8" in names8 and "cc_to_6" not in names8
 

@@ -5,21 +5,21 @@ from __future__ import annotations
 import pytest
 
 from infradep import (
+    BUILTIN_MODELS,
     ModelParams,
     NotAttackModelError,
     UnknownLabelError,
-    accidental_model,
-    attack_model,
     build_reachability_graph,
-    cascading_only_model,
+    builtin_model,
+    eliminate_vanishing,
+    export_dot,
+    run_claims,
+)
+from infradep.claims import (
     check_all_paths_contain,
     check_apparent_consistency,
     check_edge_coverage,
     check_path_exists,
-    common_cause_model,
-    eliminate_vanishing,
-    export_dot,
-    run_claims,
 )
 from infradep.export import graph_summary
 
@@ -51,9 +51,9 @@ def _count_label_evaluations(monkeypatch) -> list:
 
 def test_run_claims_computes_label_sets_once(monkeypatch):
     calls = _count_label_evaluations(monkeypatch)
-    for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
+    for name in BUILTIN_MODELS:
         calls.clear()
-        g = build_reachability_graph(ctor())
+        g = build_reachability_graph(builtin_model(name))
         run_claims(g)
         assert len(calls) == 1, f"{g.model.name}: label sets computed {len(calls)} times"
 
@@ -64,9 +64,9 @@ def test_pipeline_evaluates_label_guards_once(monkeypatch):
     from infradep.statespace import label_sets
 
     calls = _count_label_evaluations(monkeypatch)
-    for ctor in (accidental_model, cascading_only_model, common_cause_model, attack_model):
+    for name in BUILTIN_MODELS:
         calls.clear()
-        g = build_reachability_graph(ctor())
+        g = build_reachability_graph(builtin_model(name))
         c = eliminate_vanishing(g)
         for obj in (g, c):
             graph_summary(obj)
@@ -130,7 +130,7 @@ def test_apparent_consistency_detects_mutant(graphs):
     # check must fail and list offenders.
     from dataclasses import replace
 
-    m = attack_model()
+    m = builtin_model("attack")
     mutated = []
     for t in m.transitions:
         if t.name.startswith("detection_"):
@@ -158,12 +158,6 @@ def test_verdicts_invariant_under_rate_overrides(graphs):
     # verdict.  Randomized override grid with a fixed seed.
     base = {name: [r.passed for r in run_claims(g)] for name, g in graphs.items()}
     rng = SplitMix64(99)
-    ctors = {
-        "accidental": accidental_model,
-        "cascading-only": cascading_only_model,
-        "common-cause": common_cause_model,
-        "attack": attack_model,
-    }
     rate_fields = [
         f for f in ModelParams.__dataclass_fields__ if f not in ("rho", "k_max", "p8")
     ]
@@ -173,8 +167,8 @@ def test_verdicts_invariant_under_rate_overrides(graphs):
         }
         overrides["rho"] = 0.1 + 0.8 * ((rng.next_u64() % 1000) / 1000.0)
         params = ModelParams(**overrides)
-        for name, ctor in ctors.items():
-            g = build_reachability_graph(ctor(params))
+        for name in BUILTIN_MODELS:
+            g = build_reachability_graph(builtin_model(name, params))
             verdicts = [r.passed for r in run_claims(g)]
             assert verdicts == base[name], (name, trial)
 

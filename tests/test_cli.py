@@ -10,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import infradep
 from infradep import (
@@ -162,6 +163,51 @@ def test_validate_reports_an_invalid_override_of_a_file_model(capsys):
     assert [i["code"] for i in report["errors"]] == ["INVALID_PARAM"]
 
 
+_UNSATISFIABLE = (
+    "model w {\n"
+    "  var x : {a, b} init a;\n"
+    "  timed never rate 1.0 when x == a && x == b -> { x := b; };\n"
+    "  timed go rate 1.0 when x == a -> { x := b; };\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("argv, exit_code, needle", [
+    (["validate", "--model", "accidental", "--set", "foo"], 64, "--set expects NAME=VALUE"),
+    (["validate", "--model", "accidental", "--set", "lambda_e=abc"], 64, "is not a number"),
+    (["validate", "--model", "{gsts}", "--set", "nosuch=1"], 64, "unknown parameters"),
+    (["validate", "--model", "{unsat}"], 0, "warning [UNSATISFIABLE_GUARD] transition never:"),
+    (["validate", "--claims", "--model", "{gsts}", "--set", "lambda_e=0"], 1,
+     "error [INVALID_PARAM] param lambda_e:"),
+    (["solve", "--model", "accidental", "--measure", "mtta"], 64, "needs --target"),
+    (["solve", "--model", "accidental", "--measure", "mtta", "--target", "state7"], 0,
+     "mtta[state7] = "),
+    (["solve", "--model", "accidental", "--measure", "mtta", "--target", "info =="], 64,
+     "is neither a label nor a valid guard"),
+    (["solve", "--model", "accidental", "--measure", "steady", "--label-prob", "nosuch"], 64,
+     "no label 'nosuch'"),
+    (["simulate", "--model", "accidental", "--occupancy", "state1", "--time-to", "state7"], 64,
+     "choose exactly one"),
+    (["simulate", "--model", "accidental"], 64, "choose exactly one"),
+    (["simulate", "--model", "accidental", "--occupancy", "nosuch"], 64, "no label 'nosuch'"),
+    (["simulate", "--model", "accidental", "--time-to", "nosuch"], 64, "no label 'nosuch'"),
+], ids=["set-without-value", "set-not-a-number", "set-unknown-on-file", "validate-warning",
+        "claims-on-invalid-file", "mtta-without-target", "mtta-label-target",
+        "mtta-malformed-target", "label-prob-unknown", "simulate-both-measures",
+        "simulate-no-measure", "occupancy-unknown", "time-to-unknown"])
+def test_each_cli_exit_is_its_documented_code(capsys, tmp_path, argv, exit_code, needle):
+    unsat = tmp_path / "unsat.gsts"
+    unsat.write_text(_UNSATISFIABLE)
+    gsts = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    argv = [a.format(gsts=gsts, unsat=unsat) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    assert needle in (err if code else out)
+    if code == 64:
+        assert err.startswith("usage error: ")
+
+
 def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
     # Once when the file is parsed and once at graph's own gate.
     import infradep.dsl
@@ -205,9 +251,9 @@ def test_failing_claims_exit1(capsys, tmp_path):
     # must fail for a model presenting itself as the one-way variant.
     from dataclasses import replace
 
-    from infradep import cascading_only_model, serialize_model
+    from infradep import builtin_model, serialize_model
 
-    m = cascading_only_model()
+    m = builtin_model("cascading-only")
     mutant = replace(
         m,
         transitions=tuple(t for t in m.transitions if t.name != "e_failure_escal_sev"),

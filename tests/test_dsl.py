@@ -22,15 +22,14 @@ from infradep import (
     Timed,
     Transition,
     VariableDecl,
+    builtin_model,
     parse_guard_text,
     parse_model,
     serialize_model,
     validate_model,
     var_eq,
 )
-from infradep.dsl import KEYWORDS
 
-from .conftest import MODEL_CTORS
 from .oracles import SplitMix64, by_name
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -325,7 +324,7 @@ def test_fuzz_10k_byte_cases():
     # Deterministic fuzz corpus: random bytes, random printable soup, and
     # mutations of a valid model; the parser must never raise.
     rng = SplitMix64(0xF00D)
-    base = serialize_model(MODEL_CTORS["accidental"]())
+    base = serialize_model(builtin_model("accidental"))
     base_bytes = base.encode()
     alphabet = b"modelvarinttimedwhn{}[]();:=!&|<>#.,+-*_ 0123456789abctagsxyz\n\t\"'\\"
     crashes = 0
@@ -375,7 +374,9 @@ def test_fuzz_word_swaps_return_only_valid_models():
         "}\n"
     )
     parts = _WORD.split(base)  # words at the odd indices
-    spots = [i for i in range(1, len(parts), 2) if parts[i] not in KEYWORDS]
+    keywords = {"model", "param", "var", "init", "timed", "immediate",
+                "rate", "prio", "weight", "when", "tags", "label"}
+    spots = [i for i in range(1, len(parts), 2) if parts[i] not in keywords]
     vocabulary = sorted({parts[i] for i in spots} | {"c", "-1", "3", "0.0"})
     rng = SplitMix64(0xBEEF)
     accepted = rejected = 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infradep import (
+    BUILTIN_MODELS,
     Immediate,
     IntDomain,
     Model,
@@ -24,7 +25,6 @@ from infradep import (
     var_eq,
 )
 
-from .conftest import MODEL_CTORS
 from .oracles import SplitMix64, apply_update_raw, by_name, firings_raw
 
 
@@ -144,7 +144,7 @@ def test_enabled_never_mixes_kinds(graphs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(MODEL_CTORS)), seed=st.integers(0, 2**63 - 1))
+@given(name=st.sampled_from(sorted(BUILTIN_MODELS)), seed=st.integers(0, 2**63 - 1))
 def test_random_walk_closure_and_frame_rule(graphs, name, seed):
     # Fuzz over reachable states: the explorer's out-edges are the oracle's
     # firings, and each edge's target is the oracle's update, inside the

@@ -24,10 +24,9 @@ from infradep import (
     label_probability,
     mean_time_to_absorption,
     steady_state,
-    terminal_sccs,
     transient,
 )
-from infradep.solvers import SolverOptions, _poisson_window, _require_in_range
+from infradep.solvers import SolverOptions, _poisson_window, _require_in_range, terminal_sccs
 
 from .oracles import (
     birth_chain,

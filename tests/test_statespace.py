@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from infradep import (
+    And,
     EnumDomain,
     Immediate,
     ImmediateCycleError,
@@ -25,6 +26,7 @@ from infradep import (
     VariableDecl,
     build_reachability_graph,
     eliminate_vanishing,
+    initial_state,
     label_sets,
     var_eq,
 )
@@ -184,6 +186,19 @@ def _carry_model(delta):
     )
 
 
+def _enum_shift_model(*updates):
+    """Enum ``x`` over a, b, and one transition per update, each enabled
+    in ``x == a``: a ``Shift`` of ``x`` has no enum value to land on."""
+    return Model(
+        name="m",
+        variables=(VariableDecl("x", EnumDomain(("a", "b")), "a"),),
+        parameters={},
+        transitions=tuple(
+            Transition(f"t{i}", _rate(1.0), var_eq("x", "a"), (u,)) for i, u in enumerate(updates)
+        ),
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -192,13 +207,26 @@ def _carry_model(delta):
         _two_var_model((), init=(7, "a")),
         _carry_model(1),
         _carry_model(-1),
+        _enum_shift_model(Shift("x", 1)),
+        _enum_shift_model(SetValue("x", "b"), Shift("x", 1)),
+        _two_var_model((Shift("e", -1),)),
     ],
-    ids=["counter-set", "enum-set", "init", "shift-up", "shift-down"],
+    ids=["counter-set", "enum-set", "init", "shift-up", "shift-down",
+         "enum-shift", "enum-shift-onto-found-state", "enum-shift-unguarded"],
 )
 def test_explore_rejects_values_outside_the_domain(model):
     # The model is never validated, so explore is the last line of defence.
     with pytest.raises(OutOfDomainError):
         build_reachability_graph(model)
+
+
+def test_enum_shift_gets_no_code_step():
+    # Only applying the update, which raises, can place a shifted enum; a
+    # code step would take it for the next value and reuse ``b``'s code.
+    m = _enum_shift_model(SetValue("x", "b"), Shift("x", 1))
+    comp = m._compiled
+    s = initial_state(m)
+    assert [delta for _, delta, _ in comp.fill_steps(comp.row_id(s), s)] == [1, None]
 
 
 def test_repeated_assignment_applies_in_order():
@@ -335,12 +363,10 @@ def test_label_sets_on_graph_and_ctmc(graphs, ctmcs):
 def test_unsatisfiable_label_is_empty(model_a):
     from dataclasses import replace
 
-    from infradep import g_and
-
     weird = replace(
         model_a,
         labels=model_a.labels
-        + (Label("never", g_and(var_eq("info", "i_working"), var_eq("info", "i_weakened"))),),
+        + (Label("never", And((var_eq("info", "i_working"), var_eq("info", "i_weakened")))),),
     )
     g = build_reachability_graph(weird)
     assert label_sets(g)["never"] == frozenset()

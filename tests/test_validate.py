@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from infradep import (
+    And,
     Comparison,
     EnumDomain,
     Immediate,
@@ -18,7 +19,6 @@ from infradep import (
     Timed,
     Transition,
     VariableDecl,
-    g_and,
     validate_model,
     var_eq,
 )
@@ -163,7 +163,7 @@ def test_unknown_tag():
 
 def test_unsatisfiable_guard_warns():
     m = _counter_model(
-        g_and(var_eq("mode", "a"), var_eq("mode", "b")), (SetValue("mode", "b"),)
+        And((var_eq("mode", "a"), var_eq("mode", "b"))), (SetValue("mode", "b"),)
     )
     rep = validate_model(m)
     assert rep.ok
@@ -183,7 +183,7 @@ def test_unsatisfiable_guard_warns_beside_a_huge_counter():
             parameters={},
             transitions=(
                 Transition(
-                    "t", Timed(RateExpr(1.0)), g_and(var_eq("x", "a"), var_eq("x", "b")),
+                    "t", Timed(RateExpr(1.0)), And((var_eq("x", "a"), var_eq("x", "b"))),
                     (SetValue("x", "b"),),
                 ),
                 Transition("u", Timed(RateExpr(1.0)), Comparison("n", "<", hi), (Shift("n", 1),)),
