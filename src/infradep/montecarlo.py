@@ -372,9 +372,11 @@ def trace_to_jsonl(trace: Trace, model: Model) -> str:
     dumps = json.dumps
     names = [v.name for v in model.variables]
     texts = _state_texts(trace, lambda s: dumps(dict(zip(names, s)), separators=(", ", ": ")))
+    fired = {t: dumps(t) for t in {ev.transition for ev in trace.events}}
     lines = [
-        f'{{"time": {dumps(ev.time)}, "transition": {dumps(ev.transition)}, '
-        f'"state": {texts[ev.state]}}}'
+        # json.dumps writes a finite float as its repr.
+        f'{{"time": {repr(ev.time) if math.isfinite(ev.time) else dumps(ev.time)}, '
+        f'"transition": {fired[ev.transition]}, "state": {texts[ev.state]}}}'
         for ev in trace.events
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -4,8 +4,18 @@ Production paths are sparse: steady state by a direct LU solve of the
 balance equations on the terminal strongly-connected component, factored
 under a minimum-degree order on A^T + A (Davis 2006, ch. 7), transients by
 uniformization (Reibman & Trivedi 1988), absorption times by a sparse
-linear solve under SuperLU's default order.  Dense counterparts live in the
-test suite as oracles.
+linear solve under SuperLU's default order: one LU factorization per
+target set serves every right-hand side (the mean hitting times, or the
+hit probabilities and the hit-weighted times of a defective target).
+Dense counterparts live in the test suite as oracles.
+
+Each solver builds its sparse matrices once, by masking the generator's
+compressed arrays (Davis 2006, ch. 2), not by products with diagonal
+matrices, sparse sums or fancy indexing: the reachability and component
+searches run on the positive entries, a hitting-time or balance system
+is the entries of its kept rows and columns renumbered, and P^T is a
+scaled copy of Q in CSC with 1 added on its diagonal.  The results are
+bit-identical to those of the sparse algebra they replace.
 
 Uniformization runs at the fixed rate 1.05 times the largest exit rate and
 weights the powers of the uniformized chain by a Poisson window that drops
@@ -43,7 +53,7 @@ from .errors import (
     UnknownLabelError,
     UnreachableTargetError,
 )
-from .statespace import Ctmc
+from .statespace import Ctmc, _entry_rows, _insert_diagonal, _masked_indptr
 
 
 @dataclass(frozen=True)
@@ -91,30 +101,52 @@ class MeasureResult:
 
 def terminal_sccs(ctmc: Ctmc) -> list[np.ndarray]:
     """Strongly-connected components with no outgoing rate, by state index."""
-    adj = ctmc.generator > 0
+    adj = ctmc.generator
+    rows = _entry_rows(adj.indptr)
+    rate = adj.data > 0
+    # The edges are the positive entries.  A stored diagonal is a self-loop,
+    # which changes no component, so the generator is its own graph unless
+    # it stores a non-positive entry off its diagonal.
+    if not (rate | (adj.indices == rows)).all():
+        adj = sp.csr_matrix(
+            (adj.data[rate], adj.indices[rate], _masked_indptr(adj.indptr, rate)), shape=adj.shape
+        )
+        rows = rows[rate]
     ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    coo = adj.tocoo()
-    leaving = labels[coo.row] != labels[coo.col]
+    src, dst = labels[rows], labels[adj.indices]
     has_exit = np.zeros(ncomp, dtype=bool)
-    has_exit[labels[coo.row[leaving]]] = True
+    has_exit[src[src != dst]] = True
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
 
-def _reachable_from(q: sp.csr_matrix, sources: np.ndarray, forward: bool = True) -> np.ndarray:
-    """States reachable from ``sources`` under generator ``q`` (or, backwards,
-    that reach them)."""
-    n = q.shape[0]
-    coo = (q > 0).tocoo()
-    src, dst = (coo.row, coo.col) if forward else (coo.col, coo.row)
-    sources = np.asarray(sources, dtype=src.dtype)
+def _reachable(indptr, indices, keep: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """States reachable from ``sources`` along the entries of a compressed
+    sparse matrix that ``keep`` selects (an entry in row ``i`` at index
+    ``j`` is an edge ``i -> j``)."""
+    n = len(indptr) - 1
     # A virtual super-source (index n) with an edge to every source.
-    rows = np.concatenate([src, np.full(len(sources), n, dtype=src.dtype)])
-    cols = np.concatenate([dst, sources])
-    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n + 1, n + 1))
+    ptr = _masked_indptr(indptr, keep)
+    ptr = np.append(ptr, ptr[-1] + len(sources))
+    dst = np.concatenate([indices[keep], np.asarray(sources, dtype=indices.dtype)])
+    adj = sp.csr_matrix((np.ones(len(dst)), dst, ptr), shape=(n + 1, n + 1))
     order = csgraph.breadth_first_order(adj, n, directed=True, return_predecessors=False)
     seen = np.zeros(n + 1, dtype=bool)
     seen[order] = True
     return seen[:n]
+
+
+def _principal(m, keep: np.ndarray):
+    """The submatrix of a compressed sparse ``m`` on the rows and columns
+    ``keep`` selects, renumbered in order, in ``m``'s format; sorted
+    indices stay sorted."""
+    entry = keep[_entry_rows(m.indptr)] & keep[m.indices]
+    ptr = _masked_indptr(m.indptr, entry)
+    position = np.cumsum(keep, dtype=m.indices.dtype) - 1
+    size = int(keep.sum())
+    return m.__class__(
+        (m.data[entry], position[m.indices[entry]], np.append(ptr[:-1][keep], ptr[-1])),
+        shape=(size, size),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +172,16 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
             "steady state is not unique"
         )
     scc = terms[0]
-    sub = ctmc.generator[np.ix_(scc, scc)].tocsr()
+    if len(scc) == ctmc.n:
+        sub = ctmc.generator
+    else:
+        in_scc = np.zeros(ctmc.n, dtype=bool)
+        in_scc[scc] = True
+        sub = _principal(ctmc.generator, in_scc)
 
-    pi_sub = _solve_balance(sub)
-    residual = float(np.abs(pi_sub @ sub).max())
+    qt = sub.T  # Q^T in CSC, on the arrays of Q
+    pi_sub = _solve_balance(qt)
+    residual = float(np.abs(qt @ pi_sub).max())
     if not residual <= options.steady_tol:  # also catches a NaN residual
         raise NoConvergenceError(
             f"steady-state residual {residual:.3e} above {options.steady_tol}",
@@ -159,8 +197,9 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
     )
 
 
-def _solve_balance(q: sp.csr_matrix) -> np.ndarray:
-    """Normalised solution of pi Q = 0 on an irreducible generator.
+def _solve_balance(qt: sp.csc_matrix) -> np.ndarray:
+    """Normalised solution of pi Q = 0 on an irreducible generator, given
+    its transpose ``qt`` in CSC.
 
     The last balance equation is redundant: drop it, pin the last state's
     weight to 1, solve the rest with a sparse LU factorisation, normalise.
@@ -169,15 +208,18 @@ def _solve_balance(q: sp.csr_matrix) -> np.ndarray:
     about 0.2M nonzeros, where SuperLU's default COLAMD order fills in
     4.3M.  It costs a few milliseconds more on the near-banded chains.
     """
-    m = q.shape[0]
+    m = qt.shape[0]
     if m == 1:
         return np.ones(1)
-    qt = q.T.tocsc()
     try:
         lu = spla.splu(qt[:-1, :-1], permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:  # SuperLU: the factor is exactly singular
         raise NoConvergenceError(f"steady-state system is singular: {e}", residual=math.nan) from e
-    x = lu.solve(-qt[:-1, -1].toarray().ravel())
+    # The last column of Q^T (the last state's rates) but its diagonal.
+    rates = np.zeros(m)
+    entries = slice(qt.indptr[-2], qt.indptr[-1])
+    rates[qt.indices[entries]] = qt.data[entries]
+    x = lu.solve(-rates[:-1])
     pi = np.append(x, 1.0)
     return pi / pi.sum()
 
@@ -269,7 +311,13 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
     n = ctmc.n
-    lam = float((-ctmc.generator.diagonal()).max()) * 1.05 if n else 0.0
+    # Q in CSC holds the CSR arrays of Q^T, which P^T extends.
+    qt = ctmc.generator.tocsc()
+    cols = _entry_rows(qt.indptr)  # the column of Q (row of Q^T) of each entry
+    on_diag = np.flatnonzero(qt.indices == cols)
+    diag = np.zeros(n)
+    diag[cols[on_diag]] = qt.data[on_diag]
+    lam = float((-diag).max()) * 1.05 if n else 0.0
     if t == 0 or lam <= 0:
         dist = Distribution(p0.copy(), t)
         dist.metadata = {
@@ -281,8 +329,15 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         return dist
 
     left, right, weights = _poisson_window(lam * t)
-    # For a 1-D left operand, ``v @ p`` would transpose p on every step.
-    pt = (sp.eye(n, format="csr") + ctmc.generator / lam).T.tocsr()
+    # P^T = I + Q^T / Lambda in CSR (for a 1-D left operand, ``v @ p`` would
+    # transpose P on every step): Q^T scaled as ``Q / lam`` scales, with 1
+    # added to its stored diagonal and stored on the diagonal of rows without.
+    data = qt.data * (1 / lam)
+    data[on_diag] += 1.0
+    missing = np.ones(n)
+    missing[cols[on_diag]] = 0.0
+    pt = sp.csr_matrix(_insert_diagonal(qt.indptr, qt.indices, data, cols, missing), shape=(n, n))
+    del qt, cols, on_diag, data
 
     top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
     op = _rung(pt, top)
@@ -357,22 +412,16 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
 
     in_target = np.zeros(ctmc.n, dtype=bool)
     in_target[tgt] = True
-
-    # Absorb the target: discard its outgoing rates.
-    q = (sp.diags((~in_target).astype(float)) @ ctmc.generator).tocsr()
-    q.eliminate_zeros()
-    q.sort_indices()
-
-    start = np.flatnonzero(ctmc.initial > 0)
-    reachable = _reachable_from(q, start)
-    can_reach = _reachable_from(q, tgt, forward=False)
-    defective = bool((reachable & ~can_reach & ~in_target).any())
-
-    relevant = np.flatnonzero(reachable & can_reach & ~in_target)
-    sub = q[np.ix_(relevant, relevant)].tocsc()
+    # In CSC the entries of column j are the rates into state j.
+    qc = ctmc.generator.tocsc()
+    relevant, defective, into_target = _hitting_system(ctmc, qc, in_target)
+    sub = _principal(qc, relevant)
+    del qc
+    solve = _factor(sub)
 
     if not defective:
-        h, residual = _checked_solve(sub, -np.ones(len(relevant)), math.inf, "mean hitting time")
+        h, residual = _checked_solve(solve, sub, -np.ones(sub.shape[0]), math.inf,
+                                     "mean hitting time")
         return MeasureResult(
             name="mtta",
             value=float(ctmc.initial[relevant] @ h),  # target states contribute 0
@@ -387,8 +436,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     # Defective case: the hit probability a of each relevant state, from
     # Q'a = -(rates into the target), then the conditional mean E[time | hit]
     # restricted to states that can still reach the target.
-    into_target = np.asarray(q[relevant][:, np.flatnonzero(in_target)].sum(axis=1)).ravel()
-    a, _ = _checked_solve(sub, -into_target, 1.0, "hit probability")
+    a, _ = _checked_solve(solve, sub, -into_target, 1.0, "hit probability")
     hit = float(ctmc.initial[relevant] @ a) + float(ctmc.initial[in_target].sum())
     if not allow_defective:
         raise UnreachableTargetError(
@@ -396,7 +444,7 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
             "distribution (pass allow_defective to get the conditional mean)",
             hit_probability=hit,
         )
-    g, residual = _checked_solve(sub, -a, math.inf, "hit-weighted mean hitting time")
+    g, residual = _checked_solve(solve, sub, -a, math.inf, "hit-weighted mean hitting time")
     num = float(ctmc.initial[relevant] @ g)
     return MeasureResult(
         name="mtta",
@@ -411,16 +459,51 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     )
 
 
-def _checked_solve(sub, b: np.ndarray, hi: float, what: str) -> tuple[np.ndarray, float]:
-    """``x`` with ``sub @ x = b``, and its residual, the largest entry of
-    ``|sub @ x - b|``; raises unless ``x`` lies in ``[0, hi]`` (see
-    ``_require_in_range``).  An empty system has the empty solution and
-    residual 0."""
+def _hitting_system(ctmc: Ctmc, qc: sp.csc_matrix, in_target: np.ndarray):
+    """``(relevant, defective, into_target)`` for the target ``in_target``
+    made absorbing: the non-target states reachable from the initial
+    distribution that can reach the target, whether a reachable state
+    cannot, and each relevant state's total rate into the target.  Edges
+    are the positive entries outside the target's rows; ``qc`` is the
+    generator in CSC, where they are read backwards."""
+    q = ctmc.generator
+    rows = _entry_rows(q.indptr)
+    edge = (q.data > 0) & ~in_target[rows]
+    reachable = _reachable(q.indptr, q.indices, edge, np.flatnonzero(ctmc.initial > 0))
+    back = (qc.data > 0) & ~in_target[qc.indices]
+    can_reach = _reachable(qc.indptr, qc.indices, back, np.flatnonzero(in_target))
+    defective = bool((reachable & ~can_reach & ~in_target).any())
+    relevant = reachable & can_reach & ~in_target
+    # Each relevant row's rates into the target, summed in index order.
+    into = relevant[rows] & in_target[q.indices]
+    into_target = np.zeros(ctmc.n)
+    ptr = _masked_indptr(q.indptr, into)
+    nonempty = np.flatnonzero(np.diff(ptr))
+    if len(nonempty):
+        into_target[nonempty] = np.add.reduceat(q.data[into], ptr[nonempty])
+    return relevant, defective, into_target[relevant]
+
+
+def _factor(sub: sp.csc_matrix):
+    """The LU solve of ``sub``, factored once under SuperLU's default order
+    (MMD on A^T + A made these solves slower on every built-in at k_max
+    2000); an exactly singular ``sub`` raises ``NoConvergenceError``."""
+    if not sub.shape[0]:
+        return None
+    try:
+        return spla.splu(sub).solve
+    except RuntimeError as e:  # SuperLU: the factor is exactly singular
+        raise NoConvergenceError(f"hitting-time system is singular: {e}", residual=math.nan) from e
+
+
+def _checked_solve(solve, sub, b: np.ndarray, hi: float, what: str) -> tuple[np.ndarray, float]:
+    """``x = solve(b)``, the solution of ``sub @ x = b``, and its residual,
+    the largest entry of ``|sub @ x - b|``; raises unless ``x`` lies in
+    ``[0, hi]`` (see ``_require_in_range``).  An empty system has the empty
+    solution and residual 0."""
     if not len(b):
         return np.zeros(0), 0.0
-    # SuperLU's default order: MMD on A^T + A made these solves slower on
-    # every built-in at k_max 2000.
-    x = spla.spsolve(sub, b)
+    x = solve(b)
     residual = float(np.abs(sub @ x - b).max())
     _require_in_range(x, 0.0, hi, what, residual)
     return x, residual

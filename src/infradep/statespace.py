@@ -22,7 +22,13 @@ A graph keeps its edges only as four arrays (source, target, transition
 index, value); ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
 products over the edge-weight matrix, handing each timed rate to the
-tangible states its immediate chains can reach.
+tangible states its immediate chains can reach.  It assembles the
+generator from the arrays of the reduced rates, in time linear in their
+count: each self-loop is dropped and minus its row's remaining rates
+stored on the diagonal, keeping the CSR canonical (sorted indices, no
+duplicates, no stored zero).  The check that the vanishing states hold no
+cycle runs once per graph and is cached on it, for the explorer and the
+eliminator alike.
 A graph groups its states into label sets once (``g.label_sets``); the
 CTMC reduced from it carries the same sets renumbered over its states.
 """
@@ -123,6 +129,20 @@ class ReachabilityGraph:
             shape=(len(order),) * 2,
         )
         return order, int(tangible.sum()), w
+
+    @cached_property
+    def _immediate_cycle(self) -> str | None:
+        """The states of one cycle of vanishing states, formatted, or None."""
+        order, nt, w = self._weights
+        w_vv = w[nt:, nt:]
+        if not w_vv.shape[0]:
+            return None
+        count, comp = csgraph.connected_components(w_vv, directed=True, connection="strong")
+        on_cycle = (np.bincount(comp, minlength=count)[comp] > 1) | (w_vv.diagonal() != 0)
+        if not on_cycle.any():
+            return None
+        members = order[nt:][comp == comp[np.argmax(on_cycle)]]
+        return ", ".join(self.model.format_state(self.states[i]) for i in members)
 
     def tangible_count(self) -> int:
         return sum(self.tangible)
@@ -228,16 +248,8 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
 
 def _check_vanishing_acyclic(g: ReachabilityGraph):
     """Raise ``ImmediateCycleError`` naming the states of one immediate cycle."""
-    order, nt, w = g._weights
-    w_vv = w[nt:, nt:]
-    if not w_vv.shape[0]:
-        return
-    count, comp = csgraph.connected_components(w_vv, directed=True, connection="strong")
-    on_cycle = (np.bincount(comp, minlength=count)[comp] > 1) | (w_vv.diagonal() != 0)
-    if on_cycle.any():
-        members = order[nt:][comp == comp[np.argmax(on_cycle)]]
-        names = ", ".join(g.model.format_state(g.states[i]) for i in members)
-        raise ImmediateCycleError(f"cycle of vanishing states detected: {names}")
+    if g._immediate_cycle is not None:
+        raise ImmediateCycleError(f"cycle of vanishing states detected: {g._immediate_cycle}")
 
 
 def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
@@ -257,12 +269,10 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
     position[order] = np.arange(len(order))
     absorption = term = w[nt:, :nt]
     w_vv = w[nt:, nt:]
-    while (term := w_vv @ term).nnz:
+    while w_vv.nnz and (term := w_vv @ term).nnz:
         absorption = absorption + term
     reduced = w[:nt, :nt] + w[:nt, nt:] @ absorption
-    off = reduced - sp.diags(reduced.diagonal(), format="csr")
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    generator = off + sp.diags(diag, format="csr")
+    reduced.sort_indices()  # a no-op unless the product's rows came out unsorted
 
     initial = np.zeros(nt)
     if g.tangible[g.initial]:
@@ -279,10 +289,72 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
     return Ctmc(
         model=g.model,
         states=tuple(g.states[i] for i in order[:nt]),
-        generator=generator,
+        generator=_generator(reduced),
         initial=initial,
         label_sets=sets,
     )
+
+
+def _generator(reduced: sp.csr_matrix) -> sp.csr_matrix:
+    """The generator of the reduced rates: each state's self-loop dropped and
+    minus the sum of its other rates stored on its diagonal where nonzero.
+
+    ``reduced`` is a sparse sum, so its rows hold no duplicate and no zero;
+    with sorted indices the generator comes out canonical.  Each step is
+    linear in the entries: a mask drops the self-loops, one ``reduceat``
+    sums each row's remaining rates in index order (as ``sum(axis=1)``
+    does), and the diagonal goes in after each row's entries of smaller
+    index.
+    """
+    n = reduced.shape[0]
+    indptr, indices, data = reduced.indptr, reduced.indices, reduced.data
+    rows = _entry_rows(indptr)
+    off = indices != rows
+    if not off.all():
+        indptr = _masked_indptr(indptr, off)
+        indices, data, rows = indices[off], data[off], rows[off]
+    exit_rate = np.zeros(n)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if len(nonempty):
+        exit_rate[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return sp.csr_matrix(_insert_diagonal(indptr, indices, data, rows, -exit_rate), shape=(n, n))
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row (in CSC, the column) of each entry of a compressed sparse
+    matrix with row pointer ``indptr``, in the pointer's dtype."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+def _masked_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The row pointer of the entries of a CSR matrix that ``keep`` selects."""
+    kept = np.zeros(len(keep) + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr]
+
+
+def _insert_diagonal(indptr, indices, data, rows, diag):
+    """``(data, indices, indptr)`` of a CSR matrix with ``diag[r]`` stored
+    at ``(r, r)`` for every row ``r`` where it is nonzero, given the arrays
+    of a CSR matrix that stores no diagonal in those rows (``rows[k]`` is
+    entry ``k``'s row).  Each row's other entries keep their order, so
+    sorted rows stay sorted."""
+    at_row = np.flatnonzero(diag)
+    if not len(at_row):
+        return data, indices, indptr
+    before = np.bincount(rows[indices < rows], minlength=len(diag))
+    # Where each diagonal lands in the new arrays: after the entries of
+    # smaller index in its row and after the diagonals of earlier rows.
+    at = indptr[at_row] + before[at_row] + np.arange(len(at_row))
+    old = np.ones(len(data) + len(at), dtype=bool)
+    old[at] = False
+    new_data = np.empty(len(old))
+    new_data[at], new_data[old] = diag[at_row], data
+    new_indices = np.empty(len(old), dtype=indices.dtype)
+    new_indices[at], new_indices[old] = at_row, indices
+    added = np.zeros(len(indptr), dtype=indptr.dtype)
+    np.cumsum(diag != 0, out=added[1:])
+    return new_data, new_indices, indptr + added
 
 
 def label_sets(obj) -> dict[str, frozenset[int]]:

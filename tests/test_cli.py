@@ -163,6 +163,23 @@ def test_validate_reports_an_invalid_override_of_a_file_model(capsys):
     assert [i["code"] for i in report["errors"]] == ["INVALID_PARAM"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_claims_on_an_invalid_model_prints_only_its_report(capsys, tmp_path, fmt):
+    # The claims are skipped, and the report is the one without --claims,
+    # on stdout or in the --out file.
+    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    argv = ["validate", "--model", model, "--set", "lambda_e=0", "--format", fmt]
+    plain = run(capsys, *argv)
+    assert plain[0] == 1 and plain[2] == ""
+    assert "INVALID_PARAM" in plain[1]
+    assert run(capsys, *argv, "--claims") == plain
+    target = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--claims", "--out", str(target)) == (1, "", "")
+    assert target.read_text() == plain[1]
+    if fmt == "json":
+        assert json.loads(plain[1])["claims"] == []
+
+
 _UNSATISFIABLE = (
     "model w {\n"
     "  var x : {a, b} init a;\n"
@@ -203,7 +220,9 @@ def test_each_cli_exit_is_its_documented_code(capsys, tmp_path, argv, exit_code,
     code, out, err = run(capsys, *argv)
     assert code == exit_code, err
     assert "Traceback" not in err
-    assert needle in (err if code else out)
+    # A validate report goes to stdout whether the model passes (0) or not
+    # (1); every other failure goes to stderr.
+    assert needle in (out if code == 0 or (argv[0], code) == ("validate", 1) else err)
     if code == 64:
         assert err.startswith("usage error: ")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -275,8 +276,8 @@ def test_mtta_unreachable_target(ctmcs):
         mean_time_to_absorption(c, target)
 
 
-def test_mtta_defective_conditional():
-    # 0 -> 1 (end) at rate 1, 0 -> 2 (dead end) at rate 3: hit prob 1/4.
+def _fork():
+    """0 -> 1 (end) at rate 1, 0 -> 2 (dead end) at rate 3: hit prob 1/4."""
     from infradep import (
         IntDomain, Model, RateExpr, SetValue, Timed, Transition, VariableDecl, var_eq, Label,
     )
@@ -291,7 +292,11 @@ def test_mtta_defective_conditional():
         ),
         labels=(Label("end", var_eq("x", 1)),),
     )
-    c = ctmc_of(m)
+    return ctmc_of(m)
+
+
+def test_mtta_defective_conditional():
+    c = _fork()
     with pytest.raises(UnreachableTargetError) as exc:
         mean_time_to_absorption(c, "end")
     assert abs(exc.value.hit_probability - 0.25) <= 1e-12
@@ -299,6 +304,46 @@ def test_mtta_defective_conditional():
     # Given absorption in `end`, the sojourn in 0 is Exp(4): mean 1/4.
     assert abs(res.value - 0.25) <= 1e-12
     assert res.metadata["hit_probability"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_mtta_defective_factors_its_system_once(monkeypatch):
+    # The hit probabilities and the hit-weighted times solve the same
+    # system: one LU serves both right-hand sides.
+    calls = {"splu": 0, "spsolve": 0}
+
+    def counted(name):
+        original = getattr(spla, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spla, name, counted(name))
+    res = mean_time_to_absorption(_fork(), "end", allow_defective=True)
+    assert res.metadata["conditional"]
+    assert calls == {"splu": 1, "spsolve": 0}
+
+
+@pytest.mark.parametrize("k_max", [2, 20, 200])
+def test_generator_is_assembled_canonical(k_max):
+    # Sorted indices without duplicates, no stored zero, and a diagonal
+    # exactly where the exit rate is positive, equal to minus the sum of
+    # its row's other entries (to rounding: the order of the sum is the
+    # solver's own).
+    for name, c in _built_at(k_max).items():
+        q = c.generator
+        rows = np.repeat(np.arange(c.n), np.diff(q.indptr))
+        assert (np.diff(rows * c.n + q.indices) > 0).all(), name
+        assert (q.data != 0).all(), name
+        on_diag = q.indices == rows
+        exit_rate = np.array([
+            math.fsum(q.data[a:b][~on_diag[a:b]]) for a, b in zip(q.indptr[:-1], q.indptr[1:])
+        ])
+        assert np.array_equal(rows[on_diag], np.flatnonzero(exit_rate > 0)), name
+        assert np.allclose(q.data[on_diag], -exit_rate[exit_rate > 0], rtol=1e-15, atol=0), name
 
 
 def test_mtta_gate_passes_hit_probability_rounded_past_one():
@@ -333,6 +378,17 @@ def test_not_ergodic_two_absorbing(two_state):
     # A single absorbing state is fine: point mass on it.
     pi = steady_state(c).probs
     assert pi[-1] == pytest.approx(1.0)
+
+
+def test_terminal_sccs_read_only_positive_entries(two_state):
+    # States 0 and 1 exchange at rate 1; the stored 0 from 1 to 2 is no
+    # transition, so {0, 1} and the isolated state 2 are both terminal.
+    q = sp.csr_matrix(
+        (np.array([-1.0, 1.0, 1.0, -1.0, 0.0]), np.array([0, 1, 0, 1, 2]), np.array([0, 2, 5, 5])),
+        shape=(3, 3),
+    )
+    c = replace(two_state, states=((0,), (1,), (2,)), generator=q, initial=np.eye(3)[0])
+    assert sorted(map(tuple, terminal_sccs(c))) == [(0, 1), (2,)]
 
 
 def test_attack_steady_lives_on_terminal_component(ctmcs):
