@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infradep import (
+    InfradepError,
     InvalidArgError,
     ModelParams,
     NoConvergenceError,
@@ -344,6 +346,59 @@ def test_generator_is_assembled_canonical(k_max):
         ])
         assert np.array_equal(rows[on_diag], np.flatnonzero(exit_rate > 0)), name
         assert np.allclose(q.data[on_diag], -exit_rate[exit_rate > 0], rtol=1e-15, atol=0), name
+
+
+def _outcome(solve, *args, **kwargs) -> str:
+    """A solver's result as text that changes with any of its bits: the
+    probabilities' bytes or the value's hex, and the metadata's repr; or
+    the error's class and message."""
+    try:
+        r = solve(*args, **kwargs)
+    except InfradepError as e:
+        return f"{type(e).__name__}: {e}"
+    head = r.probs.tobytes().hex() if hasattr(r, "probs") else float(r.value).hex()
+    return f"{head} {r.metadata!r}"
+
+
+def _chain_digest(c) -> str:
+    h = hashlib.sha256()
+    q = c.generator
+    for a in (q.data, q.indices, q.indptr, c.initial):
+        h.update(a.dtype.str.encode() + b"\n" + a.tobytes())
+    for name, idx in sorted(c.label_sets.items()):
+        h.update(f"\n{name} {sorted(idx)}".encode())
+    outcomes = [_outcome(steady_state, c), _outcome(transient, c, 0.5), _outcome(transient, c, 50.0)]
+    outcomes += [_outcome(mean_time_to_absorption, c, name, allow_defective=True)
+                 for name in sorted(c.label_sets)]
+    for text in outcomes:
+        h.update(f"\n{text}".encode())
+    return h.hexdigest()
+
+
+# The reduced chain and every exact measure on it must not change by one
+# bit: the generator's arrays (bytes and dtypes), the initial distribution,
+# the label sets, steady state, transient at t 0.5 and 50, and MTTA into
+# every label (defective targets allowed), each with its metadata or error.
+PINNED_CHAINS = {
+    "accidental 2": "b3caab91f81e3312b457a8f8b5d94190b881806fa89f43d1269d240cc2a65a8f",
+    "accidental 20": "f3098d1367c786eac9b777d79f44db23b5d7466bf98effdebdfadf1b3e539235",
+    "accidental 200": "622abe997dc1e4ab254712d3eee70e76d826949bbebfa36971df319218f0d132",
+    "cascading-only 2": "a1dae73de5b41e8bd31e8d2c66c19f737e0872fd5668972f8f265ef6dcae9bae",
+    "cascading-only 20": "5be2629b952a2bf6c33beaf0917d1014ca495e1b989b04b3135286a26533083e",
+    "cascading-only 200": "a283a90db18e650799814c8c28aaaa33d554f8ea69305f9a3e5a75c76a71faea",
+    "common-cause 2": "776ec990281ae73584ee2a9871e47fbc5b691c3e9300f6d15b266ff8223a76ad",
+    "common-cause 20": "f6c7ffa1cbb61778a35e99d84b59a32717753c595b66839af8e7e69f0289d1e7",
+    "common-cause 200": "5a3b44519cb100fdb41788a8a150731b6d8ba5d4077a417bcf5595fe78767fb1",
+    "attack 2": "2f4e733b3bfde8ecb9fca373df1c5b9f588ee422d4bcc0b30b6fc779f4d8fdbf",
+    "attack 20": "402f2d76c34a80ad04bc97ccc7b87336ce3a6652450a0eba5b0fae63eb97fd29",
+    "attack 200": "85fe705abce61c8773d169e171f48fae3becbf01dacc8e1d52d817b0ab3ce06b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHAINS))
+def test_chains_match_pinned_digests(case):
+    name, k_max = case.split()
+    assert _chain_digest(_built_at(int(k_max))[name]) == PINNED_CHAINS[case]
 
 
 def test_mtta_gate_passes_hit_probability_rounded_past_one():
