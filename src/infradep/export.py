@@ -46,10 +46,9 @@ def export_dot(obj) -> str:
             kind = "rate" if obj.tangible[i] else "p"
             lines.append(f'  s{i} -> s{j} [label="{names[t]}\\n{kind}={v!r}"];')
     else:
-        coo = obj.generator.tocoo()
+        coo = obj.rates.tocoo()
         for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            if i != j and v > 0:
-                lines.append(f'  s{i} -> s{j} [label="rate={v!r}"];')
+            lines.append(f'  s{i} -> s{j} [label="rate={v!r}"];')
 
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -72,7 +71,7 @@ def graph_summary(obj) -> dict:
         "states": obj.n,
         "tangible": obj.n,
         "vanishing": 0,
-        "edges": int(obj.generator.nnz - (obj.generator.diagonal() != 0).sum()),
+        "edges": int(obj.rates.nnz),
         "labels": labels,
     }
 

@@ -9,13 +9,17 @@ target set serves every right-hand side (the mean hitting times, or the
 hit probabilities and the hit-weighted times of a defective target).
 Dense counterparts live in the test suite as oracles.
 
-Each solver builds its sparse matrices once, by masking the generator's
-compressed arrays (Davis 2006, ch. 2), not by products with diagonal
-matrices, sparse sums or fancy indexing: the reachability and component
-searches run on the positive entries, a hitting-time or balance system
-is the entries of its kept rows and columns renumbered, and P^T is a
-scaled copy of Q in CSC with 1 added on its diagonal.  The results are
-bit-identical to those of the sparse algebra they replace.
+Each solver reads the chain's rates (``ctmc.rates``, positive entries
+only, no diagonal) and its exit rates, and builds its sparse matrices
+once from their compressed arrays (Davis 2006, ch. 2), not by products
+with diagonal matrices, sparse sums or fancy indexing: the reachability
+and component searches run on the rates as they are, a hitting-time
+system is the rates of its kept rows and columns renumbered with minus
+each exit rate put on the diagonal, and P^T is the transposed rates
+scaled by 1/Lambda with 1 - exit/Lambda on the diagonal.  Only the
+steady-state balance system is cut from the generator the chain derives
+and caches.  The results are bit-identical to those of the sparse algebra
+they replace.
 
 Uniformization runs at the fixed rate 1.05 times the largest exit rate and
 weights the powers of the uniformized chain by a Poisson window that drops
@@ -26,7 +30,7 @@ known before anything is allocated; a window longer than
 ``MAX_POISSON_TERMS`` is refused with ``InvalidArgError``.  A step
 multiplies only the rows the vector can have reached (the idea behind
 adaptive uniformization, van Moorsel & Sanders 1994, at a fixed rate): a
-bound computed once from the generator's structure says how far a vector
+bound computed once from the rates' structure says how far a vector
 that is zero past index m can spread in one step, and the step uses the
 smallest leading block of the transposed matrix on a doubling ladder
 (``MIN_RUNG`` rows, twice that, ..., all of it) that covers the bound.
@@ -53,7 +57,7 @@ from .errors import (
     UnknownLabelError,
     UnreachableTargetError,
 )
-from .statespace import Ctmc, _entry_rows, _insert_diagonal, _masked_indptr
+from .statespace import Ctmc, _entry_rows, _masked_indptr, _row_sums, _with_diagonal
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,9 @@ class MeasureResult:
 
 def terminal_sccs(ctmc: Ctmc) -> list[np.ndarray]:
     """Strongly-connected components with no outgoing rate, by state index."""
-    adj = ctmc.generator
-    rows = _entry_rows(adj.indptr)
-    rate = adj.data > 0
-    # The edges are the positive entries.  A stored diagonal is a self-loop,
-    # which changes no component, so the generator is its own graph unless
-    # it stores a non-positive entry off its diagonal.
-    if not (rate | (adj.indices == rows)).all():
-        adj = sp.csr_matrix(
-            (adj.data[rate], adj.indices[rate], _masked_indptr(adj.indptr, rate)), shape=adj.shape
-        )
-        rows = rows[rate]
+    adj = ctmc.rates
     ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    src, dst = labels[rows], labels[adj.indices]
+    src, dst = labels[_entry_rows(adj.indptr)], labels[adj.indices]
     has_exit = np.zeros(ncomp, dtype=bool)
     has_exit[src[src != dst]] = True
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
@@ -211,10 +205,7 @@ def _solve_balance(qt: sp.csc_matrix) -> np.ndarray:
     m = qt.shape[0]
     if m == 1:
         return np.ones(1)
-    try:
-        lu = spla.splu(qt[:-1, :-1], permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as e:  # SuperLU: the factor is exactly singular
-        raise NoConvergenceError(f"steady-state system is singular: {e}", residual=math.nan) from e
+    lu = _lu(qt[:-1, :-1], "MMD_AT_PLUS_A", "steady-state system")
     # The last column of Q^T (the last state's rates) but its diagonal.
     rates = np.zeros(m)
     entries = slice(qt.indptr[-2], qt.indptr[-1])
@@ -260,9 +251,9 @@ def _poisson_window(mean: float):
     return left + lo, left + hi - 1, w / w.sum()
 
 
-def _reach_bound(q: sp.csr_matrix) -> np.ndarray:
+def _reach_bound(rates: sp.csr_matrix) -> np.ndarray:
     """``reach[i]`` is one past the highest index among states 0..i and
-    every state they have an edge to under generator ``q``.
+    every state they have an edge to under ``rates``.
 
     A vector that is zero from index ``m`` on stays zero from index
     ``reach[m - 1]`` on after one step of the uniformized chain, whatever
@@ -270,8 +261,8 @@ def _reach_bound(q: sp.csr_matrix) -> np.ndarray:
     """
     # The running maximum over the column indices in row order, read at
     # each row's end (the leading 0 stands in for rows before any entry).
-    seen = np.maximum.accumulate(np.concatenate(([0], q.indices)))[q.indptr[1:]]
-    return np.maximum(seen, np.arange(q.shape[0])) + 1
+    seen = np.maximum.accumulate(np.concatenate(([0], rates.indices)))[rates.indptr[1:]]
+    return np.maximum(seen, np.arange(rates.shape[0])) + 1
 
 
 def _rung(pt: sp.csr_matrix, rows: int) -> sp.csr_matrix:
@@ -311,13 +302,7 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
     n = ctmc.n
-    # Q in CSC holds the CSR arrays of Q^T, which P^T extends.
-    qt = ctmc.generator.tocsc()
-    cols = _entry_rows(qt.indptr)  # the column of Q (row of Q^T) of each entry
-    on_diag = np.flatnonzero(qt.indices == cols)
-    diag = np.zeros(n)
-    diag[cols[on_diag]] = qt.data[on_diag]
-    lam = float((-diag).max()) * 1.05 if n else 0.0
+    lam = 1.05 * float(ctmc.exit.max(initial=0.0))
     if t == 0 or lam <= 0:
         dist = Distribution(p0.copy(), t)
         dist.metadata = {
@@ -330,20 +315,16 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
 
     left, right, weights = _poisson_window(lam * t)
     # P^T = I + Q^T / Lambda in CSR (for a 1-D left operand, ``v @ p`` would
-    # transpose P on every step): Q^T scaled as ``Q / lam`` scales, with 1
-    # added to its stored diagonal and stored on the diagonal of rows without.
-    data = qt.data * (1 / lam)
-    data[on_diag] += 1.0
-    missing = np.ones(n)
-    missing[cols[on_diag]] = 0.0
-    pt = sp.csr_matrix(_insert_diagonal(qt.indptr, qt.indices, data, cols, missing), shape=(n, n))
-    del qt, cols, on_diag, data
+    # transpose P on every step): the rates transposed and scaled as
+    # ``Q / lam`` scales them, with 1 - exit / Lambda on the diagonal.
+    scale = 1 / lam
+    pt = _with_diagonal(ctmc.rates.T.tocsr() * scale, 1.0 - ctmc.exit * scale)
 
     top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
     op = _rung(pt, top)
     size = op.shape[0]
     v = p0[:size]
-    reach = _reach_bound(ctmc.generator) if size < n else None
+    reach = _reach_bound(ctmc.rates) if size < n else None
     result = np.zeros(size)
     steps = row_steps = 0
     for k in range(right + 1):
@@ -413,11 +394,13 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     in_target = np.zeros(ctmc.n, dtype=bool)
     in_target[tgt] = True
     # In CSC the entries of column j are the rates into state j.
-    qc = ctmc.generator.tocsc()
-    relevant, defective, into_target = _hitting_system(ctmc, qc, in_target)
-    sub = _principal(qc, relevant)
-    del qc
-    solve = _factor(sub)
+    rc = ctmc.rates.tocsc()
+    relevant, defective, into_target = _hitting_system(ctmc, rc, in_target)
+    sub = _with_diagonal(_principal(rc, relevant), -ctmc.exit[relevant])
+    del rc
+    # SuperLU's default order: MMD on A^T + A, which steady uses, made
+    # these solves slower on every built-in at k_max 2000.
+    solve = _lu(sub, "COLAMD", "hitting-time system").solve if sub.shape[0] else None
 
     if not defective:
         h, residual = _checked_solve(solve, sub, -np.ones(sub.shape[0]), math.inf,
@@ -459,41 +442,32 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     )
 
 
-def _hitting_system(ctmc: Ctmc, qc: sp.csc_matrix, in_target: np.ndarray):
+def _hitting_system(ctmc: Ctmc, rc: sp.csc_matrix, in_target: np.ndarray):
     """``(relevant, defective, into_target)`` for the target ``in_target``
     made absorbing: the non-target states reachable from the initial
     distribution that can reach the target, whether a reachable state
     cannot, and each relevant state's total rate into the target.  Edges
-    are the positive entries outside the target's rows; ``qc`` is the
-    generator in CSC, where they are read backwards."""
-    q = ctmc.generator
-    rows = _entry_rows(q.indptr)
-    edge = (q.data > 0) & ~in_target[rows]
-    reachable = _reachable(q.indptr, q.indices, edge, np.flatnonzero(ctmc.initial > 0))
-    back = (qc.data > 0) & ~in_target[qc.indices]
-    can_reach = _reachable(qc.indptr, qc.indices, back, np.flatnonzero(in_target))
+    are the rates outside the target's rows; ``rc`` is ``ctmc.rates`` in
+    CSC, where they are read backwards."""
+    r = ctmc.rates
+    rows = _entry_rows(r.indptr)
+    reachable = _reachable(r.indptr, r.indices, ~in_target[rows], np.flatnonzero(ctmc.initial > 0))
+    can_reach = _reachable(rc.indptr, rc.indices, ~in_target[rc.indices], np.flatnonzero(in_target))
     defective = bool((reachable & ~can_reach & ~in_target).any())
     relevant = reachable & can_reach & ~in_target
     # Each relevant row's rates into the target, summed in index order.
-    into = relevant[rows] & in_target[q.indices]
-    into_target = np.zeros(ctmc.n)
-    ptr = _masked_indptr(q.indptr, into)
-    nonempty = np.flatnonzero(np.diff(ptr))
-    if len(nonempty):
-        into_target[nonempty] = np.add.reduceat(q.data[into], ptr[nonempty])
+    into = relevant[rows] & in_target[r.indices]
+    into_target = _row_sums(_masked_indptr(r.indptr, into), r.data[into])
     return relevant, defective, into_target[relevant]
 
 
-def _factor(sub: sp.csc_matrix):
-    """The LU solve of ``sub``, factored once under SuperLU's default order
-    (MMD on A^T + A made these solves slower on every built-in at k_max
-    2000); an exactly singular ``sub`` raises ``NoConvergenceError``."""
-    if not sub.shape[0]:
-        return None
+def _lu(a: sp.csc_matrix, order: str, what: str):
+    """SuperLU's factorization of ``a`` under the column order ``order``;
+    an exactly singular ``a`` (``what``) raises ``NoConvergenceError``."""
     try:
-        return spla.splu(sub).solve
+        return spla.splu(a, permc_spec=order)
     except RuntimeError as e:  # SuperLU: the factor is exactly singular
-        raise NoConvergenceError(f"hitting-time system is singular: {e}", residual=math.nan) from e
+        raise NoConvergenceError(f"{what} is singular: {e}", residual=math.nan) from e
 
 
 def _checked_solve(solve, sub, b: np.ndarray, hi: float, what: str) -> tuple[np.ndarray, float]:

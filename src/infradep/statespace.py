@@ -22,13 +22,14 @@ A graph keeps its edges only as four arrays (source, target, transition
 index, value); ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
 products over the edge-weight matrix, handing each timed rate to the
-tangible states its immediate chains can reach.  It assembles the
-generator from the arrays of the reduced rates, in time linear in their
-count: each self-loop is dropped and minus its row's remaining rates
-stored on the diagonal, keeping the CSR canonical (sorted indices, no
-duplicates, no stored zero).  The check that the vanishing states hold no
-cycle runs once per graph and is cached on it, for the explorer and the
-eliminator alike.
+tangible states its immediate chains can reach.  The CTMC keeps those
+rates with each self-loop dropped: a canonical CSR (sorted indices, no
+duplicates, no stored zero) of positive rates between distinct states,
+with no diagonal.  Each state's exit rate (its row's sum) and the
+generator (the rates with minus the exit rate on the diagonal) are
+derived from it when first read, each in time linear in the rates.  The
+check that the vanishing states hold no cycle runs once per graph and is
+cached on it, for the explorer and the eliminator alike.
 A graph groups its states into label sets once (``g.label_sets``); the
 CTMC reduced from it carries the same sets renumbered over its states.
 """
@@ -153,17 +154,31 @@ class ReachabilityGraph:
 
 @dataclass(eq=False)
 class Ctmc:
-    """Tangible-only chain with sparse generator Q (rows sum to zero)."""
+    """Tangible-only chain: ``rates[i, j]`` is the rate from state ``i`` to
+    a distinct state ``j``, a canonical CSR of positive entries only, with
+    no diagonal."""
 
     model: Model
     states: tuple[StateVector, ...]
-    generator: sp.csr_matrix
+    rates: sp.csr_matrix
     initial: np.ndarray
     label_sets: dict[str, frozenset[int]]
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def exit(self) -> np.ndarray:
+        """Each state's total rate out, its row of ``rates`` summed in index
+        order."""
+        return _row_sums(self.rates.indptr, self.rates.data)
+
+    @cached_property
+    def generator(self) -> sp.csr_matrix:
+        """The generator Q: ``rates`` with minus each nonzero exit rate on
+        the diagonal (rows sum to zero)."""
+        return _with_diagonal(self.rates, -self.exit)
 
 
 def build_reachability_graph(model: Model, limit: int | None = None) -> ReachabilityGraph:
@@ -289,35 +304,33 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
     return Ctmc(
         model=g.model,
         states=tuple(g.states[i] for i in order[:nt]),
-        generator=_generator(reduced),
+        rates=_without_self_loops(reduced),
         initial=initial,
         label_sets=sets,
     )
 
 
-def _generator(reduced: sp.csr_matrix) -> sp.csr_matrix:
-    """The generator of the reduced rates: each state's self-loop dropped and
-    minus the sum of its other rates stored on its diagonal where nonzero.
+def _without_self_loops(reduced: sp.csr_matrix) -> sp.csr_matrix:
+    """``reduced`` with its diagonal entries dropped.  A sparse sum stores no
+    duplicate and no zero, so sorted rows come out canonical."""
+    rows = _entry_rows(reduced.indptr)
+    off = reduced.indices != rows
+    if off.all():
+        return reduced
+    return sp.csr_matrix(
+        (reduced.data[off], reduced.indices[off], _masked_indptr(reduced.indptr, off)),
+        shape=reduced.shape,
+    )
 
-    ``reduced`` is a sparse sum, so its rows hold no duplicate and no zero;
-    with sorted indices the generator comes out canonical.  Each step is
-    linear in the entries: a mask drops the self-loops, one ``reduceat``
-    sums each row's remaining rates in index order (as ``sum(axis=1)``
-    does), and the diagonal goes in after each row's entries of smaller
-    index.
-    """
-    n = reduced.shape[0]
-    indptr, indices, data = reduced.indptr, reduced.indices, reduced.data
-    rows = _entry_rows(indptr)
-    off = indices != rows
-    if not off.all():
-        indptr = _masked_indptr(indptr, off)
-        indices, data, rows = indices[off], data[off], rows[off]
-    exit_rate = np.zeros(n)
+
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each row's sum of the entries of a compressed sparse matrix, in index
+    order (as ``sum(axis=1)`` adds them); 0 for an empty row."""
+    sums = np.zeros(len(indptr) - 1)
     nonempty = np.flatnonzero(np.diff(indptr))
     if len(nonempty):
-        exit_rate[nonempty] = np.add.reduceat(data, indptr[nonempty])
-    return sp.csr_matrix(_insert_diagonal(indptr, indices, data, rows, -exit_rate), shape=(n, n))
+        sums[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return sums
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -333,15 +346,16 @@ def _masked_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept[indptr]
 
 
-def _insert_diagonal(indptr, indices, data, rows, diag):
-    """``(data, indices, indptr)`` of a CSR matrix with ``diag[r]`` stored
-    at ``(r, r)`` for every row ``r`` where it is nonzero, given the arrays
-    of a CSR matrix that stores no diagonal in those rows (``rows[k]`` is
-    entry ``k``'s row).  Each row's other entries keep their order, so
-    sorted rows stay sorted."""
+def _with_diagonal(m, diag: np.ndarray):
+    """``m``, a compressed sparse matrix that stores no diagonal, with
+    ``diag[r]`` stored at ``(r, r)`` wherever it is nonzero, in ``m``'s
+    format.  Each row's other entries keep their order, so sorted rows stay
+    sorted."""
+    indptr, indices, data = m.indptr, m.indices, m.data
     at_row = np.flatnonzero(diag)
     if not len(at_row):
-        return data, indices, indptr
+        return m.__class__((data, indices, indptr), shape=m.shape)
+    rows = _entry_rows(indptr)
     before = np.bincount(rows[indices < rows], minlength=len(diag))
     # Where each diagonal lands in the new arrays: after the entries of
     # smaller index in its row and after the diagonals of earlier rows.
@@ -354,7 +368,7 @@ def _insert_diagonal(indptr, indices, data, rows, diag):
     new_indices[at], new_indices[old] = at_row, indices
     added = np.zeros(len(indptr), dtype=indptr.dtype)
     np.cumsum(diag != 0, out=added[1:])
-    return new_data, new_indices, indptr + added
+    return m.__class__((new_data, new_indices, indptr + added), shape=m.shape)
 
 
 def label_sets(obj) -> dict[str, frozenset[int]]:

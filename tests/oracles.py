@@ -267,10 +267,17 @@ def dense_terminal_sccs(q: np.ndarray) -> list[np.ndarray]:
     return terminal
 
 
+def _dense_generator(ctmc) -> np.ndarray:
+    """Q formed densely from the chain's rates: minus each row's sum on the
+    diagonal (not read from the generator the chain derives itself)."""
+    assert ctmc.n <= DENSE_LIMIT
+    q = ctmc.rates.toarray()
+    return q - np.diag(q.sum(axis=1))
+
+
 def dense_steady(ctmc) -> np.ndarray:
     """Stationary distribution by Gaussian elimination on the terminal SCC."""
-    q = ctmc.generator.toarray()
-    assert q.shape[0] <= DENSE_LIMIT
+    q = _dense_generator(ctmc)
     terms = dense_terminal_sccs(q)
     assert len(terms) == 1, "oracle needs a unique terminal SCC"
     scc = terms[0]
@@ -287,15 +294,13 @@ def dense_steady(ctmc) -> np.ndarray:
 
 
 def dense_transient(ctmc, t: float) -> np.ndarray:
-    q = ctmc.generator.toarray()
-    assert q.shape[0] <= DENSE_LIMIT
+    q = _dense_generator(ctmc)
     return ctmc.initial @ scipy.linalg.expm(q * t)
 
 
 def dense_mtta(ctmc, target_idx) -> float:
     """Expected hitting time by a dense linear solve (hit probability 1)."""
-    q = ctmc.generator.toarray()
-    assert q.shape[0] <= DENSE_LIMIT
+    q = _dense_generator(ctmc)
     n = q.shape[0]
     target = np.zeros(n, dtype=bool)
     target[sorted(target_idx)] = True

@@ -20,6 +20,7 @@ from infradep import (
     ModelParams,
     NoConvergenceError,
     NotErgodicError,
+    UnknownLabelError,
     UnreachableTargetError,
     build_reachability_graph,
     builtin_model,
@@ -66,6 +67,14 @@ def test_transient_zero_returns_initial(ctmcs):
     for c in ctmcs.values():
         p = transient(c, 0.0).probs
         assert np.array_equal(p, c.initial)
+
+
+def test_transient_without_rates_keeps_the_initial_distribution():
+    c = _chain_of_rates(sp.csr_matrix((2, 2)), [0.25, 0.75])
+    dist = transient(c, 10.0)
+    assert np.array_equal(dist.probs, c.initial)
+    assert math.copysign(1.0, dist.metadata["uniformization_rate"]) == 1.0  # 0.0, not -0.0
+    assert dist.metadata["steps"] == 0
 
 
 def test_transient_rejects_negative_time(ctmc_a):
@@ -178,7 +187,7 @@ def test_transient_prefix_steps_match_full_rows_on_builtins():
 def _band_chain(n, initial, extra=(), absorbing=(), seed=0):
     """A chain on states 0..n-1 with random-rate edges i -> i+1, i -> i+2
     and i -> i-1, plus ``extra`` (src, dst, rate) edges; states in
-    ``absorbing`` keep no outgoing edge (an empty generator row)."""
+    ``absorbing`` keep no outgoing edge (an empty row of rates)."""
     rng = np.random.default_rng(seed)
     i = np.arange(n)
     src = np.concatenate([i[:-1], i[:-2], i[1:]])
@@ -189,14 +198,19 @@ def _band_chain(n, initial, extra=(), absorbing=(), seed=0):
     dst = np.concatenate([dst, extra[:, 1].astype(int)])
     rate = np.concatenate([rate, extra[:, 2]])
     keep = ~np.isin(src, list(absorbing))
-    off = sp.csr_matrix((rate[keep], (src[keep], dst[keep])), shape=(n, n))
-    q = (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
-    q.eliminate_zeros()  # absorbing rows stay empty
+    rates = sp.csr_matrix((rate[keep], (src[keep], dst[keep])), shape=(n, n))
     p0 = np.zeros(n)
     for state, mass in initial.items():
         p0[state] = mass
+    return _chain_of_rates(rates, p0)
+
+
+def _chain_of_rates(rates, initial):
+    """A chain on states 0..n-1 with the given ``rates`` CSR (positive
+    entries only, no diagonal) and initial distribution."""
     base = ctmc_of(birth_chain([1.0]))
-    return replace(base, states=tuple((s,) for s in range(n)), generator=q, initial=p0)
+    return replace(base, states=tuple((s,) for s in range(rates.shape[0])), rates=rates,
+                   initial=np.asarray(initial, dtype=float))
 
 
 def test_transient_prefix_steps_match_full_rows_on_hand_built_chains():
@@ -334,8 +348,12 @@ def test_generator_is_assembled_canonical(k_max):
     # Sorted indices without duplicates, no stored zero, and a diagonal
     # exactly where the exit rate is positive, equal to minus the sum of
     # its row's other entries (to rounding: the order of the sum is the
-    # solver's own).
+    # solver's own).  The rates it is formed from are positive and store
+    # no diagonal.
     for name, c in _built_at(k_max).items():
+        r = c.rates
+        assert (r.data > 0).all(), name
+        assert not (r.indices == np.repeat(np.arange(c.n), np.diff(r.indptr))).any(), name
         q = c.generator
         rows = np.repeat(np.arange(c.n), np.diff(q.indptr))
         assert (np.diff(rows * c.n + q.indices) > 0).all(), name
@@ -435,14 +453,12 @@ def test_not_ergodic_two_absorbing(two_state):
     assert pi[-1] == pytest.approx(1.0)
 
 
-def test_terminal_sccs_read_only_positive_entries(two_state):
-    # States 0 and 1 exchange at rate 1; the stored 0 from 1 to 2 is no
-    # transition, so {0, 1} and the isolated state 2 are both terminal.
-    q = sp.csr_matrix(
-        (np.array([-1.0, 1.0, 1.0, -1.0, 0.0]), np.array([0, 1, 0, 1, 2]), np.array([0, 2, 5, 5])),
-        shape=(3, 3),
-    )
-    c = replace(two_state, states=((0,), (1,), (2,)), generator=q, initial=np.eye(3)[0])
+def test_terminal_sccs_read_only_positive_entries():
+    # States 0 and 1 exchange at rate 1 and state 3 leaves for state 2,
+    # which has no rate out: {0, 1} and state 2 are terminal, and state 3,
+    # whose component has a rate out, is not.
+    rates = sp.csr_matrix(np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], float))
+    c = _chain_of_rates(rates, np.eye(4)[0])
     assert sorted(map(tuple, terminal_sccs(c))) == [(0, 1), (2,)]
 
 
@@ -489,6 +505,13 @@ def test_label_probability_full_and_empty(ctmc_a):
     assert full.method == "steady"
 
 
+def test_label_probability_rejects_an_index_out_of_range(ctmc_a):
+    dist = steady_state(ctmc_a)
+    for bad in ({-1}, {ctmc_a.n}):
+        with pytest.raises(InvalidArgError, match="out of range"):
+            label_probability(dist, bad)
+
+
 def test_label_probability_state8_positive(ctmcs):
     c = ctmcs["common-cause"]
     dist = steady_state(c)
@@ -521,17 +544,46 @@ def test_no_convergence_when_residual_above_tol(ctmc_a):
     assert exc.value.residual > 1e-30
 
 
+# 0 <-> 1 at rate 1, and both -> 2 at a rate that rounds away in their
+# exit rates: a system that is exactly singular in floating point.
+SINGULAR_RATES = [[0.0, 1.0, 1e-300], [1.0, 0.0, 1e-300], [1.0, 0.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "rows",
     [
-        [[0.0, 1.0], [1.0, -1.0]],  # exactly singular balance system
-        [[-np.inf, np.inf], [1.0, -1.0]],  # non-finite rates: NaN residual
+        SINGULAR_RATES,  # with 2 -> 0, an exactly singular balance system
+        [[0.0, np.inf], [1.0, 0.0]],  # non-finite rates: NaN residual
     ],
 )
-def test_steady_bad_generator_is_no_convergence(two_state, rows):
-    bad = replace(two_state, generator=sp.csr_matrix(np.array(rows)))
+def test_steady_bad_generator_is_no_convergence(rows):
+    bad = _chain_of_rates(sp.csr_matrix(np.array(rows)), np.eye(len(rows))[0])
     with pytest.raises(NoConvergenceError):
         steady_state(bad)
+
+
+def test_mtta_singular_hitting_system_is_no_convergence():
+    c = _chain_of_rates(sp.csr_matrix(np.array(SINGULAR_RATES)), [1.0, 0.0, 0.0])
+    with pytest.raises(NoConvergenceError, match="hitting-time system is singular"):
+        mean_time_to_absorption(c, {2})
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("no_such_label", UnknownLabelError), ({0, -1}, InvalidArgError), ({5, 10**6}, InvalidArgError)],
+)
+def test_mtta_rejects_a_bad_target(ctmc_a, target, error):
+    with pytest.raises(error):
+        mean_time_to_absorption(ctmc_a, target)
+
+
+def test_mtta_into_a_target_holding_the_initial_state_is_zero(ctmc_a):
+    # The accidental model starts in `state1`: nothing is left to solve.
+    assert ctmc_a.initial[sorted(ctmc_a.label_sets["state1"])].sum() == 1.0
+    res = mean_time_to_absorption(ctmc_a, "state1")
+    assert res.value == 0.0
+    assert res.metadata == {"residual": 0.0, "target_states": len(ctmc_a.label_sets["state1"]),
+                            "hit_probability": 1.0}
 
 
 def test_range_gate_names_the_worst_entry():
