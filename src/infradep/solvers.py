@@ -314,11 +314,15 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         return dist
 
     left, right, weights = _poisson_window(lam * t)
-    # P^T = I + Q^T / Lambda in CSR (for a 1-D left operand, ``v @ p`` would
-    # transpose P on every step): the rates transposed and scaled as
-    # ``Q / lam`` scales them, with 1 - exit / Lambda on the diagonal.
+    # P = I + Q / Lambda in CSC, whose transpose is P^T in CSR on the same
+    # arrays (for a 1-D left operand, ``v @ p`` would transpose P on every
+    # step): the rates scaled as ``Q / lam`` scales them, with
+    # 1 - exit / Lambda on the diagonal.
     scale = 1 / lam
-    pt = _with_diagonal(ctmc.rates.T.tocsr() * scale, 1.0 - ctmc.exit * scale)
+    p = ctmc.rates.tocsc()
+    p.data *= scale
+    pt = _with_diagonal(p, 1.0 - ctmc.exit * scale).T
+    del p
 
     top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
     op = _rung(pt, top)
