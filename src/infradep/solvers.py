@@ -36,8 +36,16 @@ smallest leading block of the transposed matrix on a doubling ladder
 (``MIN_RUNG`` rows, twice that, ..., all of it) that covers the bound.
 Rows and terms left out are exact zeros, so results are bit-identical to
 stepping every row; ``row_steps`` in the metadata counts the rows
-multiplied.  The only tunable is the steady-state residual gate in
-``SolverOptions``.
+multiplied.  Steps run in batches on one block: each step calls scipy's
+compiled CSR kernel, the one ``op @ v`` ends in, without its Python-level
+dispatch, and the early-stop test and the Poisson sum run once per batch
+over all of its steps, in step order, so results and ``steps`` are those
+of one step at a time.
+
+The only tunable is the steady-state residual gate in ``SolverOptions``.
+``MIN_RUNG``, ``STEP_BATCH`` and ``BATCH_ENTRIES`` are internal constants
+that no option sets; results and ``steps`` do not depend on them, and
+``row_steps`` depends on ``MIN_RUNG`` only.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
     InvalidArgError,
@@ -76,10 +85,18 @@ MAX_POISSON_TERMS = 4_000_000
 RANGE_SLACK = 1e-9
 # Most negative steady-state probability taken for rounding and clipped to 0.
 STEADY_FLOOR = -1e-14
-# Smallest leading block of P^T a transient step multiplies.  Below about
-# a thousand rows a sparse product costs its few-microsecond call overhead
-# whatever its size, so a smaller block saves less than it costs to cut.
+# Smallest leading block of P^T a transient step multiplies.  It was sized
+# for ``op @ v``, whose dispatch cost a few microseconds whatever the
+# block; the kernel called directly costs under 1 us plus about 1 us per
+# 1,000 entries, so a smaller block would now save a few microseconds a
+# step.  It stays, as ``row_steps`` counts its rows and is pinned in tests.
 MIN_RUNG = 1024
+# Most steps transient takes in one batch, and most vector entries a
+# batch's steps write (at least one step): a 1,024-row block takes 32
+# steps a batch, a 28,014-row one 1.  A block's buffers hold about twice
+# BATCH_ENTRIES entries plus three rows (0.5 MB at 1,024 rows).
+STEP_BATCH = 32
+BATCH_ENTRIES = 32_768
 
 
 @dataclass
@@ -251,9 +268,10 @@ def _poisson_window(mean: float):
     return left + lo, left + hi - 1, w / w.sum()
 
 
-def _reach_bound(rates: sp.csr_matrix) -> np.ndarray:
-    """``reach[i]`` is one past the highest index among states 0..i and
-    every state they have an edge to under ``rates``.
+def _reach_bound(rates: sp.csr_matrix, rows: int) -> np.ndarray:
+    """``reach[i]`` for the first ``rows`` states: one past the highest
+    index among states 0..i and every state they have an edge to under
+    ``rates``.
 
     A vector that is zero from index ``m`` on stays zero from index
     ``reach[m - 1]`` on after one step of the uniformized chain, whatever
@@ -261,8 +279,9 @@ def _reach_bound(rates: sp.csr_matrix) -> np.ndarray:
     """
     # The running maximum over the column indices in row order, read at
     # each row's end (the leading 0 stands in for rows before any entry).
-    seen = np.maximum.accumulate(np.concatenate(([0], rates.indices)))[rates.indptr[1:]]
-    return np.maximum(seen, np.arange(rates.shape[0])) + 1
+    ends = rates.indptr[1 : rows + 1]
+    seen = np.maximum.accumulate(np.concatenate(([0], rates.indices[: ends[-1]])))[ends]
+    return np.maximum(seen, np.arange(rows)) + 1
 
 
 def _rung(pt: sp.csr_matrix, rows: int) -> sp.csr_matrix:
@@ -279,6 +298,19 @@ def _pad(x: np.ndarray, size: int) -> np.ndarray:
     return x if len(x) == size else np.concatenate([x, np.zeros(size - len(x))])
 
 
+def _uniformized_transpose(ctmc: Ctmc, lam: float) -> sp.csr_matrix:
+    """P^T in CSR for P = I + Q / ``lam``: the transposed rates scaled as
+    ``Q / lam`` scales them, with 1 - exit / ``lam`` on the diagonal.
+
+    P is built in CSC, whose transpose is CSR on the same arrays (for a
+    1-D left operand, ``v @ p`` would transpose P on every step).
+    """
+    scale = 1 / lam
+    p = ctmc.rates.tocsc()
+    p.data *= scale
+    return _with_diagonal(p, 1.0 - ctmc.exit * scale).T
+
+
 def transient(ctmc: Ctmc, t: float) -> Distribution:
     """Distribution at time ``t`` by uniformization.
 
@@ -291,12 +323,23 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
 
     A step multiplies only the rows of P^T that can be nonzero.  With v
     zero from index m on, P^T v is zero from ``reach[m - 1]`` on
-    (``_reach_bound``), so the step uses the leading square block of P^T
-    from a doubling ladder that covers that bound, built when first
-    needed; v and the accumulated sum grow with it.  Every product or
+    (``_reach_bound``, computed over a block's rows when it is cut), so
+    the step uses the leading square block of P^T from a doubling ladder
+    that covers that bound, built when first needed; v and the
+    accumulated sum grow with it.  Every product or
     term left out is an exact zero, so the result is bit-identical to
     stepping all rows.  ``row_steps`` in the metadata counts the rows
     multiplied over all steps.
+
+    Steps run in batches of up to ``STEP_BATCH`` on one block, and of at
+    most about ``BATCH_ENTRIES`` vector entries; a batch also ends where
+    the block must grow.  Each step writes P^T v into the next row of a
+    zeroed buffer through scipy's CSR kernel, the call ``op @ v`` ends in.
+    After the batch, the stop test runs on all its steps at once, steps
+    past the first that passes it are dropped (``steps`` and ``row_steps``
+    count only the steps kept), and the kept Poisson terms are added in
+    step order.  The sums and their order are those of one step at a
+    time, so the results and counts are too.
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
@@ -314,46 +357,72 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         return dist
 
     left, right, weights = _poisson_window(lam * t)
-    # P = I + Q / Lambda in CSC, whose transpose is P^T in CSR on the same
-    # arrays (for a 1-D left operand, ``v @ p`` would transpose P on every
-    # step): the rates scaled as ``Q / lam`` scales them, with
-    # 1 - exit / Lambda on the diagonal.
-    scale = 1 / lam
-    p = ctmc.rates.tocsc()
-    p.data *= scale
-    pt = _with_diagonal(p, 1.0 - ctmc.exit * scale).T
-    del p
-
+    pt = _uniformized_transpose(ctmc, lam)
     top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
     op = _rung(pt, top)
     size = op.shape[0]
+    reach = _reach_bound(ctmc.rates, size) if size < n else None
     v = p0[:size]
-    reach = _reach_bound(ctmc.rates) if size < n else None
     result = np.zeros(size)
-    steps = row_steps = 0
-    for k in range(right + 1):
-        if k >= left:
-            result += weights[k - left] * v
+    buf = None
+    k = steps = row_steps = 0  # v holds p0 P^k; result the terms below k
+    while True:
+        if k < right and size < n and reach[top - 1] > size:  # the next step's rung
+            op = _rung(pt, int(reach[top - 1]))
+            size = op.shape[0]
+            reach = _reach_bound(ctmc.rates, size) if size < n else None
+            v, result, buf = _pad(v, size), _pad(result, size), None
+        if buf is None:
+            # The rung's buffers: row j + 1 of buf holds p0 P^(k + j) in a
+            # batch from power k, row 0 the running sum while terms are
+            # added; gaps holds the steps' differences.
+            most = min(STEP_BATCH, max(1, BATCH_ENTRIES // size))
+            buf = np.empty((most + 2, size))
+            rows = list(buf)
+            gaps = np.empty((most, size))
+        m = min(most, right - k)
+        if size < n:
+            for j in range(m):  # the batch ends before a step that outgrows the rung
+                bound = int(reach[top - 1])
+                if bound > size:
+                    m = j
+                    break
+                top = bound
+        rows[1][:] = v
+        buf[2 : m + 2] = 0  # the kernel adds P^T v into its output
+        for j in range(1, m + 1):
+            csr_matvec(size, size, op.indptr, op.indices, op.data, rows[j], rows[j + 1])
+        gap = np.subtract(buf[2 : m + 2], buf[1 : m + 1], out=gaps[:m])
+        converged = np.flatnonzero(np.abs(gap, out=gap).sum(axis=1) <= 1e-14)
+        stopped = len(converged) > 0
+        kept = int(converged[0]) + 1 if stopped else m
+        steps += kept
+        row_steps += kept * size
+        # The Poisson terms of powers k + first .. k + last - 1 (the window's
+        # last power too if the batch reached it) are weighted in place and
+        # added to result in order: a reduction over the rows of a C-ordered
+        # array with two columns or more adds whole rows one after another
+        # (one column would be summed pairwise, but a chain that steps has
+        # two states or more).  Row ``first``, the spare row 0 or a power
+        # below the window, takes the running sum.
+        first = max(0, left - k)
+        last = kept + (not stopped and k + m == right)
+        if first < last:
+            buf[first] = result
+            terms = buf[first + 1 : last + 1]
+            np.multiply(weights[k + first - left : k + last - left, None], terms, out=terms)
+            np.add.reduce(buf[first : last + 1], axis=0, out=result)
+        k += kept
+        v = rows[kept + 1]
+        if stopped:
+            # Remaining Poisson mass multiplies an (effectively) fixed vector.
+            if k >= left:
+                result += weights[k - left :].sum() * v
+            else:
+                result += v  # the whole window is still ahead
+            break
         if k == right:
             break
-        if size < n:
-            top = int(reach[top - 1])
-            if top > size:
-                op = _rung(pt, top)
-                size = op.shape[0]
-                v, result = _pad(v, size), _pad(result, size)
-        nxt = op @ v
-        steps += 1
-        row_steps += size
-        if float(np.abs(nxt - v).sum()) <= 1e-14:
-            # Remaining Poisson mass multiplies an (effectively) fixed vector.
-            if k + 1 >= left:
-                result += weights[k + 1 - left :].sum() * nxt
-            else:
-                result += nxt  # the whole window is still ahead
-            v = nxt
-            break
-        v = nxt
 
     dist = Distribution(_pad(result, n), t)
     dist.metadata = {

@@ -30,7 +30,17 @@ from infradep import (
     steady_state,
     transient,
 )
-from infradep.solvers import SolverOptions, _poisson_window, _require_in_range, terminal_sccs
+from infradep.solvers import (
+    MIN_RUNG,
+    STEP_BATCH,
+    SolverOptions,
+    _poisson_window,
+    _require_in_range,
+    _rung,
+    _uniformized_transpose,
+    csr_matvec,
+    terminal_sccs,
+)
 
 from .oracles import (
     birth_chain,
@@ -70,11 +80,12 @@ def test_transient_zero_returns_initial(ctmcs):
 
 
 def test_transient_without_rates_keeps_the_initial_distribution():
-    c = _chain_of_rates(sp.csr_matrix((2, 2)), [0.25, 0.75])
-    dist = transient(c, 10.0)
-    assert np.array_equal(dist.probs, c.initial)
-    assert math.copysign(1.0, dist.metadata["uniformization_rate"]) == 1.0  # 0.0, not -0.0
-    assert dist.metadata["steps"] == 0
+    for c in (_chain_of_rates(sp.csr_matrix((2, 2)), [0.25, 0.75]),
+              _chain_of_rates(sp.csr_matrix((1, 1)), [1.0])):  # a single state
+        dist = transient(c, 10.0)
+        assert np.array_equal(dist.probs, c.initial)
+        assert math.copysign(1.0, dist.metadata["uniformization_rate"]) == 1.0  # 0.0, not -0.0
+        assert dist.metadata["steps"] == dist.metadata["row_steps"] == 0
 
 
 def test_transient_rejects_negative_time(ctmc_a):
@@ -241,6 +252,96 @@ def test_transient_row_steps_count_the_rows_multiplied():
     c = _built_at(2000)["common-cause"]
     dist = transient(c, 50.0)
     assert 0 < dist.metadata["row_steps"] < dist.metadata["steps"] * c.n
+
+
+def _slow_pair_chain(s):
+    """Three states, 0 <-> 1 at rate 1 and 1 <-> 2 at rate ``s``, starting
+    in 0: the smaller ``s``, the more steps its powers take to converge."""
+    rates = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, s], [0.0, s, 0.0]]))
+    return _chain_of_rates(rates, [1.0, 0.0, 0.0])
+
+
+# steps and row_steps of transient(_slow_pair_chain(s), 40.0), as stepping
+# one power at a time counted them.  Every case stops early, after the
+# window's left edge (16 to 21), and the stop step lands on each offset
+# within a batch of STEP_BATCH steps: 62 steps end on the 30th step of the
+# second batch, 64 on its last, 65 on the first of the third.
+PINNED_STOPS = {
+    0.5: (62, 186), 0.4925: (63, 189), 0.48: (64, 192), 0.4675: (65, 195),
+    0.455: (66, 198), 0.445: (67, 201), 0.435: (68, 204), 0.425: (69, 207),
+    0.415: (70, 210), 0.405: (71, 213), 0.3975: (72, 216), 0.39: (73, 219),
+    0.38: (74, 222), 0.3725: (75, 225), 0.365: (76, 228), 0.36: (77, 231),
+    0.3525: (78, 234), 0.3475: (79, 237), 0.34: (80, 240), 0.335: (81, 243),
+    0.33: (82, 246), 0.3225: (83, 249), 0.3175: (84, 252), 0.3125: (85, 255),
+    0.3075: (86, 258), 0.3025: (87, 261), 0.3: (88, 264), 0.295: (89, 267),
+    0.29: (90, 270), 0.285: (91, 273), 0.2825: (92, 276), 0.2775: (93, 279),
+}
+
+
+def test_transient_stop_on_every_batch_offset_matches_full_rows():
+    offsets = set()
+    for s, pinned in PINNED_STOPS.items():
+        meta = _assert_matches_full_rows(_slow_pair_chain(s), 40.0, s).metadata
+        assert (meta["steps"], meta["row_steps"]) == pinned, s
+        assert meta["steps"] < meta["poisson_terms"][1], s
+        offsets.add((meta["steps"] - 1) % STEP_BATCH)
+    assert offsets == set(range(STEP_BATCH))
+
+
+# steps and row_steps of transient on each case below, as stepping one
+# power at a time counted them.
+PINNED_BATCH_EDGES = {
+    "stop at the first step": (1, 50),
+    "two states": (26, 52),
+    "left inside a batch": (407, 244200),
+    "rung grows mid-batch": (1441, 2924640),
+    "rung grows to every row": (1456, 1940764),
+    "right 0": (0, 0),
+    "right 1": (1, 3),
+    "right 1 on a rung": (1, 2048),
+}
+
+
+def test_transient_batch_edges_match_full_rows():
+    cases = {
+        # The mass starts on an absorbing state: the first step repeats it.
+        "stop at the first step": (_band_chain(50, {20: 1.0}, absorbing=(20,)), 5.0),
+        # The narrowest chain that steps: its Poisson terms are 2-entry rows.
+        "two states": (ctmc_of(two_state_chain(1.0, 3.0)), 100.0),
+        # The window is [197, 407], and no step converges.
+        "left inside a batch": (_band_chain(600, {0: 1.0}), 50.0),
+        # The 1,024-row rung is outgrown before step 462, the 14th of a
+        # batch, and the 2,048-row rung before step 974.
+        "rung grows mid-batch": (_band_chain(3000, {100: 1.0}), 200.0),
+        "rung grows to every row": (_band_chain(1500, {0: 1.0}), 200.0),
+        "right 0": (_slow_pair_chain(0.5), 1e-11),
+        "right 1": (_slow_pair_chain(0.5), 1e-8),
+        "right 1 on a rung": (_band_chain(3000, {1500: 1.0}), 1e-9),
+    }
+    for what, (c, t) in cases.items():
+        meta = _assert_matches_full_rows(c, t, what).metadata
+        assert (meta["steps"], meta["row_steps"]) == PINNED_BATCH_EDGES[what], what
+
+
+def test_csr_kernel_matches_the_sparse_product():
+    # transient steps through scipy's private CSR kernel, writing into a
+    # zeroed buffer row; a scipy whose kernel no longer gives ``op @ v``
+    # bit for bit fails here instead of moving results silently.
+    rng = np.random.default_rng(5)
+    for k_max in (2, 20, 200, 2000):
+        for name, c in _built_at(k_max).items():
+            pt = _uniformized_transpose(c, 1.05 * float(c.exit.max()))
+            rows = MIN_RUNG
+            while True:
+                op = _rung(pt, rows)
+                size = op.shape[0]
+                buf = np.zeros((2, size))
+                buf[0] = rng.random(size)
+                csr_matvec(size, size, op.indptr, op.indices, op.data, buf[0], buf[1])
+                assert np.array_equal(buf[1], op @ buf[0]), (name, k_max, size)
+                if size == c.n:
+                    break
+                rows = 2 * size
 
 
 def test_steady_order_matches_default_order_solve():
