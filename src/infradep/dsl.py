@@ -37,7 +37,7 @@ reproduces ``m`` structurally.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     COMPARISON_OPS,
@@ -291,7 +291,8 @@ class _Parser:
             return None
         self.advance()
         value = -int(digits.text) if neg else int(digits.text)
-        self.words.setdefault(str(value), tok.span)
+        end = digits.span.offset + digits.span.length
+        self.words.setdefault(str(value), replace(tok.span, length=end - tok.span.offset))
         return value
 
     def parse_names(self) -> list[str]:

@@ -303,7 +303,7 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport):
                 f"immediate weight must be positive, got {t.kind.weight}",
                 where,
             )
-    for tag in t.tags:
+    for tag in sorted(t.tags):
         if tag not in TRANSITION_TAGS:
             rep.error(
                 "UNKNOWN_TAG",

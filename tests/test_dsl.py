@@ -311,6 +311,66 @@ def test_parse_guard_text_against_model(model_a):
     bad = parse_guard_text("nothere == 1", model_a)
     assert isinstance(bad, list)
     assert bad[0].code == "UNDECLARED_IDENT"
+    trailing = parse_guard_text("elec == e_lost )", model_a)
+    assert [e.message for e in trailing] == ["unexpected input after guard: ')'"]
+
+
+def test_guard_nested_too_deeply_is_an_error():
+    # Past MAX_GUARD_DEPTH the parser reports the nesting at the first token
+    # beyond the limit instead of recursing on.
+    for guard in ("!" * 300, "(" * 300):
+        errors = parse_model(f"model m {{ var x : {{a, b}} init a; "
+                             f"timed t rate 1.0 when {guard} -> {{ x := b; }}; }}")
+        assert isinstance(errors, list), guard
+        assert (errors[0].message, errors[0].span.column) == (
+            "guard expression nested too deeply", 257), guard
+
+
+def test_serialize_rejects_a_node_that_is_not_a_guard(model_a):
+    m = Model(name="m", variables=model_a.variables, parameters={},
+              transitions=model_a.transitions, labels=(Label("up", "elec == e_lost"),))
+    with pytest.raises(TypeError, match="not a guard node"):
+        serialize_model(m)
+
+
+# (text, tokens as (kind, text, column), lexer errors as (message, column))
+_EDGE_TOKENS = [
+    ("1.", [("NUMBER", "1.", 1), ("EOF", "", 3)], []),
+    ("1.e5", [("NUMBER", "1.e5", 1), ("EOF", "", 5)], []),
+    ("1..2", [("INT", "1", 1), ("SYM", "..", 2), ("INT", "2", 4), ("EOF", "", 5)], []),
+    ("1e", [("INT", "1", 1), ("IDENT", "e", 2), ("EOF", "", 3)], []),
+    ("1e+", [("INT", "1", 1), ("IDENT", "e", 2), ("SYM", "+", 3), ("EOF", "", 4)], []),
+    ("1.5e-3x", [("NUMBER", "1.5e-3", 1), ("IDENT", "x", 7), ("EOF", "", 8)], []),
+    ("1.2.3", [("NUMBER", "1.2", 1), ("INT", "3", 5), ("EOF", "", 6)],
+     [("unexpected character '.'", 4)]),
+    # Tab and carriage return are one column each; every character outside
+    # ASCII letters, digits and the symbols is its own error.
+    ("x\t\r\u00e9\ufffd>=", [("IDENT", "x", 1), ("SYM", ">=", 6), ("EOF", "", 8)],
+     [("unexpected character '\u00e9'", 4), ("unexpected character '\ufffd'", 5)]),
+    ("x\n  y", [("IDENT", "x", 1), ("IDENT", "y", 3), ("EOF", "", 4)], []),
+    # The column does not advance inside a comment: EOF after a final
+    # comment with no newline sits at the '#'.
+    ("a # c", [("IDENT", "a", 1), ("EOF", "", 3)], []),
+]
+
+
+@pytest.mark.parametrize("text, tokens, errors", _EDGE_TOKENS)
+def test_lexer_edge_tokens(text, tokens, errors):
+    from infradep.dsl import _lex
+
+    found = []
+    toks = _lex(text, found)
+    assert [(t.kind, t.text, t.span.column) for t in toks] == tokens
+    assert [(e.message, e.span.column) for e in found] == errors
+    assert toks[-1].span.offset == len(text)
+
+
+def test_negative_literal_span_covers_sign_and_digits():
+    text = "model m { var n : [0 .. 2] init -12; timed t rate 1.0 when n == 0 -> { n := 1; }; }"
+    errors = parse_model(text)
+    assert isinstance(errors, list)
+    assert [e.code for e in errors] == ["BAD_INIT"]
+    assert (errors[0].span.column, errors[0].span.length) == (text.index("-12") + 1, 3)
 
 
 def test_parser_accepts_bytes():

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import infradep
 
 from infradep import (
     And,
@@ -90,8 +96,13 @@ def test_duplicate_names():
             Transition("t", Timed(RateExpr(1.0)), var_eq("x", 0), (SetValue("x", 1),)),
             Transition("t", Timed(RateExpr(1.0)), var_eq("x", 1), (SetValue("x", 0),)),
         ),
+        labels=(Label("x", var_eq("x", 0)), Label("x", var_eq("x", 1))),
     )
-    assert codes(validate_model(m)).count("DUPLICATE_NAME") == 2
+    assert [e.message for e in validate_model(m).errors if e.code == "DUPLICATE_NAME"] == [
+        "variable 'x' declared twice",
+        "transition 't' declared twice",
+        "label 'x' declared twice",
+    ]
 
 
 def test_bad_init_and_empty_enum():
@@ -159,6 +170,32 @@ def test_unknown_tag():
         ),
     )
     assert "UNKNOWN_TAG" in codes(validate_model(m))
+
+
+def test_unknown_tags_reported_in_sorted_order():
+    # Tags are a frozenset, whose iteration order follows string hashing;
+    # hash seeds 1 and 4 iterate this set in different orders.
+    script = (
+        "from infradep import *\n"
+        "t = Transition('t', Timed(RateExpr(1.0)), var_eq('x', 0), (SetValue('x', 1),),\n"
+        "               frozenset({'zeta', 'alpha', 'mid', 'qq'}))\n"
+        "m = Model(name='m', variables=(VariableDecl('x', IntDomain(0, 1), 0),),\n"
+        "          parameters={}, transitions=(t,))\n"
+        "print(*(e.message.split(\"'\")[1] for e in validate_model(m).errors))\n"
+    )
+    src = str(pathlib.Path(infradep.__file__).resolve().parent.parent)
+    for seed in ("1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == ["alpha", "mid", "qq", "zeta"], seed
+
+
+def test_shift_other_than_one_is_type_mismatch():
+    m = _counter_model(Comparison("n_cfg", "<", 1), (Shift("n_cfg", 2),))
+    assert [(e.code, e.message) for e in validate_model(m).errors] == [
+        ("TYPE_MISMATCH", "increment of 'n_cfg' must be +1 or -1, got 2"),
+    ]
 
 
 def test_unsatisfiable_guard_warns():
