@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import re
 from importlib import resources
@@ -262,9 +263,31 @@ def test_serialize_is_deterministic(model_a):
     assert serialize_model(model_a) == serialize_model(model_a)
 
 
+def _digest_result(h, result) -> None:
+    """Feed a parse result to ``h``: a Model by its canonical text (its repr
+    prints hash-ordered tag sets), errors by every field."""
+    if isinstance(result, Model):
+        text = serialize_model(result)
+    else:
+        text = "".join(f"{e.code} {e.message!r} {e.span.line}:{e.span.column} "
+                       f"{e.span.offset}+{e.span.length}\n" for e in result)
+    h.update(text.encode() + b"\0")
+
+
+# Every result of the front end on the shipped files and on the two fuzz
+# corpora below must not change: each Model's canonical text, and each
+# error's code, message and span.
+PINNED_FRONT_END = {
+    "shipped files": "823813092ec594de2c087ea9fd94e20de0e5fe3472bbcc79dda0dd717cc8a306",
+    "byte fuzz": "424b2e7202e24c882452837c71e66ebda797ee57c7ea33836504f3ebc86c3c26",
+    "word swaps": "0e46ba984960b6651d43052b9ac1e39d9b7784820463b7c57737f8fba6641f0b",
+}
+
+
 def test_fixture_files_match_constructors(models):
     # The packaged files define the built-ins; binding the default
     # parameters onto a file gives back that file.
+    digest = hashlib.sha256()
     for name, model in models.items():
         packaged = (resources.files("infradep") / "models" / f"{name}.gsts").read_bytes()
         assert serialize_model(model).encode("utf-8") == packaged, name
@@ -272,6 +295,8 @@ def test_fixture_files_match_constructors(models):
         parsed = parse_model(packaged)
         assert isinstance(parsed, Model)
         assert parsed == model
+        _digest_result(digest, parsed)
+    assert digest.hexdigest() == PINNED_FRONT_END["shipped files"]
 
 
 def test_comments_and_whitespace_ignored():
@@ -388,6 +413,7 @@ def test_fuzz_10k_byte_cases():
     base_bytes = base.encode()
     alphabet = b"modelvarinttimedwhn{}[]();:=!&|<>#.,+-*_ 0123456789abctagsxyz\n\t\"'\\"
     crashes = 0
+    digest = hashlib.sha256()
     for case in range(10_000):
         mode = case % 3
         length = rng.next_u64() % 120
@@ -407,12 +433,14 @@ def test_fuzz_10k_byte_cases():
             crashes += 1
             continue
         assert isinstance(result, (Model, list))
+        _digest_result(digest, result)
         if isinstance(result, Model):
             # The parser checks almost nothing itself: whatever it returns
             # must be valid and survive the canonical round trip.
             assert validate_model(result).ok, data
             assert parse_model(serialize_model(result)) == result, data
     assert crashes == 0
+    assert digest.hexdigest() == PINNED_FRONT_END["byte fuzz"]
 
 
 _WORD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)")
@@ -440,6 +468,7 @@ def test_fuzz_word_swaps_return_only_valid_models():
     vocabulary = sorted({parts[i] for i in spots} | {"c", "-1", "3", "0.0"})
     rng = SplitMix64(0xBEEF)
     accepted = rejected = 0
+    digest = hashlib.sha256()
     for _ in range(1_000):
         mutant = list(parts)
         for _ in range(1 + rng.next_u64() % 2):
@@ -447,6 +476,7 @@ def test_fuzz_word_swaps_return_only_valid_models():
             mutant[spot] = vocabulary[rng.next_u64() % len(vocabulary)]
         text = "".join(mutant)
         result = parse_model(text)
+        _digest_result(digest, result)
         if isinstance(result, Model):
             accepted += 1
             assert validate_model(result).ok, text
@@ -455,6 +485,7 @@ def test_fuzz_word_swaps_return_only_valid_models():
             rejected += 1
             assert result, text
     assert accepted > 50 and rejected > 50, (accepted, rejected)
+    assert digest.hexdigest() == PINNED_FRONT_END["word swaps"]
 
 
 @st.composite
