@@ -16,9 +16,11 @@ The grammar (full EBNF in docs/dsl.md):
     tagclause  = "tags" "(" IDENT {"," IDENT} ")"
     literal    = IDENT | ["-"] INT
 
-Comments run from ``#`` to end of line; input is UTF-8.  Parsing never
-raises: errors are returned, several per run, and the parser resynchronizes
-at ``;`` boundaries.
+Comments run from ``#`` to end of line; input is UTF-8.  One compiled
+pattern, ``_TOKEN``, holds the lexical rules of docs/dsl.md: each of its
+named alternatives is a token kind, and any other character is an
+``UNEXPECTED_TOKEN`` error.  Parsing never raises: errors are returned,
+several per run, and the parser resynchronizes at ``;`` boundaries.
 
 The parser builds the model objects straight from the tokens: an IDENT
 literal becomes a ``str`` and an INT literal an ``int``, whatever the
@@ -36,8 +38,9 @@ reproduces ``m`` structurally.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import (
     COMPARISON_OPS,
@@ -68,10 +71,20 @@ _SYMBOLS = (
     "{", "}", "[", "]", "(", ")", ",", ";", ":", "<", ">", "!", "=", "*", "+", "-",
 )
 
-# ASCII only: ``str.isdigit`` would take "²" for a digit that ``int`` rejects.
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+# One alternative per token kind, tried in order; the group name is the
+# kind.  Character classes are spelled out because ``\d`` and ``\w`` also
+# match non-ASCII digits and letters.  A "." that starts ".." ends a
+# number, and an exponent needs a digit, so "1..2" is INT ".." INT and
+# "1e" is INT IDENT.  Any other character is an error of its own.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<NUMBER>[0-9]+(?:\.(?!\.)[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<SYM>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
+    r"|(?P<ERROR>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,7 @@ class ParseError:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT | NUMBER | INT | SYM | EOF
     text: str
     span: SourceSpan
@@ -98,77 +110,24 @@ class _Token:
 
 def _lex(text: str, errors: list[ParseError]) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
+    line, line_start = 1, 0
+    # A comment does not advance the column, which shows only in the EOF
+    # column after a final comment with no newline.
+    comment = 0
+    for m in _TOKEN.finditer(text):
+        kind, raw, start = m.lastgroup, m.group(), m.start()
+        if kind == "NEWLINE":
+            line, line_start, comment = line + 1, start + 1, 0
+        elif kind == "COMMENT":
+            comment = len(raw)
+        elif kind != "BLANK":
+            span = SourceSpan(line, start - line_start + 1, start, len(raw))
+            if kind == "ERROR":
+                errors.append(ParseError("UNEXPECTED_TOKEN", f"unexpected character {raw!r}", span))
+            else:
+                toks.append(_Token(kind, raw, span))
     n = len(text)
-
-    def span(start_off, start_line, start_col, length):
-        return SourceSpan(start_line, start_col, start_off, length)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sl, sc = i, line, col
-        if c in _IDENT_START:
-            i += 1
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-            toks.append(_Token("IDENT", text[start:i], span(start, sl, sc, i - start)))
-            col += i - start
-            continue
-        if c in _DIGITS:
-            i += 1
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            is_int = True
-            if i < n and text[i] == "." and not text[i : i + 2] == "..":
-                is_int = False
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    is_int = False
-                    i = j + 1
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            raw = text[start:i]
-            toks.append(_Token("INT" if is_int else "NUMBER", raw, span(start, sl, sc, i - start)))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token("SYM", sym, span(start, sl, sc, len(sym))))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            errors.append(
-                ParseError(
-                    "UNEXPECTED_TOKEN",
-                    f"unexpected character {c!r}",
-                    span(start, sl, sc, 1),
-                )
-            )
-            i += 1
-            col += 1
-    toks.append(_Token("EOF", "", span(n, line, col, 0)))
+    toks.append(_Token("EOF", "", SourceSpan(line, n - line_start + 1 - comment, n, 0)))
     return toks
 
 
@@ -264,12 +223,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("INT", "NUMBER"):
             self.advance()
-            try:
-                v = float(tok.text)
-            except ValueError:
-                self.error(f"bad numeric literal {tok.text!r}", tok, code="BAD_LITERAL")
-                return None
-            return -v if neg else v
+            return -float(tok.text) if neg else float(tok.text)
         self.error(f"expected number, found {self._describe()}")
         return None
 
@@ -582,27 +536,18 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_value(v) -> str:
-    return v if isinstance(v, str) else str(v)
-
-
 def _ser_guard(g: Guard) -> str:
     if isinstance(g, Comparison):
-        return f"{g.var} {g.op} {_fmt_value(g.value)}"
+        return f"{g.var} {g.op} {g.value}"
     if isinstance(g, Not):
         return f"!({_ser_guard(g.term)})"
-    if isinstance(g, And):
-        parts = []
-        for t in g.terms:
-            s = _ser_guard(t)
-            parts.append(f"({s})" if isinstance(t, (And, Or)) else s)
-        return " && ".join(parts)
-    if isinstance(g, Or):
-        parts = []
-        for t in g.terms:
-            s = _ser_guard(t)
-            parts.append(f"({s})" if isinstance(t, Or) else s)
-        return " || ".join(parts)
+    if isinstance(g, (And, Or)):
+        # Parenthesize a nested term of the same kind, so that the text
+        # parses back to the same tree, and an Or inside an And ("&&" binds
+        # tighter than "||").
+        sep, nested = (" && ", (And, Or)) if isinstance(g, And) else (" || ", Or)
+        return sep.join(f"({_ser_guard(t)})" if isinstance(t, nested) else _ser_guard(t)
+                        for t in g.terms)
     raise TypeError(f"not a guard node: {g!r}")
 
 
@@ -617,7 +562,7 @@ def _ser_rate(r: RateExpr) -> str:
 def _ser_assign(a) -> str:
     if isinstance(a, Shift):
         return f"{a.var} := {a.var} {'+' if a.delta > 0 else '-'} 1;"
-    return f"{a.var} := {_fmt_value(a.value)};"
+    return f"{a.var} := {a.value};"
 
 
 def serialize_model(model: Model) -> str:
@@ -634,7 +579,7 @@ def serialize_model(model: Model) -> str:
             dom = "{" + ", ".join(v.domain.values) + "}"
         else:
             dom = f"[{v.domain.lo} .. {v.domain.hi}]"
-        out.append(f"  var {v.name} : {dom} init {_fmt_value(v.init)};")
+        out.append(f"  var {v.name} : {dom} init {v.init};")
     for t in model.transitions:
         if t.is_timed:
             head = f"timed {t.name} rate {_ser_rate(t.kind.rate)}"
