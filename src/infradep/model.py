@@ -24,11 +24,13 @@ each class gets a dense row id (``_CompiledModel.row_id``), so that the
 explorer can record one integer per state and derive the edges, the state
 kinds and the label sets from the rows afterwards, while the simulator
 reads a state's row directly (``_CompiledModel.row``).  The explorer
-indexes states by an integer code (``_CompiledModel.encode``) and follows
-each row's per-transition code steps (``_CompiledModel.fill_steps``).
-Each update is read once, into a list of assignment ops
-(``_CompiledModel.ops``), from which both its function on state tuples
-and its code steps come.
+indexes states by an integer code (``_CompiledModel.encode``), encodes
+only the initial state, and follows each row's per-transition code steps
+(``_CompiledModel.fill_steps``), which give every target's code and row
+from its source's code.  Each update is read once, into a list of
+assignment ops (``_CompiledModel.ops``), from which its function on state
+tuples, its function on codes (``_CompiledModel.moves``) and its code
+steps all come.
 ``guard_predicate`` caches any other guard's truth per class of that
 guard's own literals, and validation runs it on partial assignments.
 """
@@ -372,9 +374,9 @@ class _CompiledModel:
     """Per-model updates, the firing table, whose rows the guard interpreter
     fills once per guard class, and the integer coding of states.
 
-    ``ops[t]`` is transition ``t``'s update, read once (``_read``).  Both
-    ``updates[t]``, the function that applies it to a state tuple, and
-    the code steps below are derived from it.
+    ``ops[t]`` is transition ``t``'s update, read once (``_read``).
+    ``updates[t]``, the function that applies it to a state tuple,
+    ``moves[t]`` and the code steps below are all derived from it.
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
@@ -382,13 +384,26 @@ class _CompiledModel:
     A state's code is a mixed radix over its variables' domain positions
     (an enum value's index, a counter's value minus its lower bound), so
     that an update which moves every state of a class by the same
-    positions adds one constant to the code.  ``steps[rid]`` is None until
-    ``fill_steps`` sets it to one ``[transition, delta, target_row]`` per
-    chosen transition of row ``rid``: ``delta`` is that constant, or None
-    where the update is not constant on the class or may leave the domain;
-    ``target_row`` is -1 where the class fixes the target's class (the
-    explorer stores the row id there when it first meets a target), else
-    None.  Codes are Python ints: a domain product can pass 2^63.
+    positions adds one constant to the code.  Codes are Python ints: a
+    domain product can pass 2^63.  ``moves[t]`` is transition ``t``'s
+    update as a function on codes (``_move``), built when a step first
+    needs it.
+
+    ``steps[rid]`` is None until ``fill_steps`` sets it to one
+    ``(transition, delta, targets)`` per chosen transition of row ``rid``:
+    ``delta`` is that constant, or None where the update is not constant
+    on the class or may leave the domain, and the explorer calls
+    ``moves[transition]`` instead.  A target's class is fixed by the
+    source's class and, for each counter with cut points that the update
+    shifts, by whether the shifted value leaves the source's class, which
+    the source's digit of that counter tells.  ``targets`` is
+    ``(crossings, known)``: ``crossings`` holds one ``(place value, radix,
+    edge position, bit)`` per such counter, the bit set where the digit
+    sits at the class's edge in the direction of the shift, and
+    ``known[bits]`` is the target row for that outcome, -1 until the
+    explorer first meets it.  ``targets`` is None where the update
+    assigns a variable twice, and the explorer calls ``row_id`` on each
+    new target.
     """
 
     def __init__(self, model: Model):
@@ -416,14 +431,9 @@ class _CompiledModel:
         self.digits = tuple(digits)
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
         self.updates = tuple(map(self._update, self.ops))
-        # Per transition: None where its update assigns a variable twice (no
-        # constant code step), else whether it shifts no counter that has
-        # cut points, so that the source's class fixes the target's.
-        self.fixed = tuple(
-            None if len({op[0] for op in ops}) < len(ops)
-            else not any(shift is not None and i in self.classed for i, _, _, shift in ops)
-            for ops in self.ops
-        )
+        # Per transition: its update as a function on codes (``_move``),
+        # None until a step needs it.
+        self.moves: list[Callable[[int], int] | None] = [None] * len(self.ops)
 
     def row_id(self, s: StateVector) -> int:
         """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
@@ -506,24 +516,93 @@ class _CompiledModel:
 
         return apply
 
+    def _move(self, ops) -> Callable[[int], int]:
+        """``ops`` as a function on codes: from a state's code, the code of
+        the state that ``_update(ops)`` makes of it, by reading and writing
+        the assigned variables' digits.  It raises the ``OutOfDomainError``
+        that applying the update and encoding the result raise: a shift
+        that leaves its range first, in the update's order, then a value
+        outside its domain, in the variables' order."""
+        digits = self.digits
+        if len({op[0] for op in ops}) < len(ops):
+            return self._replay(ops)
+        shifts = tuple((weight, hi - lo + 1, lo, hi, shift) for i, _, _, shift in ops
+                       if shift is not None for weight, _, lo, hi in [digits[i]])
+        sets = tuple((digits[i][0], digits[i][3] - digits[i][2] + 1, p)
+                     for i, _, p, shift in ops if shift is None)
+        step = sum(weight * shift for weight, _, _, _, shift in shifts)
+        # Each variable is assigned once, so the first bad literal by
+        # variable index is the one encoding would meet first.
+        bad = min(((i, value) for i, value, p, shift in ops if shift is None and p is None),
+                  default=None)
+
+        def move(code: int) -> int:
+            for weight, radix, lo, hi, shift in shifts:
+                d = code // weight % radix + shift
+                if d < 0 or d >= radix:
+                    raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {lo + d}")
+            if bad is not None:
+                raise OutOfDomainError(f"{self.names[bad[0]]} = {bad[1]!r} is outside its domain")
+            for weight, radix, p in sets:
+                code += (p - code // weight % radix) * weight
+            return code + step
+
+        return move
+
+    def _replay(self, ops) -> Callable[[int], int]:
+        """``_move`` for an update that assigns a variable twice: the
+        assignments run in order on the assigned variables' values, as
+        ``_update`` runs them, and the results are written back."""
+        digits = self.digits
+
+        def move(code: int) -> int:
+            out = {}
+            for i, value, _, shift in ops:
+                if shift is None:
+                    out[i] = value
+                    continue
+                weight, _, lo, hi = digits[i]
+                nv = (out[i] if i in out else lo + code // weight % (hi - lo + 1)) + shift
+                if nv < lo or nv > hi:
+                    raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {nv}")
+                out[i] = nv
+            for i in sorted(out):
+                p = self._position(i, out[i])
+                if p is None:
+                    raise OutOfDomainError(f"{self.names[i]} = {out[i]!r} is outside its domain")
+                weight, _, lo, hi = digits[i]
+                code += (p - code // weight % (hi - lo + 1)) * weight
+            return code
+
+        return move
+
     def fill_steps(self, rid: int, s: StateVector) -> list:
         """Set and return ``steps[rid]``, from ``s``, an in-domain state of
-        row ``rid``'s class."""
+        row ``rid``'s class, and build the code update of each chosen
+        transition whose step has no ``delta``."""
         steps = self.steps[rid] = []
         for ti in self.rows[rid].chosen:
-            fixed = self.fixed[ti]
-            delta = None if fixed is None else 0
-            for i, _, p, shift in self.ops[ti] if fixed is not None else ():
+            ops = self.ops[ti]
+            twice = len({op[0] for op in ops}) < len(ops)
+            delta, crossings = (None if twice else 0), []
+            for i, _, p, shift in ops:
                 weight, _, lo, hi = self.digits[i]
                 first, last = self._span(i, s[i])
+                if shift is not None and i in self.classed:
+                    edge = last if shift > 0 else first
+                    crossings.append((weight, hi - lo + 1, edge, 1 << len(crossings)))
+                if delta is None:
+                    continue
                 if shift is None and p is not None and first == last:
                     delta += (p - first) * weight
                 elif shift is not None and 0 <= first + shift and last + shift <= hi - lo:
                     delta += shift * weight
                 else:  # not constant on the class, or may leave the domain
                     delta = None
-                    break
-            steps.append([ti, delta, -1 if fixed else None])
+            if delta is None and self.moves[ti] is None:
+                self.moves[ti] = self._move(ops)
+            targets = None if twice else (tuple(crossings), [-1] * (1 << len(crossings)))
+            steps.append((ti, delta, targets))
         return steps
 
     def row(self, s: StateVector) -> FiringRow:

@@ -27,7 +27,9 @@ at most ``POISSON_TAIL`` of the mass; each step multiplies a column vector
 by the transposed uniformized matrix, formed once per call.  The window's
 edges come from Poisson tail bounds (Fox & Glynn 1988), so its length is
 known before anything is allocated; a window longer than
-``MAX_POISSON_TERMS`` is refused with ``InvalidArgError``.  A step
+``MAX_POISSON_TERMS``, or one whose powers would take more than
+``MAX_TRANSIENT_WORK`` matrix entries, is refused with
+``InvalidArgError``.  A step
 multiplies only the rows the vector can have reached (the idea behind
 adaptive uniformization, van Moorsel & Sanders 1994, at a fixed rate): a
 bound computed once from the rates' structure says how far a vector
@@ -80,6 +82,14 @@ POISSON_TAIL = 1e-9  # Poisson mass the transient window may discard
 # Longest Poisson window transient builds (32 MB of weights).  Lambda t up
 # to about 9e10 fits; beyond that the run would take ~Lambda t matrix steps.
 MAX_POISSON_TERMS = 4_000_000
+# Most work transient takes on, in matrix entries: the window's last power
+# times the entries of P^T, a step counting as at least STEP_WORK_FLOOR
+# entries.  On a 2-core Xeon the compiled kernel takes about 1.1-1.3 ns an
+# entry on a large P^T, and a step on a small one about 1.2-2.4 us whatever
+# its size, so the largest call admitted took 2.0-2.5 s there, on a chain of
+# 246 entries and on one of 136,067.
+MAX_TRANSIENT_WORK = 1_000_000_000
+STEP_WORK_FLOOR = 1_000
 # Share of its largest entry by which a linear solve's solution may pass its
 # range ([0, 1] for a probability, >= 0 for a time) through rounding.
 RANGE_SLACK = 1e-9
@@ -236,15 +246,14 @@ def _solve_balance(qt: sp.csc_matrix) -> np.ndarray:
 # Transient analysis
 
 
-def _poisson_window(mean: float):
-    """Left/right truncation and normalized weights for Poisson(mean).
+def _window_edges(mean: float) -> tuple[int, int]:
+    """The first and last power of the Poisson(mean) window, before its
+    ends are trimmed.
 
     With L = ln(2 / POISSON_TAIL), the mass beyond mean + L/3 +
     sqrt(L^2/9 + 2 L mean) (Bernstein) and below mean - sqrt(2 L mean)
-    (Chernoff) is at most POISSON_TAIL / 2 on each side.  Weights are
-    products of the ratios between neighbouring terms, taken outward from
-    the mode, so they stay well-scaled for any mean; each end is then
-    trimmed while the mass cut off stays within POISSON_TAIL / 2.
+    (Chernoff) is at most POISSON_TAIL / 2 on each side.  A window longer
+    than ``MAX_POISSON_TERMS`` raises ``InvalidArgError``.
     """
     log_tail = math.log(2.0 / POISSON_TAIL)
     above = log_tail / 3 + math.sqrt(log_tail**2 / 9 + 2 * log_tail * mean)
@@ -255,9 +264,19 @@ def _poisson_window(mean: float):
             f"uniformization needs a Poisson window of about {terms:.3g} terms for "
             f"Lambda*t = {mean:.6g}; at most {MAX_POISSON_TERMS} are allowed"
         )
+    return max(0, math.floor(mean - below)), math.ceil(mean + above)
+
+
+def _poisson_window(mean: float):
+    """Left/right truncation and normalized weights for Poisson(mean).
+
+    The window runs between ``_window_edges``.  Weights are products of
+    the ratios between neighbouring terms, taken outward from the mode, so
+    they stay well-scaled for any mean; each end is then trimmed while the
+    mass cut off stays within POISSON_TAIL / 2.
+    """
+    left, right = _window_edges(mean)
     mode = int(mean)
-    left = max(0, math.floor(mean - below))
-    right = math.ceil(mean + above)
     up = np.cumprod(mean / np.arange(mode + 1, right + 1))  # w[k+1] = w[k] mean/(k+1)
     down = np.cumprod(np.arange(mode, left, -1) / mean)  # w[k-1] = w[k] k/mean
     w = np.concatenate([down[::-1], [1.0], up])
@@ -340,6 +359,12 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
     count only the steps kept), and the kept Poisson terms are added in
     step order.  The sums and their order are those of one step at a
     time, so the results and counts are too.
+
+    The work is bounded before the Poisson weights are allocated: a call
+    whose window's last power times the entries of P^T (each step counted
+    as at least ``STEP_WORK_FLOOR`` entries) passes ``MAX_TRANSIENT_WORK``
+    raises ``InvalidArgError``, as a window past ``MAX_POISSON_TERMS``
+    does.
     """
     if not (math.isfinite(t) and t >= 0):
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
@@ -356,8 +381,16 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         }
         return dist
 
-    left, right, weights = _poisson_window(lam * t)
     pt = _uniformized_transpose(ctmc, lam)
+    right = _window_edges(lam * t)[1]
+    work = right * max(pt.nnz, STEP_WORK_FLOOR)
+    if work > MAX_TRANSIENT_WORK:
+        raise InvalidArgError(
+            f"uniformization needs up to {right} steps on {pt.nnz} matrix entries for "
+            f"Lambda*t = {lam * t:.6g}, {work:.3g} entries counting each step as at least "
+            f"{STEP_WORK_FLOOR}; at most {MAX_TRANSIENT_WORK:.3g} are allowed"
+        )
+    left, right, weights = _poisson_window(lam * t)
     top = 1 + int(np.flatnonzero(p0).max(initial=0))  # v is zero from here on
     op = _rung(pt, top)
     size = op.shape[0]

@@ -8,14 +8,18 @@ carry rate-annotated edges.  The explorer walks integer state codes (a
 mixed radix over the variables' domain positions; see ``model``) and keys
 its state index by them.  Each state's row in the model's firing table,
 one row per guard class (the states on which every guard comparison has
-the same truth value), carries one step per chosen transition: where the
-update moves every state of the class by the same domain positions, an
-edge's target code is the source code plus a constant, and where the
-class fixes the target's class, the target's row id is stored after its
-first use.  Only the other steps apply the update to the state tuple and
-encode the result, which rejects a value outside its domain.  A state's
-tuple is built once, when it is found, and its row id recorded then.
-The explorer records only the row ids and each edge's target.  The edge
+the same truth value), carries one step per chosen transition, which
+gives each edge's target code and row from the source code alone.  Where
+the update moves every state of the class by the same domain positions,
+the target code is the source code plus a constant; elsewhere the
+update's function on codes reads and rewrites the digits it assigns, and
+rejects a value outside its domain.  Only the initial state is encoded.
+The target's class follows from the source's and, for each shifted
+counter that has cut points, from whether its digit sits at the edge of
+the source's class, so each step keeps one row id per such outcome after
+its first use.  A state's tuple is built once, when it is found, and its
+row id recorded then.  The explorer records only the row ids and each
+edge's target.  The edge
 sources, transition indices and values, the state kinds and the label
 sets are then gathered from the rows with numpy, keyed by those ids.
 A graph keeps its edges only as four arrays (source, target, transition
@@ -117,11 +121,16 @@ class ReachabilityGraph:
         return _label_sets_of_rows(self.model._compiled, ids)
 
     @cached_property
+    def _tangible_mask(self) -> np.ndarray:
+        """``tangible`` as a boolean array, built once per graph."""
+        return np.fromiter(self.tangible, dtype=bool, count=len(self.tangible))
+
+    @cached_property
     def _weights(self) -> tuple[np.ndarray, int, sp.csr_matrix]:
         """``(order, nt, W)``: the state indices with the ``nt`` tangible ones
         first, and ``W[i, j]``, the summed values of the edges from state
         ``order[i]`` to state ``order[j]``."""
-        tangible = np.asarray(self.tangible, dtype=bool)
+        tangible = self._tangible_mask
         order = np.argsort(~tangible, kind="stable")
         position = np.empty(len(order), dtype=np.int64)
         position[order] = np.arange(len(order))
@@ -193,29 +202,25 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     cap = state_limit() if limit is None else limit
     comp = model._compiled
     row_id, rows, updates = comp.row_id, comp.rows, comp.updates
-    encode, steps = comp.encode, comp.steps
+    steps, moves = comp.steps, comp.moves
     init = initial_state(model)
-    index: dict[int, int] = {encode(init): 0}
+    index: dict[int, int] = {comp.encode(init): 0}
     codes = list(index)
     states: list[StateVector] = [init]  # with codes, the BFS queue, read in order
     # Discovery order is state order, so recording each state's row id when
     # it is found numbers the rows as reading them off the queue would.
     ids, dst = array("q", [row_id(init)]), array("q")
 
-    si = 0
-    while si < len(states):
-        s, code, rid = states[si], codes[si], ids[si]
+    find, link = index.get, dst.append
+    # The lists grow while they are read: each iterator sees what is
+    # appended before it gets there.
+    for s, code, rid in zip(states, codes, ids):
         out = steps[rid]
         if out is None:
             out = comp.fill_steps(rid, s)
-        for step in out:
-            ti, delta, target_row = step
-            if delta is None:
-                target = updates[ti](s)
-                t = encode(target)
-            else:
-                t = code + delta
-            di = index.get(t)
+        for ti, delta, targets in out:
+            t = code + delta if delta is not None else moves[ti](code)
+            di = find(t)
             if di is None:
                 if len(states) >= cap:
                     raise StateLimitExceeded(
@@ -223,16 +228,23 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
                     )
                 di = index[t] = len(states)
                 codes.append(t)
-                if delta is not None:
-                    target = updates[ti](s)
+                target = updates[ti](s)
                 states.append(target)
-                if target_row is None:
+                if targets is None:  # the update assigns a variable twice
                     target_row = row_id(target)
-                elif target_row < 0:
-                    target_row = step[2] = row_id(target)
+                else:
+                    # The target's class follows from the source's and from
+                    # which shifted counters leave their source class.
+                    crossings, known = targets
+                    j = 0
+                    for weight, radix, edge, bit in crossings:
+                        if code // weight % radix == edge:
+                            j += bit
+                    target_row = known[j]
+                    if target_row < 0:
+                        target_row = known[j] = row_id(target)
                 ids.append(target_row)
-            dst.append(di)
-        si += 1
+            link(di)
 
     # Edge k is the j-th chosen transition of its source's row: lay the
     # rows' chosen indices and values out flat and gather from them.
@@ -296,14 +308,14 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
         row = absorption[position[g.initial] - nt]
         initial[row.indices] = row.data
 
-    tangible = np.asarray(g.tangible, dtype=bool)
+    tangible = g._tangible_mask
     sets = {}
     for name, members in g.label_sets.items():
         idx = np.fromiter(members, dtype=np.int64, count=len(members))
         sets[name] = frozenset(position[idx[tangible[idx]]].tolist())
     return Ctmc(
         model=g.model,
-        states=tuple(g.states[i] for i in order[:nt]),
+        states=tuple(map(g.states.__getitem__, order[:nt].tolist())),
         rates=_without_self_loops(reduced),
         initial=initial,
         label_sets=sets,

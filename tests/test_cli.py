@@ -543,6 +543,17 @@ def test_huge_transient_time_exits3_quickly():
     assert "Traceback" not in r.stderr
 
 
+def test_transient_past_its_work_budget_exits3_quickly():
+    # The window fits its cap, but its last power is about 2.2e10 steps on
+    # a chain that does not settle: refused before the first step.
+    cmd = [sys.executable, "-m", "infradep", "solve", "--model", "attack", "--set", "k_max=6",
+           "--measure", "transient", "--time", "1e10"]
+    r = subprocess.run(cmd, capture_output=True, text=True, cwd="/", env=_child_env(), timeout=60)
+    assert r.returncode == 3, r.stderr
+    assert "error [INVALID_ARG]" in r.stderr and "at most 1e+09 are allowed" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_set_overrides_parameter(capsys):
     code1, out1, _ = run(capsys, "solve", "--model", "accidental",
                          "--measure", "mtta", "--target", "elec == e_lost",

@@ -696,3 +696,90 @@ def test_range_gate_names_the_worst_entry():
     _require_in_range(np.array([1e-10, -1e-10]), 0.0, 1.0, "p", 0.0)  # within the slack
     with pytest.raises(NoConvergenceError, match=r"p -1e-10 is outside"):
         _require_in_range(np.array([1e-10, -1e-10]), 0.0, 1.0, "p", 0.0, floor=-1e-14)
+
+
+# Each tolerance is pinned at its edge: a value just inside it passes and
+# one just outside fails, so that moving the tolerance either way shows.
+
+
+@pytest.mark.parametrize("hi, top", [(1.0, 1.0), (math.inf, 1e6)])
+def test_range_slack_is_a_share_of_the_largest_entry_at_least_1(hi, top):
+    # The slack is RANGE_SLACK (1e-9) times max(1, the largest entry): 1e-9
+    # when every entry is at most 1, and 1e-3 next to an entry of 1e6.
+    slack = 1e-9 * top
+    _require_in_range(np.array([-0.9 * slack, 0.5, top]), 0.0, hi, "x", 0.0)
+    with pytest.raises(NoConvergenceError):
+        _require_in_range(np.array([-1.1 * slack, 0.5, top]), 0.0, hi, "x", 0.0)
+
+
+def test_range_slack_does_not_shrink_below_entries_of_1():
+    # Entries far below 1 still get the slack of an entry of 1.
+    _require_in_range(np.array([-0.9e-9, 1e-3]), 0.0, 1.0, "p", 0.0)
+    with pytest.raises(NoConvergenceError):
+        _require_in_range(np.array([-1.1e-9, 1e-3]), 0.0, 1.0, "p", 0.0)
+
+
+def test_range_slack_above_the_range():
+    _require_in_range(np.array([0.25, 0.5 + 0.9e-9]), 0.0, 0.5, "p", 0.0)
+    with pytest.raises(NoConvergenceError):
+        _require_in_range(np.array([0.25, 0.5 + 1.1e-9]), 0.0, 0.5, "p", 0.0)
+
+
+def test_range_gate_admits_its_exact_edges():
+    # With every entry below 1 the slack is exactly 1e-9, so these entries
+    # sit on ``lo - slack`` and ``hi + slack`` to the last bit.
+    _require_in_range(np.array([-1e-9, 0.25]), 0.0, 1.0, "p", 0.0)
+    _require_in_range(np.array([0.25, 0.5 + 1e-9]), 0.0, 0.5, "p", 0.0)
+
+
+def test_steady_floor_edge():
+    # STEADY_FLOOR (-1e-14) bounds an entry below the range slack's reach.
+    from infradep.solvers import STEADY_FLOOR
+
+    _require_in_range(np.array([-0.9e-14, 1.0]), 0.0, 1.0, "p", 0.0, floor=STEADY_FLOOR)
+    _require_in_range(np.array([-1e-14, 1.0]), 0.0, 1.0, "p", 0.0, floor=STEADY_FLOOR)
+    with pytest.raises(NoConvergenceError):
+        _require_in_range(np.array([-1.1e-14, 1.0]), 0.0, 1.0, "p", 0.0, floor=STEADY_FLOOR)
+
+
+def _patched_balance(monkeypatch, pi):
+    import infradep.solvers as solvers
+
+    monkeypatch.setattr(solvers, "_solve_balance", lambda qt: np.array(pi))
+
+
+def test_steady_residual_gate_edge(monkeypatch):
+    # On 0 <-> 1 at rate 1 both ways, pi = (1/2 + d, 1/2 - d) leaves the
+    # residual |pi Q|_inf = 2 d; the default gate is steady_tol = 1e-10.
+    c = ctmc_of(two_state_chain(1.0, 1.0))
+    _patched_balance(monkeypatch, [0.5 + 0.45e-10, 0.5 - 0.45e-10])
+    assert steady_state(c).metadata["residual"] == pytest.approx(0.9e-10, rel=1e-5)
+    _patched_balance(monkeypatch, [0.5 + 0.55e-10, 0.5 - 0.55e-10])
+    with pytest.raises(NoConvergenceError, match="residual"):
+        steady_state(c)
+
+
+def test_steady_clips_entries_above_its_floor(monkeypatch):
+    # 0 -> 1 at 1e-20 and back at 1: state 1's true weight is 1e-20, so an
+    # entry of -0.9e-14 there is rounding (clipped to 0) at a residual near
+    # 1e-14, and one of -1.1e-14 fails the floor.
+    c = ctmc_of(two_state_chain(1e-20, 1.0))
+    _patched_balance(monkeypatch, [1.0, -0.9e-14])
+    probs = steady_state(c).probs
+    assert probs[c.states.index((1,))] == 0.0
+    _patched_balance(monkeypatch, [1.0, -1.1e-14])
+    with pytest.raises(NoConvergenceError, match="outside"):
+        steady_state(c)
+
+
+@pytest.mark.parametrize("hops, inside, outside", [(1, 9.9e5, 1e6), (1000, 4.9e5, 5e5)])
+def test_transient_work_budget_edge(hops, inside, outside):
+    # A chain of ``hops`` unit-rate hops has Lambda = 1.05 and 2 hops + 1
+    # entries in P^T (3, counted as 1,000, or 2,001).  Its window's last
+    # power, Lambda*t plus about 1%, times those entries is held to 1e9:
+    # just under it at Lambda*t = ``inside``, about 0.6% over at ``outside``.
+    c = ctmc_of(birth_chain([1.0] * hops))
+    assert _uniformized_transpose(c, 1.05).nnz == 2 * hops + 1
+    assert transient(c, inside / 1.05).metadata["steps"] > 0
+    with pytest.raises(InvalidArgError, match="at most 1e\\+09"):
+        transient(c, outside / 1.05)

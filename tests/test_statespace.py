@@ -10,6 +10,7 @@ import pytest
 
 from infradep import (
     And,
+    Comparison,
     EnumDomain,
     Immediate,
     ImmediateCycleError,
@@ -32,7 +33,15 @@ from infradep import (
 )
 from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
 
-from .oracles import ctmc_of, dense_eliminate, edge_tuples, hand_reduced_accidental, out_sums
+from .oracles import (
+    ctmc_of,
+    dense_eliminate,
+    edge_tuples,
+    eval_guard,
+    exhaustive_reachability,
+    hand_reduced_accidental,
+    out_sums,
+)
 
 
 def _flip(name, var, frm, to, rate=1.0):
@@ -244,6 +253,171 @@ def test_repeated_assignment_applies_in_order():
         ),
     )
     assert build_reachability_graph(m).states == ((0,), (3,), (4,))
+
+
+# Explore moves from a state's code to its target's code and row by
+# arithmetic on the mixed radix; each model below drives one kind of step
+# and checks the graph, label sets included, against the oracle's tuples.
+
+
+def _assert_explore_matches_oracle(m):
+    order, tangible, edges = exhaustive_reachability(m)
+    g = build_reachability_graph(m)
+    assert list(g.states) == order
+    assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
+    assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
+    index = m.var_index
+    assert g.label_sets == {
+        l.name: frozenset(k for k, s in enumerate(g.states) if eval_guard(l.predicate, s, index))
+        for l in m.labels
+    }
+    return g
+
+
+def _counter_model(hi, transitions, labels=(), extra=()):
+    """Counter ``x`` over 0..``hi`` from 0, the ``extra`` variables after it."""
+    return Model(
+        name="m",
+        variables=(VariableDecl("x", IntDomain(0, hi), 0),) + tuple(extra),
+        parameters={},
+        transitions=tuple(Transition(name, _rate(rate), guard, update)
+                          for name, rate, guard, update in transitions),
+        labels=tuple(labels),
+    )
+
+
+def _reset_model():
+    # The classes of x are 0..1, 2, 3..8 and 9: the reset fires from 3..8,
+    # where x takes six values, and from 9, where it takes one.
+    return _counter_model(9, [
+        ("up", 1.0, Comparison("x", "<", 9), (Shift("x", 1),)),
+        ("reset", 2.0, Comparison("x", ">", 2), (SetValue("x", 0),)),
+    ], labels=[Label("high", Comparison("x", ">", 2))])
+
+
+def test_reset_from_a_wide_class_matches_oracle():
+    g = _assert_explore_matches_oracle(_reset_model())
+    assert len(g.states) == 10
+
+
+def test_shifts_across_cuts_both_ways_match_oracle():
+    # Cut points 0, 1, 3, 4, 6 and 7: both shifts cross into and out of
+    # the one-value classes 0, 3 and 6 and the wider ones between them.
+    g = _assert_explore_matches_oracle(_counter_model(6, [
+        ("up", 1.0, Comparison("x", "<", 6), (Shift("x", 1),)),
+        ("down", 2.0, Comparison("x", ">", 0), (Shift("x", -1),)),
+    ], labels=[Label("mid", var_eq("x", 3))]))
+    assert g.label_sets == {"mid": frozenset({3})}
+
+
+def test_enum_set_on_a_class_that_does_not_fix_it_matches_oracle():
+    # No guard compares e, so a class holds every value of e and setting it
+    # is no constant code step; x's shift crosses its cuts meanwhile.
+    _assert_explore_matches_oracle(_counter_model(3, [
+        ("step", 1.0, Comparison("x", "<", 3), (Shift("x", 1), SetValue("e", "b"))),
+        ("back", 2.0, Comparison("x", ">", 0), (Shift("x", -1), SetValue("e", "c"))),
+        ("home", 3.0, var_eq("x", 3), (SetValue("e", "a"),)),
+    ], labels=[Label("top", var_eq("x", 3))], extra=[VariableDecl("e", EnumDomain(("a", "b", "c")), "a")]))
+
+
+def test_one_transition_shifting_two_classed_counters_matches_oracle():
+    # x's classes are 0, 1..2, 3, 4 and 5, y's 0, 1, 2, 3..4 and 5.
+    # ``both`` and ``swap`` shift x and y together, in the same and in
+    # opposite directions: from the class x in 1..2, y in 3..4, ``both``
+    # takes (1, 3) to neither's next class, (2, 3) to x's, (1, 4) to y's
+    # and (2, 4) to both, four targets in four classes.
+    g = _assert_explore_matches_oracle(_counter_model(5, [
+        ("both", 1.0, And((Comparison("x", "<", 5), Comparison("y", "<", 5))), (Shift("x", 1), Shift("y", 1))),
+        ("swap", 2.0, And((Comparison("x", ">", 0), Comparison("y", "<", 5))), (Shift("x", -1), Shift("y", 1))),
+        ("x_down", 3.0, Comparison("x", ">", 0), (Shift("x", -1),)),
+        ("y_down", 5.0, Comparison("y", ">", 0), (Shift("y", -1),)),
+    ], labels=[Label("x_high", Comparison("x", ">=", 3)), Label("y_high", Comparison("y", ">=", 2))],
+        extra=[VariableDecl("y", IntDomain(0, 5), 0)]))
+    assert len(g.states) == 36
+
+
+def test_repeated_assignment_matches_oracle():
+    # Validation rejects these updates; explore runs them in order on the
+    # assigned values, so a shift after a set moves the value just set.
+    g = _assert_explore_matches_oracle(_counter_model(5, [
+        ("set_then_up", 1.0, Comparison("x", "<", 2), (SetValue("x", 3), Shift("x", 1))),
+        ("up_then_down", 2.0, Comparison("x", "==", 4), (Shift("x", 1), Shift("x", -1), SetValue("e", "b"))),
+        ("down_then_set", 3.0, var_eq("e", "b"), (Shift("x", -1), SetValue("x", 1), SetValue("e", "a"))),
+    ], extra=[VariableDecl("e", EnumDomain(("a", "b")), "a")]))
+    assert g.states == ((0, "a"), (4, "a"), (4, "b"), (1, "a"))
+
+
+@pytest.mark.parametrize("lo, hi, init, delta", [(0, 2, 0, 1), (-1, 1, 0, -1)])
+def test_unclassed_counter_shifted_past_its_bound_names_the_value(lo, hi, init, delta):
+    # No guard compares x, so its class spans the whole range; the shift
+    # that leaves it raises with the same message as applying the update.
+    m = Model(
+        name="m",
+        variables=(VariableDecl("e", EnumDomain(("a", "b")), "a"), VariableDecl("x", IntDomain(lo, hi), init)),
+        parameters={},
+        transitions=(Transition("t", _rate(1.0), var_eq("e", "a"), (Shift("x", delta),)),),
+    )
+    with pytest.raises(OutOfDomainError) as info:
+        build_reachability_graph(m)
+    assert info.value.message == f"counter update leaves [{lo}, {hi}]: value {hi + 1 if delta > 0 else lo - 1}"
+
+
+@pytest.mark.parametrize(
+    "update, message",
+    [
+        # A shift's range error comes before a bad literal; shifts raise
+        # in the update's order and bad literals in the variables' order.
+        ((SetValue("e", "zzz"), Shift("x", 1)), "counter update leaves [0, 1]: value 2"),
+        ((Shift("y", 1), Shift("x", 1)), "counter update leaves [0, 2]: value 3"),
+        ((SetValue("e", "zzz"), SetValue("x", 7)), "x = 7 is outside its domain"),
+        ((SetValue("e", "zzz"), Shift("y", 1)), "e = 'zzz' is outside its domain"),
+        ((Shift("e", 1),), "e = Shift(var='e', delta=1) is outside its domain"),
+    ],
+    ids=["shift-before-literal", "shifts-in-op-order", "literals-in-variable-order",
+         "literal-after-good-shift", "enum-shift"],
+)
+def test_update_with_faults_raises_the_first_in_apply_then_encode_order(update, message):
+    m = Model(
+        name="m",
+        variables=(
+            VariableDecl("x", IntDomain(0, 1), 1),
+            VariableDecl("e", EnumDomain(("a", "b")), "a"),
+            VariableDecl("y", IntDomain(0, 2), 2 if Shift("x", 1) in update else 0),
+        ),
+        parameters={},
+        transitions=(Transition("t", _rate(1.0), var_eq("e", "a"), update),),
+    )
+    with pytest.raises(OutOfDomainError) as info:
+        build_reachability_graph(m)
+    assert info.value.message == message
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_explore_encodes_once_and_fills_rows_per_class(name, monkeypatch):
+    # Every step computes its target's code from the source's code, and its
+    # target's row once per (row, step, whether a shifted counter leaves
+    # its class), so neither call follows the state count.
+    model = builtin_model(name, replace(DEFAULT_PARAMS, k_max=2000))
+    comp = model._compiled
+    calls = {"encode": 0, "row_id": 0}
+    for method in calls:
+        def counted(*args, _method=method, _inner=getattr(comp, method)):
+            calls[_method] += 1
+            return _inner(*args)
+        monkeypatch.setattr(comp, method, counted)
+    g = build_reachability_graph(model)
+    assert len(g.states) > 8000
+    assert calls["encode"] == 1
+    assert calls["row_id"] <= len(comp.rows) + 2 * sum(len(row.chosen) for row in comp.rows)
+
+
+def test_state_cap_raises_at_one_past_the_limit():
+    # The cap counts states on every kind of step: the reset model has 10.
+    m = _reset_model()
+    assert len(build_reachability_graph(m, limit=10).states) == 10
+    with pytest.raises(StateLimitExceeded) as info:
+        build_reachability_graph(m, limit=9)
+    assert info.value.limit == 9
 
 
 def test_vanishing_probability_one_chain():
