@@ -402,8 +402,8 @@ class _CompiledModel:
     sits at the class's edge in the direction of the shift, and
     ``known[bits]`` is the target row for that outcome, -1 until the
     explorer first meets it.  ``targets`` is None where the update
-    assigns a variable twice, and the explorer calls ``row_id`` on each
-    new target.
+    assigns a variable twice (``twice[transition]``), and the explorer
+    calls ``row_id`` on each new target.
     """
 
     def __init__(self, model: Model):
@@ -431,8 +431,10 @@ class _CompiledModel:
         self.digits = tuple(digits)
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
         self.updates = tuple(map(self._update, self.ops))
-        # Per transition: its update as a function on codes (``_move``),
-        # None until a step needs it.
+        # Per transition: whether its update assigns a variable twice, and
+        # its update as a function on codes (``_move``), None until a step
+        # needs it.
+        self.twice = tuple(len({op[0] for op in ops}) < len(ops) for ops in self.ops)
         self.moves: list[Callable[[int], int] | None] = [None] * len(self.ops)
 
     def row_id(self, s: StateVector) -> int:
@@ -581,14 +583,14 @@ class _CompiledModel:
         row ``rid``'s class, and build the code update of each chosen
         transition whose step has no ``delta``."""
         steps = self.steps[rid] = []
+        digits, classed, span = self.digits, self.classed, self._span
         for ti in self.rows[rid].chosen:
-            ops = self.ops[ti]
-            twice = len({op[0] for op in ops}) < len(ops)
+            ops, twice = self.ops[ti], self.twice[ti]
             delta, crossings = (None if twice else 0), []
             for i, _, p, shift in ops:
-                weight, _, lo, hi = self.digits[i]
-                first, last = self._span(i, s[i])
-                if shift is not None and i in self.classed:
+                weight, _, lo, hi = digits[i]
+                first, last = span(i, s[i])
+                if shift is not None and i in classed:
                     edge = last if shift > 0 else first
                     crossings.append((weight, hi - lo + 1, edge, 1 << len(crossings)))
                 if delta is None:

@@ -222,11 +222,12 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
             t = code + delta if delta is not None else moves[ti](code)
             di = find(t)
             if di is None:
-                if len(states) >= cap:
+                di = len(states)
+                if di >= cap:
                     raise StateLimitExceeded(
                         f"state space exceeds {cap} states", limit=cap
                     )
-                di = index[t] = len(states)
+                index[t] = di
                 codes.append(t)
                 target = updates[ti](s)
                 states.append(target)

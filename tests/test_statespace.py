@@ -370,19 +370,20 @@ def test_unclassed_counter_shifted_past_its_bound_names_the_value(lo, hi, init, 
         ((SetValue("e", "zzz"), Shift("x", 1)), "counter update leaves [0, 1]: value 2"),
         ((Shift("y", 1), Shift("x", 1)), "counter update leaves [0, 2]: value 3"),
         ((SetValue("e", "zzz"), SetValue("x", 7)), "x = 7 is outside its domain"),
-        ((SetValue("e", "zzz"), Shift("y", 1)), "e = 'zzz' is outside its domain"),
+        ((SetValue("e", "zzz"), Shift("y", -1)), "e = 'zzz' is outside its domain"),
         ((Shift("e", 1),), "e = Shift(var='e', delta=1) is outside its domain"),
     ],
     ids=["shift-before-literal", "shifts-in-op-order", "literals-in-variable-order",
          "literal-after-good-shift", "enum-shift"],
 )
 def test_update_with_faults_raises_the_first_in_apply_then_encode_order(update, message):
+    # x and y start at the top of their ranges.
     m = Model(
         name="m",
         variables=(
             VariableDecl("x", IntDomain(0, 1), 1),
             VariableDecl("e", EnumDomain(("a", "b")), "a"),
-            VariableDecl("y", IntDomain(0, 2), 2 if Shift("x", 1) in update else 0),
+            VariableDecl("y", IntDomain(0, 2), 2),
         ),
         parameters={},
         transitions=(Transition("t", _rate(1.0), var_eq("e", "a"), update),),
