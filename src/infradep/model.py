@@ -370,6 +370,15 @@ class FiringRow(NamedTuple):
     labels: tuple[bool, ...]  # each label's truth, in declaration order
 
 
+def _position(digit: tuple, x) -> int | None:
+    """Value ``x``'s position in the domain of a variable whose
+    ``_CompiledModel.digits`` entry is ``digit``; None outside it."""
+    _, values, lo, hi = digit
+    if values is not None:
+        return values.get(x)
+    return x - lo if isinstance(x, int) and lo <= x <= hi else None
+
+
 class _CompiledModel:
     """Per-model updates, the firing table, whose rows the guard interpreter
     fills once per guard class, and the integer coding of states.
@@ -447,19 +456,12 @@ class _CompiledModel:
             rid = self.table[key] = len(self.rows) - 1
         return rid
 
-    def _position(self, i: int, x) -> int | None:
-        """Value ``x``'s position in variable ``i``'s domain; None outside it."""
-        _, values, lo, hi = self.digits[i]
-        if values is not None:
-            return values.get(x)
-        return x - lo if isinstance(x, int) and lo <= x <= hi else None
-
     def encode(self, s: StateVector) -> int:
         """The code of ``s``; raises ``OutOfDomainError`` on a value outside
         its variable's domain."""
         code = 0
         for i, x in enumerate(s):
-            p = self._position(i, x)
+            p = _position(self.digits[i], x)
             if p is None:
                 raise OutOfDomainError(f"{self.names[i]} = {x!r} is outside its domain")
             code += p * self.digits[i][0]
@@ -489,7 +491,7 @@ class _CompiledModel:
         for a in update:
             i = index[a.var]
             if isinstance(a, SetValue):
-                ops.append((i, a.value, self._position(i, a.value), None))
+                ops.append((i, a.value, _position(self.digits[i], a.value), None))
             elif self.digits[i][1] is not None:
                 ops.append((i, a, None, None))
             else:
@@ -524,7 +526,9 @@ class _CompiledModel:
         the assigned variables' digits.  It raises the ``OutOfDomainError``
         that applying the update and encoding the result raise: a shift
         that leaves its range first, in the update's order, then a value
-        outside its domain, in the variables' order."""
+        outside its domain, in the variables' order.  Like every function
+        built here, it holds no reference to the model, so that a dropped
+        model is freed at once, not by the cycle collector."""
         digits = self.digits
         if len({op[0] for op in ops}) < len(ops):
             return self._replay(ops)
@@ -537,6 +541,8 @@ class _CompiledModel:
         # variable index is the one encoding would meet first.
         bad = min(((i, value) for i, value, p, shift in ops if shift is None and p is None),
                   default=None)
+        if bad is not None:
+            bad = f"{self.names[bad[0]]} = {bad[1]!r} is outside its domain"
 
         def move(code: int) -> int:
             for weight, radix, lo, hi, shift in shifts:
@@ -544,7 +550,7 @@ class _CompiledModel:
                 if d < 0 or d >= radix:
                     raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {lo + d}")
             if bad is not None:
-                raise OutOfDomainError(f"{self.names[bad[0]]} = {bad[1]!r} is outside its domain")
+                raise OutOfDomainError(bad)
             for weight, radix, p in sets:
                 code += (p - code // weight % radix) * weight
             return code + step
@@ -555,7 +561,7 @@ class _CompiledModel:
         """``_move`` for an update that assigns a variable twice: the
         assignments run in order on the assigned variables' values, as
         ``_update`` runs them, and the results are written back."""
-        digits = self.digits
+        digits, names = self.digits, self.names
 
         def move(code: int) -> int:
             out = {}
@@ -569,9 +575,9 @@ class _CompiledModel:
                     raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {nv}")
                 out[i] = nv
             for i in sorted(out):
-                p = self._position(i, out[i])
+                p = _position(digits[i], out[i])
                 if p is None:
-                    raise OutOfDomainError(f"{self.names[i]} = {out[i]!r} is outside its domain")
+                    raise OutOfDomainError(f"{names[i]} = {out[i]!r} is outside its domain")
                 weight, _, lo, hi = digits[i]
                 code += (p - code // weight % (hi - lo + 1)) * weight
             return code

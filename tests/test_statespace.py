@@ -663,8 +663,9 @@ def test_vanishing_initial_through_two_levels():
 
 
 def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
-    # A graph and its model hold no reference cycle, so dropping them frees
-    # their states and edges at once instead of at the next full collection.
+    # A graph and its model, the model's firing table and code updates
+    # included, hold no reference cycle, so dropping them frees their
+    # states and edges at once instead of at the next full collection.
     import gc
     import weakref
     from dataclasses import replace
@@ -672,13 +673,14 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
     m = replace(model_a)
     g = build_reachability_graph(m)
     assert g.adjacency[0][1] > 0 and len(g.edges) == len(g.edge_src)
+    assert any(m._compiled.moves)
     g.label_sets
     eliminate_vanishing(g)
-    refs = weakref.ref(g), weakref.ref(m)
+    refs = weakref.ref(g), weakref.ref(m), weakref.ref(m._compiled)
     gc.disable()
     try:
         del g, m
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 
