@@ -526,9 +526,10 @@ class _CompiledModel:
         the assigned variables' digits.  It raises the ``OutOfDomainError``
         that applying the update and encoding the result raise: a shift
         that leaves its range first, in the update's order, then a value
-        outside its domain, in the variables' order.  Like every function
-        built here, it holds no reference to the model, so that a dropped
-        model is freed at once, not by the cycle collector."""
+        outside its domain, in the variables' order.  Like the functions of
+        ``_update`` and ``_replay``, it holds no reference to this object,
+        so that a dropped model is freed at once, not by the cycle
+        collector."""
         digits = self.digits
         if len({op[0] for op in ops}) < len(ops):
             return self._replay(ops)

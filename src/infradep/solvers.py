@@ -86,8 +86,8 @@ MAX_POISSON_TERMS = 4_000_000
 # times the entries of P^T, a step counting as at least STEP_WORK_FLOOR
 # entries.  On a 2-core Xeon the compiled kernel takes about 1.1-1.3 ns an
 # entry on a large P^T, and a step on a small one about 1.2-2.4 us whatever
-# its size, so the largest call admitted took 2.0-2.5 s there, on a chain of
-# 246 entries and on one of 136,067.
+# its size, so the largest calls admitted took 2.0-2.5 s there, on chains of
+# 162, 246 and 136,067 entries.
 MAX_TRANSIENT_WORK = 1_000_000_000
 STEP_WORK_FLOOR = 1_000
 # Share of its largest entry by which a linear solve's solution may pass its
