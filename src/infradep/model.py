@@ -395,8 +395,8 @@ class _CompiledModel:
     that an update which moves every state of a class by the same
     positions adds one constant to the code.  Codes are Python ints: a
     domain product can pass 2^63.  ``moves[t]`` is transition ``t``'s
-    update as a function on codes (``_move``), built when a step first
-    needs it.
+    update as a function on codes (``_move``, or ``_replay`` where it
+    assigns a variable twice), built when a step first needs it.
 
     ``steps[rid]`` is None until ``fill_steps`` sets it to one
     ``(transition, delta, targets)`` per chosen transition of row ``rid``:
@@ -529,10 +529,8 @@ class _CompiledModel:
         outside its domain, in the variables' order.  Like the functions of
         ``_update`` and ``_replay``, it holds no reference to this object,
         so that a dropped model is freed at once, not by the cycle
-        collector."""
+        collector.  ``ops`` assign each variable once (else ``_replay``)."""
         digits = self.digits
-        if len({op[0] for op in ops}) < len(ops):
-            return self._replay(ops)
         shifts = tuple((weight, hi - lo + 1, lo, hi, shift) for i, _, _, shift in ops
                        if shift is not None for weight, _, lo, hi in [digits[i]])
         sets = tuple((digits[i][0], digits[i][3] - digits[i][2] + 1, p)
@@ -609,7 +607,7 @@ class _CompiledModel:
                 else:  # not constant on the class, or may leave the domain
                     delta = None
             if delta is None and self.moves[ti] is None:
-                self.moves[ti] = self._move(ops)
+                self.moves[ti] = (self._replay if twice else self._move)(ops)
             targets = None if twice else (tuple(crossings), [-1] * (1 << len(crossings)))
             steps.append((ti, delta, targets))
         return steps
