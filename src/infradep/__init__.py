@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
     NotAttackModelError,
     NotErgodicError,
-    OutOfDomainError,
     StateLimitExceeded,
     UnknownLabelError,
     UnreachableTargetError,

@@ -31,7 +31,7 @@ from .model import guard_predicate
 from .montecarlo import estimate_occupancy, estimate_time_to, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
 from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
-from .validate import require_valid, validate_model
+from .validate import validate_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -264,7 +264,6 @@ def _issue_fields(issue) -> dict:
 
 def cmd_graph(args) -> int:
     model = _load_model(args)
-    require_valid(model)
     graph = build_reachability_graph(model)
     obj = eliminate_vanishing(graph) if args.hide_vanishing else graph
     if args.format == "json":
@@ -295,7 +294,6 @@ def _resolve_target(args, model, ctmc):
 
 def cmd_solve(args) -> int:
     model = _load_model(args)
-    require_valid(model)
     ctmc = eliminate_vanishing(build_reachability_graph(model))
     results = []
     if args.measure in ("steady", "transient"):

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all infradep modules.
 
 Every exception carries a short machine-readable ``code`` so the CLI can
-map failures to exit codes without string matching.
+map failures to exit codes without string matching.  A model that could
+reach a value outside its variable's domain fails validation
+(``InvalidModelError``) before it is explored or simulated, so no
+exception stands for such a value.
 """
 
 from __future__ import annotations
@@ -17,15 +20,11 @@ class InfradepError(Exception):
         self.message = message
 
 
-class OutOfDomainError(InfradepError):
-    """A state holds a value outside its variable's domain: an update's
-    result, or an unvalidated model's initial state."""
-
-    code = "OUT_OF_DOMAIN"
-
-
 class InvalidModelError(InfradepError):
-    """A model fails ``validate_model``; ``report`` holds every finding."""
+    """A model fails ``validate_model``; ``report`` holds every finding.
+
+    The one gate, ``require_valid``, raises it before a model is explored
+    or simulated, so no stage meets a value outside its variable's domain."""
 
     code = "INVALID_MODEL"
 

@@ -27,12 +27,15 @@ reads a state's row directly (``_CompiledModel.row``).  The explorer
 indexes states by an integer code (``_CompiledModel.encode``), encodes
 only the initial state, and follows each row's per-transition code steps
 (``_CompiledModel.fill_steps``), which give every target's code and row
-from its source's code.  Each update is read once, into a list of
-assignment ops (``_CompiledModel.ops``), from which its function on state
-tuples, its function on codes (``_CompiledModel.moves``) and its code
-steps all come.
+from its source's code.  The steps are plain data, a constant code delta
+plus the digits of the variables set to a literal that the class does not
+fix, because explore runs only on a valid model (``validate_model``), on
+which no update leaves its domain.  Each update is read once, into a list
+of assignment ops (``_CompiledModel.ops``), from which its function on
+state tuples and its code steps both come.
 ``guard_predicate`` caches any other guard's truth per class of that
 guard's own literals, and validation runs it on partial assignments.
+The firing table and ``guard_predicate`` work on any model.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
-
-from .errors import OutOfDomainError
 
 StateVector = tuple
 Value = Union[str, int]
@@ -370,13 +371,11 @@ class FiringRow(NamedTuple):
     labels: tuple[bool, ...]  # each label's truth, in declaration order
 
 
-def _position(digit: tuple, x) -> int | None:
+def _position(digit: tuple, x) -> int:
     """Value ``x``'s position in the domain of a variable whose
-    ``_CompiledModel.digits`` entry is ``digit``; None outside it."""
-    _, values, lo, hi = digit
-    if values is not None:
-        return values.get(x)
-    return x - lo if isinstance(x, int) and lo <= x <= hi else None
+    ``_CompiledModel.digits`` entry is ``digit``."""
+    _, values, lo, _ = digit
+    return x - lo if values is None else values[x]
 
 
 class _CompiledModel:
@@ -384,35 +383,36 @@ class _CompiledModel:
     fills once per guard class, and the integer coding of states.
 
     ``ops[t]`` is transition ``t``'s update, read once (``_read``).
-    ``updates[t]``, the function that applies it to a state tuple,
-    ``moves[t]`` and the code steps below are all derived from it.
+    ``updates[t]``, the function that applies it to a state tuple, and the
+    code steps below both come from it.
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
+    The table works on any model; the coding and the steps below assume a
+    valid one (``validate_model``), as explore does.
 
     A state's code is a mixed radix over its variables' domain positions
     (an enum value's index, a counter's value minus its lower bound), so
     that an update which moves every state of a class by the same
     positions adds one constant to the code.  Codes are Python ints: a
-    domain product can pass 2^63.  ``moves[t]`` is transition ``t``'s
-    update as a function on codes (``_move``, or ``_replay`` where it
-    assigns a variable twice), built when a step first needs it.
+    domain product can pass 2^63.
 
     ``steps[rid]`` is None until ``fill_steps`` sets it to one
-    ``(transition, delta, targets)`` per chosen transition of row ``rid``:
-    ``delta`` is that constant, or None where the update is not constant
-    on the class or may leave the domain, and the explorer calls
-    ``moves[transition]`` instead.  A target's class is fixed by the
-    source's class and, for each counter with cut points that the update
-    shifts, by whether the shifted value leaves the source's class, which
-    the source's digit of that counter tells.  ``targets`` is
-    ``(crossings, known)``: ``crossings`` holds one ``(place value, radix,
-    edge position, bit)`` per such counter, the bit set where the digit
-    sits at the class's edge in the direction of the shift, and
-    ``known[bits]`` is the target row for that outcome, -1 until the
-    explorer first meets it.  ``targets`` is None where the update
-    assigns a variable twice (``twice[transition]``), and the explorer
-    calls ``row_id`` on each new target.
+    ``(transition, delta, resets, crossings, known)`` per chosen transition
+    of row ``rid``.  On a valid model an update assigns each variable once,
+    every literal lies in its domain, and a shift never leaves its range
+    from a state its guard admits, so from none of the class.  Each shift,
+    and each set of a variable the class fixes, moves every state of the
+    class by the same positions: ``delta`` sums them.  ``resets`` holds one
+    ``(place value, radix, position)`` per set of a variable the class does
+    not fix, whose digit the explorer rewrites.  A target's class is fixed
+    by the source's class and, for each counter that the update shifts, by
+    whether the shifted value leaves the source's class, which the
+    source's digit of that counter tells.  ``crossings`` holds one
+    ``(place value, radix, edge position, bit)`` per shifted counter, the
+    bit set where the digit sits at the class's edge in the direction of
+    the shift, and ``known[bits]`` is the target row for that outcome, -1
+    until the explorer first meets it.
     """
 
     def __init__(self, model: Model):
@@ -440,11 +440,6 @@ class _CompiledModel:
         self.digits = tuple(digits)
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
         self.updates = tuple(map(self._update, self.ops))
-        # Per transition: whether its update assigns a variable twice, and
-        # its update as a function on codes (``_move``), None until a step
-        # needs it.
-        self.twice = tuple(len({op[0] for op in ops}) < len(ops) for ops in self.ops)
-        self.moves: list[Callable[[int], int] | None] = [None] * len(self.ops)
 
     def row_id(self, s: StateVector) -> int:
         """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
@@ -457,15 +452,8 @@ class _CompiledModel:
         return rid
 
     def encode(self, s: StateVector) -> int:
-        """The code of ``s``; raises ``OutOfDomainError`` on a value outside
-        its variable's domain."""
-        code = 0
-        for i, x in enumerate(s):
-            p = _position(self.digits[i], x)
-            if p is None:
-                raise OutOfDomainError(f"{self.names[i]} = {x!r} is outside its domain")
-            code += p * self.digits[i][0]
-        return code
+        """The code of ``s``."""
+        return sum(_position(digit, x) * digit[0] for digit, x in zip(self.digits, s))
 
     def _span(self, i: int, x) -> tuple[int, int]:
         """The positions variable ``i`` takes over the guard class of a state
@@ -481,135 +469,46 @@ class _CompiledModel:
         b = min(hi, cuts[k] - 1) if k < len(cuts) else hi
         return a - lo, b - lo
 
-    def _read(self, update: Update, index: Mapping[str, int]) -> tuple:
-        """``update`` as one ``(variable index, literal, position, shift)``
-        per assignment: a ``SetValue`` has no shift, and no position if its
-        literal is outside the domain; a ``Shift`` has neither literal nor
-        position.  An enum has no value to shift to, so a ``Shift`` of one
-        is read as setting the ``Shift`` itself, which no domain holds."""
-        ops = []
-        for a in update:
-            i = index[a.var]
-            if isinstance(a, SetValue):
-                ops.append((i, a.value, _position(self.digits[i], a.value), None))
-            elif self.digits[i][1] is not None:
-                ops.append((i, a, None, None))
-            else:
-                ops.append((i, None, None, a.delta))
-        return tuple(ops)
+    @staticmethod
+    def _read(update: Update, index: Mapping[str, int]) -> tuple:
+        """``update`` as one ``(variable index, literal, shift)`` per
+        assignment: a ``SetValue`` has no shift, a ``Shift`` no literal."""
+        return tuple((index[a.var], a.value, None) if isinstance(a, SetValue)
+                     else (index[a.var], None, a.delta) for a in update)
 
-    def _update(self, ops) -> Callable[[StateVector], StateVector]:
-        """``ops`` as a function on states: the assignments in order, so a
-        second one to a variable sees the first one's result; a shift that
-        leaves its counter's range raises ``OutOfDomainError``."""
-        ops = tuple((i, None, value) if shift is None else (i, shift, self.digits[i][2:])
-                    for i, value, _, shift in ops)
+    @staticmethod
+    def _update(ops) -> Callable[[StateVector], StateVector]:
+        """``ops`` as a function on states.  Like the steps, it holds no
+        reference to the compiled model, so that a dropped model is freed
+        at once, not by the cycle collector."""
 
         def apply(s: StateVector) -> StateVector:
             out = list(s)
-            for i, shift, payload in ops:
-                if shift is None:
-                    out[i] = payload
-                else:
-                    nv = out[i] + shift
-                    lo, hi = payload
-                    if nv < lo or nv > hi:
-                        raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {nv}")
-                    out[i] = nv
+            for i, value, shift in ops:
+                out[i] = value if shift is None else out[i] + shift
             return tuple(out)
 
         return apply
 
-    def _move(self, ops) -> Callable[[int], int]:
-        """``ops`` as a function on codes: from a state's code, the code of
-        the state that ``_update(ops)`` makes of it, by reading and writing
-        the assigned variables' digits.  It raises the ``OutOfDomainError``
-        that applying the update and encoding the result raise: a shift
-        that leaves its range first, in the update's order, then a value
-        outside its domain, in the variables' order.  Like the functions of
-        ``_update`` and ``_replay``, it holds no reference to this object,
-        so that a dropped model is freed at once, not by the cycle
-        collector.  ``ops`` assign each variable once (else ``_replay``)."""
-        digits = self.digits
-        shifts = tuple((weight, hi - lo + 1, lo, hi, shift) for i, _, _, shift in ops
-                       if shift is not None for weight, _, lo, hi in [digits[i]])
-        sets = tuple((digits[i][0], digits[i][3] - digits[i][2] + 1, p)
-                     for i, _, p, shift in ops if shift is None)
-        step = sum(weight * shift for weight, _, _, _, shift in shifts)
-        # Each variable is assigned once, so the first bad literal by
-        # variable index is the one encoding would meet first.
-        bad = min(((i, value) for i, value, p, shift in ops if shift is None and p is None),
-                  default=None)
-        if bad is not None:
-            bad = f"{self.names[bad[0]]} = {bad[1]!r} is outside its domain"
-
-        def move(code: int) -> int:
-            for weight, radix, lo, hi, shift in shifts:
-                d = code // weight % radix + shift
-                if d < 0 or d >= radix:
-                    raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {lo + d}")
-            if bad is not None:
-                raise OutOfDomainError(bad)
-            for weight, radix, p in sets:
-                code += (p - code // weight % radix) * weight
-            return code + step
-
-        return move
-
-    def _replay(self, ops) -> Callable[[int], int]:
-        """``_move`` for an update that assigns a variable twice: the
-        assignments run in order on the assigned variables' values, as
-        ``_update`` runs them, and the results are written back."""
-        digits, names = self.digits, self.names
-
-        def move(code: int) -> int:
-            out = {}
-            for i, value, _, shift in ops:
-                if shift is None:
-                    out[i] = value
-                    continue
-                weight, _, lo, hi = digits[i]
-                nv = (out[i] if i in out else lo + code // weight % (hi - lo + 1)) + shift
-                if nv < lo or nv > hi:
-                    raise OutOfDomainError(f"counter update leaves [{lo}, {hi}]: value {nv}")
-                out[i] = nv
-            for i in sorted(out):
-                p = _position(digits[i], out[i])
-                if p is None:
-                    raise OutOfDomainError(f"{names[i]} = {out[i]!r} is outside its domain")
-                weight, _, lo, hi = digits[i]
-                code += (p - code // weight % (hi - lo + 1)) * weight
-            return code
-
-        return move
-
     def fill_steps(self, rid: int, s: StateVector) -> list:
-        """Set and return ``steps[rid]``, from ``s``, an in-domain state of
-        row ``rid``'s class, and build the code update of each chosen
-        transition whose step has no ``delta``."""
+        """Set and return ``steps[rid]``, from ``s``, a state of row
+        ``rid``'s class."""
         steps = self.steps[rid] = []
-        digits, classed, span = self.digits, self.classed, self._span
+        digits, span = self.digits, self._span
         for ti in self.rows[rid].chosen:
-            ops, twice = self.ops[ti], self.twice[ti]
-            delta, crossings = (None if twice else 0), []
-            for i, _, p, shift in ops:
-                weight, _, lo, hi = digits[i]
+            delta, resets, crossings = 0, [], []
+            for i, value, shift in self.ops[ti]:
+                weight, _, lo, hi = digit = digits[i]
                 first, last = span(i, s[i])
-                if shift is not None and i in classed:
+                if shift is not None:
+                    delta += shift * weight
                     edge = last if shift > 0 else first
                     crossings.append((weight, hi - lo + 1, edge, 1 << len(crossings)))
-                if delta is None:
-                    continue
-                if shift is None and p is not None and first == last:
-                    delta += (p - first) * weight
-                elif shift is not None and 0 <= first + shift and last + shift <= hi - lo:
-                    delta += shift * weight
-                else:  # not constant on the class, or may leave the domain
-                    delta = None
-            if delta is None and self.moves[ti] is None:
-                self.moves[ti] = (self._replay if twice else self._move)(ops)
-            targets = None if twice else (tuple(crossings), [-1] * (1 << len(crossings)))
-            steps.append((ti, delta, targets))
+                elif first == last:
+                    delta += (_position(digit, value) - first) * weight
+                else:
+                    resets.append((weight, hi - lo + 1, _position(digit, value)))
+            steps.append((ti, delta, tuple(resets), tuple(crossings), [-1] * (1 << len(crossings))))
         return steps
 
     def row(self, s: StateVector) -> FiringRow:

@@ -1,23 +1,23 @@
 """Reachability-graph construction and reduction to a CTMC.
 
-States are explored breadth-first from the initial state, expanding
-neighbours in transition-declaration order, so state numbering is
-deterministic for a given model.  Vanishing states (those with an enabled
+Only a valid model is explored: ``build_reachability_graph`` passes it
+through ``require_valid`` first, which reuses the verdict ``validate_model``
+recorded on the model, if any.  States are explored breadth-first from the
+initial state, expanding neighbours in transition-declaration order, so
+state numbering is deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
 carry rate-annotated edges.  The explorer walks integer state codes (a
 mixed radix over the variables' domain positions; see ``model``) and keys
 its state index by them.  Each state's row in the model's firing table,
 one row per guard class (the states on which every guard comparison has
 the same truth value), carries one step per chosen transition, which
-gives each edge's target code and row from the source code alone.  Where
-the update moves every state of the class by the same domain positions,
-the target code is the source code plus a constant; elsewhere the
-update's function on codes reads and rewrites the digits it assigns, and
-rejects a value outside its domain.  Only the initial state is encoded.
-The target's class follows from the source's and, for each shifted
-counter that has cut points, from whether its digit sits at the edge of
-the source's class, so each step keeps one row id per such outcome after
-its first use.  A state's tuple is built once, when it is found, and its
+gives each edge's target code and row from the source code alone: the
+source code plus a constant, with the digit of each variable set to a
+literal that the class does not fix rewritten.  Only the initial state is
+encoded.  The target's class follows from the source's and, for each
+shifted counter, from whether its digit sits at the edge of the source's
+class, so each step keeps one row id per such outcome after its first
+use.  A state's tuple is built once, when it is found, and its
 row id recorded then.  The explorer records only the row ids and each
 edge's target.  The edge
 sources, transition indices and values, the state kinds and the label
@@ -52,6 +52,7 @@ from scipy.sparse import csgraph
 
 from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
 from .model import Model, StateVector, initial_state
+from .validate import require_valid
 
 DEFAULT_STATE_LIMIT = 1_000_000
 STATE_LIMIT_ENV = "INFRADEP_STATE_LIMIT"
@@ -122,7 +123,8 @@ class ReachabilityGraph:
 
     @cached_property
     def _tangible_mask(self) -> np.ndarray:
-        """``tangible`` as a boolean array, built once per graph."""
+        """``tangible`` as a boolean array, built once per graph (the
+        explorer stores its own)."""
         return np.fromiter(self.tangible, dtype=bool, count=len(self.tangible))
 
     @cached_property
@@ -155,10 +157,10 @@ class ReachabilityGraph:
         return ", ".join(self.model.format_state(self.states[i]) for i in members)
 
     def tangible_count(self) -> int:
-        return sum(self.tangible)
+        return int(self._tangible_mask.sum())
 
     def vanishing_count(self) -> int:
-        return len(self.states) - sum(self.tangible)
+        return len(self.states) - self.tangible_count()
 
 
 @dataclass(eq=False)
@@ -193,16 +195,15 @@ class Ctmc:
 def build_reachability_graph(model: Model, limit: int | None = None) -> ReachabilityGraph:
     """Breadth-first closure of the model's firing relation.
 
-    Raises ``StateLimitExceeded`` beyond ``limit`` states (default from the
-    ``INFRADEP_STATE_LIMIT`` environment variable, else one million),
-    ``OutOfDomainError`` if the initial state or a reachable firing holds a
-    value outside its variable's domain, and ``ImmediateCycleError`` if the
-    vanishing states contain a cycle.
+    Raises ``InvalidModelError`` unless the model validates,
+    ``StateLimitExceeded`` beyond ``limit`` states (default from the
+    ``INFRADEP_STATE_LIMIT`` environment variable, else one million) and
+    ``ImmediateCycleError`` if the vanishing states contain a cycle.
     """
+    require_valid(model)
     cap = state_limit() if limit is None else limit
     comp = model._compiled
-    row_id, rows, updates = comp.row_id, comp.rows, comp.updates
-    steps, moves = comp.steps, comp.moves
+    row_id, rows, updates, steps = comp.row_id, comp.rows, comp.updates, comp.steps
     init = initial_state(model)
     index: dict[int, int] = {comp.encode(init): 0}
     codes = list(index)
@@ -218,8 +219,11 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
         out = steps[rid]
         if out is None:
             out = comp.fill_steps(rid, s)
-        for ti, delta, targets in out:
-            t = code + delta if delta is not None else moves[ti](code)
+        for ti, delta, resets, crossings, known in out:
+            t = code + delta
+            if resets:  # rare: testing is cheaper than an empty loop per edge
+                for weight, radix, p in resets:
+                    t += (p - code // weight % radix) * weight
             di = find(t)
             if di is None:
                 di = len(states)
@@ -231,19 +235,15 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
                 codes.append(t)
                 target = updates[ti](s)
                 states.append(target)
-                if targets is None:  # the update assigns a variable twice
-                    target_row = row_id(target)
-                else:
-                    # The target's class follows from the source's and from
-                    # which shifted counters leave their source class.
-                    crossings, known = targets
-                    j = 0
-                    for weight, radix, edge, bit in crossings:
-                        if code // weight % radix == edge:
-                            j += bit
-                    target_row = known[j]
-                    if target_row < 0:
-                        target_row = known[j] = row_id(target)
+                # The target's class follows from the source's and from
+                # which shifted counters leave their source class.
+                j = 0
+                for weight, radix, edge, bit in crossings:
+                    if code // weight % radix == edge:
+                        j += bit
+                target_row = known[j]
+                if target_row < 0:
+                    target_row = known[j] = row_id(target)
                 ids.append(target_row)
             link(di)
 
@@ -258,11 +258,12 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     out_degree = width[ids]
     first_edge = np.cumsum(out_degree) - out_degree
     flat = np.repeat(row_start[ids] - first_edge, out_degree) + np.arange(len(dst))
+    tangible = ~vanishing[ids]
 
     graph = ReachabilityGraph(
         model=model,
         states=tuple(states),
-        tangible=tuple((~vanishing[ids]).tolist()),
+        tangible=tuple(tangible.tolist()),
         edge_src=np.repeat(np.arange(len(states), dtype=np.int64), out_degree),
         edge_dst=np.frombuffer(dst, dtype=np.int64),
         edge_transition=chosen[flat],
@@ -270,6 +271,7 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
         initial=0,
         row_ids=ids,
     )
+    graph.__dict__["_tangible_mask"] = tangible
     _check_vanishing_acyclic(graph)
     return graph
 

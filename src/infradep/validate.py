@@ -7,8 +7,13 @@ findings are returned as report entries with a machine-readable code, so
 the CLI can print them uniformly.  The report owns the front end's map of
 source spans, when there is one, and places each finding at its span as
 it is recorded; the checks only name the item and the offending word.
-``require_valid`` is the one gate for code that needs a valid model: it
-raises ``InvalidModelError`` carrying the report.
+``require_valid`` is the one gate for code that needs a valid model, the
+explorer and the simulator: it raises ``InvalidModelError`` carrying the
+report.  ``validate_model`` records its report on the model it checked
+(in the instance ``__dict__``, as ``cached_property`` stores), and the
+gate validates only a model that has no report yet, so that a model is
+checked once however many stages it passes.  A ``dataclasses.replace``
+copy is a new model and is checked again.
 """
 
 from __future__ import annotations
@@ -79,30 +84,35 @@ def validate_model(model: Model, spans=None) -> ValidationReport:
     """Check all structural invariants of ``model``.
 
     ``spans``, if given, becomes the report's span map, so that each
-    finding carries the source span of its word or item.
+    finding carries the source span of its word or item.  The report is
+    also recorded on ``model`` for ``require_valid``.
     """
     rep = ValidationReport(spans=spans)
     _check_declarations(model, rep)
-    if rep.errors:
-        # Guard/update checks assume resolvable, well-typed declarations.
-        return rep
-    for t in model.transitions:
-        where = f"transition {t.name}"
-        check_guard(model, t.guard, where, rep)
-        _check_update(model, t, where, rep)
-        _check_kind(model, t, where, rep)
-    for l in model.labels:
-        check_guard(model, l.predicate, f"label {l.name}", rep)
+    # Guard/update checks assume resolvable, well-typed declarations.
     if not rep.errors:
+        for t in model.transitions:
+            where = f"transition {t.name}"
+            check_guard(model, t.guard, where, rep)
+            _check_update(model, t, where, rep)
+            _check_kind(model, t, where, rep)
+        for l in model.labels:
+            check_guard(model, l.predicate, f"label {l.name}", rep)
+    if not rep.errors:
+        _check_weight_sum(model, rep)
         _check_update_domains(model, rep)
         _check_guard_satisfiability(model, rep)
+    model.__dict__["_validation"] = rep
     return rep
 
 
 def require_valid(model: Model):
     """Raise ``InvalidModelError``, carrying the report and naming its first
-    error, unless ``model`` validates."""
-    report = validate_model(model)
+    error, unless ``model`` validates.  Reuses the report ``validate_model``
+    recorded on ``model``, and validates only when there is none."""
+    report = model.__dict__.get("_validation")
+    if report is None:
+        report = validate_model(model)
     if not report.ok:
         first = report.errors[0]
         raise InvalidModelError(
@@ -303,6 +313,10 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport):
                 f"immediate weight must be positive, got {t.kind.weight}",
                 where,
             )
+        elif not math.isfinite(t.kind.weight):
+            rep.error(
+                "INVALID_WEIGHT", f"immediate weight must be finite, got {t.kind.weight}", where
+            )
     for tag in sorted(t.tags):
         if tag not in TRANSITION_TAGS:
             rep.error(
@@ -311,6 +325,18 @@ def _check_kind(model: Model, t, where: str, rep: ValidationReport):
                 where,
                 at=tag,
             )
+
+
+def _check_weight_sum(model: Model, rep: ValidationReport):
+    """The immediate weights must have a finite sum, so that every firing
+    row's ``w / sum(w)`` is a probability."""
+    total = sum(t.kind.weight for t in model.transitions if not t.is_timed)
+    if not math.isfinite(total):
+        rep.error(
+            "INVALID_WEIGHT",
+            f"immediate weights sum to {total}, which is not finite",
+            f"model {model.name}",
+        )
 
 
 def _check_update_domains(model: Model, rep: ValidationReport):

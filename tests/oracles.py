@@ -14,29 +14,35 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from infradep import (
     And,
     Comparison,
     Immediate,
+    ImmediateCycleError,
     IntDomain,
     Label,
     Model,
     Not,
     Or,
-    OutOfDomainError,
     RateExpr,
     SetValue,
     Shift,
     Timed,
     Transition,
     VariableDecl,
+    build_reachability_graph,
     eliminate_vanishing,
     var_eq,
 )
 
 DENSE_LIMIT = 512
+
+
+class OutsideDomain(Exception):
+    """The oracle's walk met a value outside its variable's domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def exhaustive_reachability(model: Model):
     """Enumerate the full domain product, then filter by reachability.
 
     Returns (reachable states in visit order, tangible set, edge list).
-    Raises ``OutOfDomainError`` if the initial state or the target of a
+    Raises ``OutsideDomain`` if the initial state or the target of a
     reachable firing lies outside the domain product.
     """
     all_states = list(domain_product(model))
@@ -149,7 +155,7 @@ def exhaustive_reachability(model: Model):
 
     init = tuple(v.init for v in model.variables)
     if init not in adjacency:
-        raise OutOfDomainError(f"initial state {init} is outside the domain")
+        raise OutsideDomain(f"initial state {init} is outside the domain")
     seen = {init}
     order = [init]
     frontier = [init]
@@ -159,7 +165,7 @@ def exhaustive_reachability(model: Model):
         for s in frontier:
             for name, dst, value in adjacency[s]:
                 if dst not in adjacency:
-                    raise OutOfDomainError(f"{name} leaves the domain: {s} -> {dst}")
+                    raise OutsideDomain(f"{name} leaves the domain: {s} -> {dst}")
                 edges.append((s, name, dst, value))
                 if dst not in seen:
                     seen.add(dst)
@@ -168,6 +174,38 @@ def exhaustive_reachability(model: Model):
         frontier = nxt
     tangible = {s for s in seen if s not in vanishing}
     return order, tangible, edges
+
+
+def has_immediate_cycle(tangible, edges) -> bool:
+    """Whether the edges between vanishing states of an
+    ``exhaustive_reachability`` result close a cycle: strip vanishing
+    states without a vanishing successor until none is left."""
+    succ: dict = {}
+    for src, _, dst, _ in edges:
+        if src not in tangible and dst not in tangible:
+            succ.setdefault(src, set()).add(dst)
+    left = set(succ)
+    while True:
+        sinks = {s for s in left if not succ[s] & left}
+        if not sinks:
+            return bool(left)
+        left -= sinks
+
+
+def explore_matches_oracle(model: Model) -> str:
+    """Check explore against ``exhaustive_reachability`` on a valid
+    ``model``: the same states in order, kinds and edges, or both find an
+    immediate cycle.  Returns which."""
+    order, tangible, edges = exhaustive_reachability(model)
+    if has_immediate_cycle(tangible, edges):
+        with pytest.raises(ImmediateCycleError):
+            build_reachability_graph(model)
+        return "immediate cycle"
+    g = build_reachability_graph(model)
+    assert list(g.states) == order
+    assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
+    assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
+    return "one state" if len(order) == 1 else "several states"
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +395,6 @@ def two_state_transient_closed_form(lam: float, mu: float, t: float) -> float:
 
 
 def ctmc_of(model: Model):
-    from infradep import build_reachability_graph
-
     return eliminate_vanishing(build_reachability_graph(model))
 
 

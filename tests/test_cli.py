@@ -228,7 +228,8 @@ def test_each_cli_exit_is_its_documented_code(capsys, tmp_path, argv, exit_code,
 
 
 def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
-    # Once when the file is parsed and once at graph's own gate.
+    # Once when the file is parsed, and explore's gate reuses that verdict;
+    # an override makes a new model, which the gate validates again.
     import infradep.dsl
     import infradep.validate
 
@@ -243,9 +244,41 @@ def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
         if hasattr(module, "validate_model"):
             monkeypatch.setattr(module, "validate_model", counted)
     model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
-    code, _, _ = run(capsys, "graph", "--model", model, "--set", "lambda_e=2", "--summary")
-    assert code == 0
-    assert calls == ["accidental", "accidental"]
+    for override, validated in (((), 1), (("--set", "lambda_e=2"), 2)):
+        calls.clear()
+        code, _, _ = run(capsys, "graph", "--model", model, *override, "--summary")
+        assert code == 0
+        assert calls == ["accidental"] * validated, override
+
+
+# Two competing immediates out of x == a; WEIGHT is replaced per test.
+_WEIGHTED = """model m {
+  var x : {a, b, c, d} init a;
+  immediate go_b prio 1 weight WEIGHT when x == a -> { x := b; };
+  immediate go_c prio 1 weight WEIGHT when x == a -> { x := c; };
+  timed b_d rate 1.0 when x == b -> { x := d; };
+  timed c_d rate 1.0 when x == c -> { x := d; };
+  timed d_a rate 1.0 when x == d -> { x := a; };
+  label at_c := x == c;
+}
+"""
+
+
+@pytest.mark.parametrize("weight, message", [
+    # The DSL reads 1e400 as inf, whose share inf / inf was nan.
+    ("1e400", "3:13: [INVALID_WEIGHT] immediate weight must be finite, got inf"),
+    # Each weight is finite, but their sum is not, so both shares were 0.0.
+    ("1e308", "1:7: [INVALID_WEIGHT] immediate weights sum to inf, which is not finite"),
+])
+def test_immediate_weights_whose_shares_are_not_probabilities_fail(capsys, tmp_path, weight, message):
+    # A file whose model fails validation exits 2, with the findings.
+    f = tmp_path / "w.gsts"
+    f.write_text(_WEIGHTED.replace("WEIGHT", weight))
+    for argv in (["validate"], ["solve", "--measure", "transient", "--time", "5"],
+                 ["simulate", "--occupancy", "at_c", "--reps", "20"]):
+        code, out, err = run(capsys, *argv, "--model", str(f))
+        assert (code, out) == (2, ""), argv
+        assert f"w.gsts:{message}" in err, argv
 
 
 def test_invalid_model_fails_alike_in_every_command(capsys):

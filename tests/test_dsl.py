@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import pathlib
 import re
@@ -31,7 +32,7 @@ from infradep import (
     var_eq,
 )
 
-from .oracles import SplitMix64, by_name
+from .oracles import SplitMix64, by_name, explore_matches_oracle
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -449,7 +450,8 @@ _WORD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)")
 def test_fuzz_word_swaps_return_only_valid_models():
     # Swap words of a valid model for other words of it: most results still
     # parse, so validation alone decides, and whatever comes back as a
-    # Model must be valid and survive the canonical round trip.
+    # Model must be valid, survive the canonical round trip, and explore
+    # as the exhaustive oracle does.
     base = (
         "model m {\n"
         "  param mu = 2.0;\n"
@@ -468,6 +470,7 @@ def test_fuzz_word_swaps_return_only_valid_models():
     vocabulary = sorted({parts[i] for i in spots} | {"c", "-1", "3", "0.0"})
     rng = SplitMix64(0xBEEF)
     accepted = rejected = 0
+    explored = collections.Counter()
     digest = hashlib.sha256()
     for _ in range(1_000):
         mutant = list(parts)
@@ -481,10 +484,12 @@ def test_fuzz_word_swaps_return_only_valid_models():
             accepted += 1
             assert validate_model(result).ok, text
             assert parse_model(serialize_model(result)) == result, text
+            explored[explore_matches_oracle(result)] += 1
         else:
             rejected += 1
             assert result, text
     assert accepted > 50 and rejected > 50, (accepted, rejected)
+    assert explored == {"several states": 94, "one state": 3, "immediate cycle": 1}, explored
     assert digest.hexdigest() == PINNED_FRONT_END["word swaps"]
 
 

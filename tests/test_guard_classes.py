@@ -16,13 +16,12 @@ from infradep import (
     Comparison,
     EnumDomain,
     Immediate,
-    ImmediateCycleError,
     IntDomain,
+    InvalidModelError,
     Label,
     Model,
     Not,
     Or,
-    OutOfDomainError,
     RateExpr,
     SetValue,
     Shift,
@@ -36,7 +35,14 @@ from infradep import (
 )
 from infradep.model import guard_predicate
 
-from .oracles import domain_product, edge_tuples, eval_guard, exhaustive_reachability, firings_raw
+from .oracles import (
+    OutsideDomain,
+    domain_product,
+    eval_guard,
+    exhaustive_reachability,
+    explore_matches_oracle,
+    firings_raw,
+)
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -54,16 +60,19 @@ def _variables(draw):
     return tuple(out)
 
 
-def _guards(variables):
+def _guards(variables, valid=False):
     def comparison(v):
         if isinstance(v.domain, EnumDomain):
             return st.builds(
                 Comparison, st.just(v.name), st.sampled_from(("==", "!=")),
                 st.sampled_from(v.domain.values),
             )
-        # Literals reach past both ends of the range; non-integral and
-        # integral floats fall between or on the integer cut points.
-        literal = st.integers(v.domain.lo - 3, v.domain.hi + 3) | st.sampled_from((-0.5, 1.5, 2.0))
+        # Literals reach past both ends of the range; unless the model must
+        # validate, non-integral and integral floats fall between or on the
+        # integer cut points.
+        literal = st.integers(v.domain.lo - 3, v.domain.hi + 3)
+        if not valid:
+            literal |= st.sampled_from((-0.5, 1.5, 2.0))
         return st.builds(Comparison, st.just(v.name), st.sampled_from(OPS), literal)
 
     leaves = st.one_of([comparison(v) for v in variables])
@@ -78,19 +87,20 @@ def _guards(variables):
     )
 
 
-def _updates(variables):
-    """One to three assignments to distinct variables.  Now and then a
-    literal lies outside its domain, and shifts are unguarded, so some
-    reachable firings leave the domain."""
+def _updates(variables, valid=False):
+    """One to three assignments to distinct variables.  Unless the model
+    must validate, now and then a literal lies outside its domain."""
 
     # The simplest draws (first in each list) move a variable away from its
     # simplest value, so that the simplest models have several states.
     def assignment(v):
         if isinstance(v.domain, EnumDomain):
-            return st.builds(SetValue, st.just(v.name), st.sampled_from(v.domain.values[::-1] * 4 + ("zzz",)))
+            outside = () if valid else ("zzz",)
+            return st.builds(SetValue, st.just(v.name), st.sampled_from(v.domain.values[::-1] * 4 + outside))
         inside = tuple(v.domain)[::-1] * 3
+        outside = () if valid else (v.domain.lo - 1, v.domain.hi + 1)
         return st.builds(Shift, st.just(v.name), st.sampled_from((1, -1))) | st.builds(
-            SetValue, st.just(v.name), st.sampled_from(inside + (v.domain.lo - 1, v.domain.hi + 1))
+            SetValue, st.just(v.name), st.sampled_from(inside + outside)
         )
 
     return st.lists(
@@ -99,23 +109,25 @@ def _updates(variables):
 
 
 @st.composite
-def _models(draw):
+def _models(draw, valid=False):
+    """Random models; with ``valid``, only ones that validate."""
     variables = draw(_variables())
-    guards = _guards(variables)
+    guards = _guards(variables, valid)
     # Variables that no guard or label compares: an enum, and a counter
     # without cut points.
     free = (VariableDecl("u", EnumDomain(("a", "b")), "a"), VariableDecl("c", IntDomain(0, 2), 0))
     variables += tuple(v for v in free if draw(st.booleans()))
-    updates = _updates(variables)
+    updates = _updates(variables, valid)
     timed = st.builds(Timed, st.builds(RateExpr, st.sampled_from((0.5, 1.0, 3.0))))
     kinds = timed | timed | st.builds(Immediate, st.integers(0, 2), st.sampled_from((0.25, 1.0, 3.0)))
     domains = {v.name: v.domain for v in variables}
     transitions = []
     for k in range(draw(st.integers(1, 5))):
         guard, update = draw(guards), draw(updates)
-        # Keep about half the shifts inside their range by their guard.
+        # Keep every shift (unless the model need not validate, about half
+        # of them) inside its range by its guard.
         for a in update:
-            if isinstance(a, Shift) and draw(st.booleans()):
+            if isinstance(a, Shift) and (valid or draw(st.booleans())):
                 dom = domains[a.var]
                 bound = Comparison(a.var, "<", dom.hi) if a.delta > 0 else Comparison(a.var, ">", dom.lo)
                 guard = And((guard, bound))
@@ -125,55 +137,40 @@ def _models(draw):
     return Model("random", variables, {}, transitions, labels)
 
 
-def _has_immediate_cycle(tangible, edges) -> bool:
-    """Whether the edges between vanishing states close a cycle: strip
-    vanishing states without a vanishing successor until none is left."""
-    succ: dict = {}
-    for src, _, dst, _ in edges:
-        if src not in tangible and dst not in tangible:
-            succ.setdefault(src, set()).add(dst)
-    left = set(succ)
-    while True:
-        sinks = {s for s in left if not succ[s] & left}
-        if not sinks:
-            return bool(left)
-        left -= sinks
-
-
-def _explore_matches_oracle(model) -> str:
-    """Check explore against the exhaustive oracle on ``model``: the same
-    states in order, kinds and edges, or the same failure.  Returns which."""
-    try:
-        order, tangible, edges = exhaustive_reachability(model)
-    except OutOfDomainError:
-        with pytest.raises(OutOfDomainError):
-            build_reachability_graph(model)
-        return "leaves the domain"
-    if _has_immediate_cycle(tangible, edges):
-        with pytest.raises(ImmediateCycleError):
-            build_reachability_graph(model)
-        return "immediate cycle"
-    g = build_reachability_graph(model)
-    assert list(g.states) == order
-    assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
-    names = [t.name for t in model.transitions]
-    assert [
-        (g.states[s], names[t], g.states[d], v)
-        for s, t, d, v in zip(g.edge_src.tolist(), g.edge_transition.tolist(),
-                              g.edge_dst.tolist(), g.edge_value.tolist())
-    ] == edges
-    return "one state" if len(order) == 1 else "several states"
+def _with_init(model, init):
+    return replace(model, variables=tuple(replace(v, init=x) for v, x in zip(model.variables, init)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(model=_models(), data=st.data())
+@given(model=_models(valid=True), data=st.data())
 def test_explore_matches_exhaustive_oracle(model, data):
     # Explore walks integer codes with per-class code steps; from each of
     # a few initial states it must agree with the oracle's plain tuples.
     inits = data.draw(st.lists(st.sampled_from(list(domain_product(model))), min_size=1, max_size=4))
     for init in inits:
-        variables = tuple(replace(v, init=x) for v, x in zip(model.variables, init))
-        event(_explore_matches_oracle(replace(model, variables=variables)))
+        m = _with_init(model, init)
+        assert validate_model(m).ok
+        event(explore_matches_oracle(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_models(), data=st.data())
+def test_walk_leaving_the_domain_fails_validation_and_explore(model, data):
+    # The code steps assume that no firing leaves its variable's domain:
+    # wherever the oracle's walk does, validation must report an error and
+    # explore, which checks first, must refuse the model.
+    inits = data.draw(st.lists(st.sampled_from(list(domain_product(model))), min_size=1, max_size=4))
+    for init in inits:
+        m = _with_init(model, init)
+        try:
+            exhaustive_reachability(m)
+        except OutsideDomain:
+            with pytest.raises(InvalidModelError):
+                build_reachability_graph(m)
+            assert validate_model(m).errors
+            event("leaves the domain")
+        else:
+            event("stays in the domain")
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,33 +247,9 @@ def test_rows_filled_do_not_grow_with_k_max(name):
     assert rows[0] == rows[1]
 
 
-def test_counter_compared_with_non_integer_literals_still_explores():
-    # Validation rejects these literals, but exploring such a model keeps
-    # its plain comparison semantics instead of failing in the cut points.
-    m = Model(
-        name="m",
-        variables=(VariableDecl("x", IntDomain(0, 4), 0),),
-        parameters={},
-        transitions=(
-            Transition(
-                "up",
-                Timed(RateExpr(1.0)),
-                And((Comparison("x", "!=", "none"), Comparison("x", "<", 2.5))),
-                (Shift("x", 1),),
-            ),
-            Transition("reset", Timed(RateExpr(1.0)), Comparison("x", "==", "none"), (SetValue("x", 0),)),
-        ),
-        labels=(Label("none", Comparison("x", "==", "none")), Label("high", Comparison("x", ">=", 1.5))),
-    )
-    assert {e.code for e in validate_model(m).errors} == {"TYPE_MISMATCH"}
-    g = build_reachability_graph(m)
-    assert g.states == ((0,), (1,), (2,), (3,))
-    assert [(s, t, d) for s, t, d, _ in edge_tuples(g)] == [(0, "up", 1), (1, "up", 2), (2, "up", 3)]
-    assert g.label_sets == {"none": frozenset(), "high": frozenset({2, 3})}
-
-
 def test_undeclared_variable_in_label_raises_at_explore():
     m = builtin_model("accidental")
     bad = replace(m, labels=m.labels + (Label("ghost", var_eq("nope", "x")),))
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidModelError) as info:
         build_reachability_graph(bad)
+    assert [(e.code, e.where) for e in info.value.report.errors] == [("UNDECLARED_IDENT", "label ghost")]

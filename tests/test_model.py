@@ -12,8 +12,8 @@ from infradep import (
     BUILTIN_MODELS,
     Immediate,
     IntDomain,
+    InvalidModelError,
     Model,
-    OutOfDomainError,
     RateExpr,
     SetValue,
     Shift,
@@ -117,7 +117,8 @@ def test_apply_increment(model_a):
 
 
 def test_runtime_out_of_domain():
-    # A shift violating the range is a runtime error when it fires.
+    # A shift that would leave its range when it fires makes the model
+    # invalid, and explore checks the model before it fires anything.
     m = Model(
         name="m",
         variables=(VariableDecl("x", IntDomain(0, 1), 1),),
@@ -126,8 +127,9 @@ def test_runtime_out_of_domain():
             Transition("t", Timed(RateExpr(1.0)), var_eq("x", 1), (Shift("x", 1),)),
         ),
     )
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(InvalidModelError) as info:
         build_reachability_graph(m)
+    assert [e.code for e in info.value.report.errors] == ["OUT_OF_DOMAIN_UPDATE"]
 
 
 def test_enabled_never_mixes_kinds(graphs):

@@ -18,7 +18,7 @@ PUBLIC = {
     # errors
     "EventCapExceeded", "ImmediateCycleError", "InfradepError", "InvalidArgError",
     "InvalidModelError", "InvalidParamError", "NoConvergenceError", "NotAttackModelError",
-    "NotErgodicError", "OutOfDomainError", "StateLimitExceeded", "UnknownLabelError",
+    "NotErgodicError", "StateLimitExceeded", "UnknownLabelError",
     "UnreachableTargetError",
     # export
     "export_dot", "export_results_json", "graph_summary",
@@ -45,7 +45,8 @@ PUBLIC = {
 # or the independent oracles in ``tests/oracles.py`` instead.  The claim
 # checks, ``CheckResult``, ``terminal_sccs`` and ``stream_seed`` stay in
 # their modules but leave the package's names; the built-ins other than
-# ``accidental_model`` are ``builtin_model(name)``.
+# ``accidental_model`` are ``builtin_model(name)``.  Explore and simulation
+# take only validated models, so nothing raises ``OutOfDomainError``.
 REMOVED = [
     (infradep, "apply_transition"),
     (infradep, "enabled_transitions"),
@@ -88,6 +89,8 @@ REMOVED = [
     (infradep.model, "var_in"),
     (infradep.model, "Assignment"),
     (infradep.dsl, "KEYWORDS"),
+    (infradep, "OutOfDomainError"),
+    (infradep.errors, "OutOfDomainError"),
 ]
 
 

@@ -14,8 +14,8 @@ from infradep import (
     EnumDomain,
     Immediate,
     ImmediateCycleError,
-    OutOfDomainError,
     IntDomain,
+    InvalidModelError,
     Label,
     Model,
     RateExpr,
@@ -27,7 +27,6 @@ from infradep import (
     VariableDecl,
     build_reachability_graph,
     eliminate_vanishing,
-    initial_state,
     label_sets,
     var_eq,
 )
@@ -209,50 +208,26 @@ def _enum_shift_model(*updates):
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, code",
     [
-        _two_var_model((SetValue("x", 99),)),
-        _two_var_model((SetValue("e", "zzz"),)),
-        _two_var_model((), init=(7, "a")),
-        _carry_model(1),
-        _carry_model(-1),
-        _enum_shift_model(Shift("x", 1)),
-        _enum_shift_model(SetValue("x", "b"), Shift("x", 1)),
-        _two_var_model((Shift("e", -1),)),
+        (_two_var_model((SetValue("x", 99),)), "OUT_OF_DOMAIN_UPDATE"),
+        (_two_var_model((SetValue("e", "zzz"),)), "TYPE_MISMATCH"),
+        (_two_var_model((), init=(7, "a")), "BAD_INIT"),
+        (_carry_model(1), "OUT_OF_DOMAIN_UPDATE"),
+        (_carry_model(-1), "OUT_OF_DOMAIN_UPDATE"),
+        (_enum_shift_model(Shift("x", 1)), "TYPE_MISMATCH"),
+        (_enum_shift_model(SetValue("x", "b"), Shift("x", 1)), "TYPE_MISMATCH"),
+        (_two_var_model((Shift("e", -1),)), "TYPE_MISMATCH"),
     ],
     ids=["counter-set", "enum-set", "init", "shift-up", "shift-down",
          "enum-shift", "enum-shift-onto-found-state", "enum-shift-unguarded"],
 )
-def test_explore_rejects_values_outside_the_domain(model):
-    # The model is never validated, so explore is the last line of defence.
-    with pytest.raises(OutOfDomainError):
+def test_explore_rejects_values_outside_the_domain(model, code):
+    # Explore validates the model first, and validation finds each value
+    # that a state could hold outside its variable's domain.
+    with pytest.raises(InvalidModelError) as info:
         build_reachability_graph(model)
-
-
-def test_enum_shift_gets_no_code_step():
-    # Only applying the update, which raises, can place a shifted enum; a
-    # code step would take it for the next value and reuse ``b``'s code.
-    m = _enum_shift_model(SetValue("x", "b"), Shift("x", 1))
-    comp = m._compiled
-    s = initial_state(m)
-    assert [delta for _, delta, _ in comp.fill_steps(comp.row_id(s), s)] == [1, None]
-
-
-def test_repeated_assignment_applies_in_order():
-    # Validation rejects assigning a variable twice; explore still applies
-    # the assignments one after the other, the second to the first's result.
-    from infradep import Comparison
-
-    m = Model(
-        name="m",
-        variables=(VariableDecl("x", IntDomain(0, 4), 0),),
-        parameters={},
-        transitions=(
-            Transition("t", _rate(1.0), Comparison("x", "==", 0), (Shift("x", 1), SetValue("x", 3))),
-            Transition("u", _rate(1.0), Comparison("x", "==", 0), (SetValue("x", 4),)),
-        ),
-    )
-    assert build_reachability_graph(m).states == ((0,), (3,), (4,))
+    assert [e.code for e in info.value.report.errors] == [code]
 
 
 # Explore moves from a state's code to its target's code and row by
@@ -336,61 +311,21 @@ def test_one_transition_shifting_two_classed_counters_matches_oracle():
     assert len(g.states) == 36
 
 
-def test_repeated_assignment_matches_oracle():
-    # Validation rejects these updates; explore runs them in order on the
-    # assigned values, so a shift after a set moves the value just set.
-    g = _assert_explore_matches_oracle(_counter_model(5, [
-        ("set_then_up", 1.0, Comparison("x", "<", 2), (SetValue("x", 3), Shift("x", 1))),
-        ("up_then_down", 2.0, Comparison("x", "==", 4), (Shift("x", 1), Shift("x", -1), SetValue("e", "b"))),
-        ("down_then_set", 3.0, var_eq("e", "b"), (Shift("x", -1), SetValue("x", 1), SetValue("e", "a"))),
-    ], extra=[VariableDecl("e", EnumDomain(("a", "b")), "a")]))
-    assert g.states == ((0, "a"), (4, "a"), (4, "b"), (1, "a"))
-
-
 @pytest.mark.parametrize("lo, hi, init, delta", [(0, 2, 0, 1), (-1, 1, 0, -1)])
 def test_unclassed_counter_shifted_past_its_bound_names_the_value(lo, hi, init, delta):
-    # No guard compares x, so its class spans the whole range; the shift
-    # that leaves it raises with the same message as applying the update.
+    # No guard compares x, so its class would span the whole range; the
+    # guard admits the bound the shift leaves from, and explore's check
+    # names it.
     m = Model(
         name="m",
         variables=(VariableDecl("e", EnumDomain(("a", "b")), "a"), VariableDecl("x", IntDomain(lo, hi), init)),
         parameters={},
         transitions=(Transition("t", _rate(1.0), var_eq("e", "a"), (Shift("x", delta),)),),
     )
-    with pytest.raises(OutOfDomainError) as info:
+    with pytest.raises(InvalidModelError) as info:
         build_reachability_graph(m)
-    assert info.value.message == f"counter update leaves [{lo}, {hi}]: value {hi + 1 if delta > 0 else lo - 1}"
-
-
-@pytest.mark.parametrize(
-    "update, message",
-    [
-        # A shift's range error comes before a bad literal; shifts raise
-        # in the update's order and bad literals in the variables' order.
-        ((SetValue("e", "zzz"), Shift("x", 1)), "counter update leaves [0, 1]: value 2"),
-        ((Shift("y", 1), Shift("x", 1)), "counter update leaves [0, 2]: value 3"),
-        ((SetValue("e", "zzz"), SetValue("x", 7)), "x = 7 is outside its domain"),
-        ((SetValue("e", "zzz"), Shift("y", -1)), "e = 'zzz' is outside its domain"),
-        ((Shift("e", 1),), "e = Shift(var='e', delta=1) is outside its domain"),
-    ],
-    ids=["shift-before-literal", "shifts-in-op-order", "literals-in-variable-order",
-         "literal-after-good-shift", "enum-shift"],
-)
-def test_update_with_faults_raises_the_first_in_apply_then_encode_order(update, message):
-    # x and y start at the top of their ranges.
-    m = Model(
-        name="m",
-        variables=(
-            VariableDecl("x", IntDomain(0, 1), 1),
-            VariableDecl("e", EnumDomain(("a", "b")), "a"),
-            VariableDecl("y", IntDomain(0, 2), 2),
-        ),
-        parameters={},
-        transitions=(Transition("t", _rate(1.0), var_eq("e", "a"), update),),
-    )
-    with pytest.raises(OutOfDomainError) as info:
-        build_reachability_graph(m)
-    assert info.value.message == message
+    assert [(e.code, e.where) for e in info.value.report.errors] == [("OUT_OF_DOMAIN_UPDATE", "transition t")]
+    assert f"guard admits x={hi if delta > 0 else lo}" in info.value.message
 
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)
@@ -663,7 +598,7 @@ def test_vanishing_initial_through_two_levels():
 
 
 def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
-    # A graph and its model, the model's firing table and code updates
+    # A graph and its model, the model's firing table and code steps
     # included, hold no reference cycle, so dropping them frees their
     # states and edges at once instead of at the next full collection.
     import gc
@@ -673,7 +608,7 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
     m = replace(model_a)
     g = build_reachability_graph(m)
     assert g.adjacency[0][1] > 0 and len(g.edges) == len(g.edge_src)
-    assert any(m._compiled.moves)
+    assert any(resets for out in m._compiled.steps if out for _, _, resets, _, _ in out)
     g.label_sets
     eliminate_vanishing(g)
     refs = weakref.ref(g), weakref.ref(m), weakref.ref(m._compiled)

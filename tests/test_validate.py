@@ -7,6 +7,9 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
+
+import pytest
 
 import infradep
 
@@ -16,8 +19,10 @@ from infradep import (
     EnumDomain,
     Immediate,
     IntDomain,
+    InvalidModelError,
     Label,
     Model,
+    Not,
     Or,
     RateExpr,
     SetValue,
@@ -25,6 +30,9 @@ from infradep import (
     Timed,
     Transition,
     VariableDecl,
+    build_reachability_graph,
+    builtin_model,
+    estimate_occupancy,
     validate_model,
     var_eq,
 )
@@ -132,6 +140,53 @@ def test_nonpositive_rate_and_weight():
         )
         got = codes(validate_model(m))
         assert "INVALID_RATE" in got and "INVALID_WEIGHT" in got, rate
+
+
+@pytest.mark.parametrize("weight, found", [
+    (math.inf, [("INVALID_WEIGHT", "transition t1"), ("INVALID_WEIGHT", "transition t2")]),
+    (1e308, [("INVALID_WEIGHT", "model m")]),
+])
+def test_immediate_weights_and_their_sum_must_be_finite(weight, found):
+    # Each row's w / sum(w) must be a probability: inf / inf is nan, and
+    # 1e308 / (1e308 + 1e308) is 0.0.  Explore refuses the model too.
+    m = Model(
+        name="m",
+        variables=(VariableDecl("x", EnumDomain(("a", "b", "c")), "a"),),
+        parameters={},
+        transitions=(
+            Transition("t1", Immediate(1, weight), var_eq("x", "a"), (SetValue("x", "b"),)),
+            Transition("t2", Immediate(1, weight), var_eq("x", "a"), (SetValue("x", "c"),)),
+            Transition("back", Timed(RateExpr(1.0)), Not(var_eq("x", "a")), (SetValue("x", "a"),)),
+        ),
+    )
+    with pytest.raises(InvalidModelError):
+        build_reachability_graph(m)
+    assert [(e.code, e.where) for e in validate_model(m).errors] == found
+
+
+def test_explore_and_simulation_reuse_the_recorded_verdict(monkeypatch):
+    # validate_model records its report on the model; the gate before
+    # explore and simulation validates only a model without one, and a
+    # replace() copy is a new model.
+    import infradep.validate as validate
+
+    calls = []
+    inner = validate.validate_model
+    monkeypatch.setattr(validate, "validate_model", lambda m, spans=None: calls.append(m) or inner(m, spans))
+    m = replace(builtin_model("accidental"))
+    build_reachability_graph(m)
+    build_reachability_graph(m)
+    estimate_occupancy(m, "state8", horizon=1.0, replications=2, seed=1)
+    assert calls == [m]
+    copy = replace(m)
+    build_reachability_graph(copy)
+    assert calls == [m, copy]
+    # A recorded failing verdict stops explore without validating again.
+    bad = replace(m, parameters={**m.parameters, "lambda_e": 0.0})
+    validate.validate_model(bad)
+    with pytest.raises(InvalidModelError):
+        build_reachability_graph(bad)
+    assert calls == [m, copy, bad]
 
 
 def test_nonpositive_parameter():
