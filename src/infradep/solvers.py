@@ -9,22 +9,18 @@ target set serves every right-hand side (the mean hitting times, or the
 hit probabilities and the hit-weighted times of a defective target).
 Dense counterparts live in the test suite as oracles.
 
-Each solver reads the chain's rates (``ctmc.rates``, positive entries
-only, no diagonal) and its exit rates, and builds its sparse matrices
-once from their compressed arrays (Davis 2006, ch. 2), not by products
-with diagonal matrices, sparse sums or fancy indexing: the reachability
-and component searches run on the rates as they are, a hitting-time
-system is the rates of its kept rows and columns renumbered with minus
-each exit rate put on the diagonal, and P^T is the transposed rates
-scaled by 1/Lambda with 1 - exit/Lambda on the diagonal.  Only the
-steady-state balance system is cut from the generator the chain derives
-and caches.  The results are bit-identical to those of the sparse algebra
-they replace.
+Each solver reads what the chain derives once and caches: its rates
+(positive entries only, no diagonal), their CSC copy ``incoming``, the
+exit rates, the generator and the uniformized P^T.  The searches run on
+the rates as they are, and each system is assembled in one pass by
+``statespace._restrict`` (Davis 2006, ch. 2): a hitting-time or partial
+steady-state system is the rates of its kept rows and columns renumbered,
+with minus each exit rate on the diagonal.
 
 Uniformization runs at the fixed rate 1.05 times the largest exit rate and
 weights the powers of the uniformized chain by a Poisson window that drops
 at most ``POISSON_TAIL`` of the mass; each step multiplies a column vector
-by the transposed uniformized matrix, formed once per call.  The window's
+by the transposed uniformized matrix, formed once per chain.  The window's
 edges come from Poisson tail bounds (Fox & Glynn 1988), so its length is
 known before anything is allocated; a window longer than
 ``MAX_POISSON_TERMS``, or one whose powers would take more than
@@ -68,7 +64,7 @@ from .errors import (
     UnknownLabelError,
     UnreachableTargetError,
 )
-from .statespace import Ctmc, _entry_rows, _masked_indptr, _row_sums, _with_diagonal
+from .statespace import Ctmc, _entry_rows, _masked_indptr, _restrict, _row_sums
 
 
 @dataclass(frozen=True)
@@ -140,34 +136,19 @@ def terminal_sccs(ctmc: Ctmc) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
 
-def _reachable(indptr, indices, keep: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def _reachable(indptr, indices, sources: np.ndarray) -> np.ndarray:
     """States reachable from ``sources`` along the entries of a compressed
-    sparse matrix that ``keep`` selects (an entry in row ``i`` at index
-    ``j`` is an edge ``i -> j``)."""
+    sparse matrix (an entry in row ``i`` at index ``j`` is an edge
+    ``i -> j``)."""
     n = len(indptr) - 1
     # A virtual super-source (index n) with an edge to every source.
-    ptr = _masked_indptr(indptr, keep)
-    ptr = np.append(ptr, ptr[-1] + len(sources))
-    dst = np.concatenate([indices[keep], np.asarray(sources, dtype=indices.dtype)])
+    ptr = np.append(indptr, indptr[-1] + len(sources))
+    dst = np.concatenate([indices, np.asarray(sources, dtype=indices.dtype)])
     adj = sp.csr_matrix((np.ones(len(dst)), dst, ptr), shape=(n + 1, n + 1))
     order = csgraph.breadth_first_order(adj, n, directed=True, return_predecessors=False)
     seen = np.zeros(n + 1, dtype=bool)
     seen[order] = True
     return seen[:n]
-
-
-def _principal(m, keep: np.ndarray):
-    """The submatrix of a compressed sparse ``m`` on the rows and columns
-    ``keep`` selects, renumbered in order, in ``m``'s format; sorted
-    indices stay sorted."""
-    entry = keep[_entry_rows(m.indptr)] & keep[m.indices]
-    ptr = _masked_indptr(m.indptr, entry)
-    position = np.cumsum(keep, dtype=m.indices.dtype) - 1
-    size = int(keep.sum())
-    return m.__class__(
-        (m.data[entry], position[m.indices[entry]], np.append(ptr[:-1][keep], ptr[-1])),
-        shape=(size, size),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +179,7 @@ def steady_state(ctmc: Ctmc, options: SolverOptions = DEFAULT_OPTIONS) -> Distri
     else:
         in_scc = np.zeros(ctmc.n, dtype=bool)
         in_scc[scc] = True
-        sub = _principal(ctmc.generator, in_scc)
+        sub = _restrict(ctmc.rates, in_scc, -ctmc.exit[in_scc])
 
     qt = sub.T  # Q^T in CSC, on the arrays of Q
     pi_sub = _solve_balance(qt)
@@ -317,26 +298,13 @@ def _pad(x: np.ndarray, size: int) -> np.ndarray:
     return x if len(x) == size else np.concatenate([x, np.zeros(size - len(x))])
 
 
-def _uniformized_transpose(ctmc: Ctmc, lam: float) -> sp.csr_matrix:
-    """P^T in CSR for P = I + Q / ``lam``: the transposed rates scaled as
-    ``Q / lam`` scales them, with 1 - exit / ``lam`` on the diagonal.
-
-    P is built in CSC, whose transpose is CSR on the same arrays (for a
-    1-D left operand, ``v @ p`` would transpose P on every step).
-    """
-    scale = 1 / lam
-    p = ctmc.rates.tocsc()
-    p.data *= scale
-    return _with_diagonal(p, 1.0 - ctmc.exit * scale).T
-
-
 def transient(ctmc: Ctmc, t: float) -> Distribution:
     """Distribution at time ``t`` by uniformization.
 
     p(t) = sum_k Poisson(Lambda t)[k] * p(0) P^k with P = I + Q/Lambda and
     Lambda = 1.05 * the largest exit rate; the Poisson series is truncated
-    to discard at most ``POISSON_TAIL`` mass.  P^T is formed in CSR once,
-    and each step computes P^T v, the same sums in the same order as the
+    to discard at most ``POISSON_TAIL`` mass.  P^T, in CSR, is the
+    chain's (``ctmc.uniformized``), and each step computes P^T v, the same sums in the same order as the
     row-vector product v P.  Iteration stops early once the powers have
     converged (their difference is non-expansive under a stochastic P).
 
@@ -370,8 +338,8 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
     n = ctmc.n
-    lam = 1.05 * float(ctmc.exit.max(initial=0.0))
-    if t == 0 or lam <= 0:
+    lam, pt = ctmc.uniformized
+    if t == 0 or pt is None:
         dist = Distribution(p0.copy(), t)
         dist.metadata = {
             "uniformization_rate": lam,
@@ -381,7 +349,6 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         }
         return dist
 
-    pt = _uniformized_transpose(ctmc, lam)
     right = _window_edges(lam * t)[1]
     work = right * max(pt.nnz, STEP_WORK_FLOOR)
     if work > MAX_TRANSIENT_WORK:
@@ -476,12 +443,20 @@ def resolve_target(ctmc: Ctmc, target) -> np.ndarray:
     if isinstance(target, str):
         if target not in ctmc.label_sets:
             raise UnknownLabelError(f"no label {target!r} on model {ctmc.model.name!r}")
-        idx = sorted(ctmc.label_sets[target])
-    else:
-        idx = sorted(int(i) for i in target)
-        if idx and (idx[0] < 0 or idx[-1] >= ctmc.n):
-            raise InvalidArgError("target state index out of range")
-    return np.asarray(idx, dtype=int)
+        target = ctmc.label_sets[target]
+    return _sorted_indices(target, ctmc.n, "target state index out of range")
+
+
+def _sorted_indices(members, n: int, message: str) -> np.ndarray:
+    """The integers ``members`` as a sorted int64 array, read once; raises
+    ``InvalidArgError`` (``message``) unless each lies in ``[0, n)``."""
+    try:
+        idx = np.sort(np.fromiter(members, dtype=np.int64))
+    except OverflowError:  # beyond int64, so out of range
+        raise InvalidArgError(message) from None
+    if len(idx) and (idx[0] < 0 or idx[-1] >= n):
+        raise InvalidArgError(message)
+    return idx
 
 
 def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -> MeasureResult:
@@ -499,11 +474,8 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
 
     in_target = np.zeros(ctmc.n, dtype=bool)
     in_target[tgt] = True
-    # In CSC the entries of column j are the rates into state j.
-    rc = ctmc.rates.tocsc()
-    relevant, defective, into_target = _hitting_system(ctmc, rc, in_target)
-    sub = _with_diagonal(_principal(rc, relevant), -ctmc.exit[relevant])
-    del rc
+    relevant, defective, into_target = _hitting_system(ctmc, in_target)
+    sub = _restrict(ctmc.incoming, relevant, -ctmc.exit[relevant])
     # SuperLU's default order: MMD on A^T + A, which steady uses, made
     # these solves slower on every built-in at k_max 2000.
     solve = _lu(sub, "COLAMD", "hitting-time system").solve if sub.shape[0] else None
@@ -548,23 +520,28 @@ def mean_time_to_absorption(ctmc: Ctmc, target, allow_defective: bool = False) -
     )
 
 
-def _hitting_system(ctmc: Ctmc, rc: sp.csc_matrix, in_target: np.ndarray):
+def _hitting_system(ctmc: Ctmc, in_target: np.ndarray):
     """``(relevant, defective, into_target)`` for the target ``in_target``
     made absorbing: the non-target states reachable from the initial
     distribution that can reach the target, whether a reachable state
-    cannot, and each relevant state's total rate into the target.  Edges
-    are the rates outside the target's rows; ``rc`` is ``ctmc.rates`` in
-    CSC, where they are read backwards."""
+    cannot, and, for a defective target only (else None), each relevant
+    state's total rate into the target.  Edges are the rates outside the
+    target's rows, which the forward search cuts; the backward one, over
+    ``ctmc.incoming``, starts from every target state, so it needs no cut."""
     r = ctmc.rates
-    rows = _entry_rows(r.indptr)
-    reachable = _reachable(r.indptr, r.indices, ~in_target[rows], np.flatnonzero(ctmc.initial > 0))
-    can_reach = _reachable(rc.indptr, rc.indices, ~in_target[rc.indices], np.flatnonzero(in_target))
-    defective = bool((reachable & ~can_reach & ~in_target).any())
+    lengths = np.diff(r.indptr)
+    cut = np.zeros_like(r.indptr)
+    np.cumsum(np.where(in_target, 0, lengths), out=cut[1:])
+    reachable = _reachable(cut, r.indices[np.repeat(~in_target, lengths)],
+                           np.flatnonzero(ctmc.initial > 0))
+    can_reach = _reachable(ctmc.incoming.indptr, ctmc.incoming.indices, np.flatnonzero(in_target))
     relevant = reachable & can_reach & ~in_target
+    if not (reachable & ~can_reach & ~in_target).any():
+        return relevant, False, None
     # Each relevant row's rates into the target, summed in index order.
-    into = relevant[rows] & in_target[r.indices]
+    into = np.repeat(relevant, lengths) & in_target[r.indices]
     into_target = _row_sums(_masked_indptr(r.indptr, into), r.data[into])
-    return relevant, defective, into_target[relevant]
+    return relevant, True, into_target[relevant]
 
 
 def _lu(a: sp.csc_matrix, order: str, what: str):
@@ -617,10 +594,8 @@ def _require_in_range(x: np.ndarray, lo: float, hi: float, what: str, residual: 
 
 def label_probability(dist: Distribution, label_set, name: str = "label_probability") -> MeasureResult:
     """Probability mass of a state-index set under ``dist``."""
-    idx = sorted(int(i) for i in label_set)
-    if any(i < 0 or i >= len(dist.probs) for i in idx):
-        raise InvalidArgError("label state index out of range")
-    value = float(dist.probs[idx].sum()) if idx else 0.0
+    idx = _sorted_indices(label_set, len(dist.probs), "label state index out of range")
+    value = float(dist.probs[idx].sum())
     method = "steady" if math.isinf(dist.time) else "transient"
     meta = dict(getattr(dist, "metadata", {}))
     if not math.isinf(dist.time):

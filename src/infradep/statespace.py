@@ -29,9 +29,10 @@ products over the edge-weight matrix, handing each timed rate to the
 tangible states its immediate chains can reach.  The CTMC keeps those
 rates with each self-loop dropped: a canonical CSR (sorted indices, no
 duplicates, no stored zero) of positive rates between distinct states,
-with no diagonal.  Each state's exit rate (its row's sum) and the
-generator (the rates with minus the exit rate on the diagonal) are
-derived from it when first read, each in time linear in the rates.  The
+with no diagonal.  What the solvers read is derived from it when first
+read and cached on the chain: each state's exit rate (its row's sum), the
+rates in CSC (``incoming``), the generator and the uniformized P^T, each
+assembled in one pass over the rates (``_restrict``).  The
 check that the vanishing states hold no cycle runs once per graph and is
 cached on it, for the explorer and the eliminator alike.
 A graph groups its states into label sets once (``g.label_sets``); the
@@ -49,6 +50,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+from scipy.sparse._sparsetools import csr_plus_csr
 
 from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
 from .model import Model, StateVector, initial_state
@@ -189,7 +191,23 @@ class Ctmc:
     def generator(self) -> sp.csr_matrix:
         """The generator Q: ``rates`` with minus each nonzero exit rate on
         the diagonal (rows sum to zero)."""
-        return _with_diagonal(self.rates, -self.exit)
+        return _restrict(self.rates, None, -self.exit)
+
+    @cached_property
+    def incoming(self) -> sp.csc_matrix:
+        """``rates`` in CSC: column ``j`` holds the rates into state ``j``."""
+        return self.rates.tocsc()
+
+    @cached_property
+    def uniformized(self) -> tuple[float, sp.csr_matrix | None]:
+        """``(lam, pt)``: 1.05 times the largest exit rate, and P^T in CSR
+        for P = I + Q / ``lam`` (None if ``lam`` is 0), assembled as P in
+        CSC, whose transpose is CSR on the same arrays."""
+        lam = 1.05 * float(self.exit.max(initial=0.0))
+        if lam <= 0:
+            return lam, None
+        scale = 1 / lam
+        return lam, _restrict(self.incoming, None, 1.0 - self.exit * scale, scale).T
 
 
 def build_reachability_graph(model: Model, limit: int | None = None) -> ReachabilityGraph:
@@ -361,29 +379,30 @@ def _masked_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept[indptr]
 
 
-def _with_diagonal(m, diag: np.ndarray):
-    """``m``, a compressed sparse matrix that stores no diagonal, with
-    ``diag[r]`` stored at ``(r, r)`` wherever it is nonzero, in ``m``'s
-    format.  Each row's other entries keep their order, so sorted rows stay
-    sorted."""
-    indptr, indices, data = m.indptr, m.indices, m.data
-    at_row = np.flatnonzero(diag)
-    if not len(at_row):
-        return m.__class__((data, indices, indptr), shape=m.shape)
-    rows = _entry_rows(indptr)
-    before = np.bincount(rows[indices < rows], minlength=len(diag))
-    # Where each diagonal lands in the new arrays: after the entries of
-    # smaller index in its row and after the diagonals of earlier rows.
-    at = indptr[at_row] + before[at_row] + np.arange(len(at_row))
-    old = np.ones(len(data) + len(at), dtype=bool)
-    old[at] = False
-    new_data = np.empty(len(old))
-    new_data[at], new_data[old] = diag[at_row], data
-    new_indices = np.empty(len(old), dtype=indices.dtype)
-    new_indices[at], new_indices[old] = at_row, indices
-    added = np.zeros(len(indptr), dtype=indptr.dtype)
-    np.cumsum(diag != 0, out=added[1:])
-    return m.__class__((new_data, new_indices, indptr + added), shape=m.shape)
+def _restrict(m, keep: np.ndarray | None, diag: np.ndarray, scale: float | None = None):
+    """The principal submatrix of ``m`` on the rows and columns ``keep``
+    selects (all of them for None), renumbered in order, with its entries
+    times ``scale`` (if given) and ``diag[r]`` stored at ``(r, r)`` wherever
+    it is nonzero, in ``m``'s format.
+
+    ``m`` is a canonical compressed sparse matrix (CSR or CSC: sorted
+    indices, no duplicates) that stores no diagonal, and so is the result
+    but for its diagonal.  Scipy's index kernels gather the kept block,
+    and its compiled CSR sum merges the diagonal into each row in one
+    pass, copying every other entry as it is and storing no zero.
+    """
+    if keep is not None:
+        idx = np.flatnonzero(keep)
+        m = m[idx][:, idx]
+    data = m.data if scale is None else m.data * scale
+    size, on, dtype = len(diag), diag != 0, m.indices.dtype
+    diag_ptr = np.concatenate((np.zeros(1, dtype), np.cumsum(on, dtype=dtype)))
+    ptr = np.empty(size + 1, dtype)
+    indices = np.empty(m.nnz + diag_ptr[-1], dtype)
+    out = np.empty(len(indices))
+    csr_plus_csr(size, size, m.indptr, m.indices, data, diag_ptr,
+                 np.flatnonzero(on).astype(dtype), diag[on], ptr, indices, out)
+    return m.__class__((out[: ptr[-1]], indices[: ptr[-1]], ptr), shape=(size, size))
 
 
 def label_sets(obj) -> dict[str, frozenset[int]]:

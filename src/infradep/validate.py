@@ -106,13 +106,17 @@ def validate_model(model: Model, spans=None) -> ValidationReport:
     return rep
 
 
+def _report_of(model: Model) -> ValidationReport:
+    """The report ``validate_model`` recorded on ``model``, validating it
+    only when there is none."""
+    report = model.__dict__.get("_validation")
+    return validate_model(model) if report is None else report
+
+
 def require_valid(model: Model):
     """Raise ``InvalidModelError``, carrying the report and naming its first
-    error, unless ``model`` validates.  Reuses the report ``validate_model``
-    recorded on ``model``, and validates only when there is none."""
-    report = model.__dict__.get("_validation")
-    if report is None:
-        report = validate_model(model)
+    error, unless ``model`` validates (``_report_of``)."""
+    report = _report_of(model)
     if not report.ok:
         first = report.errors[0]
         raise InvalidModelError(

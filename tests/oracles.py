@@ -137,6 +137,12 @@ def firings_raw(model: Model, s: tuple):
     return [(t, t.kind.rate.value(model.parameters)) for t in timed], False
 
 
+def moves(model: Model, s: tuple) -> bool:
+    """Whether some transition that fires in ``s`` (under preemption)
+    leads to another state."""
+    return any(apply_update_raw(model, s, t) != s for t, _ in firings_raw(model, s)[0])
+
+
 def exhaustive_reachability(model: Model):
     """Enumerate the full domain product, then filter by reachability.
 

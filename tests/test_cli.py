@@ -227,9 +227,9 @@ def test_each_cli_exit_is_its_documented_code(capsys, tmp_path, argv, exit_code,
         assert err.startswith("usage error: ")
 
 
-def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
-    # Once when the file is parsed, and explore's gate reuses that verdict;
-    # an override makes a new model, which the gate validates again.
+@pytest.fixture
+def validations(monkeypatch):
+    """The names of the models ``validate_model`` checks, in call order."""
     import infradep.dsl
     import infradep.validate
 
@@ -243,12 +243,35 @@ def test_graph_validates_an_overridden_file_model_twice(capsys, monkeypatch):
     for module in (infradep.validate, infradep.dsl, infradep.cli):
         if hasattr(module, "validate_model"):
             monkeypatch.setattr(module, "validate_model", counted)
-    model = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+    return calls
+
+
+ACCIDENTAL_FILE = str(Path(__file__).parent.parent / "models" / "accidental.gsts")
+
+
+def test_graph_validates_an_overridden_file_model_twice(capsys, validations):
+    # Once when the file is parsed, and explore's gate reuses that verdict;
+    # an override makes a new model, which the gate validates again.
     for override, validated in (((), 1), (("--set", "lambda_e=2"), 2)):
-        calls.clear()
-        code, _, _ = run(capsys, "graph", "--model", model, *override, "--summary")
+        validations.clear()
+        code, _, _ = run(capsys, "graph", "--model", ACCIDENTAL_FILE, *override, "--summary")
         assert code == 0
-        assert calls == ["accidental"] * validated, override
+        assert validations == ["accidental"] * validated, override
+
+
+@pytest.mark.parametrize("claims", [(), ("--claims",)])
+def test_validate_reuses_the_report_of_a_parsed_file(capsys, validations, claims):
+    # parse_model validates the file and records its report, which validate
+    # (and, with --claims, explore's gate) reads back: one validation.  An
+    # override makes a new model, validated once more.  The report printed
+    # is the one a fresh validation of the same model gives.
+    for override, validated in (((), 1), (("--set", "lambda_e=2"), 2)):
+        validations.clear()
+        code, out, _ = run(capsys, "validate", "--model", ACCIDENTAL_FILE, *override, *claims)
+        assert code == 0
+        assert validations == ["accidental"] * validated, override
+        built = run(capsys, "validate", "--model", "accidental", *override, *claims)
+        assert (code, out) == built[:2], override
 
 
 # Two competing immediates out of x == a; WEIGHT is replaced per test.

@@ -42,6 +42,7 @@ from .oracles import (
     exhaustive_reachability,
     explore_matches_oracle,
     firings_raw,
+    moves,
 )
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -146,7 +147,11 @@ def _with_init(model, init):
 def test_explore_matches_exhaustive_oracle(model, data):
     # Explore walks integer codes with per-class code steps; from each of
     # a few initial states it must agree with the oracle's plain tuples.
-    inits = data.draw(st.lists(st.sampled_from(list(domain_product(model))), min_size=1, max_size=4))
+    # The initial states are drawn from those that some firing leaves, so
+    # that few examples compare a single state (any state if none moves).
+    states = list(domain_product(model))
+    pool = [s for s in states if moves(model, s)] or states
+    inits = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
     for init in inits:
         m = _with_init(model, init)
         assert validate_model(m).ok

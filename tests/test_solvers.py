@@ -37,7 +37,6 @@ from infradep.solvers import (
     _poisson_window,
     _require_in_range,
     _rung,
-    _uniformized_transpose,
     csr_matvec,
     terminal_sccs,
 )
@@ -86,6 +85,32 @@ def test_transient_without_rates_keeps_the_initial_distribution():
         assert np.array_equal(dist.probs, c.initial)
         assert math.copysign(1.0, dist.metadata["uniformization_rate"]) == 1.0  # 0.0, not -0.0
         assert dist.metadata["steps"] == dist.metadata["row_steps"] == 0
+
+
+def test_transient_builds_the_uniformized_matrix_once_per_chain(monkeypatch):
+    # P^T is cached on the chain: a second call, at another time, reads it
+    # and gives what a fresh chain gives.
+    import infradep.statespace
+
+    built = []
+    original = infradep.statespace._restrict
+
+    def counted(*args, **kwargs):
+        built.append(args[0].format)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(infradep.statespace, "_restrict", counted)
+    model = builtin_model("common-cause", replace(ModelParams(), k_max=20))
+    c = eliminate_vanishing(build_reachability_graph(model))
+    first = transient(c, 50.0)
+    second = transient(c, 5.0)
+    assert built == ["csc"]
+    lam, pt = c.uniformized
+    assert first.metadata["uniformization_rate"] == lam
+    fresh = eliminate_vanishing(build_reachability_graph(model))
+    again = transient(fresh, 5.0)
+    assert np.array_equal(second.probs, again.probs)
+    assert second.metadata == again.metadata
 
 
 def test_transient_rejects_negative_time(ctmc_a):
@@ -330,7 +355,7 @@ def test_csr_kernel_matches_the_sparse_product():
     rng = np.random.default_rng(5)
     for k_max in (2, 20, 200, 2000):
         for name, c in _built_at(k_max).items():
-            pt = _uniformized_transpose(c, 1.05 * float(c.exit.max()))
+            pt = c.uniformized[1]
             rows = MIN_RUNG
             while True:
                 op = _rung(pt, rows)
@@ -608,9 +633,15 @@ def test_label_probability_full_and_empty(ctmc_a):
 
 def test_label_probability_rejects_an_index_out_of_range(ctmc_a):
     dist = steady_state(ctmc_a)
-    for bad in ({-1}, {ctmc_a.n}):
+    for bad in ({-1}, {ctmc_a.n}, {2**70}):
         with pytest.raises(InvalidArgError, match="out of range"):
             label_probability(dist, bad)
+
+
+def test_mtta_rejects_a_target_index_out_of_range(ctmc_a):
+    for bad in ([-1], [0, ctmc_a.n], [2**70]):
+        with pytest.raises(InvalidArgError, match="target state index out of range"):
+            mean_time_to_absorption(ctmc_a, bad)
 
 
 def test_label_probability_state8_positive(ctmcs):
@@ -779,7 +810,8 @@ def test_transient_work_budget_edge(hops, inside, outside):
     # power, Lambda*t plus about 1%, times those entries is held to 1e9:
     # just under it at Lambda*t = ``inside``, about 0.6% over at ``outside``.
     c = ctmc_of(birth_chain([1.0] * hops))
-    assert _uniformized_transpose(c, 1.05).nnz == 2 * hops + 1
+    assert c.uniformized[0] == 1.05
+    assert c.uniformized[1].nnz == 2 * hops + 1
     assert transient(c, inside / 1.05).metadata["steps"] > 0
     with pytest.raises(InvalidArgError, match="at most 1e\\+09"):
         transient(c, outside / 1.05)

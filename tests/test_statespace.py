@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infradep import (
     And,
@@ -31,6 +34,7 @@ from infradep import (
     var_eq,
 )
 from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
+from infradep.statespace import _restrict
 
 from .oracles import (
     ctmc_of,
@@ -682,3 +686,47 @@ def test_graphs_match_pinned_digests(case):
     name, k_max = case.split()
     g = build_reachability_graph(builtin_model(name, replace(DEFAULT_PARAMS, k_max=int(k_max))))
     assert _graph_digest(g) == PINNED_GRAPHS[case]
+
+
+@st.composite
+def _restrict_cases(draw):
+    """A dense matrix with a zero diagonal, which rows and columns to keep
+    (None, none or a random subset), a diagonal over those with zero and
+    nonzero entries, and a scale or None."""
+    n = draw(st.integers(0, 7))
+    value = st.floats(1e-6, 1e6)
+    a = np.array(draw(st.lists(st.one_of(st.just(0.0), value), min_size=n * n, max_size=n * n)))
+    a = a.reshape(n, n)
+    np.fill_diagonal(a, 0.0)
+    keep = draw(st.one_of(
+        st.none(),
+        st.just(np.zeros(n, dtype=bool)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda k: np.array(k, dtype=bool)),
+    ))
+    size = n if keep is None else int(keep.sum())
+    entry = st.one_of(st.just(0.0), value.map(lambda x: -x), value)
+    diag = np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=float)
+    # A subnormal scale rounds some products to 0, which are not stored.
+    scale = draw(st.one_of(st.none(), st.floats(1e-320, 1e300)))
+    return a, keep, diag, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_restrict_cases(), fmt=st.sampled_from((sp.csr_matrix, sp.csc_matrix)))
+def test_restrict_matches_the_dense_principal_submatrix(case, fmt):
+    # The kept block times the scale plus the diagonal, in the input's
+    # format, with sorted indices, no duplicate and no stored zero: an
+    # absorbing state's zero diagonal is not stored.
+    a, keep, diag, scale = case
+    idx = np.arange(len(a)) if keep is None else np.flatnonzero(keep)
+    want = a[np.ix_(idx, idx)] * (1.0 if scale is None else scale) + np.diag(diag)
+    m = fmt(a)
+    got = _restrict(m, keep, diag, scale)
+    assert type(got) is fmt
+    assert got.shape == want.shape
+    assert np.array_equal(got.toarray(), want)
+    assert not (got.data == 0).any()
+    for j in range(got.shape[0]):
+        assert (np.diff(got.indices[got.indptr[j] : got.indptr[j + 1]]) > 0).all()
+    # The input is left as it was.
+    assert np.array_equal(m.toarray(), a)
