@@ -31,7 +31,7 @@ from .model import guard_predicate
 from .montecarlo import estimate_occupancy, estimate_time_to, trace_to_csv, trace_to_jsonl
 from .solvers import label_probability, mean_time_to_absorption, steady_state, transient
 from .statespace import build_reachability_graph, eliminate_vanishing, state_limit
-from .validate import _report_of
+from .validate import validation_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -222,7 +222,7 @@ def cmd_list_models(args) -> int:
 
 def cmd_validate(args) -> int:
     model = _load_model(args)
-    report = _report_of(model)  # a parsed file was validated as it was read
+    report = validation_report(model)
     lines = [_issue_line(i) for i in report.errors]
     lines += [_issue_line(i, "warning") for i in report.warnings]
     results = []

@@ -11,16 +11,17 @@ Dense counterparts live in the test suite as oracles.
 
 Each solver reads what the chain derives once and caches: its rates
 (positive entries only, no diagonal), their CSC copy ``incoming``, the
-exit rates, the generator and the uniformized P^T.  The searches run on
-the rates as they are, and each system is assembled in one pass by
-``statespace._restrict`` (Davis 2006, ch. 2): a hitting-time or partial
-steady-state system is the rates of its kept rows and columns renumbered,
-with minus each exit rate on the diagonal.
+exit rates and the generator.  The searches run on the rates as they
+are.  ``statespace._restrict`` assembles every system (Davis 2006, ch.
+2): a hitting-time or partial steady-state system is the rates of its
+kept rows and columns renumbered, with minus each exit rate on the
+diagonal, and the uniformized P^T the scaled incoming rates with
+1 - exit / Lambda on the diagonal.
 
 Uniformization runs at the fixed rate 1.05 times the largest exit rate and
 weights the powers of the uniformized chain by a Poisson window that drops
 at most ``POISSON_TAIL`` of the mass; each step multiplies a column vector
-by the transposed uniformized matrix, formed once per chain.  The window's
+by the transposed uniformized matrix, formed once per call.  The window's
 edges come from Poisson tail bounds (Fox & Glynn 1988), so its length is
 known before anything is allocated; a window longer than
 ``MAX_POISSON_TERMS``, or one whose powers would take more than
@@ -303,10 +304,11 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
 
     p(t) = sum_k Poisson(Lambda t)[k] * p(0) P^k with P = I + Q/Lambda and
     Lambda = 1.05 * the largest exit rate; the Poisson series is truncated
-    to discard at most ``POISSON_TAIL`` mass.  P^T, in CSR, is the
-    chain's (``ctmc.uniformized``), and each step computes P^T v, the same sums in the same order as the
-    row-vector product v P.  Iteration stops early once the powers have
-    converged (their difference is non-expansive under a stochastic P).
+    to discard at most ``POISSON_TAIL`` mass.  P^T is formed in CSR once
+    per call, from the chain's ``incoming`` rates, and each step computes
+    P^T v, the same sums in the same order as the row-vector product v P.
+    Iteration stops early once the powers have converged (their
+    difference is non-expansive under a stochastic P).
 
     A step multiplies only the rows of P^T that can be nonzero.  With v
     zero from index m on, P^T v is zero from ``reach[m - 1]`` on
@@ -338,8 +340,8 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         raise InvalidArgError(f"time must be finite and >= 0, got {t}")
     p0 = ctmc.initial.astype(float)
     n = ctmc.n
-    lam, pt = ctmc.uniformized
-    if t == 0 or pt is None:
+    lam = 1.05 * float(ctmc.exit.max(initial=0.0))
+    if t == 0 or lam <= 0:
         dist = Distribution(p0.copy(), t)
         dist.metadata = {
             "uniformization_rate": lam,
@@ -349,6 +351,9 @@ def transient(ctmc: Ctmc, t: float) -> Distribution:
         }
         return dist
 
+    # P in CSC, whose transpose is P^T in CSR on the same arrays.
+    scale = 1 / lam
+    pt = _restrict(ctmc.incoming, None, 1.0 - ctmc.exit * scale, scale).T
     right = _window_edges(lam * t)[1]
     work = right * max(pt.nnz, STEP_WORK_FLOOR)
     if work > MAX_TRANSIENT_WORK:

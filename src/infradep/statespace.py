@@ -29,10 +29,10 @@ products over the edge-weight matrix, handing each timed rate to the
 tangible states its immediate chains can reach.  The CTMC keeps those
 rates with each self-loop dropped: a canonical CSR (sorted indices, no
 duplicates, no stored zero) of positive rates between distinct states,
-with no diagonal.  What the solvers read is derived from it when first
-read and cached on the chain: each state's exit rate (its row's sum), the
-rates in CSC (``incoming``), the generator and the uniformized P^T, each
-assembled in one pass over the rates (``_restrict``).  The
+with no diagonal.  Each state's exit rate (its row's sum), the rates in
+CSC (``incoming``) and the generator are derived from it when first read
+and cached on the chain; ``_restrict`` assembles the generator and every
+solver system from the rates.  The
 check that the vanishing states hold no cycle runs once per graph and is
 cached on it, for the explorer and the eliminator alike.
 A graph groups its states into label sets once (``g.label_sets``); the
@@ -50,7 +50,8 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.sparse._sparsetools import csr_plus_csr
+from scipy.sparse._sparsetools import csr_column_index1, csr_column_index2
+from scipy.sparse._sparsetools import csr_plus_csr, csr_row_index
 
 from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
 from .model import Model, StateVector, initial_state
@@ -197,17 +198,6 @@ class Ctmc:
     def incoming(self) -> sp.csc_matrix:
         """``rates`` in CSC: column ``j`` holds the rates into state ``j``."""
         return self.rates.tocsc()
-
-    @cached_property
-    def uniformized(self) -> tuple[float, sp.csr_matrix | None]:
-        """``(lam, pt)``: 1.05 times the largest exit rate, and P^T in CSR
-        for P = I + Q / ``lam`` (None if ``lam`` is 0), assembled as P in
-        CSC, whose transpose is CSR on the same arrays."""
-        lam = 1.05 * float(self.exit.max(initial=0.0))
-        if lam <= 0:
-            return lam, None
-        scale = 1 / lam
-        return lam, _restrict(self.incoming, None, 1.0 - self.exit * scale, scale).T
 
 
 def build_reachability_graph(model: Model, limit: int | None = None) -> ReachabilityGraph:
@@ -385,24 +375,30 @@ def _restrict(m, keep: np.ndarray | None, diag: np.ndarray, scale: float | None 
     times ``scale`` (if given) and ``diag[r]`` stored at ``(r, r)`` wherever
     it is nonzero, in ``m``'s format.
 
-    ``m`` is a canonical compressed sparse matrix (CSR or CSC: sorted
-    indices, no duplicates) that stores no diagonal, and so is the result
-    but for its diagonal.  Scipy's index kernels gather the kept block,
-    and its compiled CSR sum merges the diagonal into each row in one
-    pass, copying every other entry as it is and storing no zero.
+    ``m`` is a canonical CSR or CSC matrix that stores no diagonal, and so
+    is the result but for its diagonal.  Scipy's compiled kernels run on
+    plain arrays: the index kernels ``m[idx][:, idx]`` ends in copy the
+    kept rows, then their kept columns (``idx`` is sorted: its argsort is
+    ``arange``), and the CSR sum merges in the diagonal, storing no zero.
     """
+    indptr, indices, data, dtype = m.indptr, m.indices, m.data, m.indices.dtype
     if keep is not None:
-        idx = np.flatnonzero(keep)
-        m = m[idx][:, idx]
-    data = m.data if scale is None else m.data * scale
-    size, on, dtype = len(diag), diag != 0, m.indices.dtype
+        idx = np.flatnonzero(keep).astype(dtype)
+        k, rows_ptr = len(idx), np.zeros(len(idx) + 1, dtype)
+        np.cumsum(indptr[idx + 1] - indptr[idx], out=rows_ptr[1:])
+        rows = np.empty(rows_ptr[-1], dtype), np.empty(rows_ptr[-1])
+        csr_row_index(k, idx, indptr, indices, data, *rows)
+        counts, indptr = np.zeros(len(keep), dtype), np.empty(k + 1, dtype)
+        csr_column_index1(k, idx, k, len(keep), rows_ptr, rows[0], counts, indptr)
+        indices, data = np.empty(indptr[-1], dtype), np.empty(indptr[-1])
+        csr_column_index2(np.arange(k, dtype=dtype), counts, len(rows[0]), *rows, indices, data)
+    size, on = len(diag), diag != 0
     diag_ptr = np.concatenate((np.zeros(1, dtype), np.cumsum(on, dtype=dtype)))
-    ptr = np.empty(size + 1, dtype)
-    indices = np.empty(m.nnz + diag_ptr[-1], dtype)
-    out = np.empty(len(indices))
-    csr_plus_csr(size, size, m.indptr, m.indices, data, diag_ptr,
-                 np.flatnonzero(on).astype(dtype), diag[on], ptr, indices, out)
-    return m.__class__((out[: ptr[-1]], indices[: ptr[-1]], ptr), shape=(size, size))
+    ptr, out_indices = np.empty(size + 1, dtype), np.empty(len(indices) + diag_ptr[-1], dtype)
+    out = np.empty(len(out_indices))
+    csr_plus_csr(size, size, indptr, indices, data if scale is None else data * scale, diag_ptr,
+                 np.flatnonzero(on).astype(dtype), diag[on], ptr, out_indices, out)
+    return m.__class__((out[: ptr[-1]], out_indices[: ptr[-1]], ptr), shape=(size, size))
 
 
 def label_sets(obj) -> dict[str, frozenset[int]]:

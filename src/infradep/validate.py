@@ -11,8 +11,9 @@ it is recorded; the checks only name the item and the offending word.
 explorer and the simulator: it raises ``InvalidModelError`` carrying the
 report.  ``validate_model`` records its report on the model it checked
 (in the instance ``__dict__``, as ``cached_property`` stores), and the
-gate validates only a model that has no report yet, so that a model is
-checked once however many stages it passes.  A ``dataclasses.replace``
+gate and the CLI read it through ``validation_report``, which validates
+only a model that has none yet, so that a model is checked once
+however many stages it passes.  A ``dataclasses.replace``
 copy is a new model and is checked again.
 """
 
@@ -106,17 +107,17 @@ def validate_model(model: Model, spans=None) -> ValidationReport:
     return rep
 
 
-def _report_of(model: Model) -> ValidationReport:
-    """The report ``validate_model`` recorded on ``model``, validating it
-    only when there is none."""
+def validation_report(model: Model) -> ValidationReport:
+    """The report ``validate_model`` recorded on ``model`` (a parsed file's
+    model carries its parse's), validating it only when there is none."""
     report = model.__dict__.get("_validation")
     return validate_model(model) if report is None else report
 
 
 def require_valid(model: Model):
     """Raise ``InvalidModelError``, carrying the report and naming its first
-    error, unless ``model`` validates (``_report_of``)."""
-    report = _report_of(model)
+    error, unless ``model`` validates (``validation_report``)."""
+    report = validation_report(model)
     if not report.ok:
         first = report.errors[0]
         raise InvalidModelError(

@@ -40,6 +40,7 @@ from infradep.solvers import (
     csr_matvec,
     terminal_sccs,
 )
+from infradep.statespace import _restrict
 
 from .oracles import (
     birth_chain,
@@ -85,32 +86,6 @@ def test_transient_without_rates_keeps_the_initial_distribution():
         assert np.array_equal(dist.probs, c.initial)
         assert math.copysign(1.0, dist.metadata["uniformization_rate"]) == 1.0  # 0.0, not -0.0
         assert dist.metadata["steps"] == dist.metadata["row_steps"] == 0
-
-
-def test_transient_builds_the_uniformized_matrix_once_per_chain(monkeypatch):
-    # P^T is cached on the chain: a second call, at another time, reads it
-    # and gives what a fresh chain gives.
-    import infradep.statespace
-
-    built = []
-    original = infradep.statespace._restrict
-
-    def counted(*args, **kwargs):
-        built.append(args[0].format)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(infradep.statespace, "_restrict", counted)
-    model = builtin_model("common-cause", replace(ModelParams(), k_max=20))
-    c = eliminate_vanishing(build_reachability_graph(model))
-    first = transient(c, 50.0)
-    second = transient(c, 5.0)
-    assert built == ["csc"]
-    lam, pt = c.uniformized
-    assert first.metadata["uniformization_rate"] == lam
-    fresh = eliminate_vanishing(build_reachability_graph(model))
-    again = transient(fresh, 5.0)
-    assert np.array_equal(second.probs, again.probs)
-    assert second.metadata == again.metadata
 
 
 def test_transient_rejects_negative_time(ctmc_a):
@@ -174,6 +149,13 @@ def test_transient_step_matches_dense_row_uniformization():
                 assert np.abs(dist.probs - want).max() <= 1e-12, (name, k_max, t)
                 early_stops += dist.metadata["steps"] < dist.metadata["poisson_terms"][1]
     assert early_stops > 0  # t = 5000 reaches the early-stop branch
+
+
+def _uniformized_transpose(c):
+    """P^T in CSR for P = I + Q / Lambda, Lambda = 1.05 times the largest
+    exit rate, built as ``transient`` builds it."""
+    scale = 1 / (1.05 * float(c.exit.max()))
+    return _restrict(c.incoming, None, 1.0 - c.exit * scale, scale).T
 
 
 def _full_row_uniformization(c, t):
@@ -355,7 +337,7 @@ def test_csr_kernel_matches_the_sparse_product():
     rng = np.random.default_rng(5)
     for k_max in (2, 20, 200, 2000):
         for name, c in _built_at(k_max).items():
-            pt = c.uniformized[1]
+            pt = _uniformized_transpose(c)
             rows = MIN_RUNG
             while True:
                 op = _rung(pt, rows)
@@ -810,8 +792,9 @@ def test_transient_work_budget_edge(hops, inside, outside):
     # power, Lambda*t plus about 1%, times those entries is held to 1e9:
     # just under it at Lambda*t = ``inside``, about 0.6% over at ``outside``.
     c = ctmc_of(birth_chain([1.0] * hops))
-    assert c.uniformized[0] == 1.05
-    assert c.uniformized[1].nnz == 2 * hops + 1
-    assert transient(c, inside / 1.05).metadata["steps"] > 0
+    assert _uniformized_transpose(c).nnz == 2 * hops + 1
+    meta = transient(c, inside / 1.05).metadata
+    assert meta["uniformization_rate"] == 1.05
+    assert meta["steps"] > 0
     with pytest.raises(InvalidArgError, match="at most 1e\\+09"):
         transient(c, outside / 1.05)
