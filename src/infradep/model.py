@@ -17,24 +17,26 @@ Guards only compare one variable with a literal, so states fall into
 result and label, is constant.  An enum's class is its value.  A counter
 compared with the integer ``v`` somewhere in the model has the cut points
 ``v`` and ``v + 1``, and its class is the number of cut points at or below
-its value.  One interpreter, ``eval_guard_kleene``, evaluates every
-guard.  The firing rule runs it once per class, on the first state seen in
-it, and fills one row of a per-model table.  The table interns its rows:
-each class gets a dense row id (``_CompiledModel.row_id``), so that the
-explorer can record one integer per state and derive the edges, the state
-kinds and the label sets from the rows afterwards, while the simulator
-reads a state's row directly (``_CompiledModel.row``).  The explorer
-indexes states by an integer code (``_CompiledModel.encode``), encodes
-only the initial state, and follows each row's per-transition code steps
-(``_CompiledModel.fill_steps``), which give every target's code and row
-from its source's code.  The steps are plain data, a constant code delta
-plus the digits of the variables set to a literal that the class does not
-fix, because explore runs only on a valid model (``validate_model``), on
-which no update leaves its domain.  Each update is read once, into a list
-of assignment ops (``_CompiledModel.ops``), from which its function on
-state tuples and its code steps both come.
+its value.  One interpreter, ``eval_guards``, evaluates every guard at a
+whole mixed radix of points at once, as a pair of bitsets.  The firing
+table runs it once per *page* of guard classes, when the first class in
+the page is met, and reads one row per class off the bits.  It interns
+its rows: each class gets a dense row id (``_CompiledModel.row_id``), so
+that the explorer can record one integer per state and derive the edges,
+the state kinds and the label sets from the rows afterwards, while the
+simulator reads a state's row directly (``_CompiledModel.row``).  The
+explorer indexes states by an integer code (``_CompiledModel.encode``),
+encodes only the initial state, and follows each row's per-transition
+code steps (``_CompiledModel.fill_steps``), which give every target's
+code and row from its source's code.  The steps are plain data, a
+constant code delta plus the digits of the variables set to a literal
+that the class does not fix, because explore runs only on a valid model
+(``validate_model``), on which no update leaves its domain.  Each update
+is read once, into a list of assignment ops (``_CompiledModel.ops``),
+from which its function on state tuples and its code steps both come.
 ``guard_predicate`` caches any other guard's truth per class of that
-guard's own literals, and validation runs it on partial assignments.
+guard's own literals, from ``eval_guard_kleene``, the interpreter at
+width 1, which validation runs on partial assignments.
 The firing table and ``guard_predicate`` work on any model.
 """
 
@@ -51,6 +53,9 @@ StateVector = tuple
 Value = Union[str, int]
 
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+# The most guard classes the firing table evaluates at once (a page).
+PAGE_CLASSES = 4096
 
 TRANSITION_TAGS = frozenset(
     {"cascading", "escalating", "common_cause", "restoration", "attack", "internal"}
@@ -141,41 +146,61 @@ _CMP_FNS: dict[str, Callable] = {
 }
 
 
-def eval_guard_kleene(guard: Guard, partial: Mapping[str, Value]) -> bool | None:
-    """Three-valued evaluation under a partial assignment.
+def eval_guards(guards, universe: Mapping[str, tuple[int, tuple]], size: int) -> list[tuple[int, int]]:
+    """Three-valued evaluation of each of ``guards`` at all ``size`` points
+    of a mixed radix at once (Bryant, IEEE TC 1986): bit ``p`` of the pair
+    ``(true, false)`` is set where the guard holds or fails at point ``p``,
+    and in neither where unknown variables leave it undecided.  ``universe``
+    maps each known variable to ``(place, values)``: it holds
+    ``values[p // place % len(values)]``, and ``size`` is a multiple of
+    every ``place * len(values)``."""
+    full, memo = (1 << size) - 1, {}
 
-    Variables absent from ``partial`` are unknown; returns None when the
-    truth value cannot be decided.  This is the one guard evaluator: the
-    firing table and ``guard_predicate`` run it on a full assignment (one
-    state per guard class), where it always returns True or False, and
-    validation on partial ones.
-    """
-    if isinstance(guard, Comparison):
-        if guard.var not in partial:
-            return None
-        return _CMP_FNS[guard.op](partial[guard.var], guard.value)
-    if isinstance(guard, And):
-        seen_unknown = False
-        for t in guard.terms:
-            v = eval_guard_kleene(t, partial)
-            if v is False:
-                return False
-            if v is None:
-                seen_unknown = True
-        return None if seen_unknown else True
-    if isinstance(guard, Or):
-        seen_unknown = False
-        for t in guard.terms:
-            v = eval_guard_kleene(t, partial)
-            if v is True:
-                return True
-            if v is None:
-                seen_unknown = True
-        return None if seen_unknown else False
-    if isinstance(guard, Not):
-        v = eval_guard_kleene(guard.term, partial)
-        return None if v is None else not v
-    raise TypeError(f"not a guard node: {guard!r}")
+    def leaf(c: Comparison) -> tuple[int, int]:
+        key = c.var, c.op, c.value
+        if key in memo or c.var not in universe:
+            return memo.get(key, (0, 0))
+        place, values = universe[c.var]
+        test, block, true = _CMP_FNS[c.op], (1 << place) - 1, 0
+        for p, x in enumerate(values):
+            if test(x, c.value):
+                true |= block << p * place
+        period = place * len(values)
+        while period < size:
+            true |= true << period
+            period *= 2
+        true &= full
+        memo[key] = true, full ^ true
+        return memo[key]
+
+    return [_walk(g, leaf, full) for g in guards]
+
+
+def _walk(g: Guard, leaf: Callable, full: int) -> tuple[int, int]:
+    """One guard tree of ``eval_guards`` (not a closure, which would be a
+    reference cycle), whose comparisons ``leaf`` evaluates."""
+    if isinstance(g, Comparison):
+        return leaf(g)
+    if isinstance(g, Not):
+        true, false = _walk(g.term, leaf, full)
+        return false, true
+    if isinstance(g, (And, Or)):
+        # And meets the true sets and joins the false ones; Or, the reverse.
+        flip = isinstance(g, Or)
+        meet, join = full, 0
+        for term in g.terms:
+            pair = _walk(term, leaf, full)
+            meet &= pair[flip]
+            join |= pair[not flip]
+        return (join, meet) if flip else (meet, join)
+    raise TypeError(f"not a guard node: {g!r}")
+
+
+def eval_guard_kleene(guard: Guard, partial: Mapping[str, Value]) -> bool | None:
+    """``eval_guards`` at width 1: True or False, or None where the
+    variables absent from ``partial`` leave ``guard`` undecided."""
+    ((true, false),) = eval_guards([guard], {var: (1, (x,)) for var, x in partial.items()}, 1)
+    return True if true else False if false else None
 
 
 def _cut_points(value) -> tuple:
@@ -210,15 +235,23 @@ def guard_cuts(model: Model, guards=None) -> dict[str, tuple[int, ...]]:
     return {var: tuple(sorted(points)) for var, points in cuts.items()}
 
 
+def class_values(domain: Domain, cuts: tuple) -> tuple:
+    """One value per guard class of a variable with cut points ``cuts``, in
+    class order: an enum's values, or a counter's lower bound and each cut
+    point above it in its range."""
+    if isinstance(domain, EnumDomain):
+        return domain.values
+    return (domain.lo,) + tuple(c for c in cuts if domain.lo < c <= domain.hi)
+
+
 def _class_parts(model: Model, guards=None) -> tuple[tuple[int, tuple | None], ...]:
     """The variables that decide a state's guard class under ``guards``
     (default: every transition guard and label predicate), as pairs of a
     variable index and None for an enum they compare or the cut points of
-    a counter.  A counter without cut points has one class and is left out."""
+    a counter (a counter without cut points has one class)."""
     return tuple(
         (model.var_index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
         for var, cuts in guard_cuts(model, guards).items()
-        if cuts or isinstance(model.variable(var).domain, EnumDomain)
     )
 
 
@@ -379,8 +412,8 @@ def _position(digit: tuple, x) -> int:
 
 
 class _CompiledModel:
-    """Per-model updates, the firing table, whose rows the guard interpreter
-    fills once per guard class, and the integer coding of states.
+    """Per-model updates, the firing table, whose rows are read off the
+    guard interpreter's bitsets, and the integer coding of states.
 
     ``ops[t]`` is transition ``t``'s update, read once (``_read``).
     ``updates[t]``, the function that applies it to a state tuple, and the
@@ -388,8 +421,14 @@ class _CompiledModel:
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
-    The table works on any model; the coding and the steps below assume a
-    valid one (``validate_model``), as explore does.
+    The classes form a mixed radix over the classed variables (``axes``);
+    a *page* is a run of classes that differ only in the low-order axes,
+    at least one, of at most ``PAGE_CLASSES`` classes in all.  The first
+    class met in a page has every guard and label evaluated over the whole
+    page, and ``_fill`` reads each row off the bits at its class's offset.
+    The table works on any model, for the states of its domain product;
+    the coding and the steps below assume a valid one (``validate_model``),
+    as explore does.
 
     A state's code is a mixed radix over its variables' domain positions
     (an enum value's index, a counter's value minus its lower bound), so
@@ -417,12 +456,27 @@ class _CompiledModel:
 
     def __init__(self, model: Model):
         self.transitions = model.transitions
-        self.parameters = model.parameters
-        self.names = tuple(v.name for v in model.variables)
+        self.rates = tuple(t.kind.rate.value(model.parameters) if t.is_timed else None
+                           for t in model.transitions)
         self.labels = model.labels
+        self.guards = [t.guard for t in model.transitions] + [l.predicate for l in model.labels]
         parts = _class_parts(model)
         self.class_key = _class_key(parts)
         self.classed = dict(parts)
+        # Per classed variable: its name, its key entry -> its digit, and one
+        # value per class, which the guards see.
+        self.axes = []
+        for i, cuts in parts:
+            values = class_values(model.variables[i].domain, cuts)
+            keys = values if cuts is None else [bisect_right(cuts, x) for x in values]
+            self.axes.append((model.variables[i].name, {k: d for d, k in enumerate(keys)}, values))
+        self.places, self.page_size = [], 1  # a page's axes' place values, and its classes
+        for _, _, values in self.axes:
+            if self.places and self.page_size * len(values) > PAGE_CLASSES:
+                break
+            self.places.append(self.page_size)
+            self.page_size *= len(values)
+        self.pages: dict[tuple, list[int]] = {}  # each guard's, then label's, true set
         self.table: dict[tuple, int] = {}
         self.rows: list[FiringRow] = []
         self.steps: list[list | None] = []
@@ -442,11 +496,11 @@ class _CompiledModel:
         self.updates = tuple(map(self._update, self.ops))
 
     def row_id(self, s: StateVector) -> int:
-        """The id of ``s``'s guard-class row, filled from ``s`` on first use."""
+        """The id of ``s``'s guard-class row, filled on first use."""
         key = self.class_key(s)
         rid = self.table.get(key)
         if rid is None:
-            self.rows.append(self._fill(s))
+            self.rows.append(self._fill(key))
             self.steps.append(None)
             rid = self.table[key] = len(self.rows) - 1
         return rid
@@ -512,20 +566,29 @@ class _CompiledModel:
         return steps
 
     def row(self, s: StateVector) -> FiringRow:
-        """The row of ``s``'s guard class, filled from ``s`` on first use."""
+        """The row of ``s``'s guard class, filled on first use."""
         return self.rows[self.row_id(s)]
 
-    def _fill(self, s: StateVector) -> FiringRow:
-        """The GSPN firing rule in ``s``, with its payload and the labels.
+    def _fill(self, key: tuple) -> FiringRow:
+        """The GSPN firing rule on the class ``key``, with its payload and
+        the labels, read off the bits at the class's offset in its page.
 
         If any immediate guard holds, the state is vanishing and the chosen
         transitions are its enabled immediates of maximal priority;
         otherwise they are its enabled timed transitions.
         """
-        point = dict(zip(self.names, s))
-        transitions = self.transitions
-        labels = tuple(eval_guard_kleene(l.predicate, point) for l in self.labels)
-        enabled = [i for i, t in enumerate(transitions) if eval_guard_kleene(t.guard, point)]
+        digits = [axis[1][k] for axis, k in zip(self.axes, key)]
+        offset = sum(d * place for d, place in zip(digits, self.places))
+        n, transitions = len(self.places), self.transitions
+        high = tuple(digits[n:])
+        truth = self.pages.get(high)
+        if truth is None:  # the page's first class: evaluate it whole
+            universe = {name: (place, values) for (name, _, values), place in zip(self.axes, self.places)}
+            for (name, _, values), d in zip(self.axes[n:], high):
+                universe[name] = (1, (values[d],))
+            truth = self.pages[high] = [t for t, _ in eval_guards(self.guards, universe, self.page_size)]
+        enabled = [i for i, m in enumerate(truth[: len(transitions)]) if m >> offset & 1]
+        labels = tuple(bool(m >> offset & 1) for m in truth[len(transitions):])
         imm = [i for i in enabled if not transitions[i].is_timed]
         if imm:
             top = max(transitions[i].kind.priority for i in imm)
@@ -540,8 +603,7 @@ class _CompiledModel:
                 labels,
             )
         chosen = tuple(enabled)
-        rates = tuple(transitions[i].kind.rate.value(self.parameters) for i in chosen)
-        return FiringRow(False, chosen, rates, (), labels)
+        return FiringRow(False, chosen, tuple(self.rates[i] for i in chosen), (), labels)
 
 
 # ---------------------------------------------------------------------------

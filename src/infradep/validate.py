@@ -19,7 +19,6 @@ copy is a new model and is checked again.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,12 +31,14 @@ from .model import (
     Shift,
     Timed,
     TRANSITION_TAGS,
+    class_values,
     eval_guard_kleene,
+    eval_guards,
     guard_comparisons,
     guard_cuts,
 )
 
-# A guard's satisfiability scan is skipped when it would try more probes.
+# A guard's satisfiability scan is skipped over more points than this.
 SAT_SCAN_LIMIT = 1_000_000
 
 
@@ -372,24 +373,20 @@ def _check_update_domains(model: Model, rep: ValidationReport):
 
 
 def _check_guard_satisfiability(model: Model, rep: ValidationReport):
-    """Warn about guards no state satisfies, trying one value per guard class
-    of each variable the guard mentions (the guard is constant on a class
-    of its own cut points; the other variables are free)."""
+    """Warn about guards no state satisfies, evaluating each guard once over
+    the product of one value per guard class of each variable it mentions
+    (the guard is constant on a class of its own cut points; the other
+    variables are free)."""
     for t in model.transitions:
-        names, classes = [], []
+        universe, size = {}, 1
         for var, cuts in guard_cuts(model, [t.guard]).items():
-            dom = model.variable(var).domain
-            names.append(var)
-            if isinstance(dom, EnumDomain):
-                classes.append(dom.values)
-            else:
-                classes.append((dom.lo,) + tuple(c for c in cuts if dom.lo < c <= dom.hi))
-        if not names or math.prod(map(len, classes)) > SAT_SCAN_LIMIT:
+            values = class_values(model.variable(var).domain, cuts)
+            universe[var] = (size, values)
+            size *= len(values)
+        if not universe or size > SAT_SCAN_LIMIT:
             continue
-        if not any(
-            eval_guard_kleene(t.guard, dict(zip(names, combo))) is True
-            for combo in itertools.product(*classes)
-        ):
+        ((true, _),) = eval_guards([t.guard], universe, size)
+        if not true:
             rep.warn(
                 "UNSATISFIABLE_GUARD",
                 f"guard of {t.name!r} is unsatisfiable over the variable domains",

@@ -1,12 +1,13 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the production code paths: guards are evaluated
-by a two-valued walker of their own on every state (not the program's
-three-valued interpreter, run once per guard class), reachability is
-computed by enumerating the whole variable-domain product and filtering,
-the numeric oracles are dense (Gaussian elimination, matrix exponential,
-dense linear solves) gated to small chains, and the splitmix64 stream is
-drawn one value at a time from the constants the README documents.
+by a two-valued walker of their own on every state and by a three-valued
+one on partial assignments (not the program's bitset interpreter, run once
+per page of guard classes), reachability is computed by enumerating the
+whole variable-domain product and filtering, the numeric oracles are dense
+(Gaussian elimination, matrix exponential, dense linear solves) gated to
+small chains, and the splitmix64 stream is drawn one value at a time from
+the constants the README documents.
 """
 
 from __future__ import annotations
@@ -70,6 +71,27 @@ def eval_guard(guard, state: tuple, index) -> bool:
     if isinstance(guard, Not):
         return not eval_guard(guard.term, state, index)
     raise TypeError(f"not a guard node: {guard!r}")
+
+
+def eval_guard_partial(guard, partial: dict):
+    """Kleene's three-valued logic on a partial assignment, with False <
+    None < True: ``And`` takes the least of its terms, ``Or`` the greatest,
+    ``Not`` the mirror image, and a comparison of a variable absent from
+    ``partial`` is None.  The independent counterpart of the interpreter's
+    bitsets, at every width."""
+
+    def rank(g) -> int:
+        if isinstance(g, Comparison):
+            return (2 if _CMP_FNS[g.op](partial[g.var], g.value) else 0) if g.var in partial else 1
+        if isinstance(g, And):
+            return min((rank(t) for t in g.terms), default=2)
+        if isinstance(g, Or):
+            return max((rank(t) for t in g.terms), default=0)
+        if isinstance(g, Not):
+            return 2 - rank(g.term)
+        raise TypeError(f"not a guard node: {g!r}")
+
+    return (False, None, True)[rank(guard)]
 
 
 # ---------------------------------------------------------------------------

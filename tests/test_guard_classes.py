@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -33,12 +34,14 @@ from infradep import (
     validate_model,
     var_eq,
 )
-from infradep.model import guard_predicate
+from infradep import model as model_module
+from infradep.model import PAGE_CLASSES, eval_guard_kleene, eval_guards, guard_predicate
 
 from .oracles import (
     OutsideDomain,
     domain_product,
     eval_guard,
+    eval_guard_partial,
     exhaustive_reachability,
     explore_matches_oracle,
     firings_raw,
@@ -181,29 +184,135 @@ def test_walk_leaving_the_domain_fails_validation_and_explore(model, data):
 @settings(max_examples=100, deadline=None)
 @given(model=_models(), data=st.data(), order=st.randoms(use_true_random=False))
 def test_table_matches_direct_guard_walk(model, data, order):
-    # Rows are filled from whichever state of a class comes first, so visit
-    # the domain in a random order; every other state must read a row that
-    # equals its own direct evaluation.  The probe guard is drawn apart from
-    # the model's, so its literals are mostly ones no model guard uses.
+    # Rows are filled from whichever class comes first, so visit the domain
+    # in a random order; every other state must read a row that equals its
+    # own direct evaluation.  The probe guard is drawn apart from the
+    # model's, so its literals are mostly ones no model guard uses.  A
+    # second table has pages of at most 2 classes, so that each classed
+    # variable past the first splits it into more pages.
     states = list(domain_product(model))
     order.shuffle(states)
-    comp = model._compiled
+    with mock.patch.object(model_module, "PAGE_CLASSES", 2):
+        small = model_module._CompiledModel(model)
+    tables = (model._compiled, small)
     index = model.var_index
     probe = data.draw(_guards(model.variables))
     holds = guard_predicate(model, probe)
     for s in states:
         assert holds(s) == eval_guard(probe, s, index), s
-        row = comp.row(s)
         firings, vanishing = firings_raw(model, s)
-        assert row.vanishing == vanishing, s
-        assert [model.transitions[i].name for i in row.chosen] == [t.name for t, _ in firings]
-        assert list(row.values) == [value for _, value in firings]
-        if vanishing:
-            weights = [t.kind.weight for t, _ in firings]
-            total = sum(weights)
-            assert list(row.cumulative) == [sum(weights[: k + 1]) / total for k in range(len(weights))]
-        assert row.labels == tuple(eval_guard(l.predicate, s, index) for l in model.labels)
-    assert len(comp.table) <= len(states)
+        for comp in tables:
+            row = comp.row(s)
+            assert row.vanishing == vanishing, s
+            assert [model.transitions[i].name for i in row.chosen] == [t.name for t, _ in firings]
+            assert list(row.values) == [value for _, value in firings]
+            if vanishing:
+                weights = [t.kind.weight for t, _ in firings]
+                total = sum(weights)
+                assert list(row.cumulative) == [sum(weights[: k + 1]) / total for k in range(len(weights))]
+            assert row.labels == tuple(eval_guard(l.predicate, s, index) for l in model.labels)
+    for comp in tables:
+        assert len(comp.table) <= len(states)
+        # A page is evaluated once, when the first of its classes is met.
+        assert len(comp.pages) == len({key[len(comp.places):] for key in comp.table})
+    event(f"{len(small.pages)} pages of at most 2 classes")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_interpreter_matches_three_valued_oracle(data):
+    # Some variables are unknown; the known ones take values of their
+    # domain or, for a counter, one step past it.  The interpreter must
+    # agree with the oracle at width 1 and at every point of a random
+    # universe, which spreads each known variable over up to three values
+    # and repeats the whole pattern up to three times.
+    variables = data.draw(_variables())
+    guards = data.draw(st.lists(_guards(variables), min_size=1, max_size=3))
+
+    def value(v):
+        if isinstance(v.domain, EnumDomain):
+            return st.sampled_from(v.domain.values)
+        return st.integers(v.domain.lo - 1, v.domain.hi + 1)
+
+    known = data.draw(st.lists(st.sampled_from(variables), unique=True))
+    partial = {v.name: data.draw(value(v)) for v in known}
+    for guard in guards:
+        assert eval_guard_kleene(guard, partial) == eval_guard_partial(guard, partial)
+    universe, size = {}, 1
+    for v in known:
+        values = tuple(data.draw(st.lists(value(v), min_size=1, max_size=3)))
+        universe[v.name] = (size, values)
+        size *= len(values)
+    size *= data.draw(st.integers(1, 3))
+    for guard, (true, false) in zip(guards, eval_guards(guards, universe, size)):
+        assert true >> size == false >> size == 0
+        for p in range(size):
+            point = {var: values[p // place % len(values)] for var, (place, values) in universe.items()}
+            want = eval_guard_partial(guard, point)
+            assert (true >> p & 1, false >> p & 1) == (want is True, want is False), (guard, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_models(valid=True))
+def test_unsatisfiable_guard_warned_iff_no_state_satisfies_it(model):
+    report = validate_model(model)
+    assert report.ok
+    warned = {w.where for w in report.warnings if w.code == "UNSATISFIABLE_GUARD"}
+    states = list(domain_product(model))
+    for t in model.transitions:
+        satisfiable = any(eval_guard(t.guard, s, model.var_index) for s in states)
+        assert (f"transition {t.name}" in warned) == (not satisfiable), t
+    event(f"{len(warned)} unsatisfiable")
+
+
+def _bits_model(width):
+    """``width`` two-valued enums, each set and reset by a timed transition,
+    with an immediate that clears the lowest where the highest is set, and
+    labels on the highest and on a mix: every class is one state."""
+    bits = tuple(VariableDecl(f"b{k}", EnumDomain(("a", "b")), "a") for k in range(width))
+    transitions = []
+    for k in range(width):
+        transitions.append(Transition(f"set{k}", Timed(RateExpr(1.0 + k)), var_eq(f"b{k}", "a"), (SetValue(f"b{k}", "b"),)))
+        transitions.append(Transition(f"reset{k}", Timed(RateExpr(0.5)), var_eq(f"b{k}", "b"), (SetValue(f"b{k}", "a"),)))
+    top = f"b{width - 1}"
+    transitions.append(
+        Transition("clear", Immediate(1, 1.0), And((var_eq(top, "b"), var_eq("b0", "b"))), (SetValue("b0", "a"),))
+    )
+    labels = (Label("high", var_eq(top, "b")), Label("mix", Or((var_eq("b0", "a"), Not(var_eq("b1", "b"))))))
+    return Model("bits", bits, {}, tuple(transitions), labels)
+
+
+def test_class_space_past_one_page_matches_oracle():
+    # 13 two-valued enums make 8,192 classes: the low 12 fill one page of
+    # 4,096 and the highest picks one of two pages.
+    model = _bits_model(13)
+    assert validate_model(model).ok
+    assert explore_matches_oracle(model) == "several states"
+    comp = model._compiled
+    assert (comp.page_size, len(comp.places), len(comp.pages)) == (PAGE_CLASSES, 12, 2)
+    g = build_reachability_graph(model)
+    index = model.var_index
+    assert g.label_sets == {
+        l.name: frozenset(i for i, s in enumerate(g.states) if eval_guard(l.predicate, s, index))
+        for l in model.labels
+    }
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_each_builtin_evaluates_one_page(name):
+    # Every built-in's classes fit one page at any k_max, so the interpreter
+    # runs once per model, over all guards and labels, and a row's fill
+    # reads bits without calling it.
+    for k_max in (2, 20, 200, 2000):
+        model = builtin_model(name, replace(DEFAULT_PARAMS, k_max=k_max))
+        assert validate_model(model).ok
+        calls = []
+        with mock.patch.object(model_module, "eval_guards", lambda *a: calls.append(a) or eval_guards(*a)):
+            build_reachability_graph(model).label_sets
+        comp = model._compiled
+        assert (len(calls), len(comp.pages)) == (1, 1)
+        assert len(calls[0][0]) == len(model.transitions) + len(model.labels)
+        assert len(comp.rows) > 1
 
 
 def _class_count(model):

@@ -342,17 +342,22 @@ def _shift_model(hi):
 def test_huge_counter_range_validates_like_small_twin(monkeypatch):
     import infradep.validate as validate
 
-    calls = []
-    kleene = validate.eval_guard_kleene
+    calls, widths = [], []
+    kleene, bits = validate.eval_guard_kleene, validate.eval_guards
     monkeypatch.setattr(
         validate, "eval_guard_kleene", lambda g, p: calls.append(p) or kleene(g, p)
     )
+    monkeypatch.setattr(
+        validate, "eval_guards", lambda g, u, n: widths.append(n) or bits(g, u, n)
+    )
     big = validate_model(_shift_model(20_000_000))
-    big_calls = len(calls)
+    big_calls, big_widths = len(calls), list(widths)
     small = validate_model(_shift_model(20))
     # Both the update-domain projections and the satisfiability scan try one
-    # value per guard class, however wide the range.
+    # value per guard class, however wide the range: the scan evaluates each
+    # guard once, over as many points as it has classes.
     assert len(calls) == 2 * big_calls
+    assert widths == 2 * big_widths == 2 * [2, 2, 3]
 
     def findings(rep, hi):
         return [
