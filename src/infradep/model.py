@@ -25,13 +25,13 @@ its rows: each class gets a dense row id (``_CompiledModel.row_id``), so
 that the explorer can record one integer per state and derive the edges,
 the state kinds and the label sets from the rows afterwards, while the
 simulator reads a state's row directly (``_CompiledModel.row``).  The
-explorer indexes states by an integer code (``_CompiledModel.encode``),
-encodes only the initial state, and follows each row's per-transition
-code steps (``_CompiledModel.fill_steps``), which give every target's
-code and row from its source's code.  The steps are plain data, a
-constant code delta plus the digits of the variables set to a literal
-that the class does not fix, because explore runs only on a valid model
-(``validate_model``), on which no update leaves its domain.  Each update
+explorer indexes states by an integer code (``_CompiledModel.encode``,
+``decode``), encodes only the initial state, and follows each row's
+per-transition code steps (``_CompiledModel.fill_steps``), which give
+every target's code and row from its source's code.  The steps are
+plain data, a constant code delta plus the digits of the variables set
+to a literal that the class does not fix, because explore runs only on a
+valid model (``validate_model``), on which no update leaves its domain.  Each update
 is read once, into a list of assignment ops (``_CompiledModel.ops``),
 from which its function on state tuples and its code steps both come.
 ``guard_predicate`` caches any other guard's truth per class of that
@@ -82,8 +82,8 @@ class IntDomain:
     lo: int
     hi: int
 
-    def __contains__(self, v) -> bool:
-        return isinstance(v, int) and self.lo <= v <= self.hi
+    def __contains__(self, v) -> bool:  # a bool is no counter value
+        return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.lo, self.hi + 1))
@@ -404,13 +404,6 @@ class FiringRow(NamedTuple):
     labels: tuple[bool, ...]  # each label's truth, in declaration order
 
 
-def _position(digit: tuple, x) -> int:
-    """Value ``x``'s position in the domain of a variable whose
-    ``_CompiledModel.digits`` entry is ``digit``."""
-    _, values, lo, _ = digit
-    return x - lo if values is None else values[x]
-
-
 class _CompiledModel:
     """Per-model updates, the firing table, whose rows are read off the
     guard interpreter's bitsets, and the integer coding of states.
@@ -434,7 +427,7 @@ class _CompiledModel:
     (an enum value's index, a counter's value minus its lower bound), so
     that an update which moves every state of a class by the same
     positions adds one constant to the code.  Codes are Python ints: a
-    domain product can pass 2^63.
+    domain product (``size``) can pass 2^63.
 
     ``steps[rid]`` is None until ``fill_steps`` sets it to one
     ``(transition, delta, resets, crossings, known)`` per chosen transition
@@ -480,18 +473,16 @@ class _CompiledModel:
         self.table: dict[tuple, int] = {}
         self.rows: list[FiringRow] = []
         self.steps: list[list | None] = []
-        # Per variable: (place value, enum value -> position or None, lo, hi),
-        # with lo, hi the range of positions (an enum's) or of values.
+        # Per variable: (place value, radix, value at each position).
         digits, weight = [], 1
         for v in model.variables:
             dom = v.domain
             if isinstance(dom, EnumDomain):
-                positions = {x: p for p, x in enumerate(dom.values)}
-                digits.append((weight, positions, 0, len(dom.values) - 1))
+                digits.append((weight, len(dom.values), dom.values))
             else:
-                digits.append((weight, None, dom.lo, dom.hi))
-            weight *= digits[-1][3] - digits[-1][2] + 1
-        self.digits = tuple(digits)
+                digits.append((weight, dom.hi - dom.lo + 1, range(dom.lo, dom.hi + 1)))
+            weight *= digits[-1][1]
+        self.digits, self.size = tuple(digits), weight
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
         self.updates = tuple(map(self._update, self.ops))
 
@@ -507,18 +498,26 @@ class _CompiledModel:
 
     def encode(self, s: StateVector) -> int:
         """The code of ``s``."""
-        return sum(_position(digit, x) * digit[0] for digit, x in zip(self.digits, s))
+        return sum(table.index(x) * weight for (weight, _, table), x in zip(self.digits, s))
+
+    def decode(self, code: int) -> StateVector:
+        """The state whose code is ``code``."""
+        out = []
+        for _, radix, table in self.digits:
+            out.append(table[code % radix])
+            code //= radix
+        return tuple(out)
 
     def _span(self, i: int, x) -> tuple[int, int]:
         """The positions variable ``i`` takes over the guard class of a state
         in which it holds the in-domain value ``x``."""
-        _, values, lo, hi = self.digits[i]
+        _, radix, table = self.digits[i]
         if i not in self.classed:
-            return 0, hi - lo
+            return 0, radix - 1
         cuts = self.classed[i]
         if cuts is None:
-            return (values[x],) * 2
-        k = bisect_right(cuts, x)
+            return (table.index(x),) * 2
+        lo, hi, k = table.start, table.stop - 1, bisect_right(cuts, x)
         a = max(lo, cuts[k - 1]) if k else lo
         b = min(hi, cuts[k] - 1) if k < len(cuts) else hi
         return a - lo, b - lo
@@ -552,16 +551,16 @@ class _CompiledModel:
         for ti in self.rows[rid].chosen:
             delta, resets, crossings = 0, [], []
             for i, value, shift in self.ops[ti]:
-                weight, _, lo, hi = digit = digits[i]
+                weight, radix, table = digits[i]
                 first, last = span(i, s[i])
                 if shift is not None:
                     delta += shift * weight
                     edge = last if shift > 0 else first
-                    crossings.append((weight, hi - lo + 1, edge, 1 << len(crossings)))
+                    crossings.append((weight, radix, edge, 1 << len(crossings)))
                 elif first == last:
-                    delta += (_position(digit, value) - first) * weight
+                    delta += (table.index(value) - first) * weight
                 else:
-                    resets.append((weight, hi - lo + 1, _position(digit, value)))
+                    resets.append((weight, radix, table.index(value)))
             steps.append((ti, delta, tuple(resets), tuple(crossings), [-1] * (1 << len(crossings))))
         return steps
 

@@ -17,11 +17,12 @@ literal that the class does not fix rewritten.  Only the initial state is
 encoded.  The target's class follows from the source's and, for each
 shifted counter, from whether its digit sits at the edge of the source's
 class, so each step keeps one row id per such outcome after its first
-use.  A state's tuple is built once, when it is found, and its
-row id recorded then.  The explorer records only the row ids and each
-edge's target.  The edge
-sources, transition indices and values, the state kinds and the label
-sets are then gathered from the rows with numpy, keyed by those ids.
+use.  The explorer keeps only the codes, decoding one to fill a row's
+steps on its first visit or to read the row of a new step outcome, and
+records each state's row id and each edge's target.  The edge sources,
+transition indices and values, the state kinds and the label sets are
+then gathered from the rows with numpy, keyed by those ids.  A graph's
+and a chain's states are a view of their codes (``_States``).
 A graph keeps its edges only as four arrays (source, target, transition
 index, value); ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -78,15 +80,71 @@ def state_limit() -> int:
     return limit
 
 
+class _States(Sequence):
+    """A read-only sequence of states, as their codes: ``len`` reads them,
+    and the first other read decodes them all (``_decode_all``) into a
+    tuple, kept.  Built from a tuple of states (a hand-built graph's or
+    chain's), it has no codes.  It compares and prints as the tuple.  It
+    holds the model's ``_CompiledModel.digits``, not the graph or the
+    firing table, so it makes no cycle and keeps no table alive."""
+
+    def __init__(self, codes: np.ndarray | None, digits, states: tuple | None = None):
+        self.codes, self._digits, self._tuple = codes, digits, states
+
+    @property
+    def _all(self) -> tuple[StateVector, ...]:
+        if self._tuple is None:
+            self._tuple = _decode_all(self._digits, self.codes)
+        return self._tuple
+
+    def __len__(self) -> int:
+        return len(self._tuple if self.codes is None else self.codes)
+
+    def __getitem__(self, i):
+        return self._all[i]
+
+    def __iter__(self):
+        return iter(self._all)
+
+    def __eq__(self, other) -> bool:
+        return self._all == (other._all if isinstance(other, _States) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._all)
+
+    def take(self, idx: np.ndarray) -> _States:
+        """The states at positions ``idx``, as a view of the same kind."""
+        if self.codes is None:
+            return _States(None, None, tuple(map(self._tuple.__getitem__, idx.tolist())))
+        return _States(self.codes[idx], self._digits)
+
+
+def _decode_all(digits, codes: np.ndarray) -> tuple[StateVector, ...]:
+    """The states ``_CompiledModel.decode`` gives for ``codes`` (int64, or
+    Python ints past 2^63), decoded a variable at a time over the array."""
+    columns = []
+    for _, radix, table in digits:
+        columns.append(map(table.__getitem__, (codes % radix).tolist()))
+        codes = codes // radix
+    return tuple(zip(*columns)) if columns else ((),) * len(codes)
+
+
+def _as_states(obj):
+    """Make a hand-built graph's or chain's tuple of states a view."""
+    if not isinstance(obj.states, _States):
+        object.__setattr__(obj, "states", _States(None, None, tuple(obj.states)))
+
+
 @dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
-    """States in BFS order, their kinds, and the edges as parallel arrays:
-    edge ``k`` fires ``model.transitions[edge_transition[k]]`` from state
+    """States in BFS order (a view of their codes), their kinds, and the
+    edges as parallel arrays: edge ``k`` fires
+    ``model.transitions[edge_transition[k]]`` from state
     ``edge_src[k]`` to state ``edge_dst[k]`` with ``edge_value[k]`` (a rate
     out of a tangible state, a probability out of a vanishing one)."""
 
     model: Model
-    states: tuple[StateVector, ...]
+    states: _States
     tangible: tuple[bool, ...]
     edge_src: np.ndarray
     edge_dst: np.ndarray
@@ -96,6 +154,8 @@ class ReachabilityGraph:
     # Each state's firing-table row id (``model._compiled.rows``), as the
     # explorer recorded it; None on a hand-built graph.
     row_ids: np.ndarray | None = None
+
+    __post_init__ = _as_states
 
     @property
     def edges(self) -> range:
@@ -170,13 +230,15 @@ class ReachabilityGraph:
 class Ctmc:
     """Tangible-only chain: ``rates[i, j]`` is the rate from state ``i`` to
     a distinct state ``j``, a canonical CSR of positive entries only, with
-    no diagonal."""
+    no diagonal.  ``states`` is a view of the states' codes."""
 
     model: Model
-    states: tuple[StateVector, ...]
+    states: _States
     rates: sp.csr_matrix
     initial: np.ndarray
     label_sets: dict[str, frozenset[int]]
+
+    __post_init__ = _as_states
 
     @property
     def n(self) -> int:
@@ -211,11 +273,10 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     require_valid(model)
     cap = state_limit() if limit is None else limit
     comp = model._compiled
-    row_id, rows, updates, steps = comp.row_id, comp.rows, comp.updates, comp.steps
+    row_id, rows, decode, steps = comp.row_id, comp.rows, comp.decode, comp.steps
     init = initial_state(model)
     index: dict[int, int] = {comp.encode(init): 0}
-    codes = list(index)
-    states: list[StateVector] = [init]  # with codes, the BFS queue, read in order
+    codes = list(index)  # the BFS queue, read in order
     # Discovery order is state order, so recording each state's row id when
     # it is found numbers the rows as reading them off the queue would.
     ids, dst = array("q", [row_id(init)]), array("q")
@@ -223,26 +284,24 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     find, link = index.get, dst.append
     # The lists grow while they are read: each iterator sees what is
     # appended before it gets there.
-    for s, code, rid in zip(states, codes, ids):
+    for code, rid in zip(codes, ids):
         out = steps[rid]
         if out is None:
-            out = comp.fill_steps(rid, s)
-        for ti, delta, resets, crossings, known in out:
+            out = comp.fill_steps(rid, decode(code))
+        for _, delta, resets, crossings, known in out:
             t = code + delta
             if resets:  # rare: testing is cheaper than an empty loop per edge
                 for weight, radix, p in resets:
                     t += (p - code // weight % radix) * weight
             di = find(t)
             if di is None:
-                di = len(states)
+                di = len(codes)
                 if di >= cap:
                     raise StateLimitExceeded(
                         f"state space exceeds {cap} states", limit=cap
                     )
                 index[t] = di
                 codes.append(t)
-                target = updates[ti](s)
-                states.append(target)
                 # The target's class follows from the source's and from
                 # which shifted counters leave their source class.
                 j = 0
@@ -251,7 +310,7 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
                         j += bit
                 target_row = known[j]
                 if target_row < 0:
-                    target_row = known[j] = row_id(target)
+                    target_row = known[j] = row_id(decode(t))
                 ids.append(target_row)
             link(di)
 
@@ -268,11 +327,12 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     flat = np.repeat(row_start[ids] - first_edge, out_degree) + np.arange(len(dst))
     tangible = ~vanishing[ids]
 
+    dtype = np.int64 if comp.size < 2**63 else object  # else codes of Python ints
     graph = ReachabilityGraph(
         model=model,
-        states=tuple(states),
+        states=_States(np.fromiter(codes, dtype, len(codes)), comp.digits),
         tangible=tuple(tangible.tolist()),
-        edge_src=np.repeat(np.arange(len(states), dtype=np.int64), out_degree),
+        edge_src=np.repeat(np.arange(len(codes), dtype=np.int64), out_degree),
         edge_dst=np.frombuffer(dst, dtype=np.int64),
         edge_transition=chosen[flat],
         edge_value=values[flat],
@@ -326,7 +386,7 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
         sets[name] = frozenset(position[idx[tangible[idx]]].tolist())
     return Ctmc(
         model=g.model,
-        states=tuple(map(g.states.__getitem__, order[:nt].tolist())),
+        states=g.states.take(order[:nt]),
         rates=_without_self_loops(reduced),
         initial=initial,
         label_sets=sets,

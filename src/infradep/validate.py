@@ -221,7 +221,7 @@ def check_guard(model: Model, guard: Guard, where: str, rep: ValidationReport):
                     at=cmp_.value,
                 )
         else:
-            if not isinstance(cmp_.value, int):
+            if not isinstance(cmp_.value, int) or isinstance(cmp_.value, bool):
                 rep.error(
                     "TYPE_MISMATCH",
                     f"counter {cmp_.var!r} compared against non-integer {cmp_.value!r}",
@@ -261,7 +261,7 @@ def _check_update(model: Model, t, where: str, rep: ValidationReport):
                         at=a.value,
                     )
             else:
-                if not isinstance(a.value, int):
+                if not isinstance(a.value, int) or isinstance(a.value, bool):
                     rep.error(
                         "TYPE_MISMATCH",
                         f"counter {a.var!r} assigned non-integer {a.value!r}",

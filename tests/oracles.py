@@ -231,6 +231,7 @@ def explore_matches_oracle(model: Model) -> str:
         return "immediate cycle"
     g = build_reachability_graph(model)
     assert list(g.states) == order
+    assert repr(list(g.states)) == repr(order)  # 1 == True and 2 == 2.0, but not in repr
     assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
     assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
     return "one state" if len(order) == 1 else "several states"

@@ -243,6 +243,7 @@ def _assert_explore_matches_oracle(m):
     order, tangible, edges = exhaustive_reachability(m)
     g = build_reachability_graph(m)
     assert list(g.states) == order
+    assert repr(list(g.states)) == repr(order)  # 1 == True and 2 == 2.0, but not in repr
     assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
     assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
     index = m.var_index
@@ -313,6 +314,60 @@ def test_one_transition_shifting_two_classed_counters_matches_oracle():
     ], labels=[Label("x_high", Comparison("x", ">=", 3)), Label("y_high", Comparison("y", ">=", 2))],
         extra=[VariableDecl("y", IntDomain(0, 5), 0)]))
     assert len(g.states) == 36
+
+
+def test_states_past_two_to_the_63_decode_exactly():
+    # A domain product past 2^63 keeps its codes as Python ints, and every
+    # state, found by a shift or a set, decodes to its exact values.
+    big = 2**63 + 5
+    m = Model(
+        name="m",
+        variables=(
+            VariableDecl("x", IntDomain(0, 99999999999999999999), big),
+            VariableDecl("e", EnumDomain(("a", "b")), "a"),
+        ),
+        parameters={},
+        transitions=(
+            Transition("up", _rate(1.0), Comparison("x", "<", big + 3), (Shift("x", 1),)),
+            Transition("down", _rate(2.0), Comparison("x", ">", big), (Shift("x", -1),)),
+            Transition("flip", _rate(3.0), var_eq("x", big + 3), (SetValue("e", "b"),)),
+        ),
+        labels=(Label("top", Comparison("x", ">=", big + 2)),),
+    )
+    # The oracle would enumerate the whole domain: the order is by hand.
+    order = [(big + i, "a") for i in range(4)] + [(big + i, "b") for i in (3, 2, 1, 0)]
+    g = build_reachability_graph(m)
+    assert g.states.codes.dtype == object
+    assert list(g.states) == order and repr(g.states) == repr(tuple(order))
+    assert g.label_sets == {"top": frozenset({2, 3, 4, 5})}
+    assert eliminate_vanishing(g).states == tuple(order)
+
+
+def test_states_are_decoded_once_and_only_when_read(monkeypatch):
+    # The pipeline reads the states only through ``len``; the first other
+    # read of a graph's states decodes them all at once, and the tuple is
+    # kept.
+    import infradep.statespace as statespace
+    from infradep import graph_summary, mean_time_to_absorption, steady_state, transient
+
+    calls = []
+    decode_all = statespace._decode_all
+    monkeypatch.setattr(statespace, "_decode_all", lambda *a: calls.append(1) or decode_all(*a))
+    for name in BUILTIN_MODELS:
+        g = build_reachability_graph(builtin_model(name, replace(DEFAULT_PARAMS, k_max=200)))
+        c = eliminate_vanishing(g)
+        steady_state(c)
+        transient(c, 1.0)
+        mean_time_to_absorption(c, c.label_sets["state8"], allow_defective=True)
+        graph_summary(g)
+        graph_summary(c)
+        assert calls == [], name
+        first = list(g.states)
+        assert len(calls) == 1, name
+        assert g.states[0] == first[0] and g.states == tuple(first) and len(calls) == 1
+        list(c.states)
+        assert len(calls) == 2, name
+        calls.clear()
 
 
 @pytest.mark.parametrize("lo, hi, init, delta", [(0, 2, 0, 1), (-1, 1, 0, -1)])

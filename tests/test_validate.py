@@ -127,6 +127,28 @@ def test_bad_init_and_empty_enum():
     assert "BAD_INIT" in got and "EMPTY_ENUM" in got
 
 
+def test_bool_init_of_a_counter_is_bad_init():
+    # True == 1, but a bool is no counter value: a state would hold True
+    # where its decoded code reads 1.
+    m = replace(_counter_model(var_eq("mode", "a"), (SetValue("mode", "b"),)),
+                variables=(VariableDecl("n_cfg", IntDomain(0, 2), True),))
+    assert codes(validate_model(m)) == ["BAD_INIT"]
+
+
+def test_counter_compared_with_a_bool_is_type_mismatch():
+    m = _counter_model(Comparison("n_cfg", "==", True), (SetValue("mode", "b"),))
+    assert [(e.code, e.message) for e in validate_model(m).errors] == [
+        ("TYPE_MISMATCH", "counter 'n_cfg' compared against non-integer True"),
+    ]
+
+
+def test_counter_assigned_a_bool_is_type_mismatch():
+    m = _counter_model(var_eq("mode", "a"), (SetValue("n_cfg", True),))
+    assert [(e.code, e.message) for e in validate_model(m).errors] == [
+        ("TYPE_MISMATCH", "counter 'n_cfg' assigned non-integer True"),
+    ]
+
+
 def test_nonpositive_rate_and_weight():
     for rate in (0.0, math.inf):
         m = Model(
