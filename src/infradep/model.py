@@ -21,33 +21,34 @@ its value.  One interpreter, ``eval_guards``, evaluates every guard at a
 whole mixed radix of points at once, as a pair of bitsets.  The firing
 table runs it once per *page* of guard classes, when the first class in
 the page is met, and reads one row per class off the bits.  It interns
-its rows: each class gets a dense row id (``_CompiledModel.row_id``), so
-that the explorer can record one integer per state and derive the edges,
-the state kinds and the label sets from the rows afterwards, while the
-simulator reads a state's row directly (``_CompiledModel.row``).  The
-explorer indexes states by an integer code (``_CompiledModel.encode``,
-``decode``), encodes only the initial state, and follows each row's
-per-transition code steps (``_CompiledModel.fill_steps``), which give
-every target's code and row from its source's code.  The steps are
-plain data, a constant code delta plus the digits of the variables set
-to a literal that the class does not fix, because explore runs only on a
-valid model (``validate_model``), on which no update leaves its domain.  Each update
-is read once, into a list of assignment ops (``_CompiledModel.ops``),
-from which its function on state tuples and its code steps both come.
-``guard_predicate`` caches any other guard's truth per class of that
-guard's own literals, from ``eval_guard_kleene``, the interpreter at
-width 1, which validation runs on partial assignments.
+its rows: each class gets a dense row id (``_CompiledModel.row_id``).
+States are indexed by an integer code (``_CompiledModel.encode``,
+``decode``), and each row holds one code step per chosen transition
+(``_CompiledModel.fill_steps``), read from the update's assignment ops
+(``_CompiledModel.ops``), which gives every target's code and row from
+its source's code.  The steps are plain data, a constant code delta plus
+the digits of the variables set to a literal that the class does not
+fix, because only a valid model (``validate_model``) is walked, on which
+no update leaves its domain.  One walker, ``_Walk``, follows the steps:
+explore runs it over every reachable state, and the simulator over each
+state the first time it fires from it, so both find a successor by the
+same rule.  ``guard_predicate`` caches any other guard's truth per class
+of that guard's own literals, from ``eval_guard_kleene``, the interpreter
+at width 1, which validation runs on partial assignments.
 The firing table and ``guard_predicate`` work on any model.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
+
+from .errors import StateLimitExceeded
 
 StateVector = tuple
 Value = Union[str, int]
@@ -408,9 +409,8 @@ class _CompiledModel:
     """Per-model updates, the firing table, whose rows are read off the
     guard interpreter's bitsets, and the integer coding of states.
 
-    ``ops[t]`` is transition ``t``'s update, read once (``_read``).
-    ``updates[t]``, the function that applies it to a state tuple, and the
-    code steps below both come from it.
+    ``ops[t]`` is transition ``t``'s update, read once (``_read``), from
+    which the code steps below come.
 
     ``table`` maps a class key to its row id, an index into ``rows``; ids
     are dense, in the order the classes were first met, and never change.
@@ -430,21 +430,21 @@ class _CompiledModel:
     domain product (``size``) can pass 2^63.
 
     ``steps[rid]`` is None until ``fill_steps`` sets it to one
-    ``(transition, delta, resets, crossings, known)`` per chosen transition
-    of row ``rid``.  On a valid model an update assigns each variable once,
-    every literal lies in its domain, and a shift never leaves its range
-    from a state its guard admits, so from none of the class.  Each shift,
-    and each set of a variable the class fixes, moves every state of the
-    class by the same positions: ``delta`` sums them.  ``resets`` holds one
-    ``(place value, radix, position)`` per set of a variable the class does
-    not fix, whose digit the explorer rewrites.  A target's class is fixed
-    by the source's class and, for each counter that the update shifts, by
-    whether the shifted value leaves the source's class, which the
-    source's digit of that counter tells.  ``crossings`` holds one
-    ``(place value, radix, edge position, bit)`` per shifted counter, the
-    bit set where the digit sits at the class's edge in the direction of
-    the shift, and ``known[bits]`` is the target row for that outcome, -1
-    until the explorer first meets it.
+    ``(delta, resets, crossings, known)`` per chosen transition of row
+    ``rid``, in the row's order.  On a valid model an update assigns each
+    variable once, every literal lies in its domain, and a shift never
+    leaves its range from a state its guard admits, so from none of the
+    class.  Each shift, and each set of a variable the class fixes, moves
+    every state of the class by the same positions: ``delta`` sums them.
+    ``resets`` holds one ``(place value, radix, position)`` per set of a
+    variable the class does not fix, whose digit a walk rewrites.  A
+    target's class is fixed by the source's class and, for each counter
+    that the update shifts, by whether the shifted value leaves the
+    source's class, which the source's digit of that counter tells.
+    ``crossings`` holds one ``(place value, radix, edge position, bit)``
+    per shifted counter, the bit set where the digit sits at the class's
+    edge in the direction of the shift, and ``known[bits]`` is the target
+    row for that outcome, -1 until a walk first meets it.
     """
 
     def __init__(self, model: Model):
@@ -484,7 +484,6 @@ class _CompiledModel:
             weight *= digits[-1][1]
         self.digits, self.size = tuple(digits), weight
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
-        self.updates = tuple(map(self._update, self.ops))
 
     def row_id(self, s: StateVector) -> int:
         """The id of ``s``'s guard-class row, filled on first use."""
@@ -529,23 +528,8 @@ class _CompiledModel:
         return tuple((index[a.var], a.value, None) if isinstance(a, SetValue)
                      else (index[a.var], None, a.delta) for a in update)
 
-    @staticmethod
-    def _update(ops) -> Callable[[StateVector], StateVector]:
-        """``ops`` as a function on states.  Like the steps, it holds no
-        reference to the compiled model, so that a dropped model is freed
-        at once, not by the cycle collector."""
-
-        def apply(s: StateVector) -> StateVector:
-            out = list(s)
-            for i, value, shift in ops:
-                out[i] = value if shift is None else out[i] + shift
-            return tuple(out)
-
-        return apply
-
-    def fill_steps(self, rid: int, s: StateVector) -> list:
-        """Set and return ``steps[rid]``, from ``s``, a state of row
-        ``rid``'s class."""
+    def fill_steps(self, rid: int, s: StateVector):
+        """Set ``steps[rid]``, from ``s``, a state of row ``rid``'s class."""
         steps = self.steps[rid] = []
         digits, span = self.digits, self._span
         for ti in self.rows[rid].chosen:
@@ -561,12 +545,7 @@ class _CompiledModel:
                     delta += (table.index(value) - first) * weight
                 else:
                     resets.append((weight, radix, table.index(value)))
-            steps.append((ti, delta, tuple(resets), tuple(crossings), [-1] * (1 << len(crossings))))
-        return steps
-
-    def row(self, s: StateVector) -> FiringRow:
-        """The row of ``s``'s guard class, filled on first use."""
-        return self.rows[self.row_id(s)]
+            steps.append((delta, tuple(resets), tuple(crossings), [-1] * (1 << len(crossings))))
 
     def _fill(self, key: tuple) -> FiringRow:
         """The GSPN firing rule on the class ``key``, with its payload and
@@ -603,6 +582,69 @@ class _CompiledModel:
             )
         chosen = tuple(enabled)
         return FiringRow(False, chosen, tuple(self.rates[i] for i in chosen), (), labels)
+
+
+class _Walk:
+    """States reached from ``init`` by the code steps of ``comp``, each
+    interned to a dense id in the order it is first met: ``codes[i]`` is
+    state ``i``'s code, ``index`` maps it back to ``i``, and ``row_ids[i]``
+    is its row id.  Only ``init`` is encoded.  A state is decoded only
+    where a step meets an outcome for the first time, to read the target's
+    row, and a row no walk has met gets its steps from that same tuple.
+    """
+
+    def __init__(self, comp: _CompiledModel, init: StateVector, limit: float = math.inf):
+        rid = comp.row_id(init)
+        if comp.steps[rid] is None:
+            comp.fill_steps(rid, init)
+        code = comp.encode(init)
+        self.comp, self.limit, self.index, self.codes = comp, limit, {code: 0}, [code]
+        self.row_ids = array("q", [rid])
+
+    def expand(self, start: int, stop: int | None, link: Callable[[int], object]):
+        """Follow the steps of states ``start .. stop - 1`` in id order (for
+        a ``stop`` of None, up to the end of the growing list), calling
+        ``link`` with each target's id in the order of its source's row.
+
+        Raises ``StateLimitExceeded`` where a target would be state number
+        ``limit``.
+        """
+        comp, index, codes, rids, limit = self.comp, self.index, self.codes, self.row_ids, self.limit
+        row_id, steps, decode, fill_steps = comp.row_id, comp.steps, comp.decode, comp.fill_steps
+        find = index.get
+        if stop is None:
+            # The lists grow while they are read: each iterator sees what
+            # is appended before it gets there.
+            todo = zip(islice(codes, start, None), islice(rids, start, None))
+        else:
+            todo = zip(codes[start:stop], rids[start:stop])
+        for code, rid in todo:
+            for delta, resets, crossings, known in steps[rid]:
+                t = code + delta
+                if resets:  # rare: testing is cheaper than an empty loop per edge
+                    for weight, radix, p in resets:
+                        t += (p - code // weight % radix) * weight
+                di = find(t)
+                if di is None:
+                    di = len(codes)
+                    if di >= limit:
+                        raise StateLimitExceeded(f"state space exceeds {limit} states", limit=limit)
+                    index[t] = di
+                    codes.append(t)
+                    # The target's class follows from the source's and from
+                    # which shifted counters leave their source class.
+                    j = 0
+                    for weight, radix, edge, bit in crossings:
+                        if code // weight % radix == edge:
+                            j += bit
+                    target = known[j]
+                    if target < 0:
+                        s = decode(t)
+                        target = known[j] = row_id(s)
+                        if steps[target] is None:
+                            fill_steps(target, s)
+                    rids.append(target)
+                link(di)
 
 
 # ---------------------------------------------------------------------------

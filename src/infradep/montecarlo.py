@@ -9,13 +9,14 @@ fully deterministic; replication r of an estimator runs on the stream
 The stream's uniforms come a block at a time from ``rng.uniforms``; an
 exponential delay is ``-log(u) / rate`` of the next one.
 
-An ``_Engine`` interns each state to a dense id the first time it sees
-it and keeps, per id, the firing row, the successor id of each chosen
-transition and (for an estimator) the label's truth, so work that depends
-only on the state is done once per distinct state.  A run records flat
-lists of times, transition indices and state ids; ``Event`` and ``Trace``
-objects are built from them only for ``simulate``, an ``on_trace``
-callback and the partial trace of ``EventCapExceeded``.
+An ``_Engine`` finds successors with explore's walker (``model._Walk``),
+run on a state the first time it fires.  It decodes each state the walk
+interns once and keeps, per dense id, the firing row, the tuple, the
+successor ids and (for an estimator) the label's truth, so work that
+depends only on the state is done once per distinct state.  A run
+records flat lists of times, transition indices and state ids; ``Event``
+and ``Trace`` objects are built from them only for ``simulate``, an
+``on_trace`` callback and the partial trace of ``EventCapExceeded``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
-from .model import Model, StateVector, guard_predicate, initial_state
+from .model import Model, StateVector, _Walk, guard_predicate, initial_state
 from .rng import stream_seed, uniforms
 from .validate import require_valid
 
@@ -71,54 +72,54 @@ class _Record(NamedTuple):
 
 
 class _Engine:
-    """States interned to dense ids, with each id's firing row and successor
-    ids memoized across steps and replications.
+    """The states of a walk from the initial state (id 0), with each id's
+    firing row, tuple and successor ids memoized across steps and
+    replications.
 
     With a ``label`` predicate, ``hits[i]`` is its truth in state ``i``.
     """
 
     def __init__(self, model: Model, label: Callable[[StateVector], bool] | None = None):
         require_valid(model)
-        self.comp = model._compiled
         self.names = tuple(t.name for t in model.transitions)
         self.label = label
-        self.ids: dict[StateVector, int] = {}
+        self.walk = _Walk(model._compiled, initial_state(model))
         self.states: list[StateVector] = []
         # (vanishing, transition indices, payload) per id: the payload is the
         # cumulative choice probabilities of the immediates, or the timed rates.
         self.rows: list[tuple] = []
-        self.successors: list[list] = []  # per id, aligned with its row's indices
+        self.successors: list[list | None] = []  # per id, aligned with its row's indices
         self.hits: list[bool] = []
-        self.start = self.intern(initial_state(model))
+        self._record()
 
-    def intern(self, s: StateVector) -> int:
-        sid = self.ids.get(s)
-        if sid is None:
-            sid = self.ids[s] = len(self.states)
+    def _record(self):
+        """Decode each state the walk interned since the last call, and
+        record its row, its tuple and the label's truth."""
+        walk, new = self.walk, len(self.states)
+        for code, rid in zip(walk.codes[new:], walk.row_ids[new:]):
+            s = walk.comp.decode(code)
+            row = walk.comp.rows[rid]
             self.states.append(s)
-            row = self.comp.row(s)
             payload = row.cumulative if row.vanishing else row.values
             self.rows.append((row.vanishing, row.chosen, payload))
-            self.successors.append([None] * len(row.chosen))
             if self.label is not None:
                 self.hits.append(self.label(s))
-        return sid
+        self.successors += [None] * (len(walk.codes) - new)
 
     def fire(self, sid: int, k: int) -> int:
         """The state id after the ``k``-th transition of state ``sid``'s row fires."""
         succ = self.successors[sid]
-        got = succ[k]
-        if got is None:
-            idx = self.rows[sid][1][k]
-            got = succ[k] = self.intern(self.comp.updates[idx](self.states[sid]))
-        return got
+        if succ is None:
+            succ = self.successors[sid] = []
+            self.walk.expand(sid, sid + 1, succ.append)
+            self._record()
+        return succ[k]
 
     def trace(self, rec: _Record, replication: int, seed: int) -> Trace:
         names, states = self.names, self.states
         events = map(Event, rec.times, [names[i] for i in rec.transitions],
                      [states[i] for i in rec.states])
-        init = states[self.start]
-        return Trace(replication, seed, init, tuple(events), rec.end_reason, rec.end_time)
+        return Trace(replication, seed, states[0], tuple(events), rec.end_reason, rec.end_time)
 
 
 def simulate(
@@ -162,7 +163,7 @@ def _run(
     times: list[float] = []
     picks: list[int] = []
     sids: list[int] = []
-    sid = eng.start
+    sid = 0  # the initial state
     now = 0.0
     chained = 0
     if stop_at_hit and hits[sid]:
@@ -280,7 +281,7 @@ def estimate_occupancy(
     holds, label_name = _label_fn(model, label)
     eng = _Engine(model, holds)
     runs = _replications(eng, replications, seed, horizon, event_cap, on_trace)
-    values = [_occupancy(rec, eng.start, eng.hits, burn_in, horizon) for rec in runs]
+    values = [_occupancy(rec, eng.hits, burn_in, horizon) for rec in runs]
     name = f"occupancy[{label_name}]"
     value, half_width = _mean_and_half_width(values, name, "horizon")
     return Estimate(
@@ -293,10 +294,10 @@ def estimate_occupancy(
     )
 
 
-def _occupancy(rec: _Record, start: int, hits: list, burn_in: float, horizon: float) -> float:
+def _occupancy(rec: _Record, hits: list, burn_in: float, horizon: float) -> float:
     total = 0.0
     t_prev = 0.0
-    s_prev = start
+    s_prev = 0  # the initial state
     for t, s in zip(rec.times, rec.states):
         if hits[s_prev]:
             total += max(0.0, min(t, horizon) - max(t_prev, burn_in))

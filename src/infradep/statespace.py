@@ -6,23 +6,14 @@ recorded on the model, if any.  States are explored breadth-first from the
 initial state, expanding neighbours in transition-declaration order, so
 state numbering is deterministic for a given model.  Vanishing states (those with an enabled
 immediate transition) carry probability-annotated edges; tangible states
-carry rate-annotated edges.  The explorer walks integer state codes (a
-mixed radix over the variables' domain positions; see ``model``) and keys
-its state index by them.  Each state's row in the model's firing table,
-one row per guard class (the states on which every guard comparison has
-the same truth value), carries one step per chosen transition, which
-gives each edge's target code and row from the source code alone: the
-source code plus a constant, with the digit of each variable set to a
-literal that the class does not fix rewritten.  Only the initial state is
-encoded.  The target's class follows from the source's and, for each
-shifted counter, from whether its digit sits at the edge of the source's
-class, so each step keeps one row id per such outcome after its first
-use.  The explorer keeps only the codes, decoding one to fill a row's
-steps on its first visit or to read the row of a new step outcome, and
-records each state's row id and each edge's target.  The edge sources,
-transition indices and values, the state kinds and the label sets are
-then gathered from the rows with numpy, keyed by those ids.  A graph's
-and a chain's states are a view of their codes (``_States``).
+carry rate-annotated edges.  The explorer runs the model's walker
+(``model._Walk``) over every reachable state: it keys states by integer
+code (a mixed radix over the variables' domain positions; see ``model``),
+records each state's firing-table row id and calls back with each edge's
+target.  The edge sources, transition indices and values, the state
+kinds and the label sets are then gathered from the rows with numpy,
+keyed by those ids.  A graph's and a chain's states are a view of their
+codes (``_States``).
 A graph keeps its edges only as four arrays (source, target, transition
 index, value); ``g.adjacency`` lists them per source state.
 ``eliminate_vanishing`` folds the vanishing states away with two sparse
@@ -55,8 +46,8 @@ from scipy.sparse import csgraph
 from scipy.sparse._sparsetools import csr_column_index1, csr_column_index2
 from scipy.sparse._sparsetools import csr_plus_csr, csr_row_index
 
-from .errors import ImmediateCycleError, InvalidArgError, StateLimitExceeded
-from .model import Model, StateVector, initial_state
+from .errors import ImmediateCycleError, InvalidArgError
+from .model import Model, StateVector, _Walk, initial_state
 from .validate import require_valid
 
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -273,50 +264,13 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     require_valid(model)
     cap = state_limit() if limit is None else limit
     comp = model._compiled
-    row_id, rows, decode, steps = comp.row_id, comp.rows, comp.decode, comp.steps
-    init = initial_state(model)
-    index: dict[int, int] = {comp.encode(init): 0}
-    codes = list(index)  # the BFS queue, read in order
-    # Discovery order is state order, so recording each state's row id when
-    # it is found numbers the rows as reading them off the queue would.
-    ids, dst = array("q", [row_id(init)]), array("q")
-
-    find, link = index.get, dst.append
-    # The lists grow while they are read: each iterator sees what is
-    # appended before it gets there.
-    for code, rid in zip(codes, ids):
-        out = steps[rid]
-        if out is None:
-            out = comp.fill_steps(rid, decode(code))
-        for _, delta, resets, crossings, known in out:
-            t = code + delta
-            if resets:  # rare: testing is cheaper than an empty loop per edge
-                for weight, radix, p in resets:
-                    t += (p - code // weight % radix) * weight
-            di = find(t)
-            if di is None:
-                di = len(codes)
-                if di >= cap:
-                    raise StateLimitExceeded(
-                        f"state space exceeds {cap} states", limit=cap
-                    )
-                index[t] = di
-                codes.append(t)
-                # The target's class follows from the source's and from
-                # which shifted counters leave their source class.
-                j = 0
-                for weight, radix, edge, bit in crossings:
-                    if code // weight % radix == edge:
-                        j += bit
-                target_row = known[j]
-                if target_row < 0:
-                    target_row = known[j] = row_id(decode(t))
-                ids.append(target_row)
-            link(di)
+    walk, dst = _Walk(comp, initial_state(model), cap), array("q")
+    walk.expand(0, None, dst.append)
+    codes, rows = walk.codes, comp.rows
 
     # Edge k is the j-th chosen transition of its source's row: lay the
     # rows' chosen indices and values out flat and gather from them.
-    ids = np.frombuffer(ids, dtype=np.int64)
+    ids = np.frombuffer(walk.row_ids, dtype=np.int64)
     width = np.fromiter((len(r.chosen) for r in rows), dtype=np.int64, count=len(rows))
     row_start = np.cumsum(width) - width
     chosen = np.fromiter(chain.from_iterable(r.chosen for r in rows), dtype=np.int64)

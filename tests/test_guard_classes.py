@@ -202,7 +202,7 @@ def test_table_matches_direct_guard_walk(model, data, order):
         assert holds(s) == eval_guard(probe, s, index), s
         firings, vanishing = firings_raw(model, s)
         for comp in tables:
-            row = comp.row(s)
+            row = comp.rows[comp.row_id(s)]
             assert row.vanishing == vanishing, s
             assert [model.transitions[i].name for i in row.chosen] == [t.name for t, _ in firings]
             assert list(row.values) == [value for _, value in firings]

@@ -9,8 +9,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from infradep import (
+    BUILTIN_MODELS,
+    DEFAULT_PARAMS,
     EnumDomain,
     Estimate,
     Event,
@@ -24,6 +28,7 @@ from infradep import (
     Trace,
     Transition,
     VariableDecl,
+    builtin_model,
     estimate_occupancy,
     estimate_time_to,
     initial_state,
@@ -34,6 +39,7 @@ from infradep import (
     steady_state,
     trace_to_csv,
     trace_to_jsonl,
+    validate_model,
     var_eq,
 )
 from infradep import montecarlo
@@ -44,10 +50,13 @@ from .oracles import (
     apply_update_raw,
     birth_chain,
     by_name,
+    domain_product,
     eval_guard,
     firings_raw,
+    moves,
     two_state_chain,
 )
+from .test_guard_classes import _models, _with_init
 
 
 def test_same_inputs_same_trace(model_a):
@@ -88,24 +97,75 @@ def test_two_state_occupancy_long_run():
     assert abs(time_in_one / 10_000.0 - 0.25) <= 0.02
 
 
-def test_trace_replays_through_apply(model_a):
-    # Each event fires a transition the oracle enables in the state before
-    # it and lands where the oracle's update puts it.
-    trace = simulate(model_a, horizon=400.0, seed=9)
-    transitions = by_name(model_a)
+def _assert_replays(model, trace):
+    """Each event fires a transition the oracle enables (under the
+    max-priority rule) in the state before it and lands where the
+    oracle's update puts it, ``repr`` and all (``1`` is not ``True``)."""
+    transitions = by_name(model)
     s = trace.initial
     last_time = 0.0
     for ev in trace.events:
         t = transitions[ev.transition]
-        assert t in [fired for fired, _ in firings_raw(model_a, s)[0]]
-        nxt = apply_update_raw(model_a, s, t)
-        assert nxt == ev.state
+        assert t in [fired for fired, _ in firings_raw(model, s)[0]]
+        nxt = apply_update_raw(model, s, t)
+        assert repr(nxt) == repr(ev.state)
         if t.is_timed:
             assert ev.time > last_time
         else:
             assert ev.time == last_time  # immediates share the timestamp
         last_time = ev.time
         s = nxt
+    if trace.end_reason == "absorbed":
+        assert not firings_raw(model, s)[0]
+
+
+def test_trace_replays_through_apply():
+    for name in sorted(BUILTIN_MODELS):
+        for k_max in (2, 20):
+            m = builtin_model(name, replace(DEFAULT_PARAMS, k_max=k_max))
+            for seed in (7, 9):
+                trace = simulate(m, horizon=400.0, seed=seed)
+                assert len(trace.events) > 10
+                _assert_replays(m, trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_models(valid=True), data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_random_model_traces_replay_through_the_oracle(model, data, seed):
+    # The simulator takes each successor from its row's code steps: resets
+    # and class crossings included, it must land where the oracle's update
+    # of the tuple does.  The initial state is drawn from those that some
+    # firing leaves, so that few examples stop at once.
+    states = list(domain_product(model))
+    pool = [s for s in states if moves(model, s)] or states
+    m = _with_init(model, data.draw(st.sampled_from(pool)))
+    assert validate_model(m).ok
+    try:
+        trace = simulate(m, horizon=30.0, seed=seed, event_cap=300)
+    except ImmediateCycleError:
+        event("immediate cycle")
+        return
+    except EventCapExceeded as exc:
+        trace = exc.trace
+    event(f"ends: {trace.end_reason}")
+    _assert_replays(m, trace)
+
+
+def test_simulation_past_a_domain_product_of_2_to_the_63():
+    # The counter's codes pass 2^63, so they are Python ints throughout.
+    # A 0/1 counter beside it must decode to ints, never to bools.
+    m = parse_model(
+        "model huge { var n : [0..99999999999999999999] init 9223372036854775813; "
+        "var b : [0..1] init 0; "
+        "timed up rate 1.0 when n < 99999999999999999999 -> { n := n + 1; b := 1; }; "
+        "timed down rate 2.0 when n > 0 -> { n := n - 1; b := 0; }; "
+        "immediate flip prio 1 weight 1.0 when n == 9223372036854775811 && b == 0 -> { b := 1; }; }"
+    )
+    assert validate_model(m).ok
+    trace = simulate(m, horizon=60.0, seed=3)
+    assert {ev.transition for ev in trace.events} == {"up", "down", "flip"}
+    assert min(ev.state[0] for ev in trace.events) < 2**63 < max(ev.state[0] for ev in trace.events)
+    _assert_replays(m, trace)
 
 
 def test_immediates_recorded_after_trigger(model_a):
@@ -458,34 +518,6 @@ def test_traces_match_pinned_digests(case, models):
     assert _digest(traces) == PINNED_TRACES[case]
 
 
-def test_label_predicate_interpreted_once_per_state(model_a, monkeypatch):
-    guard_predicate = montecarlo.guard_predicate
-    calls = 0
-
-    def counting_guard_predicate(model, guard):
-        holds = guard_predicate(model, guard)
-
-        def counted(s):
-            nonlocal calls
-            calls += 1
-            return holds(s)
-
-        return counted
-
-    monkeypatch.setattr(montecarlo, "guard_predicate", counting_guard_predicate)
-    for estimate, kwargs in (
-        (estimate_time_to, {"cap_time": 300.0}),
-        (estimate_occupancy, {"horizon": 300.0}),
-    ):
-        traces = []
-        calls = 0
-        estimate(model_a, "state7", replications=20, seed=4, on_trace=traces.append, **kwargs)
-        visited = {t.initial for t in traces} | {ev.state for t in traces for ev in t.events}
-        events = sum(len(t.events) for t in traces)
-        assert events > 2 * len(visited)  # the states repeat
-        assert 0 < calls <= len(visited)
-
-
 # (occupancy label, time-to label) per built-in
 ESTIMATE_LABELS = {
     "accidental": ("state1", "state7"),
@@ -554,54 +586,84 @@ def test_event_cap_trace_is_the_uncapped_prefix(name, models):
         )
 
 
-def test_engine_does_per_state_work_once(model_a, monkeypatch):
-    comp = model_a._compiled
-    index = {t.name: i for i, t in enumerate(model_a.transitions)}
-    rows, updates, fired = Counter(), Counter(), 0
-    row, fire = comp.row, montecarlo._Engine.fire
+def _engine_work(model, label, estimate, monkeypatch, **kwargs):
+    """Run ``estimate`` with counters on the engine's per-state work, check
+    that each piece runs once, and return the traces and the states the
+    walk interned.
 
-    def counted_row(s):
-        rows[s] += 1
-        return row(s)
+    Every interned state is the initial state or a one-step successor (by
+    the oracle) of a state some event left, each such source is expanded
+    once, the label predicate runs exactly once per interned state, no
+    state is interned twice, and ``fire`` runs once per event.
+    """
+    predicate, expand, fire = montecarlo.guard_predicate, montecarlo._Walk.expand, montecarlo._Engine.fire
+    decode = model._compiled.decode
+    walks, expanded, judged, fired = [], Counter(), Counter(), 0
 
-    def counted_update(i, update):
-        def apply(s):
-            updates[i, s] += 1
-            return update(s)
+    def counted_predicate(model, guard):
+        holds = predicate(model, guard)
 
-        return apply
+        def counted(s):
+            judged[s] += 1
+            return holds(s)
+
+        return counted
+
+    def counted_expand(walk, start, stop, link):
+        assert stop == start + 1
+        walks.append(walk)
+        expanded[decode(walk.codes[start])] += 1
+        return expand(walk, start, stop, link)
 
     def counted_fire(eng, sid, k):
         nonlocal fired
         fired += 1
         return fire(eng, sid, k)
 
-    monkeypatch.setattr(comp, "row", counted_row)
-    counted_updates = tuple(counted_update(i, u) for i, u in enumerate(comp.updates))
-    monkeypatch.setattr(comp, "updates", counted_updates)
+    monkeypatch.setattr(montecarlo, "guard_predicate", counted_predicate)
+    monkeypatch.setattr(montecarlo._Walk, "expand", counted_expand)
     monkeypatch.setattr(montecarlo._Engine, "fire", counted_fire)
+    traces = []
+    estimate(model, label, seed=4, on_trace=traces.append, **kwargs)
+    init = initial_state(model)
+    sources = {init} if any(t.events for t in traces) else set()
+    sources |= {ev.state for t in traces for ev in t.events[:-1]}
+    successors = {apply_update_raw(model, s, t) for s in sources for t, _ in firings_raw(model, s)[0]}
+
+    assert len({id(w) for w in walks}) == 1  # one engine, one walk
+    interned = [decode(code) for code in walks[0].codes]
+    assert len(set(interned)) == len(interned)
+    assert set(interned) == {init} | successors
+    assert judged == Counter(interned)
+    assert expanded == Counter(sources)
+    assert fired == sum(len(t.events) for t in traces)
+    return traces, interned
+
+
+def test_engine_does_per_state_work_once(model_a, monkeypatch):
     for estimate, kwargs in (
         (estimate_occupancy, {"horizon": 300.0}),
         (estimate_time_to, {"cap_time": 300.0}),
     ):
-        rows.clear()
-        updates.clear()
-        fired = 0
-        traces = []
-        estimate(model_a, "state7", replications=20, seed=4, on_trace=traces.append, **kwargs)
-        states, pairs = set(), set()
-        for t in traces:
-            prev = t.initial
-            states.add(prev)
-            for ev in t.events:
-                pairs.add((index[ev.transition], prev))
-                states.add(ev.state)
-                prev = ev.state
+        with monkeypatch.context() as patch:
+            traces, interned = _engine_work(model_a, "state7", estimate, patch, replications=20,
+                                            **kwargs)
         events = sum(len(t.events) for t in traces)
-        assert events > 2 * len(pairs)  # the states and firings repeat
-        assert rows == Counter(states)
-        assert updates == Counter(pairs)
-        assert fired == events
+        assert events > 2 * len(interned)  # the states and firings repeat
+
+
+def test_label_predicate_interpreted_once_per_state(models, monkeypatch):
+    # The walk interns every successor of a state that fires, so the
+    # predicate also runs on states no event reaches, but on each once.
+    for name, (occupancy_label, time_to_label) in sorted(ESTIMATE_LABELS.items()):
+        m = models[name]
+        for estimate, label, kwargs in (
+            (estimate_time_to, time_to_label, {"cap_time": 300.0}),
+            (estimate_occupancy, m.label_map[occupancy_label].predicate, {"horizon": 300.0}),
+        ):
+            with monkeypatch.context() as patch:
+                traces, interned = _engine_work(m, label, estimate, patch, replications=10, **kwargs)
+            assert sum(len(t.events) for t in traces) > len(interned)
 
 
 NEGATIVE = (

@@ -387,23 +387,37 @@ def test_unclassed_counter_shifted_past_its_bound_names_the_value(lo, hi, init, 
     assert f"guard admits x={hi if delta > 0 else lo}" in info.value.message
 
 
+# Decodes per explore of a fresh model, by k_max: one per step outcome
+# first met, which reads the target's row and, for a row no walk has met,
+# fills its steps from the same tuple.
+EXPLORE_DECODES = {
+    "accidental": {2: 33, 2000: 34},
+    "cascading-only": {2: 33, 2000: 34},
+    "common-cause": {2: 39, 2000: 40},
+    "attack": {2: 49, 2000: 51},
+}
+
+
 @pytest.mark.parametrize("name", BUILTIN_MODELS)
 def test_explore_encodes_once_and_fills_rows_per_class(name, monkeypatch):
     # Every step computes its target's code from the source's code, and its
     # target's row once per (row, step, whether a shifted counter leaves
-    # its class), so neither call follows the state count.
-    model = builtin_model(name, replace(DEFAULT_PARAMS, k_max=2000))
-    comp = model._compiled
-    calls = {"encode": 0, "row_id": 0}
-    for method in calls:
-        def counted(*args, _method=method, _inner=getattr(comp, method)):
-            calls[_method] += 1
-            return _inner(*args)
-        monkeypatch.setattr(comp, method, counted)
-    g = build_reachability_graph(model)
-    assert len(g.states) > 8000
-    assert calls["encode"] == 1
-    assert calls["row_id"] <= len(comp.rows) + 2 * sum(len(row.chosen) for row in comp.rows)
+    # its class), so no call follows the state count.
+    for k_max, decodes in EXPLORE_DECODES[name].items():
+        model = builtin_model(name, replace(DEFAULT_PARAMS, k_max=k_max))
+        comp = model._compiled
+        calls = {"encode": 0, "row_id": 0, "decode": 0}
+        for method in calls:
+            def counted(*args, _method=method, _inner=getattr(comp, method)):
+                calls[_method] += 1
+                return _inner(*args)
+            monkeypatch.setattr(comp, method, counted)
+        g = build_reachability_graph(model)
+        assert len(g.states) > (8000 if k_max == 2000 else 30)
+        assert calls["encode"] == 1
+        assert calls["row_id"] <= len(comp.rows) + 2 * sum(len(row.chosen) for row in comp.rows)
+        met = sum(row >= 0 for out in comp.steps for *_, known in out for row in known)
+        assert calls["decode"] == met == decodes
 
 
 def test_state_cap_raises_at_one_past_the_limit():
@@ -667,7 +681,7 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(model_a):
     m = replace(model_a)
     g = build_reachability_graph(m)
     assert g.adjacency[0][1] > 0 and len(g.edges) == len(g.edge_src)
-    assert any(resets for out in m._compiled.steps if out for _, _, resets, _, _ in out)
+    assert any(resets for out in m._compiled.steps if out for _, resets, _, _ in out)
     g.label_sets
     eliminate_vanishing(g)
     refs = weakref.ref(g), weakref.ref(m), weakref.ref(m._compiled)
