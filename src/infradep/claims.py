@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotAttackModelError, UnknownLabelError
 from .model import guard_predicate
 from .statespace import ReachabilityGraph
@@ -27,7 +29,7 @@ class CheckResult:
     witness: tuple = ()
 
 
-def _label_states(g: ReachabilityGraph, label: str) -> frozenset[int]:
+def _label_states(g: ReachabilityGraph, label: str) -> np.ndarray:
     sets = g.label_sets
     if label not in sets:
         raise UnknownLabelError(f"no label {label!r} on model {g.model.name!r}")
@@ -35,11 +37,12 @@ def _label_states(g: ReachabilityGraph, label: str) -> frozenset[int]:
 
 
 def _bfs_path(g: ReachabilityGraph, sources, targets, banned: frozenset = frozenset()):
-    """Shortest witness as (state, transition, state, ...) or None; the
-    search starts from the sources in ascending state order."""
-    targets = set(targets)
+    """Shortest witness as (state, transition, state, ...) or None, given
+    sorted index arrays: the search starts from the sources in ascending
+    state order."""
+    targets = set(targets.tolist())
     indptr, dst, transition = g.adjacency
-    sources = sorted(sources)
+    sources = sources.tolist()
     parent: dict[int, tuple[int, str] | None] = {s: None for s in sources}
     queue = deque(sources)
     while queue:
@@ -72,11 +75,12 @@ def check_path_exists(
     sources = _label_states(g, from_label)
     targets = _label_states(g, to_label)
     name = f"path {from_label} -> {to_label}" + (f" via {'/'.join(via)}" if via else "")
-    if not sources:
+    if not len(sources):
         return CheckResult(name, False, f"label {from_label!r} matches no state")
     if via:
         indptr, dst, transition = g.adjacency
-        for s in sorted(sources):
+        hit = set(targets.tolist())
+        for s in sources.tolist():
             walk = [g.states[s]]
             cur = s
             for tname in via:
@@ -89,7 +93,7 @@ def check_path_exists(
                 walk += [tname, g.states[nxt]]
                 cur = nxt
             else:
-                if cur in targets:
+                if cur in hit:
                     return CheckResult(name, True, "witness found", tuple(walk))
         return CheckResult(name, False, "no start state admits the given firing sequence")
     path = _bfs_path(g, sources, targets)
@@ -106,7 +110,8 @@ def check_all_paths_contain(
     ``required`` is a sequence of groups; strings stand for singleton
     groups and any member of a group counts as firing it.  Checked by
     removing each group's edges: the target must become unreachable, else
-    the surviving path is a counterexample.
+    the surviving path is a counterexample.  A label that matches no state
+    fails the check.
     """
     sources = _label_states(g, from_label)
     targets = _label_states(g, to_label)
@@ -115,6 +120,9 @@ def check_all_paths_contain(
         f"all paths {from_label} -> {to_label} contain "
         + " and ".join("{" + ",".join(sorted(grp)) + "}" for grp in groups)
     )
+    for label, states in ((from_label, sources), (to_label, targets)):
+        if not len(states):
+            return CheckResult(name, False, f"label {label!r} matches no state")
     for grp in groups:
         path = _bfs_path(g, sources, targets, banned=grp)
         if path is not None:
@@ -133,18 +141,12 @@ def check_edge_coverage(
     """Does every tangible state outside the exempt labels have a direct
     edge into ``to_label``?"""
     targets = _label_states(g, to_label)
-    exempt: set[int] = set()
-    for l in exempt_labels:
-        exempt |= _label_states(g, l)
     name = f"direct edge into {to_label} from every tangible state outside {tuple(exempt_labels)}"
-    indptr, dst, _ = g.adjacency
-    missing = [
-        i
-        for i, tang in enumerate(g.tangible)
-        if tang
-        and i not in exempt
-        and not any(dst[k] in targets for k in range(indptr[i], indptr[i + 1]))
-    ]
+    outside = g.tangible.copy()
+    for l in exempt_labels:
+        outside[_label_states(g, l)] = False
+    outside[g.edge_src[np.isin(g.edge_dst, targets)]] = False
+    missing = np.flatnonzero(outside).tolist()
     if missing:
         return CheckResult(
             name, False, f"{len(missing)} states lack a direct edge", tuple(missing)
@@ -197,12 +199,12 @@ def check_apparent_consistency(g: ReachabilityGraph) -> CheckResult:
 
 
 def _label_nonempty(g: ReachabilityGraph, label: str) -> CheckResult:
-    states = _label_states(g, label)
+    states = _label_states(g, label).tolist()
     return CheckResult(
         f"label {label} reachable",
         bool(states),
         f"{len(states)} states" if states else "no reachable state",
-        tuple(sorted(states)),
+        tuple(states),
     )
 
 
@@ -247,9 +249,9 @@ def _claims_attack(g: ReachabilityGraph) -> list[CheckResult]:
     k = g.model.variable("n_cfg").domain.hi
     via = ("passive_attack",) + ("operator_cfg",) * k + ("operator_overflow",)
     sets = g.label_sets
-    deceptive = sets["deceived"]
-    allowed = sets["state2"] | sets["state3"]
-    deceived_only_under_attack = deceptive <= allowed
+    deceived = sets["deceived"]
+    outside = deceived[~np.isin(deceived, np.concatenate((sets["state2"], sets["state3"])))].tolist()
+    deceived_only_under_attack = not outside
     return [
         check_apparent_consistency(g),
         check_path_exists(g, "state1", "state8", via=via),
@@ -259,7 +261,7 @@ def _claims_attack(g: ReachabilityGraph) -> list[CheckResult]:
             "deceived set within passive/active deception states"
             if deceived_only_under_attack
             else "deception observed outside attack states",
-            tuple(sorted(deceptive - allowed)),
+            tuple(outside),
         ),
         check_all_paths_contain(g, "state4", "state1", ["i_restoration"]),
     ]

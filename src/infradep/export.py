@@ -23,18 +23,19 @@ def export_dot(obj) -> str:
     model = obj.model
     by_state: dict[int, list[str]] = {}
     for name, idxs in obj.label_sets.items():
-        for i in idxs:
+        for i in idxs.tolist():
             by_state.setdefault(i, []).append(name)
 
     lines = [f"digraph {model.name} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
 
     graph = isinstance(obj, ReachabilityGraph)  # else a Ctmc
+    tangible = obj.tangible.tolist() if graph else None
     initial = {obj.initial} if graph else {i for i in range(obj.n) if obj.initial[i] > 0}
     for i, s in enumerate(obj.states):
         parts = (f"s{i}", model.format_state(s), " ".join(sorted(by_state.get(i, ()))))
         label = "\\n".join(_dot_escape(x) for x in parts if x)
         attrs = [f'label="{label}"']
-        if graph and not obj.tangible[i]:
+        if graph and not tangible[i]:
             attrs.append("style=dashed")
         if i in initial:
             attrs.append("peripheries=2")
@@ -43,7 +44,7 @@ def export_dot(obj) -> str:
         names = [_dot_escape(t.name) for t in model.transitions]
         for i, j, t, v in zip(obj.edge_src.tolist(), obj.edge_dst.tolist(),
                               obj.edge_transition.tolist(), obj.edge_value.tolist()):
-            kind = "rate" if obj.tangible[i] else "p"
+            kind = "rate" if tangible[i] else "p"
             lines.append(f'  s{i} -> s{j} [label="{names[t]}\\n{kind}={v!r}"];')
     else:
         coo = obj.rates.tocoo()

@@ -82,6 +82,7 @@ class _Engine:
     def __init__(self, model: Model, label: Callable[[StateVector], bool] | None = None):
         require_valid(model)
         self.names = tuple(t.name for t in model.transitions)
+        self.format_state = model.format_state
         self.label = label
         self.walk = _Walk(model._compiled, initial_state(model))
         self.states: list[StateVector] = []
@@ -204,8 +205,10 @@ def _run(
         if stop_at_hit and hits[sid]:
             return _Record(times, picks, sids, "hit", now)
         if chained == MAX_CHAINED_IMMEDIATES:
+            visited = map(eng.states.__getitem__, sorted(set(sids[-chained:])))
             raise ImmediateCycleError(
-                f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}"
+                f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}, "
+                f"visiting: {', '.join(map(eng.format_state, visited))}"
             )
 
 

@@ -448,7 +448,7 @@ def resolve_target(ctmc: Ctmc, target) -> np.ndarray:
     if isinstance(target, str):
         if target not in ctmc.label_sets:
             raise UnknownLabelError(f"no label {target!r} on model {ctmc.model.name!r}")
-        target = ctmc.label_sets[target]
+        return ctmc.label_sets[target]
     return _sorted_indices(target, ctmc.n, "target state index out of range")
 
 
@@ -456,7 +456,8 @@ def _sorted_indices(members, n: int, message: str) -> np.ndarray:
     """The integers ``members`` as a sorted int64 array, read once; raises
     ``InvalidArgError`` (``message``) unless each lies in ``[0, n)``."""
     try:
-        idx = np.sort(np.fromiter(members, dtype=np.int64))
+        idx = np.sort(np.asarray(members, np.int64) if isinstance(members, np.ndarray)
+                      else np.fromiter(members, dtype=np.int64))
     except OverflowError:  # beyond int64, so out of range
         raise InvalidArgError(message) from None
     if len(idx) and (idx[0] < 0 or idx[-1] >= n):

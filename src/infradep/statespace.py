@@ -27,8 +27,10 @@ and cached on the chain; ``_restrict`` assembles the generator and every
 solver system from the rates.  The
 check that the vanishing states hold no cycle runs once per graph and is
 cached on it, for the explorer and the eliminator alike.
-A graph groups its states into label sets once (``g.label_sets``); the
-CTMC reduced from it carries the same sets renumbered over its states.
+A graph's kinds are one boolean array (``g.tangible``).  A graph groups
+its states into label sets once (``g.label_sets``), each a sorted int64
+index array; the CTMC reduced from it carries the same arrays renumbered
+over its states.
 """
 
 from __future__ import annotations
@@ -132,11 +134,12 @@ class ReachabilityGraph:
     edges as parallel arrays: edge ``k`` fires
     ``model.transitions[edge_transition[k]]`` from state
     ``edge_src[k]`` to state ``edge_dst[k]`` with ``edge_value[k]`` (a rate
-    out of a tangible state, a probability out of a vanishing one)."""
+    out of a tangible state, a probability out of a vanishing one);
+    ``tangible`` is a boolean array (a hand-built graph's tuple becomes one)."""
 
     model: Model
     states: _States
-    tangible: tuple[bool, ...]
+    tangible: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_transition: np.ndarray
@@ -146,7 +149,9 @@ class ReachabilityGraph:
     # explorer recorded it; None on a hand-built graph.
     row_ids: np.ndarray | None = None
 
-    __post_init__ = _as_states
+    def __post_init__(self):
+        _as_states(self)
+        object.__setattr__(self, "tangible", np.asarray(self.tangible, dtype=bool))
 
     @property
     def edges(self) -> range:
@@ -169,24 +174,20 @@ class ReachabilityGraph:
         )
 
     @cached_property
-    def label_sets(self) -> dict[str, frozenset[int]]:
-        """``label_sets(self)``, computed once per graph, from the recorded
-        row ids when the explorer built the graph."""
-        ids = _row_ids(self) if self.row_ids is None else self.row_ids
-        return _label_sets_of_rows(self.model._compiled, ids)
-
-    @cached_property
-    def _tangible_mask(self) -> np.ndarray:
-        """``tangible`` as a boolean array, built once per graph (the
-        explorer stores its own)."""
-        return np.fromiter(self.tangible, dtype=bool, count=len(self.tangible))
+    def label_sets(self) -> dict[str, np.ndarray]:
+        """Each label's states, grouped once per graph from the row ids the
+        explorer recorded (a hand-built graph looks each state's row up)."""
+        comp, ids = self.model._compiled, self.row_ids
+        if ids is None:
+            ids = np.fromiter(map(comp.row_id, self.states), dtype=np.int64, count=len(self.states))
+        return _label_sets_of_rows(comp, ids)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, int, sp.csr_matrix]:
         """``(order, nt, W)``: the state indices with the ``nt`` tangible ones
         first, and ``W[i, j]``, the summed values of the edges from state
         ``order[i]`` to state ``order[j]``."""
-        tangible = self._tangible_mask
+        tangible = self.tangible
         order = np.argsort(~tangible, kind="stable")
         position = np.empty(len(order), dtype=np.int64)
         position[order] = np.arange(len(order))
@@ -211,7 +212,7 @@ class ReachabilityGraph:
         return ", ".join(self.model.format_state(self.states[i]) for i in members)
 
     def tangible_count(self) -> int:
-        return int(self._tangible_mask.sum())
+        return int(self.tangible.sum())
 
     def vanishing_count(self) -> int:
         return len(self.states) - self.tangible_count()
@@ -221,13 +222,14 @@ class ReachabilityGraph:
 class Ctmc:
     """Tangible-only chain: ``rates[i, j]`` is the rate from state ``i`` to
     a distinct state ``j``, a canonical CSR of positive entries only, with
-    no diagonal.  ``states`` is a view of the states' codes."""
+    no diagonal.  ``states`` is a view of the states' codes; ``label_sets``
+    maps each label to its states as a sorted int64 index array."""
 
     model: Model
     states: _States
     rates: sp.csr_matrix
     initial: np.ndarray
-    label_sets: dict[str, frozenset[int]]
+    label_sets: dict[str, np.ndarray]
 
     __post_init__ = _as_states
 
@@ -279,13 +281,12 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
     out_degree = width[ids]
     first_edge = np.cumsum(out_degree) - out_degree
     flat = np.repeat(row_start[ids] - first_edge, out_degree) + np.arange(len(dst))
-    tangible = ~vanishing[ids]
 
     dtype = np.int64 if comp.size < 2**63 else object  # else codes of Python ints
     graph = ReachabilityGraph(
         model=model,
         states=_States(np.fromiter(codes, dtype, len(codes)), comp.digits),
-        tangible=tuple(tangible.tolist()),
+        tangible=~vanishing[ids],
         edge_src=np.repeat(np.arange(len(codes), dtype=np.int64), out_degree),
         edge_dst=np.frombuffer(dst, dtype=np.int64),
         edge_transition=chosen[flat],
@@ -293,7 +294,6 @@ def build_reachability_graph(model: Model, limit: int | None = None) -> Reachabi
         initial=0,
         row_ids=ids,
     )
-    graph.__dict__["_tangible_mask"] = tangible
     _check_vanishing_acyclic(graph)
     return graph
 
@@ -333,17 +333,13 @@ def eliminate_vanishing(g: ReachabilityGraph) -> Ctmc:
         row = absorption[position[g.initial] - nt]
         initial[row.indices] = row.data
 
-    tangible = g._tangible_mask
-    sets = {}
-    for name, members in g.label_sets.items():
-        idx = np.fromiter(members, dtype=np.int64, count=len(members))
-        sets[name] = frozenset(position[idx[tangible[idx]]].tolist())
+    # The tangible states keep their index order, so each array stays sorted.
     return Ctmc(
         model=g.model,
         states=g.states.take(order[:nt]),
         rates=_without_self_loops(reduced),
         initial=initial,
-        label_sets=sets,
+        label_sets={name: position[idx[g.tangible[idx]]] for name, idx in g.label_sets.items()},
     )
 
 
@@ -415,30 +411,19 @@ def _restrict(m, keep: np.ndarray | None, diag: np.ndarray, scale: float | None 
     return m.__class__((out[: ptr[-1]], out_indices[: ptr[-1]], ptr), shape=(size, size))
 
 
-def label_sets(obj) -> dict[str, frozenset[int]]:
-    """Map each model label to the indices of ``obj.states`` satisfying it.
-
-    Reads the label truth values from the model's firing table, one row per
-    guard class, over a ``ReachabilityGraph`` (all states) or a ``Ctmc``
-    (tangible states).  Sets may overlap and states may match no label.  A
-    graph caches the result as ``g.label_sets``, and the CTMC reduced from
-    it inherits the sets renumbered.
+def label_sets(obj) -> dict[str, np.ndarray]:
+    """Map each model label to the indices of ``obj.states`` satisfying it,
+    as a sorted int64 array, over a ``ReachabilityGraph`` (all states) or a
+    ``Ctmc`` (tangible states): ``obj.label_sets``.  Sets may overlap and
+    states may match no label.
     """
-    return _label_sets_of_rows(obj.model._compiled, _row_ids(obj))
+    return obj.label_sets
 
 
-def _row_ids(obj) -> np.ndarray:
-    """The firing-table row id of each of ``obj.states``."""
-    return np.fromiter(map(obj.model._compiled.row_id, obj.states), dtype=np.int64,
-                       count=len(obj.states))
-
-
-def _label_sets_of_rows(comp, ids: np.ndarray) -> dict[str, frozenset[int]]:
+def _label_sets_of_rows(comp, ids: np.ndarray) -> dict[str, np.ndarray]:
     """Each label's states, given each state's row id ``ids[i]`` in ``comp``."""
     truth = np.array([r.labels for r in comp.rows], dtype=bool).reshape(
         len(comp.rows), len(comp.labels)
     )
     member = truth[ids]
-    return {
-        l.name: frozenset(np.flatnonzero(member[:, j]).tolist()) for j, l in enumerate(comp.labels)
-    }
+    return {l.name: np.flatnonzero(member[:, j]) for j, l in enumerate(comp.labels)}

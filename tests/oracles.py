@@ -98,6 +98,29 @@ def eval_guard_partial(guard, partial: dict):
 # A graph's edge arrays, read back
 
 
+def assert_label_sets_match_guards(obj) -> None:
+    """Referee for a graph's or chain's per-state arrays: each label's
+    array is strictly increasing int64 and holds exactly the states where
+    ``eval_guard`` finds the label's predicate true, and a graph's
+    ``tangible`` is a bool array with one entry per state."""
+    m = obj.model
+    assert list(obj.label_sets) == [l.name for l in m.labels]
+    for l in m.labels:
+        idx = obj.label_sets[l.name]
+        assert isinstance(idx, np.ndarray) and idx.dtype == np.int64 and idx.ndim == 1
+        assert (np.diff(idx) > 0).all()
+        holds = [i for i, s in enumerate(obj.states) if eval_guard(l.predicate, s, m.var_index)]
+        assert idx.tolist() == holds, l.name
+    if hasattr(obj, "tangible"):
+        assert isinstance(obj.tangible, np.ndarray) and obj.tangible.dtype == bool
+        assert obj.tangible.shape == (len(obj.states),)
+
+
+def label_lists(obj) -> dict[str, list[int]]:
+    """Each label's states as a list of Python ints."""
+    return {name: idx.tolist() for name, idx in obj.label_sets.items()}
+
+
 def edge_tuples(g) -> list[tuple[int, str, int, float]]:
     """``(src, transition name, dst, value)`` of each edge of ``g``, in array order."""
     names = [t.name for t in g.model.transitions]
@@ -234,6 +257,8 @@ def explore_matches_oracle(model: Model) -> str:
     assert repr(list(g.states)) == repr(order)  # 1 == True and 2 == 2.0, but not in repr
     assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
     assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
+    assert_label_sets_match_guards(g)
+    assert_label_sets_match_guards(eliminate_vanishing(g))
     return "one state" if len(order) == 1 else "several states"
 
 

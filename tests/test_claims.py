@@ -23,7 +23,7 @@ from infradep.claims import (
 )
 from infradep.export import graph_summary
 
-from .oracles import SplitMix64
+from .oracles import SplitMix64, assert_label_sets_match_guards
 
 
 def test_all_builtin_suites_pass(graphs):
@@ -33,9 +33,8 @@ def test_all_builtin_suites_pass(graphs):
 
 
 def _count_label_evaluations(monkeypatch) -> list:
-    """Patch the one label grouping, which ``g.label_sets`` and
-    ``label_sets(obj)`` both run; each call appends the number of states it
-    grouped."""
+    """Patch the one label grouping, which ``g.label_sets`` runs; each call
+    appends the number of states it grouped."""
     import infradep.statespace as statespace
 
     calls = []
@@ -61,8 +60,6 @@ def test_run_claims_computes_label_sets_once(monkeypatch):
 def test_pipeline_evaluates_label_guards_once(monkeypatch):
     # Explore, reduction, summary, DOT and the claim suite share the graph's
     # label sets; the CTMC's sets are the graph's, renumbered.
-    from infradep.statespace import label_sets
-
     calls = _count_label_evaluations(monkeypatch)
     for name in BUILTIN_MODELS:
         calls.clear()
@@ -73,9 +70,10 @@ def test_pipeline_evaluates_label_guards_once(monkeypatch):
             export_dot(obj)
         run_claims(g)
         assert len(calls) == 1, f"{g.model.name}: label guards evaluated {len(calls)} times"
-        # The explorer's recorded row ids and ones recomputed per state agree.
-        assert g.label_sets == label_sets(g)
-        assert c.label_sets == label_sets(c)
+        # The sets grouped from the explorer's row ids, and the chain's
+        # renumbered ones, hold the states where each label's guard holds.
+        assert_label_sets_match_guards(g)
+        assert_label_sets_match_guards(c)
 
 
 def test_blackout_narrative_witness(graphs):
@@ -184,29 +182,72 @@ def test_unregistered_model_has_no_suite():
 def test_edge_coverage_needs_both_exemptions(graphs):
     # Exempting only state6 leaves the state8 states uncovered: they have
     # no direct edge back into state6 (common cause is off inside them).
+    # The offenders are those a walk over each state's out-edges finds.
     g = graphs["common-cause"]
-    assert not check_edge_coverage(g, "state6", exempt_labels=("state6",)).passed
+    res = check_edge_coverage(g, "state6", exempt_labels=("state6",))
+    assert not res.passed
+    sets = {name: set(idx.tolist()) for name, idx in g.label_sets.items()}
+    indptr, dst, _ = g.adjacency
+    missing = tuple(
+        i
+        for i in range(len(g.states))
+        if g.tangible[i]
+        and i not in sets["state6"]
+        and not any(dst[k] in sets["state6"] for k in range(indptr[i], indptr[i + 1]))
+    )
+    assert res.witness == missing and set(missing) <= sets["state8"]
+    assert all(type(i) is int for i in missing)
 
 
-@pytest.mark.parametrize("via", [None, ("up",)])
-def test_witness_does_not_follow_label_set_insertion_order(via):
-    # States 0 and 8 each reach a target in one step.  Two frozensets with
-    # these members iterate in their insertion order (8 and 0 share a hash
-    # slot), and the witness must start from state 0 under either.
-    from infradep import IntDomain, Label, Model, RateExpr, Shift, Timed, Transition, VariableDecl
+def _counter_line(labels):
+    """Counter ``x`` over 0..9 from 0, stepped up by ``up`` below 9."""
+    from infradep import IntDomain, Model, RateExpr, Shift, Timed, Transition, VariableDecl
     from infradep.model import Comparison
 
-    m = Model(
+    return Model(
         name="line",
         variables=(VariableDecl("x", IntDomain(0, 9), 0),),
         parameters={},
         transitions=(Transition("up", Timed(RateExpr(1.0)), Comparison("x", "<", 9), (Shift("x", 1),)),),
+        labels=labels,
     )
+
+
+def test_all_paths_check_fails_on_a_label_that_matches_no_state():
+    # x never reaches 9 once ``up`` stops at 8: a cut between no states
+    # and some, or some and none, is no verdict, so the check fails.
+    from dataclasses import replace
+
+    from infradep import Label, validate_model
+    from infradep.model import Comparison
+
+    m = _counter_line((Label("start", Comparison("x", "==", 0)), Label("top", Comparison("x", "==", 9))))
+    m = replace(m, transitions=(replace(m.transitions[0], guard=Comparison("x", "<", 8)),))
+    assert validate_model(m).ok
+    g = build_reachability_graph(m)
+    assert g.label_sets["top"].tolist() == []
+    for frm, to in (("start", "top"), ("top", "start")):
+        res = check_all_paths_contain(g, frm, to, ["up"])
+        assert not res.passed
+        assert res.detail == "label 'top' matches no state"
+
+
+@pytest.mark.parametrize("via", [None, ("up",)])
+def test_witness_does_not_follow_label_set_insertion_order(via):
+    # States 0 and 8 each reach a target in one step.  Whichever order the
+    # labels name them in, the label arrays hold them in state order and
+    # the witness starts from state 0, naming states, not indices.
+    from infradep import Label
+    from infradep.model import Comparison, Or
+
+    def either(a, b):
+        return Or((Comparison("x", "==", a), Comparison("x", "==", b)))
+
     witnesses = set()
     for sources, targets in (((0, 8), (1, 9)), ((8, 0), (9, 1))):
-        g = build_reachability_graph(m)
+        labels = (Label("from", either(*sources)), Label("to", either(*targets)))
+        g = build_reachability_graph(_counter_line(labels))
         assert g.states == tuple((x,) for x in range(10))
-        g.__dict__["label_sets"] = {"from": frozenset(sources), "to": frozenset(targets)}
-        assert list(g.label_sets["from"]) == list(sources)
+        assert g.label_sets["from"].tolist() == [0, 8]
         witnesses.add(check_path_exists(g, "from", "to", via=via).witness)
     assert witnesses == {((0,), "up", (1,))}

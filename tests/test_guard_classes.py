@@ -39,6 +39,7 @@ from infradep.model import PAGE_CLASSES, eval_guard_kleene, eval_guards, guard_p
 
 from .oracles import (
     OutsideDomain,
+    assert_label_sets_match_guards,
     domain_product,
     eval_guard,
     eval_guard_partial,
@@ -290,12 +291,7 @@ def test_class_space_past_one_page_matches_oracle():
     assert explore_matches_oracle(model) == "several states"
     comp = model._compiled
     assert (comp.page_size, len(comp.places), len(comp.pages)) == (PAGE_CLASSES, 12, 2)
-    g = build_reachability_graph(model)
-    index = model.var_index
-    assert g.label_sets == {
-        l.name: frozenset(i for i, s in enumerate(g.states) if eval_guard(l.predicate, s, index))
-        for l in model.labels
-    }
+    assert_label_sets_match_guards(build_reachability_graph(model))
 
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)

@@ -86,7 +86,7 @@ def test_no_transition_enabled():
         ),
     )
     g = build_reachability_graph(m)
-    assert g.states == ((0,),) and g.tangible == (True,)
+    assert g.states == ((0,),) and g.tangible.tolist() == [True]
     assert _out(g) == []
 
 

@@ -191,19 +191,24 @@ def test_event_cap_carries_partial_trace(model_a):
 
 
 def test_immediate_cycle_guard():
-    from infradep import Immediate
+    # The timed step from s enters the immediate cycle a -> b -> a; the
+    # error names the states the chained immediates visited, and only them.
+    from infradep import Immediate, RateExpr, Timed
 
     m = Model(
         name="m",
-        variables=(VariableDecl("x", EnumDomain(("a", "b")), "a"),),
+        variables=(VariableDecl("x", EnumDomain(("s", "a", "b")), "s"),),
         parameters={},
         transitions=(
+            Transition("enter", Timed(RateExpr(1.0)), var_eq("x", "s"), (SetValue("x", "a"),)),
             Transition("go", Immediate(1, 1.0), var_eq("x", "a"), (SetValue("x", "b"),)),
             Transition("back", Immediate(1, 1.0), var_eq("x", "b"), (SetValue("x", "a"),)),
         ),
     )
-    with pytest.raises(ImmediateCycleError):
-        simulate(m, horizon=1.0, seed=0)
+    with pytest.raises(ImmediateCycleError) as info:
+        simulate(m, horizon=1e9, seed=0)
+    named = {part.strip() for part in info.value.message.split(":", 1)[1].split(",")}
+    assert named == {"x=a", "x=b"}
 
 
 def test_estimate_needs_two_replications(model_a):

@@ -492,7 +492,7 @@ def _chain_digest(c) -> str:
     for a in (q.data, q.indices, q.indptr, c.initial):
         h.update(a.dtype.str.encode() + b"\n" + a.tobytes())
     for name, idx in sorted(c.label_sets.items()):
-        h.update(f"\n{name} {sorted(idx)}".encode())
+        h.update(f"\n{name} {idx.tolist()}".encode())
     outcomes = [_outcome(steady_state, c), _outcome(transient, c, 0.5), _outcome(transient, c, 50.0)]
     outcomes += [_outcome(mean_time_to_absorption, c, name, allow_defective=True)
                  for name in sorted(c.label_sets)]
@@ -615,15 +615,30 @@ def test_label_probability_full_and_empty(ctmc_a):
 
 def test_label_probability_rejects_an_index_out_of_range(ctmc_a):
     dist = steady_state(ctmc_a)
-    for bad in ({-1}, {ctmc_a.n}, {2**70}):
+    for bad in ({-1}, {ctmc_a.n}, {2**70}, np.array([-1]), np.array([0, ctmc_a.n])):
         with pytest.raises(InvalidArgError, match="out of range"):
             label_probability(dist, bad)
 
 
 def test_mtta_rejects_a_target_index_out_of_range(ctmc_a):
-    for bad in ([-1], [0, ctmc_a.n], [2**70]):
+    for bad in ([-1], [0, ctmc_a.n], [2**70], np.array([ctmc_a.n])):
         with pytest.raises(InvalidArgError, match="target state index out of range"):
             mean_time_to_absorption(ctmc_a, bad)
+
+
+def test_index_sets_of_any_form_give_bit_identical_measures(ctmcs):
+    # A label's array, the array reversed, its states as a frozenset and
+    # as a list in descending order are one index set, and so is the
+    # label's name.
+    for name, c in ctmcs.items():
+        dist = transient(c, 5.0)
+        for label, idx in c.label_sets.items():
+            forms = (idx, idx[::-1], frozenset(idx.tolist()), idx.tolist()[::-1])
+            values = {label_probability(dist, f).value.hex() for f in forms}
+            assert len(values) == 1, (name, label)
+            if len(idx):
+                res = [mean_time_to_absorption(c, f, allow_defective=True) for f in (label, *forms)]
+                assert len({(r.value.hex(), repr(r.metadata)) for r in res}) == 1, (name, label)
 
 
 def test_label_probability_state8_positive(ctmcs):

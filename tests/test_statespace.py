@@ -37,12 +37,13 @@ from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
 from infradep.statespace import _restrict
 
 from .oracles import (
+    assert_label_sets_match_guards,
     ctmc_of,
     dense_eliminate,
     edge_tuples,
-    eval_guard,
     exhaustive_reachability,
     hand_reduced_accidental,
+    label_lists,
     out_sums,
 )
 
@@ -246,11 +247,7 @@ def _assert_explore_matches_oracle(m):
     assert repr(list(g.states)) == repr(order)  # 1 == True and 2 == 2.0, but not in repr
     assert {s for s, t in zip(g.states, g.tangible) if t} == tangible
     assert [(g.states[s], t, g.states[d], v) for s, t, d, v in edge_tuples(g)] == edges
-    index = m.var_index
-    assert g.label_sets == {
-        l.name: frozenset(k for k, s in enumerate(g.states) if eval_guard(l.predicate, s, index))
-        for l in m.labels
-    }
+    assert_label_sets_match_guards(g)
     return g
 
 
@@ -287,7 +284,7 @@ def test_shifts_across_cuts_both_ways_match_oracle():
         ("up", 1.0, Comparison("x", "<", 6), (Shift("x", 1),)),
         ("down", 2.0, Comparison("x", ">", 0), (Shift("x", -1),)),
     ], labels=[Label("mid", var_eq("x", 3))]))
-    assert g.label_sets == {"mid": frozenset({3})}
+    assert label_lists(g) == {"mid": [3]}
 
 
 def test_enum_set_on_a_class_that_does_not_fix_it_matches_oracle():
@@ -339,7 +336,7 @@ def test_states_past_two_to_the_63_decode_exactly():
     g = build_reachability_graph(m)
     assert g.states.codes.dtype == object
     assert list(g.states) == order and repr(g.states) == repr(tuple(order))
-    assert g.label_sets == {"top": frozenset({2, 3, 4, 5})}
+    assert label_lists(g) == {"top": [2, 3, 4, 5]}
     assert eliminate_vanishing(g).states == tuple(order)
 
 
@@ -543,6 +540,37 @@ def test_label_sets_on_graph_and_ctmc(graphs, ctmcs):
     ]
 
 
+def test_label_sets_and_tangible_match_the_guards():
+    # Each label is a sorted int64 array of the states where its guard
+    # holds: on explored graphs and their chains, and on a hand-built graph
+    # (no recorded row ids, kinds given as a tuple) and its chain.
+    from infradep import ReachabilityGraph
+
+    arcs = [("s", "a", _rate(1.0)), ("a", "b", _imm()), ("b", "s", _rate(3.0))]
+    labels = (Label("away", Comparison("x", "!=", "s")), Label("mid", var_eq("x", "a")))
+    hand = ReachabilityGraph(
+        model=replace(_arc_model("sab", arcs), labels=labels),
+        states=(("s",), ("a",), ("b",)),
+        tangible=(True, False, True),
+        edge_src=np.array([0, 1, 2]),
+        edge_dst=np.array([1, 2, 0]),
+        edge_transition=np.array([0, 1, 2]),
+        edge_value=np.array([1.0, 1.0, 3.0]),
+        initial=0,
+    )
+    assert hand.tangible.tolist() == [True, False, True]
+    assert label_lists(hand) == {"away": [1, 2], "mid": [1]}
+    assert label_lists(eliminate_vanishing(hand)) == {"away": [1], "mid": []}
+    graphs = [hand] + [
+        build_reachability_graph(builtin_model(name, replace(DEFAULT_PARAMS, k_max=k)))
+        for name in BUILTIN_MODELS
+        for k in (2, 20)
+    ]
+    for g in graphs:
+        assert_label_sets_match_guards(g)
+        assert_label_sets_match_guards(eliminate_vanishing(g))
+
+
 def test_unsatisfiable_label_is_empty(model_a):
     from dataclasses import replace
 
@@ -552,7 +580,7 @@ def test_unsatisfiable_label_is_empty(model_a):
         + (Label("never", And((var_eq("info", "i_working"), var_eq("info", "i_weakened")))),),
     )
     g = build_reachability_graph(weird)
-    assert label_sets(g)["never"] == frozenset()
+    assert label_sets(g)["never"].tolist() == []
 
 
 def test_generator_row_sums_and_diagonal(ctmcs):
@@ -589,12 +617,12 @@ def test_deceived_label_matches_componentwise_divergence(graphs):
     g = graphs["attack"]
     m = g.model
     i = m.var_index
-    expected = frozenset(
+    expected = [
         k
         for k, s in enumerate(g.states)
         if s[i["real_info"]] != s[i["app_info"]] or s[i["real_elec"]] != s[i["app_elec"]]
-    )
-    assert label_sets(g)["deceived"] == expected
+    ]
+    assert label_sets(g)["deceived"].tolist() == expected
 
 
 def _assert_matches_dense(m):
@@ -724,11 +752,11 @@ def test_adjacency_lists_out_edges_in_order():
 
 def _graph_digest(g) -> str:
     h = hashlib.sha256()
-    h.update(f"{g.states!r}\n{g.tangible!r}\n".encode())
+    h.update(f"{g.states!r}\n{tuple(g.tangible.tolist())!r}\n".encode())
     for a in (g.edge_src, g.edge_dst, g.edge_transition, g.edge_value):
         h.update(a.dtype.str.encode() + b"\n" + a.tobytes())
     for name, idx in sorted(g.label_sets.items()):
-        h.update(f"\n{name} {sorted(idx)}".encode())
+        h.update(f"\n{name} {idx.tolist()}".encode())
     return h.hexdigest()
 
 
