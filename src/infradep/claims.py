@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAttackModelError, UnknownLabelError
-from .model import guard_predicate
-from .statespace import ReachabilityGraph
+from .statespace import ReachabilityGraph, states_where
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def check_edge_coverage(
 
 def check_set_unreachable(g: ReachabilityGraph, predicate, name: str) -> CheckResult:
     """No reachable state may satisfy the predicate (a guard expression)."""
-    fn = guard_predicate(g.model, predicate)
-    offenders = tuple(i for i, s in enumerate(g.states) if fn(s))
+    offenders = tuple(states_where(g.model, predicate, g.states).tolist())
     if offenders:
         return CheckResult(name, False, f"{len(offenders)} reachable states match", offenders)
     return CheckResult(name, True, "no reachable state matches")

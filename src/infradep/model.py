@@ -32,10 +32,10 @@ fix, because only a valid model (``validate_model``) is walked, on which
 no update leaves its domain.  One walker, ``_Walk``, follows the steps:
 explore runs it over every reachable state, and the simulator over each
 state the first time it fires from it, so both find a successor by the
-same rule.  ``guard_predicate`` caches any other guard's truth per class
-of that guard's own literals, from ``eval_guard_kleene``, the interpreter
-at width 1, which validation runs on partial assignments.
-The firing table and ``guard_predicate`` work on any model.
+same rule.  Every state predicate is a label read off the rows, a guard
+as the last label of a copy of the model (``_with_guard_label``).  The
+firing table works on any model; validation runs ``eval_guard_kleene``,
+the interpreter at width 1, on partial assignments.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
@@ -245,45 +245,6 @@ def class_values(domain: Domain, cuts: tuple) -> tuple:
     return (domain.lo,) + tuple(c for c in cuts if domain.lo < c <= domain.hi)
 
 
-def _class_parts(model: Model, guards=None) -> tuple[tuple[int, tuple | None], ...]:
-    """The variables that decide a state's guard class under ``guards``
-    (default: every transition guard and label predicate), as pairs of a
-    variable index and None for an enum they compare or the cut points of
-    a counter (a counter without cut points has one class)."""
-    return tuple(
-        (model.var_index[var], None if isinstance(model.variable(var).domain, EnumDomain) else cuts)
-        for var, cuts in guard_cuts(model, guards).items()
-    )
-
-
-def _class_key(parts) -> Callable[[StateVector], tuple]:
-    """The function from a state to its guard class under ``_class_parts``:
-    the value of each enum, and the ``bisect_right`` position of each
-    counter among its cut points."""
-    return lambda s: tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in parts])
-
-
-def guard_predicate(model: Model, guard: Guard) -> Callable[[StateVector], bool]:
-    """``guard`` as a predicate on the model's states.
-
-    The guard is interpreted once per class of its own literals' cut
-    points, on the first state asked about in that class, and the answer
-    is cached for the rest of the class.
-    """
-    class_key = _class_key(_class_parts(model, [guard]))
-    names = tuple(v.name for v in model.variables)
-    truth: dict[tuple, bool] = {}
-
-    def holds(s: StateVector) -> bool:
-        key = class_key(s)
-        got = truth.get(key)
-        if got is None:
-            got = truth[key] = eval_guard_kleene(guard, dict(zip(names, s)))
-        return got
-
-    return holds
-
-
 def guard_comparisons(guard: Guard) -> Iterator[Comparison]:
     if isinstance(guard, Comparison):
         yield guard
@@ -395,6 +356,17 @@ class Model:
         return ", ".join(f"{v.name}={s[i]}" for i, v in enumerate(self.variables))
 
 
+def _format_states(model: Model, states) -> str:
+    """``states`` for a message, each one's ``format_state`` in parentheses."""
+    return ", ".join(f"({model.format_state(s)})" for s in states)
+
+
+def _with_guard_label(model: Model, guard: Guard) -> Model:
+    """A copy of ``model`` (a new model, validated on its own) with ``guard``
+    as its last label, named ``<guard>``."""
+    return replace(model, labels=model.labels + (Label("<guard>", guard),))
+
+
 class FiringRow(NamedTuple):
     """The firing rule and the labels on one guard class."""
 
@@ -453,13 +425,16 @@ class _CompiledModel:
                            for t in model.transitions)
         self.labels = model.labels
         self.guards = [t.guard for t in model.transitions] + [l.predicate for l in model.labels]
-        parts = _class_parts(model)
-        self.class_key = _class_key(parts)
-        self.classed = dict(parts)
+        # Each variable that decides a state's guard class, by index: None for
+        # an enum, a counter's cut points (none: the counter has one class).
+        self.classed = {
+            model.var_index[var]: None if isinstance(model.variable(var).domain, EnumDomain) else cuts
+            for var, cuts in guard_cuts(model).items()
+        }
         # Per classed variable: its name, its key entry -> its digit, and one
         # value per class, which the guards see.
         self.axes = []
-        for i, cuts in parts:
+        for i, cuts in self.classed.items():
             values = class_values(model.variables[i].domain, cuts)
             keys = values if cuts is None else [bisect_right(cuts, x) for x in values]
             self.axes.append((model.variables[i].name, {k: d for d, k in enumerate(keys)}, values))
@@ -486,8 +461,9 @@ class _CompiledModel:
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
 
     def row_id(self, s: StateVector) -> int:
-        """The id of ``s``'s guard-class row, filled on first use."""
-        key = self.class_key(s)
+        """The id of ``s``'s guard-class row, filled on first use; the key holds
+        each enum's value and each counter's ``bisect_right`` among its cuts."""
+        key = tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in self.classed.items()])
         rid = self.table.get(key)
         if rid is None:
             self.rows.append(self._fill(key))

@@ -10,13 +10,13 @@ The stream's uniforms come a block at a time from ``rng.uniforms``; an
 exponential delay is ``-log(u) / rate`` of the next one.
 
 An ``_Engine`` finds successors with explore's walker (``model._Walk``),
-run on a state the first time it fires.  It decodes each state the walk
-interns once and keeps, per dense id, the firing row, the tuple, the
-successor ids and (for an estimator) the label's truth, so work that
-depends only on the state is done once per distinct state.  A run
-records flat lists of times, transition indices and state ids; ``Event``
-and ``Trace`` objects are built from them only for ``simulate``, an
-``on_trace`` callback and the partial trace of ``EventCapExceeded``.
+run on a state the first time it fires.  It keeps, per dense id, the
+firing row, the successor ids and (for an estimator) the label's truth
+off the row, so work that depends only on the state is done once per
+distinct state.  A run records flat lists of times, transition indices
+and state ids; ``Event`` and ``Trace`` objects, and so decoded states,
+are made from them only for ``simulate``, an ``on_trace`` callback and
+the partial trace of ``EventCapExceeded``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import EventCapExceeded, ImmediateCycleError, InvalidArgError, UnknownLabelError
-from .model import Model, StateVector, _Walk, guard_predicate, initial_state
+from .model import Model, StateVector, _format_states, _Walk, _with_guard_label, initial_state
 from .rng import stream_seed, uniforms
 from .validate import require_valid
 
@@ -73,39 +73,43 @@ class _Record(NamedTuple):
 
 class _Engine:
     """The states of a walk from the initial state (id 0), with each id's
-    firing row, tuple and successor ids memoized across steps and
-    replications.
+    firing row and successor ids memoized across steps and replications.
 
-    With a ``label`` predicate, ``hits[i]`` is its truth in state ``i``.
+    With a ``label`` index, ``hits[i]`` is that label's truth in state ``i``.
     """
 
-    def __init__(self, model: Model, label: Callable[[StateVector], bool] | None = None):
+    def __init__(self, model: Model, label: int | None = None):
         require_valid(model)
         self.names = tuple(t.name for t in model.transitions)
-        self.format_state = model.format_state
+        self.model = model
         self.label = label
         self.walk = _Walk(model._compiled, initial_state(model))
-        self.states: list[StateVector] = []
         # (vanishing, transition indices, payload) per id: the payload is the
         # cumulative choice probabilities of the immediates, or the timed rates.
         self.rows: list[tuple] = []
         self.successors: list[list | None] = []  # per id, aligned with its row's indices
         self.hits: list[bool] = []
+        self.decoded: dict[int, StateVector] = {}
         self._record()
 
     def _record(self):
-        """Decode each state the walk interned since the last call, and
-        record its row, its tuple and the label's truth."""
-        walk, new = self.walk, len(self.states)
-        for code, rid in zip(walk.codes[new:], walk.row_ids[new:]):
-            s = walk.comp.decode(code)
+        """Record the row and the label's truth of each state the walk
+        interned since the last call."""
+        walk, new, label = self.walk, len(self.rows), self.label
+        for rid in walk.row_ids[new:]:
             row = walk.comp.rows[rid]
-            self.states.append(s)
             payload = row.cumulative if row.vanishing else row.values
             self.rows.append((row.vanishing, row.chosen, payload))
-            if self.label is not None:
-                self.hits.append(self.label(s))
+            if label is not None:
+                self.hits.append(row.labels[label])
         self.successors += [None] * (len(walk.codes) - new)
+
+    def states(self, sids) -> list[StateVector]:
+        """The tuples of states ``sids``, each decoded when first asked for."""
+        decoded, codes, decode = self.decoded, self.walk.codes, self.walk.comp.decode
+        for i in set(sids).difference(decoded):
+            decoded[i] = decode(codes[i])
+        return list(map(decoded.__getitem__, sids))
 
     def fire(self, sid: int, k: int) -> int:
         """The state id after the ``k``-th transition of state ``sid``'s row fires."""
@@ -117,10 +121,9 @@ class _Engine:
         return succ[k]
 
     def trace(self, rec: _Record, replication: int, seed: int) -> Trace:
-        names, states = self.names, self.states
-        events = map(Event, rec.times, [names[i] for i in rec.transitions],
-                     [states[i] for i in rec.states])
-        return Trace(replication, seed, states[0], tuple(events), rec.end_reason, rec.end_time)
+        initial, *states = self.states([0, *rec.states])
+        events = map(Event, rec.times, map(self.names.__getitem__, rec.transitions), states)
+        return Trace(replication, seed, initial, tuple(events), rec.end_reason, rec.end_time)
 
 
 def simulate(
@@ -205,10 +208,10 @@ def _run(
         if stop_at_hit and hits[sid]:
             return _Record(times, picks, sids, "hit", now)
         if chained == MAX_CHAINED_IMMEDIATES:
-            visited = map(eng.states.__getitem__, sorted(set(sids[-chained:])))
+            visited = eng.states(sorted(set(sids[-chained:])))
             raise ImmediateCycleError(
                 f"more than {MAX_CHAINED_IMMEDIATES} immediate firings at time {now}, "
-                f"visiting: {', '.join(map(eng.format_state, visited))}"
+                f"visiting: {_format_states(eng.model, visited)}"
             )
 
 
@@ -216,14 +219,15 @@ def _run(
 # Estimators
 
 
-def _label_fn(model: Model, label):
-    """The label (a name, or a guard expression in its place) as a predicate
-    on states, and the label's name."""
-    if isinstance(label, str):
-        if label not in model.label_map:
-            raise UnknownLabelError(f"no label {label!r} on model {model.name!r}")
-        return guard_predicate(model, model.label_map[label].predicate), label
-    return guard_predicate(model, label), "<guard>"
+def _labelled(model: Model, label) -> tuple[Model, int]:
+    """The model to simulate and the index of ``label`` (a name, or a guard
+    in its place, the last label of a copy of ``model``) among its labels."""
+    if not isinstance(label, str):
+        model = _with_guard_label(model, label)
+        return model, len(model.labels) - 1
+    if label not in model.label_map:
+        raise UnknownLabelError(f"no label {label!r} on model {model.name!r}")
+    return model, list(model.label_map).index(label)
 
 
 def _mean_and_half_width(values, name: str, arg: str) -> tuple[float, float]:
@@ -271,7 +275,8 @@ def estimate_occupancy(
 
     Each replication averages the label indicator over [burn_in, horizon]
     (burn-in defaults to horizon/10) on its own derived stream.
-    ``on_trace`` receives each replication's trace as it completes.
+    ``on_trace`` receives each replication's trace as it completes.  A
+    guard in the label's place is validated with the model.
     """
     if replications < 2:
         raise InvalidArgError("need at least 2 replications for an estimate")
@@ -281,11 +286,11 @@ def estimate_occupancy(
         burn_in = horizon / 10.0
     if not 0 <= burn_in < horizon:
         raise InvalidArgError(f"burn-in must lie in [0, horizon), got {burn_in}")
-    holds, label_name = _label_fn(model, label)
-    eng = _Engine(model, holds)
+    model, j = _labelled(model, label)
+    eng = _Engine(model, j)
     runs = _replications(eng, replications, seed, horizon, event_cap, on_trace)
     values = [_occupancy(rec, eng.hits, burn_in, horizon) for rec in runs]
-    name = f"occupancy[{label_name}]"
+    name = f"occupancy[{model.labels[j].name}]"
     value, half_width = _mean_and_half_width(values, name, "horizon")
     return Estimate(
         name=name,
@@ -330,13 +335,13 @@ def estimate_time_to(
         raise InvalidArgError("need at least 2 replications for an estimate")
     if not (cap_time > 0 and math.isfinite(cap_time)):
         raise InvalidArgError(f"cap_time must be positive and finite, got {cap_time}")
-    holds, label_name = _label_fn(model, label)
-    eng = _Engine(model, holds)
+    model, j = _labelled(model, label)
+    eng = _Engine(model, j)
     runs = _replications(eng, replications, seed, cap_time, event_cap, on_trace, stop_at_hit=True)
     hits = [rec.end_time if rec.end_reason == "hit" else None for rec in runs]
     values = [cap_time if h is None else h for h in hits]
     censored = hits.count(None)
-    name = f"time_to[{label_name}]"
+    name = f"time_to[{model.labels[j].name}]"
     value, half_width = _mean_and_half_width(values, name, "cap_time")
     return Estimate(
         name=name,

@@ -30,7 +30,9 @@ cached on it, for the explorer and the eliminator alike.
 A graph's kinds are one boolean array (``g.tangible``).  A graph groups
 its states into label sets once (``g.label_sets``), each a sorted int64
 index array; the CTMC reduced from it carries the same arrays renumbered
-over its states.
+over its states.  Any other guard's states (``states_where``) are read
+the same way, off the rows of a copy of the model with the guard as a
+label.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -49,8 +51,8 @@ from scipy.sparse._sparsetools import csr_column_index1, csr_column_index2
 from scipy.sparse._sparsetools import csr_plus_csr, csr_row_index
 
 from .errors import ImmediateCycleError, InvalidArgError
-from .model import Model, StateVector, _Walk, initial_state
-from .validate import require_valid
+from .model import Guard, Model, StateVector, _format_states, _Walk, _with_guard_label, initial_state
+from .validate import ValidationReport, check_guard, require_valid
 
 DEFAULT_STATE_LIMIT = 1_000_000
 STATE_LIMIT_ENV = "INFRADEP_STATE_LIMIT"
@@ -177,10 +179,7 @@ class ReachabilityGraph:
     def label_sets(self) -> dict[str, np.ndarray]:
         """Each label's states, grouped once per graph from the row ids the
         explorer recorded (a hand-built graph looks each state's row up)."""
-        comp, ids = self.model._compiled, self.row_ids
-        if ids is None:
-            ids = np.fromiter(map(comp.row_id, self.states), dtype=np.int64, count=len(self.states))
-        return _label_sets_of_rows(comp, ids)
+        return _label_sets_of_rows(self.model, self.states, self.row_ids)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, int, sp.csr_matrix]:
@@ -209,7 +208,7 @@ class ReachabilityGraph:
         if not on_cycle.any():
             return None
         members = order[nt:][comp == comp[np.argmax(on_cycle)]]
-        return ", ".join(self.model.format_state(self.states[i]) for i in members)
+        return _format_states(self.model, map(self.states.__getitem__, members))
 
     def tangible_count(self) -> int:
         return int(self.tangible.sum())
@@ -420,8 +419,26 @@ def label_sets(obj) -> dict[str, np.ndarray]:
     return obj.label_sets
 
 
-def _label_sets_of_rows(comp, ids: np.ndarray) -> dict[str, np.ndarray]:
-    """Each label's states, given each state's row id ``ids[i]`` in ``comp``."""
+def states_where(model: Model, guard: Guard, states) -> np.ndarray:
+    """The sorted positions in ``states`` where ``guard`` holds, read off the
+    rows of a copy of ``model`` with the guard as a label.  Raises
+    ``InvalidArgError`` on a guard ``validate.check_guard`` faults."""
+    report = ValidationReport()
+    check_guard(model, guard, "guard", report)
+    if report.errors:
+        first = report.errors[0]
+        raise InvalidArgError(f"guard does not validate: [{first.code}] {first.message}")
+    # With no transition and no other label, only the guard splits classes.
+    copy = _with_guard_label(replace(model, transitions=(), labels=()), guard)
+    return _label_sets_of_rows(copy, states)[copy.labels[-1].name]
+
+
+def _label_sets_of_rows(model: Model, states, ids: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Each label's positions in ``states``, from each state's row id in the
+    model's firing table, ``ids[i]`` (None: looked up from the states)."""
+    comp = model._compiled
+    if ids is None:
+        ids = np.fromiter(map(comp.row_id, states), dtype=np.int64, count=len(states))
     truth = np.array([r.labels for r in comp.rows], dtype=bool).reshape(
         len(comp.rows), len(comp.labels)
     )

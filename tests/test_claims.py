@@ -6,7 +6,10 @@ import pytest
 
 from infradep import (
     BUILTIN_MODELS,
+    Comparison,
+    InvalidArgError,
     ModelParams,
+    Or,
     NotAttackModelError,
     UnknownLabelError,
     build_reachability_graph,
@@ -20,10 +23,11 @@ from infradep.claims import (
     check_apparent_consistency,
     check_edge_coverage,
     check_path_exists,
+    check_set_unreachable,
 )
 from infradep.export import graph_summary
 
-from .oracles import SplitMix64, assert_label_sets_match_guards
+from .oracles import SplitMix64, assert_label_sets_match_guards, eval_guard
 
 
 def test_all_builtin_suites_pass(graphs):
@@ -33,19 +37,25 @@ def test_all_builtin_suites_pass(graphs):
 
 
 def _count_label_evaluations(monkeypatch) -> list:
-    """Patch the one label grouping, which ``g.label_sets`` runs; each call
-    appends the number of states it grouped."""
+    """Patch the one label grouping, which ``g.label_sets`` runs (and
+    ``statespace.states_where``, on a copy of the model); each call appends
+    the model whose labels it grouped and the number of states."""
     import infradep.statespace as statespace
 
     calls = []
     real = statespace._label_sets_of_rows
 
-    def counted(comp, ids):
-        calls.append(len(ids))
-        return real(comp, ids)
+    def counted(model, states, ids=None):
+        calls.append((model, len(states)))
+        return real(model, states, ids)
 
     monkeypatch.setattr(statespace, "_label_sets_of_rows", counted)
     return calls
+
+
+def _own(calls, g) -> list:
+    """The calls that grouped the labels of ``g``'s own model."""
+    return [n for model, n in calls if model is g.model]
 
 
 def test_run_claims_computes_label_sets_once(monkeypatch):
@@ -54,7 +64,8 @@ def test_run_claims_computes_label_sets_once(monkeypatch):
         calls.clear()
         g = build_reachability_graph(builtin_model(name))
         run_claims(g)
-        assert len(calls) == 1, f"{g.model.name}: label sets computed {len(calls)} times"
+        own = _own(calls, g)
+        assert own == [len(g.states)], f"{g.model.name}: label sets computed {len(own)} times"
 
 
 def test_pipeline_evaluates_label_guards_once(monkeypatch):
@@ -69,7 +80,8 @@ def test_pipeline_evaluates_label_guards_once(monkeypatch):
             graph_summary(obj)
             export_dot(obj)
         run_claims(g)
-        assert len(calls) == 1, f"{g.model.name}: label guards evaluated {len(calls)} times"
+        own = _own(calls, g)
+        assert own == [len(g.states)], f"{g.model.name}: label guards evaluated {len(own)} times"
         # The sets grouped from the explorer's row ids, and the chain's
         # renumbered ones, hold the states where each label's guard holds.
         assert_label_sets_match_guards(g)
@@ -149,6 +161,26 @@ def test_apparent_consistency_requires_attack_shape(graphs):
 def test_unknown_label_raises(graphs):
     with pytest.raises(UnknownLabelError):
         check_path_exists(graphs["accidental"], "state1", "nosuch")
+
+
+def test_set_unreachable_names_every_state_the_guard_holds_in(graphs):
+    g = graphs["accidental"]
+    guard = Or((Comparison("info", "==", "i_weakened"), Comparison("n_cfg", ">=", 2)))
+    res = check_set_unreachable(g, guard, "probe")
+    offenders = tuple(i for i, s in enumerate(g.states) if eval_guard(guard, s, g.model.var_index))
+    assert offenders and not res.passed
+    assert res.witness == offenders
+    assert res.detail == f"{len(offenders)} reachable states match"
+
+
+@pytest.mark.parametrize("guard, code", [
+    (Comparison("nope", "==", 1), "UNDECLARED_IDENT"),
+    (Comparison("elec", "<", 3), "TYPE_MISMATCH"),
+    (Comparison("elec", "==", "bogus"), "TYPE_MISMATCH"),
+], ids=["undeclared", "op", "value"])
+def test_set_unreachable_refuses_a_guard_that_does_not_check(graphs, guard, code):
+    with pytest.raises(InvalidArgError, match=rf"\[{code}\]"):
+        check_set_unreachable(graphs["accidental"], guard, "probe")
 
 
 def test_verdicts_invariant_under_rate_overrides(graphs):

@@ -18,6 +18,7 @@ from infradep import (
     EnumDomain,
     Immediate,
     IntDomain,
+    InvalidArgError,
     InvalidModelError,
     Label,
     Model,
@@ -35,7 +36,8 @@ from infradep import (
     var_eq,
 )
 from infradep import model as model_module
-from infradep.model import PAGE_CLASSES, eval_guard_kleene, eval_guards, guard_predicate
+from infradep.model import PAGE_CLASSES, eval_guard_kleene, eval_guards
+from infradep.statespace import states_where
 
 from .oracles import (
     OutsideDomain,
@@ -90,6 +92,14 @@ def _guards(variables, valid=False):
         ),
         max_leaves=5,
     )
+
+
+def _literals(guard):
+    """Each comparison of ``guard`` as a ``(variable, literal)`` pair."""
+    if isinstance(guard, Comparison):
+        return [(guard.var, guard.value)]
+    terms = (guard.term,) if isinstance(guard, Not) else guard.terms
+    return [pair for term in terms for pair in _literals(term)]
 
 
 def _updates(variables, valid=False):
@@ -187,8 +197,10 @@ def test_walk_leaving_the_domain_fails_validation_and_explore(model, data):
 def test_table_matches_direct_guard_walk(model, data, order):
     # Rows are filled from whichever class comes first, so visit the domain
     # in a random order; every other state must read a row that equals its
-    # own direct evaluation.  The probe guard is drawn apart from the
-    # model's, so its literals are mostly ones no model guard uses.  A
+    # own direct evaluation.  The probe guards are drawn apart from the
+    # model's, so their literals are mostly ones no model guard uses:
+    # ``states_where`` reads a typed probe off the rows of a copy of the
+    # model, and refuses one that compares a counter with a non-integer.  A
     # second table has pages of at most 2 classes, so that each classed
     # variable past the first splits it into more pages.
     states = list(domain_product(model))
@@ -197,10 +209,18 @@ def test_table_matches_direct_guard_walk(model, data, order):
         small = model_module._CompiledModel(model)
     tables = (model._compiled, small)
     index = model.var_index
+    counters = {v.name for v in model.variables if isinstance(v.domain, IntDomain)}
     probe = data.draw(_guards(model.variables))
-    holds = guard_predicate(model, probe)
+    typed = data.draw(_guards(model.variables, valid=True))
+    for guard in (probe, typed):
+        if all(isinstance(x, int) for var, x in _literals(guard) if var in counters):
+            holds = [i for i, s in enumerate(states) if eval_guard(guard, s, index)]
+            assert states_where(model, guard, states).tolist() == holds
+        else:
+            with pytest.raises(InvalidArgError, match="TYPE_MISMATCH"):
+                states_where(model, guard, states)
+            event("probe refused")
     for s in states:
-        assert holds(s) == eval_guard(probe, s, index), s
         firings, vanishing = firings_raw(model, s)
         for comp in tables:
             row = comp.rows[comp.row_id(s)]

@@ -54,3 +54,24 @@ def test_simulator_reaches_no_exact_solver_code():
     assert "infradep.model" in reached
     assert reached.isdisjoint({"infradep.statespace", "infradep.solvers"}), reached
     assert not {name for name in reached if name.split(".")[0] == "scipy"}, reached
+
+
+def test_only_the_firing_table_and_validation_interpret_guards():
+    # The firing table (``model``) evaluates guards on states and
+    # validation on partial assignments; any other module reads a guard's
+    # truth off the table's rows, so none names the interpreter.
+    interpreter = {"eval_guards", "eval_guard_kleene"}
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            if names & interpreter:
+                users.add(path.stem)
+    assert users == {"model", "validate"}, users

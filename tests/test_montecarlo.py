@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from infradep import (
     BUILTIN_MODELS,
     DEFAULT_PARAMS,
+    Comparison,
     EnumDomain,
     Estimate,
     Event,
     EventCapExceeded,
     ImmediateCycleError,
     InvalidArgError,
+    InvalidModelError,
     Model,
     RateExpr,
     SetValue,
@@ -43,6 +45,7 @@ from infradep import (
     var_eq,
 )
 from infradep import montecarlo
+from infradep.model import _CompiledModel
 from infradep.rng import stream_seed
 
 from .oracles import (
@@ -57,6 +60,7 @@ from .oracles import (
     two_state_chain,
 )
 from .test_guard_classes import _models, _with_init
+from .test_statespace import TWO_VARIABLE_CYCLE, cycle_states
 
 
 def test_same_inputs_same_trace(model_a):
@@ -207,8 +211,13 @@ def test_immediate_cycle_guard():
     )
     with pytest.raises(ImmediateCycleError) as info:
         simulate(m, horizon=1e9, seed=0)
-    named = {part.strip() for part in info.value.message.split(":", 1)[1].split(",")}
-    assert named == {"x=a", "x=b"}
+    assert cycle_states(info.value.message) == {"x=a", "x=b"}
+
+
+def test_immediate_cycle_message_delimits_each_state():
+    with pytest.raises(ImmediateCycleError) as info:
+        simulate(parse_model(TWO_VARIABLE_CYCLE), horizon=1e9, seed=0)
+    assert cycle_states(info.value.message) == {"x=a, y=0", "x=b, y=0"}
 
 
 def test_estimate_needs_two_replications(model_a):
@@ -598,34 +607,25 @@ def _engine_work(model, label, estimate, monkeypatch, **kwargs):
 
     Every interned state is the initial state or a one-step successor (by
     the oracle) of a state some event left, each such source is expanded
-    once, the label predicate runs exactly once per interned state, no
-    state is interned twice, and ``fire`` runs once per event.
+    once, the label's truth is recorded exactly once per interned state and
+    equals the label's guard there (by the oracle), no state is interned
+    twice, and ``fire`` runs once per event.
     """
-    predicate, expand, fire = montecarlo.guard_predicate, montecarlo._Walk.expand, montecarlo._Engine.fire
-    decode = model._compiled.decode
-    walks, expanded, judged, fired = [], Counter(), Counter(), 0
-
-    def counted_predicate(model, guard):
-        holds = predicate(model, guard)
-
-        def counted(s):
-            judged[s] += 1
-            return holds(s)
-
-        return counted
+    expand, fire = montecarlo._Walk.expand, montecarlo._Engine.fire
+    walks, engines, expanded, fired = [], set(), Counter(), 0
 
     def counted_expand(walk, start, stop, link):
         assert stop == start + 1
         walks.append(walk)
-        expanded[decode(walk.codes[start])] += 1
+        expanded[walk.comp.decode(walk.codes[start])] += 1
         return expand(walk, start, stop, link)
 
     def counted_fire(eng, sid, k):
         nonlocal fired
         fired += 1
+        engines.add(eng)
         return fire(eng, sid, k)
 
-    monkeypatch.setattr(montecarlo, "guard_predicate", counted_predicate)
     monkeypatch.setattr(montecarlo._Walk, "expand", counted_expand)
     monkeypatch.setattr(montecarlo._Engine, "fire", counted_fire)
     traces = []
@@ -635,11 +635,13 @@ def _engine_work(model, label, estimate, monkeypatch, **kwargs):
     sources |= {ev.state for t in traces for ev in t.events[:-1]}
     successors = {apply_update_raw(model, s, t) for s in sources for t, _ in firings_raw(model, s)[0]}
 
-    assert len({id(w) for w in walks}) == 1  # one engine, one walk
-    interned = [decode(code) for code in walks[0].codes]
+    (eng,) = engines  # one engine
+    assert {id(w) for w in walks} == {id(eng.walk)}  # one walk
+    interned = [eng.walk.comp.decode(code) for code in eng.walk.codes]
     assert len(set(interned)) == len(interned)
     assert set(interned) == {init} | successors
-    assert judged == Counter(interned)
+    guard = model.label_map[label].predicate if isinstance(label, str) else label
+    assert eng.hits == [eval_guard(guard, s, model.var_index) for s in interned]
     assert expanded == Counter(sources)
     assert fired == sum(len(t.events) for t in traces)
     return traces, interned
@@ -658,8 +660,9 @@ def test_engine_does_per_state_work_once(model_a, monkeypatch):
 
 
 def test_label_predicate_interpreted_once_per_state(models, monkeypatch):
-    # The walk interns every successor of a state that fires, so the
-    # predicate also runs on states no event reaches, but on each once.
+    # The walk interns every successor of a state that fires, so the label's
+    # truth is also recorded for states no event reaches, but once each.  A
+    # named label and a guard in its place are both read off the rows.
     for name, (occupancy_label, time_to_label) in sorted(ESTIMATE_LABELS.items()):
         m = models[name]
         for estimate, label, kwargs in (
@@ -669,6 +672,69 @@ def test_label_predicate_interpreted_once_per_state(models, monkeypatch):
             with monkeypatch.context() as patch:
                 traces, interned = _engine_work(m, label, estimate, patch, replications=10, **kwargs)
             assert sum(len(t.events) for t in traces) > len(interned)
+
+
+def test_untraced_estimate_decodes_only_where_the_walk_meets_an_outcome(models, monkeypatch):
+    # The walk decodes a target where a step meets an outcome for the first
+    # time, and records that outcome's row in the step's ``known`` list.  An
+    # estimate without traces reads each state's label off its row, so it
+    # decodes no state besides those.
+    for name, (occupancy_label, time_to_label) in sorted(ESTIMATE_LABELS.items()):
+        for estimate, label, kwargs in (
+            (estimate_occupancy, occupancy_label, {"horizon": 300.0}),
+            (estimate_time_to, time_to_label, {"cap_time": 300.0}),
+        ):
+            for guard in (False, True):
+                m = replace(models[name])  # a model whose firing table no walk has met
+                target = m.label_map[label].predicate if guard else label
+                decodes, met = _decodes(m, estimate, target, monkeypatch, **kwargs)
+                assert decodes == met > 0, (name, label, guard)
+
+
+def _decodes(model, estimate, label, monkeypatch, on_trace=None, **kwargs) -> tuple[int, int]:
+    """The number of states ``estimate`` decodes, and the number of step
+    outcomes its walk met (each one decoded once)."""
+    real, calls = _CompiledModel.decode, Counter()
+
+    def counted(comp, code):
+        calls[comp] += 1
+        return real(comp, code)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_CompiledModel, "decode", counted)
+        estimate(model, label, replications=10, seed=4, on_trace=on_trace, **kwargs)
+    ((comp, decodes),) = calls.items()
+    met = sum(row >= 0 for steps in comp.steps if steps for *_, known in steps for row in known)
+    return decodes, met
+
+
+def test_traced_estimate_decodes_each_traced_state_once(models, monkeypatch):
+    for name, (occupancy_label, _) in sorted(ESTIMATE_LABELS.items()):
+        m, traces = replace(models[name]), []
+        decodes, met = _decodes(m, estimate_occupancy, occupancy_label, monkeypatch,
+                                on_trace=traces.append, horizon=300.0)
+        traced = {t.initial for t in traces} | {ev.state for t in traces for ev in t.events}
+        assert sum(len(t.events) for t in traces) > len(traced) > 1
+        assert decodes == met + len(traced), name
+
+
+ACCIDENTAL_GUARDS = (
+    (Comparison("nope", "==", 1), {"UNDECLARED_IDENT"}),
+    (Comparison("elec", "<", 3), {"TYPE_MISMATCH"}),
+    (Comparison("elec", "==", "bogus"), {"TYPE_MISMATCH"}),
+)
+
+
+@pytest.mark.parametrize("guard, codes", ACCIDENTAL_GUARDS, ids=["undeclared", "op", "value"])
+def test_estimators_refuse_a_guard_that_does_not_check(model_a, guard, codes):
+    for estimate, kwargs in (
+        (estimate_occupancy, {"horizon": 50.0}),
+        (estimate_time_to, {"cap_time": 50.0}),
+    ):
+        with pytest.raises(InvalidModelError) as info:
+            estimate(model_a, guard, replications=2, **kwargs)
+        assert {e.code for e in info.value.report.errors} == codes
+        assert all(e.where == "label <guard>" for e in info.value.report.errors)
 
 
 NEGATIVE = (

@@ -47,6 +47,8 @@ PUBLIC = {
 # their modules but leave the package's names; the built-ins other than
 # ``accidental_model`` are ``builtin_model(name)``.  Explore and simulation
 # take only validated models, so nothing raises ``OutOfDomainError``.
+# Every state predicate is a label read off the firing table, so
+# ``guard_predicate`` is gone.
 REMOVED = [
     (infradep, "apply_transition"),
     (infradep, "enabled_transitions"),
@@ -91,6 +93,7 @@ REMOVED = [
     (infradep.dsl, "KEYWORDS"),
     (infradep, "OutOfDomainError"),
     (infradep.errors, "OutOfDomainError"),
+    (infradep.model, "guard_predicate"),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from infradep import (
     build_reachability_graph,
     eliminate_vanishing,
     label_sets,
+    parse_model,
     var_eq,
 )
 from infradep.catalog import BUILTIN_MODELS, DEFAULT_PARAMS, builtin_model
@@ -126,8 +128,35 @@ def test_immediate_two_cycle_detected():
     for m, on_cycle in ((two_cycle, "ab"), (self_loop, "a"), (three_cycle, "abc")):
         with pytest.raises(ImmediateCycleError) as info:
             build_reachability_graph(m)
-        named = {part.strip() for part in info.value.message.split(":", 1)[1].split(",")}
-        assert named == {f"x={v}" for v in on_cycle}
+        assert cycle_states(info.value.message) == {f"x={v}" for v in on_cycle}
+
+
+def cycle_states(message: str) -> set[str]:
+    """The states an ``ImmediateCycleError`` message lists after its colon,
+    each in parentheses, with only ", " between them."""
+    listed = message.split(": ", 1)[1]
+    states = re.findall(r"\(([^()]*)\)", listed)
+    assert listed == ", ".join(f"({s})" for s in states), message
+    return set(states)
+
+
+# A timed step from s enters the immediate cycle a -> b -> a; y stays 0,
+# so each state on the cycle prints as two variables.
+TWO_VARIABLE_CYCLE = """
+model m {
+  var x : {s, a, b} init s;
+  var y : [0..1] init 0;
+  timed enter rate 1.0 when x == s -> { x := a; };
+  immediate go prio 1 weight 1.0 when x == a -> { x := b; };
+  immediate back prio 1 weight 1.0 when x == b -> { x := a; };
+}
+"""
+
+
+def test_immediate_cycle_message_delimits_each_state():
+    with pytest.raises(ImmediateCycleError) as info:
+        build_reachability_graph(parse_model(TWO_VARIABLE_CYCLE))
+    assert cycle_states(info.value.message) == {"x=a, y=0", "x=b, y=0"}
 
 
 def test_eliminate_rejects_hand_built_cycle():
