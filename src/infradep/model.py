@@ -34,8 +34,10 @@ explore runs it over every reachable state, and the simulator over each
 state the first time it fires from it, so both find a successor by the
 same rule.  Every state predicate is a label read off the rows, a guard
 as the last label of a copy of the model (``_with_guard_label``).  The
-firing table works on any model; validation runs ``eval_guard_kleene``,
-the interpreter at width 1, on partial assignments.
+firing table works on any model.  Validation reads guard satisfiability
+off a one-page model's page (``_CompiledModel.page``), which explore then
+finds evaluated, and runs ``eval_guard_kleene``, the interpreter at width
+1, on partial assignments.
 """
 
 from __future__ import annotations
@@ -363,8 +365,13 @@ def _format_states(model: Model, states) -> str:
 
 def _with_guard_label(model: Model, guard: Guard) -> Model:
     """A copy of ``model`` (a new model, validated on its own) with ``guard``
-    as its last label, named ``<guard>``."""
-    return replace(model, labels=model.labels + (Label("<guard>", guard),))
+    as its last label, named ``<guard>``, or ``<guard 2>``, ``<guard 3>``
+    and so on where ``model`` has a label of that name already."""
+    name, k = "<guard>", 1
+    while name in model.label_map:
+        k += 1
+        name = f"<guard {k}>"
+    return replace(model, labels=model.labels + (Label(name, guard),))
 
 
 class FiringRow(NamedTuple):
@@ -388,9 +395,11 @@ class _CompiledModel:
     are dense, in the order the classes were first met, and never change.
     The classes form a mixed radix over the classed variables (``axes``);
     a *page* is a run of classes that differ only in the low-order axes,
-    at least one, of at most ``PAGE_CLASSES`` classes in all.  The first
-    class met in a page has every guard and label evaluated over the whole
-    page, and ``_fill`` reads each row off the bits at its class's offset.
+    at least one, of at most ``PAGE_CLASSES`` classes in all.  A page has
+    every guard and label evaluated over it whole (``page``) when the first
+    of its classes is met, or before, when validation reads a one-page
+    model's guards off it, and ``_fill`` reads each row off the bits at its
+    class's offset.
     The table works on any model, for the states of its domain product;
     the coding and the steps below assume a valid one (``validate_model``),
     as explore does.
@@ -460,10 +469,14 @@ class _CompiledModel:
         self.digits, self.size = tuple(digits), weight
         self.ops = tuple(self._read(t.update, model.var_index) for t in model.transitions)
 
+    def class_key(self, s: StateVector) -> tuple:
+        """The key of ``s``'s guard class: each enum's value and each
+        counter's ``bisect_right`` among its cuts."""
+        return tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in self.classed.items()])
+
     def row_id(self, s: StateVector) -> int:
-        """The id of ``s``'s guard-class row, filled on first use; the key holds
-        each enum's value and each counter's ``bisect_right`` among its cuts."""
-        key = tuple([s[i] if cuts is None else bisect_right(cuts, s[i]) for i, cuts in self.classed.items()])
+        """The id of ``s``'s guard-class row (``class_key``), filled on first use."""
+        key = self.class_key(s)
         rid = self.table.get(key)
         if rid is None:
             self.rows.append(self._fill(key))
@@ -523,6 +536,19 @@ class _CompiledModel:
                     resets.append((weight, radix, table.index(value)))
             steps.append((delta, tuple(resets), tuple(crossings), [-1] * (1 << len(crossings))))
 
+    def page(self, high: tuple) -> list[int]:
+        """Each guard's, then label's, true set over the page whose
+        high-order digits (past the page's axes) are ``high``: evaluated
+        whole by one interpreter call the first time it is asked for, and
+        kept in ``pages``.  Bit ``p`` is the class at offset ``p``."""
+        truth = self.pages.get(high)
+        if truth is None:
+            universe = {name: (place, values) for (name, _, values), place in zip(self.axes, self.places)}
+            for (name, _, values), d in zip(self.axes[len(self.places):], high):
+                universe[name] = (1, (values[d],))
+            truth = self.pages[high] = [t for t, _ in eval_guards(self.guards, universe, self.page_size)]
+        return truth
+
     def _fill(self, key: tuple) -> FiringRow:
         """The GSPN firing rule on the class ``key``, with its payload and
         the labels, read off the bits at the class's offset in its page.
@@ -533,14 +559,7 @@ class _CompiledModel:
         """
         digits = [axis[1][k] for axis, k in zip(self.axes, key)]
         offset = sum(d * place for d, place in zip(digits, self.places))
-        n, transitions = len(self.places), self.transitions
-        high = tuple(digits[n:])
-        truth = self.pages.get(high)
-        if truth is None:  # the page's first class: evaluate it whole
-            universe = {name: (place, values) for (name, _, values), place in zip(self.axes, self.places)}
-            for (name, _, values), d in zip(self.axes[n:], high):
-                universe[name] = (1, (values[d],))
-            truth = self.pages[high] = [t for t, _ in eval_guards(self.guards, universe, self.page_size)]
+        truth, transitions = self.page(tuple(digits[len(self.places):])), self.transitions
         enabled = [i for i, m in enumerate(truth[: len(transitions)]) if m >> offset & 1]
         labels = tuple(bool(m >> offset & 1) for m in truth[len(transitions):])
         imm = [i for i in enabled if not transitions[i].is_timed]

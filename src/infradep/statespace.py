@@ -32,7 +32,8 @@ its states into label sets once (``g.label_sets``), each a sorted int64
 index array; the CTMC reduced from it carries the same arrays renumbered
 over its states.  Any other guard's states (``states_where``) are read
 the same way, off the rows of a copy of the model with the guard as a
-label.
+label, whose row is looked up once per guard class of the copy, the
+classes told apart over the view's codes.
 """
 
 from __future__ import annotations
@@ -438,9 +439,44 @@ def _label_sets_of_rows(model: Model, states, ids: np.ndarray | None = None) -> 
     model's firing table, ``ids[i]`` (None: looked up from the states)."""
     comp = model._compiled
     if ids is None:
-        ids = np.fromiter(map(comp.row_id, states), dtype=np.int64, count=len(states))
+        ids = _row_ids(comp, states)
     truth = np.array([r.labels for r in comp.rows], dtype=bool).reshape(
         len(comp.rows), len(comp.labels)
     )
     member = truth[ids]
     return {l.name: np.flatnonzero(member[:, j]) for j, l in enumerate(comp.labels)}
+
+
+def _row_ids(comp, states) -> np.ndarray:
+    """Each state's row id in ``comp``'s table, with one ``row_id`` call per
+    distinct guard class, made in the order the classes first occur.  On a
+    view of int64 codes over ``comp``'s variables, the classes are numbered
+    from the codes' digits with numpy, and one state of each is decoded;
+    other states have each one's ``class_key`` read in Python."""
+    codes = getattr(states, "codes", None)
+    if codes is None or codes.dtype == object or states._digits != comp.digits:
+        rows, ids = {}, []
+        for s in states:
+            key = comp.class_key(s)
+            rid = rows.get(key)
+            if rid is None:
+                rid = rows[key] = comp.row_id(s)
+            ids.append(rid)
+        return np.array(ids, dtype=np.int64)
+    # A class's number is a mixed radix over the classed variables' class
+    # digits: an enum's position, or the count of a counter's class values
+    # past its lower bound that its position reaches.
+    number, place = np.zeros(len(codes), dtype=np.int64), 1
+    for i, (_, _, values) in zip(comp.classed, comp.axes):
+        weight, radix, table = comp.digits[i]
+        digit = codes // weight % radix
+        if comp.classed[i] is not None:
+            cuts = np.array([x - table.start for x in values[1:]], dtype=np.int64)
+            digit = np.searchsorted(cuts, digit, side="right")
+        number += digit * place
+        place *= len(values)
+    _, first, inverse = np.unique(number, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rids = np.empty(len(first), dtype=np.int64)
+    rids[order] = [comp.row_id(comp.decode(code)) for code in codes[first[order]].tolist()]
+    return rids[inverse]

@@ -15,6 +15,14 @@ gate and the CLI read it through ``validation_report``, which validates
 only a model that has none yet, so that a model is checked once
 however many stages it passes.  A ``dataclasses.replace``
 copy is a new model and is checked again.
+
+Guards are evaluated by the one interpreter, ``model.eval_guards``.  The
+update-domain check runs it at width 1 (``eval_guard_kleene``), once per
+shift.  The satisfiability check reads each transition guard off the
+firing table's page when the model's guard classes fit one page (every
+built-in's do), so the page explore reads its rows off is evaluated here,
+once; a model with more pages has each guard scanned over its own classes
+(``_check_guard_satisfiability``).
 """
 
 from __future__ import annotations
@@ -373,19 +381,39 @@ def _check_update_domains(model: Model, rep: ValidationReport):
 
 
 def _check_guard_satisfiability(model: Model, rep: ValidationReport):
-    """Warn about guards no state satisfies, evaluating each guard once over
-    the product of one value per guard class of each variable it mentions
-    (the guard is constant on a class of its own cut points; the other
-    variables are free)."""
-    for t in model.transitions:
-        universe, size = {}, 1
-        for var, cuts in guard_cuts(model, [t.guard]).items():
-            values = class_values(model.variable(var).domain, cuts)
-            universe[var] = (size, values)
-            size *= len(values)
-        if not universe or size > SAT_SCAN_LIMIT:
+    """Warn about guards no state satisfies.  A guard that mentions no
+    variable is not scanned.
+
+    When the model's guard classes fit one page of the firing table (every
+    built-in's do, at any ``k_max``) and number at most ``SAT_SCAN_LIMIT``,
+    each transition guard's true set is read off that page
+    (``_CompiledModel.page``): the one interpreter call that evaluates every
+    guard and label is the one explore would make, and explore finds the
+    page kept.  The page's cut points are those of every guard and label,
+    so its classes refine each guard's own, and a guard holds on some class
+    of the page exactly when it holds on one of its own.  Otherwise each
+    guard is evaluated once over the product of one value per guard class
+    of each variable it mentions (the guard is constant on a class of its
+    own cut points; the other variables are free), and skipped where that
+    product has more than ``SAT_SCAN_LIMIT`` points.
+    """
+    comp, page = model._compiled, None
+    if len(comp.places) == len(comp.axes) and comp.page_size <= SAT_SCAN_LIMIT:
+        page = comp.page(())
+    for k, t in enumerate(model.transitions):
+        if next(guard_comparisons(t.guard), None) is None:
             continue
-        ((true, _),) = eval_guards([t.guard], universe, size)
+        if page is not None:
+            true = page[k]
+        else:
+            universe, size = {}, 1
+            for var, cuts in guard_cuts(model, [t.guard]).items():
+                values = class_values(model.variable(var).domain, cuts)
+                universe[var] = (size, values)
+                size *= len(values)
+            if size > SAT_SCAN_LIMIT:
+                continue
+            ((true, _),) = eval_guards([t.guard], universe, size)
         if not true:
             rep.warn(
                 "UNSATISFIABLE_GUARD",

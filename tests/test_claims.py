@@ -6,6 +6,7 @@ import pytest
 
 from infradep import (
     BUILTIN_MODELS,
+    And,
     Comparison,
     InvalidArgError,
     ModelParams,
@@ -17,6 +18,7 @@ from infradep import (
     eliminate_vanishing,
     export_dot,
     run_claims,
+    var_eq,
 )
 from infradep.claims import (
     check_all_paths_contain,
@@ -26,6 +28,7 @@ from infradep.claims import (
     check_set_unreachable,
 )
 from infradep.export import graph_summary
+from infradep.model import _CompiledModel
 
 from .oracles import SplitMix64, assert_label_sets_match_guards, eval_guard
 
@@ -171,6 +174,31 @@ def test_set_unreachable_names_every_state_the_guard_holds_in(graphs):
     assert offenders and not res.passed
     assert res.witness == offenders
     assert res.detail == f"{len(offenders)} reachable states match"
+
+
+def test_set_unreachable_looks_up_one_row_per_class(monkeypatch):
+    # The guard copy's classes are told apart from the graph's codes, and
+    # each class's row is looked up once, not once per state: a guard on
+    # ``info`` splits cascading-only's 828 states at k_max 200 into the four
+    # values they hold, and no state is weakened.  With ``n_cfg > 150`` as
+    # well, a counter splits at its cut points 150 and 151 too, and some
+    # states offend.
+    g = build_reachability_graph(builtin_model("cascading-only", ModelParams(k_max=200)))
+    info, n = g.model.var_index["info"], g.model.var_index["n_cfg"]
+    calls, row_id = [], _CompiledModel.row_id
+    monkeypatch.setattr(_CompiledModel, "row_id", lambda comp, s: calls.append(s) or row_id(comp, s))
+    for guard, class_of in (
+        (var_eq("info", "i_weakened"), lambda s: s[info]),
+        (And((var_eq("info", "active_latent"), Comparison("n_cfg", ">", 150))),
+         lambda s: (s[info], (s[n] >= 150) + (s[n] >= 151))),
+    ):
+        calls.clear()
+        res = check_set_unreachable(g, guard, "probe")
+        offenders = tuple(i for i, s in enumerate(g.states) if eval_guard(guard, s, g.model.var_index))
+        assert res.witness == offenders and res.passed == (not offenders)
+        classes = set(map(class_of, g.states))
+        assert len(calls) == len(set(map(class_of, calls))) == len(classes)
+    assert (len(classes), len(offenders)) == (12, 53)
 
 
 @pytest.mark.parametrize("guard, code", [

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -36,8 +37,9 @@ from infradep import (
     var_eq,
 )
 from infradep import model as model_module
+from infradep import validate as validate_module
 from infradep.model import PAGE_CLASSES, eval_guard_kleene, eval_guards
-from infradep.statespace import states_where
+from infradep.statespace import _States, states_where
 
 from .oracles import (
     OutsideDomain,
@@ -212,10 +214,14 @@ def test_table_matches_direct_guard_walk(model, data, order):
     counters = {v.name for v in model.variables if isinstance(v.domain, IntDomain)}
     probe = data.draw(_guards(model.variables))
     typed = data.draw(_guards(model.variables, valid=True))
+    # The same states as a view of their codes, whose classes are numbered
+    # from the codes.
+    view = _States(np.array(list(map(model._compiled.encode, states)), dtype=np.int64), model._compiled.digits)
     for guard in (probe, typed):
         if all(isinstance(x, int) for var, x in _literals(guard) if var in counters):
             holds = [i for i, s in enumerate(states) if eval_guard(guard, s, index)]
             assert states_where(model, guard, states).tolist() == holds
+            assert states_where(model, guard, view).tolist() == holds
         else:
             with pytest.raises(InvalidArgError, match="TYPE_MISMATCH"):
                 states_where(model, guard, states)
@@ -286,6 +292,24 @@ def test_unsatisfiable_guard_warned_iff_no_state_satisfies_it(model):
     event(f"{len(warned)} unsatisfiable")
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=_models(valid=True))
+def test_validation_reads_the_same_off_one_page_as_per_guard(model):
+    # At the default page size every drawn model's classes fit one page, and
+    # validation reads each guard off it; with pages of one class, a model
+    # with two classed variables of two classes or more has several pages,
+    # and each guard is scanned over its own classes.  The reports must be
+    # equal.
+    whole, paged = replace(model), replace(model)
+    report = validate_model(whole)
+    with mock.patch.object(model_module, "PAGE_CLASSES", 1):
+        assert validate_model(paged) == report
+    assert len(whole._compiled.places) == len(whole._compiled.axes)
+    comp = paged._compiled
+    event("per-guard scan" if len(comp.places) < len(comp.axes) else "one page either way")
+    event(f"{len(report.warnings)} warnings")
+
+
 def _bits_model(width):
     """``width`` two-valued enums, each set and reset by a timed transition,
     with an immediate that clears the lowest where the highest is set, and
@@ -316,18 +340,30 @@ def test_class_space_past_one_page_matches_oracle():
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)
 def test_each_builtin_evaluates_one_page(name):
-    # Every built-in's classes fit one page at any k_max, so the interpreter
-    # runs once per model, over all guards and labels, and a row's fill
-    # reads bits without calling it.
+    # Every built-in's classes fit one page at any k_max, so from validation
+    # through explore the interpreter evaluates the guards and labels in one
+    # call: validation reads each guard's satisfiability off the page, and
+    # explore's row fills read the page validation kept.  The only other
+    # calls are the update-domain check's width-1 projections, one per shift.
     for k_max in (2, 20, 200, 2000):
         model = builtin_model(name, replace(DEFAULT_PARAMS, k_max=k_max))
-        assert validate_model(model).ok
+        shifts = sum(isinstance(a, Shift) for t in model.transitions for a in t.update)
         calls = []
-        with mock.patch.object(model_module, "eval_guards", lambda *a: calls.append(a) or eval_guards(*a)):
+
+        def counted(*args):
+            calls.append(args)
+            return eval_guards(*args)
+
+        with mock.patch.object(model_module, "eval_guards", counted), \
+                mock.patch.object(validate_module, "eval_guards", counted):
+            assert validate_model(model).ok
             build_reachability_graph(model).label_sets
         comp = model._compiled
-        assert (len(calls), len(comp.pages)) == (1, 1)
-        assert len(calls[0][0]) == len(model.transitions) + len(model.labels)
+        pages = [(guards, size) for guards, _, size in calls if size > 1]
+        assert pages == [(comp.guards, comp.page_size)] and len(comp.pages) == 1
+        assert len(comp.guards) == len(model.transitions) + len(model.labels)
+        assert [(len(guards), size) for guards, _, size in calls if size == 1] == [(1, 1)] * shifts
+        assert len(calls) == 1 + shifts and shifts > 0
         assert len(comp.rows) > 1
 
 

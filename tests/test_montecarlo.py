@@ -23,6 +23,7 @@ from infradep import (
     ImmediateCycleError,
     InvalidArgError,
     InvalidModelError,
+    Label,
     Model,
     RateExpr,
     SetValue,
@@ -735,6 +736,29 @@ def test_estimators_refuse_a_guard_that_does_not_check(model_a, guard, codes):
             estimate(model_a, guard, replications=2, **kwargs)
         assert {e.code for e in info.value.report.errors} == codes
         assert all(e.where == "label <guard>" for e in info.value.report.errors)
+
+
+def test_guard_beside_a_label_named_guard(model_a):
+    # A Python-built model may name a label ``<guard>``: the guard an
+    # estimator is given takes the first free name, ``<guard 2>`` and then
+    # ``<guard 3>``, and simulates as it does on the model without them.
+    guard = var_eq("elec", "partial_e_outage")
+    own_guard = var_eq("elec", "e_lost")
+    taken = replace(model_a, labels=model_a.labels + (Label("<guard>", own_guard),))
+    twice = replace(taken, labels=taken.labels + (Label("<guard 2>", var_eq("info", "i_weakened")),))
+    for estimate, kwargs in (
+        (estimate_occupancy, {"horizon": 50.0}),
+        (estimate_time_to, {"cap_time": 50.0}),
+    ):
+        plain = estimate(model_a, guard, replications=4, seed=3, **kwargs)
+        assert plain.name.endswith("[<guard>]")
+        for model, name in ((taken, "<guard 2>"), (twice, "<guard 3>")):
+            est = estimate(model, guard, replications=4, seed=3, **kwargs)
+            assert est.name == plain.name.replace("<guard>", name)
+            assert (est.value, est.half_width, est.metadata) == (plain.value, plain.half_width, plain.metadata)
+        # The model's own label is still read by its name.
+        own = estimate(taken, "<guard>", replications=4, seed=3, **kwargs)
+        assert own == estimate(model_a, own_guard, replications=4, seed=3, **kwargs)
 
 
 NEGATIVE = (

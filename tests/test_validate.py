@@ -313,6 +313,36 @@ def test_unsatisfiable_guard_warns_beside_a_huge_counter():
     assert [(w.code, w.message, w.where) for w in huge.warnings] == found
 
 
+def test_guard_without_variables_is_not_scanned(monkeypatch):
+    # An empty disjunction holds nowhere, but it mentions no variable, so
+    # the satisfiability scan passes it by, off one page or guard by guard
+    # (two two-class variables make two pages of one class each).
+    import infradep.model as model
+
+    def build():
+        return Model(
+            name="m",
+            variables=(
+                VariableDecl("x", EnumDomain(("a", "b")), "a"),
+                VariableDecl("y", EnumDomain(("a", "b")), "a"),
+            ),
+            parameters={},
+            transitions=(
+                Transition("never", Timed(RateExpr(1.0)), Or(()), (SetValue("x", "b"),)),
+                Transition("t", Timed(RateExpr(1.0)), And((var_eq("x", "a"), var_eq("x", "b"))), ()),
+                Transition("u", Timed(RateExpr(1.0)), var_eq("y", "a"), (SetValue("y", "b"),)),
+            ),
+        )
+
+    whole = build()
+    found = [(w.code, w.where) for w in validate_model(whole).warnings]
+    monkeypatch.setattr(model, "PAGE_CLASSES", 1)
+    paged = build()
+    assert [(w.code, w.where) for w in validate_model(paged).warnings] == found
+    assert found == [("UNSATISFIABLE_GUARD", "transition t")]
+    assert [len(m._compiled.places) for m in (whole, paged)] == [2, 1]
+
+
 def test_duplicate_assignment():
     m = _counter_model(var_eq("mode", "a"), (SetValue("mode", "b"), SetValue("mode", "a")))
     assert "DUPLICATE_ASSIGNMENT" in codes(validate_model(m))
@@ -362,24 +392,33 @@ def _shift_model(hi):
 
 
 def test_huge_counter_range_validates_like_small_twin(monkeypatch):
+    import infradep.model as model
     import infradep.validate as validate
 
     calls, widths = [], []
-    kleene, bits = validate.eval_guard_kleene, validate.eval_guards
+    kleene, bits = validate.eval_guard_kleene, model.eval_guards
     monkeypatch.setattr(
         validate, "eval_guard_kleene", lambda g, p: calls.append(p) or kleene(g, p)
     )
-    monkeypatch.setattr(
-        validate, "eval_guards", lambda g, u, n: widths.append(n) or bits(g, u, n)
-    )
-    big = validate_model(_shift_model(20_000_000))
+
+    def counted(guards, universe, size):
+        widths.append((len(guards), size))
+        return bits(guards, universe, size)
+
+    # The page of the firing table and the per-guard scan alike.
+    monkeypatch.setattr(model, "eval_guards", counted)
+    monkeypatch.setattr(validate, "eval_guards", counted)
+    twins = _shift_model(20_000_000), _shift_model(20)
+    big = validate_model(twins[0])
     big_calls, big_widths = len(calls), list(widths)
-    small = validate_model(_shift_model(20))
+    small = validate_model(twins[1])
     # Both the update-domain projections and the satisfiability scan try one
-    # value per guard class, however wide the range: the scan evaluates each
-    # guard once, over as many points as it has classes.
-    assert len(calls) == 2 * big_calls
-    assert widths == 2 * big_widths == 2 * [2, 2, 3]
+    # value per guard class, however wide the range: each projection is one
+    # guard at width 1, and the scan reads every guard off one page of the
+    # firing table, as wide as the model has classes (0, 1 .. HI - 1, HI).
+    assert len(calls) == 2 * big_calls == 2 * 3
+    assert widths == 2 * big_widths == 2 * [(1, 1), (1, 1), (1, 1), (3, 3)]
+    assert [(m._compiled.page_size, len(m._compiled.pages)) for m in twins] == [(3, 1)] * 2
 
     def findings(rep, hi):
         return [
